@@ -46,7 +46,9 @@ int main() {
   const char kMarks[] = {'B', 'W', 'G', 'w'};
 
   std::printf("  measuring %zu cells...\n", matrix.cells().size());
-  const lab::MatrixResult result = matrix.Run(jobs);
+  lab::MatrixRunOptions options;
+  options.jobs = jobs;
+  const lab::MatrixResult result = matrix.Run(options);
   std::printf("\n");
 
   // Panel helper: one series per workload for a fixed (os, priority, metric).

@@ -105,7 +105,9 @@ int main() {
   const lab::ExperimentMatrix matrix(spec);
 
   std::printf("  measuring %zu cells...\n", matrix.cells().size());
-  const lab::MatrixResult run = matrix.Run(jobs);
+  lab::MatrixRunOptions options;
+  options.jobs = jobs;
+  const lab::MatrixResult run = matrix.Run(options);
 
   std::vector<WorkloadResult> results;
   for (std::size_t wl = 0; wl < spec.workloads.size(); ++wl) {

@@ -7,6 +7,8 @@
 #   * re-running the same command restores every cell from the shard
 #     record files (0 executed) and re-merges to a byte-identical report —
 #     the merge is a pure fold over the artifacts
+#   * re-running into the same directory under an edited spec exits 2 and
+#     leaves every artifact untouched
 #   * the CLI contract holds: --shard without --fleet is a usage error
 #
 # Registered as the `fleet_smoke` ctest; also runnable standalone from the
@@ -118,6 +120,22 @@ second_sum="$(cksum < "${OUT}/run/fleet.json")"
 [[ "${first_sum}" == "${second_sum}" ]] \
   || { echo "fleet_smoke: re-merged fleet.json differs from the first run" >&2
        exit 1; }
+
+# Spec binding: the same --fleet-out under an edited spec (10x the stress
+# minutes; the coordinate-derived seeds are unchanged) is refused with exit 2
+# before any worker starts, and neither the shard records nor fleet.json move.
+sed 's/"stress_minutes": 0.0002/"stress_minutes": 0.002/' \
+  "${OUT}/population.json" > "${OUT}/edited.json"
+cat "${OUT}"/run/*.jsonl "${OUT}/run/fleet.json" | cksum > "${OUT}/before.sum"
+status=0
+"${RUN}" --fleet "${OUT}/edited.json" --shards 3 --jobs 2 --fleet-out "${OUT}/run" \
+  > "${OUT}/edited.log" 2> "${OUT}/edited.err" || status=$?
+[[ "${status}" -eq 2 ]] \
+  || { echo "fleet_smoke: edited-spec re-run exited ${status}, want 2" >&2; exit 1; }
+grep -q 'refusing to resume' "${OUT}/edited.err" \
+  || { echo "fleet_smoke: missing spec-mismatch diagnostic" >&2; exit 1; }
+cat "${OUT}"/run/*.jsonl "${OUT}/run/fleet.json" | cksum | cmp -s - "${OUT}/before.sum" \
+  || { echo "fleet_smoke: refused re-run modified the fleet artifacts" >&2; exit 1; }
 
 # CLI contract: --shard is a worker flag and demands --fleet (usage error 2).
 status=0

@@ -2,10 +2,12 @@
 # Smoke test for supervised, resumable matrix runs:
 #
 #   * a run interrupted by --max-cells exits 4 and leaves a resumable
-#     journal (valid JSONL, one header + one line per finished cell)
-#   * --resume restores the finished cells bit-exactly and re-runs the
-#     rest: the merged table is byte-identical to an uninterrupted run,
-#     at --jobs=1 and --jobs=4 alike
+#     record log (one JSON-checked record line per finished cell)
+#   * re-running the same command restores the finished cells bit-exactly
+#     and re-runs the rest: the merged table is byte-identical to an
+#     uninterrupted run, at --jobs=1 and --jobs=4 alike
+#   * a re-run under a different --minutes (another spec) exits 2 and
+#     leaves the record log untouched
 #   * the --audit-fail-cell fixture degrades exactly one cell to a
 #     structured [invariant_violation] failure (exit 3) while every other
 #     cell completes
@@ -39,7 +41,8 @@ grep '^  Windows' "${OUT}/ref.log" > "${OUT}/ref.rows"
 [[ "$(wc -l < "${OUT}/ref.rows")" -eq 16 ]] \
   || { echo "resume_smoke: expected 16 merged rows in reference run" >&2; exit 1; }
 
-# Interrupt after 6 of 16 cells: exit code 4, journal on disk.
+# Interrupt: --max-cells 6 runs cells [0, 6) of 16 — exit code 4, and the
+# record log holds exactly 6 lines.
 status=0
 "${RUN}" "${GRID[@]}" --jobs 1 --journal "${OUT}/run.jsonl" --max-cells 6 \
   > "${OUT}/interrupt.log" || status=$?
@@ -47,27 +50,28 @@ status=0
   || { echo "resume_smoke: interrupted run exited ${status}, want 4" >&2; exit 1; }
 grep -q 'interrupted after 6 cell(s)' "${OUT}/interrupt.log" \
   || { echo "resume_smoke: missing interruption notice" >&2; exit 1; }
+[[ "$(wc -l < "${OUT}/run.jsonl")" -eq 6 ]] \
+  || { echo "resume_smoke: record log should hold 6 records" >&2; exit 1; }
+[[ ! -e "${OUT}/run.jsonl.cells" ]] \
+  || { echo "resume_smoke: record log must not leave an artifact directory" >&2; exit 1; }
 
-# The journal is JSONL: header + 6 cell lines, each a valid JSON document.
-[[ "$(wc -l < "${OUT}/run.jsonl")" -eq 7 ]] \
-  || { echo "resume_smoke: journal should hold 1 header + 6 cells" >&2; exit 1; }
+# Every line is one JSON record: {cell, seed, spec, checksum, payload}.
 n=0
 while IFS= read -r line; do
   n=$((n + 1))
-  printf '%s\n' "${line}" > "${OUT}/journal_line.json"
-  "${CHECK}" "${OUT}/journal_line.json" \
-    || { echo "resume_smoke: journal line ${n} is not valid JSON" >&2; exit 1; }
+  printf '%s\n' "${line}" > "${OUT}/record.json"
+  "${CHECK}" "${OUT}/record.json" --require-key=cell --require-key=seed \
+    --require-key=spec --require-key=checksum --require-key=payload > /dev/null \
+    || { echo "resume_smoke: record ${n} failed json check" >&2; exit 1; }
 done < "${OUT}/run.jsonl"
 
-# Keep a pristine copy of the interrupted journal so both resumes start
-# from the same checkpoint (resume appends to the journal it reads).
+# Resume = re-run the same command (without the cap) on the same log. Keep a
+# pristine copy so the --jobs 4 resume starts from the same checkpoint.
 cp "${OUT}/run.jsonl" "${OUT}/run4.jsonl"
-cp -r "${OUT}/run.jsonl.cells" "${OUT}/run4.jsonl.cells"
-
 for jobs in 1 4; do
-  journal="${OUT}/run.jsonl"
-  [[ "${jobs}" -eq 4 ]] && journal="${OUT}/run4.jsonl"
-  "${RUN}" "${GRID[@]}" --jobs "${jobs}" --resume "${journal}" \
+  log="${OUT}/run.jsonl"
+  [[ "${jobs}" -eq 4 ]] && log="${OUT}/run4.jsonl"
+  "${RUN}" "${GRID[@]}" --jobs "${jobs}" --journal "${log}" \
     > "${OUT}/resume${jobs}.log"
   grep -q 'resumed: 6 cell(s) restored' "${OUT}/resume${jobs}.log" \
     || { echo "resume_smoke: --jobs=${jobs} resume did not restore 6 cells" >&2; exit 1; }
@@ -75,6 +79,23 @@ for jobs in 1 4; do
   cmp -s "${OUT}/ref.rows" "${OUT}/resume${jobs}.rows" \
     || { echo "resume_smoke: --jobs=${jobs} resumed merge differs from fresh run" >&2; exit 1; }
 done
+cmp -s "${OUT}/run.jsonl" "${OUT}/run4.jsonl" \
+  || { echo "resume_smoke: resumed record logs differ across --jobs" >&2; exit 1; }
+
+# Spec binding: the same log under a different --minutes is refused with
+# exit 2 before any cell runs, and the log is left untouched.
+cp "${OUT}/run.jsonl" "${OUT}/before.jsonl"
+status=0
+"${RUN}" --matrix --minutes 0.06 --seed 1999 --jobs 1 --journal "${OUT}/run.jsonl" \
+  > "${OUT}/edited.log" 2> "${OUT}/edited.err" || status=$?
+[[ "${status}" -eq 2 ]] \
+  || { echo "resume_smoke: edited-spec resume exited ${status}, want 2" >&2; exit 1; }
+grep -q 'refusing to resume' "${OUT}/edited.err" \
+  || { echo "resume_smoke: missing spec-mismatch diagnostic" >&2; exit 1; }
+! grep -q '^  ok:' "${OUT}/edited.log" \
+  || { echo "resume_smoke: edited-spec run executed cells" >&2; exit 1; }
+cmp -s "${OUT}/before.jsonl" "${OUT}/run.jsonl" \
+  || { echo "resume_smoke: refused resume modified the record log" >&2; exit 1; }
 
 # Crash isolation: a forced invariant violation in cell 2 fails exactly that
 # cell with its taxonomy and a diagnostic bundle; the other 15 complete and

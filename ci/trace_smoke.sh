@@ -81,7 +81,7 @@ for flag in --os --workload --priority --minutes --seed --scanner --sounds \
             --episode-threshold-us --anatomy-out --sketch \
             --faults --differential --diff-out --diff-csv \
             --matrix --jobs --trials \
-            --journal --resume --cell-timeout-ms --cell-retries \
+            --journal --cell-timeout-ms --cell-retries \
             --audit-every-s --max-cells --audit-fail-cell --throw-cell --help; do
   grep -q -- "${flag}" "${OUT}/help.txt" \
     || { echo "trace_smoke: --help is missing ${flag}" >&2; exit 1; }

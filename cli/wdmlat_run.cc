@@ -65,26 +65,26 @@
 //                              (default 1)
 //
 // Supervised runs (imply --matrix; see EXPERIMENTS.md "Supervised runs"):
-//   --journal=FILE             checkpoint each finished cell to this JSONL
-//                              journal (artifacts under FILE.cells/)
-//   --resume=FILE              resume an interrupted run from its journal:
-//                              verified completed cells are restored
-//                              bit-exactly, missing/failed cells re-run, and
-//                              the merged result is bit-identical to a fresh
-//                              run (pass the same grid flags and --seed)
+//   --journal=FILE             checkpoint each finished cell to this record
+//                              log; re-running the same command resumes:
+//                              verified cells are restored bit-exactly,
+//                              missing/failed cells re-run, and the merged
+//                              result is bit-identical to a fresh run. A log
+//                              written under different grid flags or --seed
+//                              is refused (exit 2)
 //   --cell-timeout-ms=<F>      host-clock deadline budget per cell attempt
 //   --cell-retries=<N>         attempts for host-transient failures (def. 3)
 //   --audit-every-s=<F>        run the kernel invariant auditor every F
 //                              virtual seconds inside each cell
-//   --max-cells=<N>            stop after N cells this run (exit 4; resume
-//                              later with --resume)
+//   --max-cells=<N>            run only cells [0, N) this run (exit 4; re-run
+//                              the same --journal command to resume)
 //   --audit-fail-cell=<N> / --throw-cell=<N>
 //                              CI fixtures: inject an invariant violation /
 //                              an exception into cell N (exit 3, the other
 //                              cells still complete)
 //
 // Exit codes: 0 success, 2 usage/config error, 3 failed cells,
-// 4 interrupted (--max-cells hit; journal is resumable).
+// 4 interrupted (--max-cells hit; the --journal record log is resumable).
 
 #include <sys/stat.h>
 
@@ -105,6 +105,7 @@
 #include "src/lab/host_chaos.h"
 #include "src/lab/lab.h"
 #include "src/lab/matrix.h"
+#include "src/lab/record_log.h"
 #include "src/obs/anatomy.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/flight_recorder.h"
@@ -179,12 +180,12 @@ constexpr const char kHelpText[] =
     "  --trials=N                 independent seeds per cell (default 1)\n"
     "\n"
     "Supervised runs (imply --matrix; EXPERIMENTS.md \"Supervised runs\"):\n"
-    "  --journal=FILE             checkpoint finished cells to a JSONL journal\n"
-    "  --resume=FILE              resume an interrupted run from its journal\n"
+    "  --journal=FILE             checkpoint finished cells to a record log;\n"
+    "                             re-running the same command resumes from it\n"
     "  --cell-timeout-ms=F        host-clock deadline budget per cell attempt\n"
     "  --cell-retries=N           attempts for host-transient failures (default 3)\n"
     "  --audit-every-s=F          run the invariant auditor every F virtual secs\n"
-    "  --max-cells=N              stop after N cells (exit 4; resumable)\n"
+    "  --max-cells=N              run only cells [0, N) (exit 4; resumable)\n"
     "  --audit-fail-cell=N        CI fixture: inject an invariant violation\n"
     "  --throw-cell=N             CI fixture: inject an exception into cell N\n"
     "\n"
@@ -226,7 +227,7 @@ constexpr const char kHelpText[] =
     "  --help, -h                 print this flag table and exit 0\n"
     "\n"
     "Exit codes: 0 success, 2 usage/config error, 3 failed cells,\n"
-    "4 interrupted (--max-cells hit; journal is resumable).\n";
+    "4 interrupted (--max-cells hit; the --journal record log is resumable).\n";
 
 [[noreturn]] void Help() {
   std::fputs(kHelpText, stdout);
@@ -366,7 +367,6 @@ int main(int argc, char** argv) {
   std::string diff_out;
   std::string diff_csv;
   std::string journal_path;
-  std::string resume_path;
   double cell_timeout_ms = 0.0;
   int cell_retries = 3;
   double audit_every_s = 0.0;
@@ -445,8 +445,6 @@ int main(int argc, char** argv) {
       seed = ParseU64Flag("--seed", value);
     } else if (MatchValueFlag(argc, argv, &i, "--journal", &value)) {
       journal_path = RequireValue("--journal", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--resume", &value)) {
-      resume_path = RequireValue("--resume", value);
     } else if (MatchValueFlag(argc, argv, &i, "--cell-timeout-ms", &value)) {
       cell_timeout_ms = ParseDoubleFlag("--cell-timeout-ms", value);
     } else if (MatchValueFlag(argc, argv, &i, "--cell-retries", &value)) {
@@ -544,39 +542,24 @@ int main(int argc, char** argv) {
                  "(anatomy decomposes flight-recorder episodes)\n");
     return 2;
   }
-  if (!journal_path.empty() && !resume_path.empty()) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --journal and --resume are mutually exclusive "
-                 "(--resume appends to its own journal)\n");
-    return 2;
-  }
   // Any supervision knob implies matrix mode — the supervisor exists to keep
   // a grid running, and the resume fingerprint is defined over a grid spec.
   // Fleet mode reuses --cell-timeout-ms/--cell-retries for its own workers
   // and resumes from its shard record files, so it opts out.
-  const bool supervised = !journal_path.empty() || !resume_path.empty() ||
-                          cell_timeout_ms > 0.0 || audit_every_s > 0.0 ||
-                          max_cells > 0 || audit_fail_cell >= 0 || throw_cell >= 0;
+  const bool supervised = !journal_path.empty() || cell_timeout_ms > 0.0 ||
+                          audit_every_s > 0.0 || max_cells > 0 || audit_fail_cell >= 0 ||
+                          throw_cell >= 0;
   if (supervised && fleet_spec_path.empty()) {
     matrix_mode = true;
   }
   if (!fleet_spec_path.empty() &&
-      (!journal_path.empty() || !resume_path.empty() || audit_every_s > 0.0 ||
-       max_cells > 0 || audit_fail_cell >= 0 || throw_cell >= 0)) {
+      (!journal_path.empty() || audit_every_s > 0.0 || max_cells > 0 ||
+       audit_fail_cell >= 0 || throw_cell >= 0)) {
     std::fprintf(stderr,
                  "wdmlat_run: --fleet resumes from its shard record files; "
-                 "--journal/--resume/--audit-every-s/--max-cells and the CI "
-                 "fixtures are matrix-mode flags\n");
+                 "--journal/--audit-every-s/--max-cells and the CI fixtures are "
+                 "matrix-mode flags\n");
     return 2;
-  }
-  if (!resume_path.empty()) {
-    // Fail fast on an unreadable journal — before any cell runs.
-    std::ifstream probe(resume_path);
-    if (!probe) {
-      std::fprintf(stderr, "wdmlat_run: --resume=%s: cannot read journal\n",
-                   resume_path.c_str());
-      return 2;
-    }
   }
 
   // --faults resolves to a built-in plan name first, then a JSON plan file.
@@ -770,6 +753,18 @@ int main(int argc, char** argv) {
                        qerror.c_str());
           return 2;
         }
+      }
+    }
+
+    // The one resume rule: shard files written under another spec are
+    // refused before any worker starts, and left untouched.
+    for (std::uint64_t k = 0; k < shards; ++k) {
+      std::string spec_error;
+      if (!lab::CheckRecordLogSpec(lab::FleetShardPath(fleet_out, static_cast<std::size_t>(k),
+                                                       static_cast<std::size_t>(shards)),
+                                   fleet.fingerprint(), &spec_error)) {
+        std::fprintf(stderr, "wdmlat_run: %s\n", spec_error.c_str());
+        return 2;
       }
     }
 
@@ -979,7 +974,6 @@ int main(int argc, char** argv) {
 
     lab::MatrixRunOptions run_options;
     run_options.jobs = jobs;
-    run_options.isolate_failures = supervised;
     run_options.supervision.cell_timeout_ms = cell_timeout_ms;
     run_options.supervision.max_attempts = cell_retries;
     run_options.audit_every_s = audit_every_s;
@@ -987,7 +981,6 @@ int main(int argc, char** argv) {
     run_options.throw_cell = throw_cell;
     run_options.max_cells = static_cast<std::size_t>(max_cells);
     run_options.journal_path = journal_path;
-    run_options.resume_path = resume_path;
     run_options.on_cell_done = [](const lab::MatrixCell& cell, lab::CellStatus status) {
       std::printf("  %s: %-16s %-18s prio %2d  trial %d  (seed %016llx)\n",
                   lab::CellStatusName(status), cell.config.os.name.c_str(),
@@ -1008,7 +1001,7 @@ int main(int argc, char** argv) {
     }
     if (result.cells_restored > 0) {
       std::printf("resumed: %zu cell(s) restored from %s, %zu executed\n",
-                  result.cells_restored, resume_path.c_str(), result.cells_executed);
+                  result.cells_restored, journal_path.c_str(), result.cells_executed);
     }
     if (result.retries > 0) {
       std::printf("supervisor: %llu host-transient retr%s\n",
@@ -1130,7 +1123,7 @@ int main(int argc, char** argv) {
     }
 
     // Exit contract: 3 = cells failed (structured failures printed above),
-    // 4 = interrupted by --max-cells (journal resumable), 0 = complete.
+    // 4 = interrupted by --max-cells (record log resumable), 0 = complete.
     for (const std::string& violation : result.merge_violations) {
       std::fprintf(stderr, "wdmlat_run: merge audit: %s\n", violation.c_str());
     }
@@ -1140,10 +1133,9 @@ int main(int argc, char** argv) {
       return 3;
     }
     if (result.cells_skipped > 0) {
-      const std::string& journal = resume_path.empty() ? journal_path : resume_path;
-      std::printf("interrupted after %zu cell(s) (--max-cells); %zu skipped%s%s\n",
+      std::printf("interrupted after %zu cell(s) (--max-cells); %zu skipped%s\n",
                   result.cells_executed, result.cells_skipped,
-                  journal.empty() ? "" : "; resume with --resume=", journal.c_str());
+                  journal_path.empty() ? "" : "; re-run without --max-cells to resume");
       return 4;
     }
     return 0;

@@ -1,7 +1,6 @@
 #include "src/lab/fleet.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -9,14 +8,12 @@
 #include <chrono>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "src/kernel/profile.h"
 #include "src/lab/report_io.h"
 #include "src/obs/json.h"
-#include "src/runtime/thread_pool.h"
 #include "src/sim/rng.h"
 #include "src/workload/stress_profile.h"
 
@@ -24,15 +21,17 @@ namespace wdmlat::lab {
 
 namespace {
 
-using report_json::Escape;
+using report_json::AppendEscaped;
+using report_json::AppendHexDouble;
+using report_json::AppendHistogram;
+using report_json::AppendInt;
+using report_json::AppendSketch;
+using report_json::AppendU64;
 using report_json::ParseU64;
 using report_json::ReadHexDoubleField;
 using report_json::ReadHistogram;
 using report_json::ReadSketch;
-using report_json::ReadStringField;
 using report_json::ReadU64Field;
-using report_json::WriteHistogram;
-using report_json::WriteSketch;
 
 constexpr const char* kRecordFormat = "wdmlat-fleet-cell";
 constexpr const char* kReportFormat = "wdmlat-fleet-report";
@@ -43,8 +42,6 @@ constexpr int kFormatVersion = 1;
 // the two streams independent even though both derive from the coordinates.
 constexpr std::uint64_t kCellSeedTag = 0x666c656574636c6cull;   // "fleetcll"
 constexpr std::uint64_t kDrawSeedTag = 0x666c656574647277ull;   // "fleetdrw"
-
-std::string U64String(std::uint64_t value) { return std::to_string(value); }
 
 bool OsProfileByName(std::string_view name, kernel::KernelProfile* out) {
   if (name == "nt4") {
@@ -433,97 +430,6 @@ bool LoadFleetSpec(const std::string& path, FleetSpec* spec, std::string* error)
 
 namespace {
 
-// Append-based builders: records are serialized once per cell, so at
-// population scale the ostringstream/temporary-string idiom of report_io
-// shows up in cells/sec. These produce byte-identical text with plain
-// appends into one reserved buffer.
-void AppendU64(std::string& out, std::uint64_t value) {
-  char buf[20];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
-}
-
-void AppendInt(std::string& out, int value) {
-  char buf[16];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
-}
-
-void AppendHexDouble(std::string& out, double value) {
-  char buf[48];
-  out.append(buf, static_cast<std::size_t>(
-                      std::snprintf(buf, sizeof(buf), "%a", value)));
-}
-
-void AppendHistogram(std::string& out, const char* name,
-                     const stats::LatencyHistogram& hist) {
-  const stats::LatencyHistogram::State state = hist.ExportState();
-  out += '"';
-  out += name;
-  out += "\": {\"buckets\": [";
-  bool first = true;
-  for (const auto& [index, count] : state.buckets) {
-    if (!first) out += ", ";
-    first = false;
-    out += '[';
-    AppendInt(out, index);
-    out += ", \"";
-    AppendU64(out, count);
-    out += "\"]";
-  }
-  out += "], \"count\": \"";
-  AppendU64(out, state.count);
-  out += "\", \"underflow\": \"";
-  AppendU64(out, state.underflow);
-  out += "\", \"sum_us\": \"";
-  AppendHexDouble(out, state.sum_us);
-  out += "\", \"min_us\": \"";
-  AppendHexDouble(out, state.min_us);
-  out += "\", \"max_us\": \"";
-  AppendHexDouble(out, state.max_us);
-  out += "\"}";
-}
-
-void AppendSketch(std::string& out, const char* name,
-                  const stats::QuantileSketch& sketch) {
-  const stats::QuantileSketch::State state = sketch.ExportState();
-  out += '"';
-  out += name;
-  out += "\": {\"levels\": [";
-  for (std::size_t l = 0; l < state.levels.size(); ++l) {
-    if (l != 0) out += ", ";
-    out += '[';
-    for (std::size_t i = 0; i < state.levels[l].size(); ++i) {
-      if (i != 0) out += ", ";
-      out += '"';
-      AppendHexDouble(out, state.levels[l][i]);
-      out += '"';
-    }
-    out += ']';
-  }
-  out += "], \"parities\": [";
-  for (std::size_t l = 0; l < state.parities.size(); ++l) {
-    if (l != 0) out += ", ";
-    AppendInt(out, static_cast<int>(state.parities[l]));
-  }
-  out += "], \"tail\": [";
-  for (std::size_t i = 0; i < state.tail.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    AppendHexDouble(out, state.tail[i]);
-    out += '"';
-  }
-  out += "], \"count\": \"";
-  AppendU64(out, state.count);
-  out += "\", \"sum_ms\": \"";
-  AppendHexDouble(out, state.sum_ms);
-  out += "\", \"min_ms\": \"";
-  AppendHexDouble(out, state.min_ms);
-  out += "\", \"max_ms\": \"";
-  AppendHexDouble(out, state.max_ms);
-  out += "\"}";
-}
-
 std::string RecordPayload(const FleetCellRecord& record) {
   std::string out;
   out.reserve(1024);
@@ -560,88 +466,9 @@ std::string RecordPayload(const FleetCellRecord& record) {
   return out;
 }
 
-// Escape() of report_io, minus the intermediate string: payloads contain
-// quotes on every key, so the escaped copy is the expensive one.
-void AppendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
-std::string FleetRecordToLine(const FleetCellRecord& record) {
-  const std::string payload = RecordPayload(record);
-  std::string out;
-  out.reserve(payload.size() + payload.size() / 4 + 96);
-  out += "{\"cell\": \"";
-  AppendU64(out, record.index);
-  out += "\", \"seed\": \"";
-  AppendU64(out, record.seed);
-  out += "\", \"checksum\": \"";
-  AppendU64(out, Fnv1a64(payload));
-  out += "\", \"payload\": \"";
-  AppendEscaped(out, payload);
-  out += "\"}";
-  return out;
-}
-
-bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
-                         std::string* error) {
-  *record = FleetCellRecord{};
-  const obs::JsonParseResult parsed = obs::ParseJson(line);
-  if (!parsed.valid) {
-    if (error != nullptr) {
-      *error = "record line is not valid JSON: " + parsed.error;
-    }
-    return false;
-  }
-  const obs::JsonValue& root = parsed.value;
-  if (!root.is_object()) {
-    if (error != nullptr) {
-      *error = "record line is not an object";
-    }
-    return false;
-  }
-  FleetCellRecord result;
-  std::uint64_t checksum = 0;
-  std::string payload;
-  if (!ReadU64Field(root, "cell", &result.index, error) ||
-      !ReadU64Field(root, "seed", &result.seed, error) ||
-      !ReadU64Field(root, "checksum", &checksum, error) ||
-      !ReadStringField(root, "payload", &payload, error)) {
-    return false;
-  }
-  if (Fnv1a64(payload) != checksum) {
-    if (error != nullptr) {
-      *error = "record payload checksum mismatch (torn or corrupt line)";
-    }
-    return false;
-  }
+// Decode a record payload (the record's body minus its log coordinates).
+bool RecordFromPayload(std::string_view payload, FleetCellRecord* record,
+                       std::string* error) {
   const obs::JsonParseResult body = obs::ParseJson(payload);
   if (!body.valid || !body.value.is_object()) {
     if (error != nullptr) {
@@ -658,12 +485,12 @@ bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
     }
     return false;
   }
-  result.cohort = static_cast<std::size_t>(doc.NumberOr("cohort", 0.0));
-  if (!ReadU64Field(doc, "samples", &result.samples, error) ||
-      !ReadHexDoubleField(doc, "stress_hours", &result.stress_hours, error) ||
-      !ReadHexDoubleField(doc, "speed_mhz", &result.speed_mhz, error) ||
-      !ReadU64Field(doc, "fault_activations", &result.fault_activations, error) ||
-      !ReadU64Field(doc, "anatomy_episodes", &result.anatomy_episodes, error)) {
+  record->cohort = static_cast<std::size_t>(doc.NumberOr("cohort", 0.0));
+  if (!ReadU64Field(doc, "samples", &record->samples, error) ||
+      !ReadHexDoubleField(doc, "stress_hours", &record->stress_hours, error) ||
+      !ReadHexDoubleField(doc, "speed_mhz", &record->speed_mhz, error) ||
+      !ReadU64Field(doc, "fault_activations", &record->fault_activations, error) ||
+      !ReadU64Field(doc, "anatomy_episodes", &record->anatomy_episodes, error)) {
     return false;
   }
   const obs::JsonValue* stages = doc.Find("anatomy_stage_cycles");
@@ -677,7 +504,7 @@ bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
   }
   for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
     const obs::JsonValue& item = stages->items()[s];
-    if (!item.is_string() || !ParseU64(item.as_string(), &result.anatomy_stage_cycles[s])) {
+    if (!item.is_string() || !ParseU64(item.as_string(), &record->anatomy_stage_cycles[s])) {
       if (error != nullptr) {
         *error = "anatomy stage cycles must be decimal u64 strings";
       }
@@ -691,11 +518,29 @@ bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
     }
     return false;
   }
-  if (!ReadHistogram(*histograms, "thread", &result.thread, error) ||
-      !ReadHistogram(*histograms, "dpc_interrupt", &result.dpc_interrupt, error) ||
-      !ReadSketch(doc, "thread_sketch", &result.thread_sketch, error)) {
+  return ReadHistogram(*histograms, "thread", &record->thread, error) &&
+         ReadHistogram(*histograms, "dpc_interrupt", &record->dpc_interrupt, error) &&
+         ReadSketch(doc, "thread_sketch", &record->thread_sketch, error);
+}
+
+}  // namespace
+
+std::string FleetRecordToLine(const FleetCellRecord& record) {
+  return RecordLineText(record.index, record.seed, record.spec, RecordPayload(record));
+}
+
+bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
+                         std::string* error) {
+  *record = FleetCellRecord{};
+  RecordLine parsed;
+  FleetCellRecord result;
+  if (!ParseRecordLine(line, &parsed, error) ||
+      !RecordFromPayload(parsed.payload, &result, error)) {
     return false;
   }
+  result.index = parsed.cell;
+  result.seed = parsed.seed;
+  result.spec = parsed.spec;
   *record = std::move(result);
   return true;
 }
@@ -752,94 +597,9 @@ FleetCellRecord MakeRecord(const FleetCell& cell, const LabConfig& config,
   return record;
 }
 
-// In-order record writer: cells complete in any order (jobs > 1), lines
-// leave in global-index order. Pending lines are bounded by the job count,
-// so the reorder buffer never grows with the shard.
-class OrderedShardWriter {
- public:
-  OrderedShardWriter(std::ostream& out, std::vector<std::uint64_t> indices)
-      : out_(out), indices_(std::move(indices)) {}
-
-  // `restored` is sorted; those indices are satisfied from `restored_lines`
-  // (the resume stream) instead of the pending map.
-  void SetRestored(const std::vector<std::uint64_t>* restored,
-                   std::function<bool(std::string*)> next_restored_line) {
-    restored_ = restored;
-    next_restored_line_ = std::move(next_restored_line);
-  }
-
-  bool Complete(std::uint64_t index, std::string line, std::string* error) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_.emplace(index, std::move(line));
-    return Drain(error);
-  }
-
-  // Flush restored-only prefixes/suffixes (call once after all cells ran).
-  bool Finish(std::string* error) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return Drain(error);
-  }
-
-  std::size_t written() const { return next_; }
-
- private:
-  bool IsRestored(std::uint64_t index) const {
-    return restored_ != nullptr &&
-           std::binary_search(restored_->begin(), restored_->end(), index);
-  }
-
-  bool Drain(std::string* error) {
-    while (next_ < indices_.size()) {
-      const std::uint64_t index = indices_[next_];
-      if (IsRestored(index)) {
-        std::string line;
-        if (!next_restored_line_(&line)) {
-          *error = "resume stream ended before restored cell " + std::to_string(index);
-          return false;
-        }
-        out_ << line << "\n";
-      } else {
-        auto it = pending_.find(index);
-        if (it == pending_.end()) {
-          break;  // waiting for an in-flight cell
-        }
-        out_ << it->second << "\n";
-        pending_.erase(it);
-      }
-      ++next_;
-      // Flush in batches, not per line: a flush is a write() syscall, and at
-      // population scale one-per-cell costs as much as the cell itself. A
-      // kill loses at most the last unflushed batch — those cells simply
-      // re-run on resume, which the torn-line recovery already covers.
-      if (next_ % kFlushBatch == 0) {
-        out_.flush();
-      }
-    }
-    if (next_ == indices_.size()) {
-      out_.flush();
-    }
-    if (!out_) {
-      *error = "shard record write failed";
-      return false;
-    }
-    return true;
-  }
-
-  static constexpr std::size_t kFlushBatch = 32;
-
-  std::ostream& out_;
-  std::vector<std::uint64_t> indices_;  // this shard's cells, ascending
-  const std::vector<std::uint64_t>* restored_ = nullptr;
-  std::function<bool(std::string*)> next_restored_line_;
-  std::mutex mutex_;
-  std::map<std::uint64_t, std::string> pending_;
-  std::size_t next_ = 0;
-};
-
 }  // namespace
 
 FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& options) {
-  using Clock = std::chrono::steady_clock;
   FleetShardResult result;
   if (!fleet.error().empty()) {
     result.error = fleet.error();
@@ -858,218 +618,51 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
         static_cast<long>(options.chaos_delay_ms * 1000.0)));
   }
 
-  // The shard's scope this run: stride cells inside [cell_lo, cell_hi),
-  // minus quarantined cells. A bisection probe narrows the window; the
-  // quarantine manifest removes isolated cells for good.
-  const std::uint64_t window_hi = options.cell_hi == 0
-                                      ? fleet.cell_count()
-                                      : std::min<std::uint64_t>(options.cell_hi,
-                                                                fleet.cell_count());
-  std::vector<std::uint64_t> scope;
-  for (std::uint64_t i = options.shard; i < fleet.cell_count(); i += options.shards) {
-    if (i < options.cell_lo || i >= window_hi) {
-      continue;
+  CellLogOptions log;
+  log.path = options.out_path;
+  log.spec = fleet.fingerprint();
+  log.cell_count = fleet.cell_count();
+  log.stride = options.shards;
+  log.offset = options.shard;
+  log.skip_cells = options.skip_cells;
+  log.cell_lo = options.cell_lo;
+  log.cell_hi = options.cell_hi;
+  log.jobs = options.jobs;
+  log.supervision = options.supervision;
+  log.cell_seed = [&fleet](std::uint64_t index) { return fleet.CellAt(index).seed; };
+  log.restore = [](std::uint64_t, std::string_view payload, std::string* error) {
+    FleetCellRecord record;
+    return RecordFromPayload(payload, &record, error);
+  };
+  log.run = [&](std::uint64_t index, runtime::Watchdog& watchdog) {
+    if (options.poison_cell >= 0 && index == static_cast<std::uint64_t>(options.poison_cell)) {
+      // Poisoned-cell fixture: take the whole process down, like a wild
+      // write would — the in-process exception barrier cannot catch this.
+      std::abort();
     }
-    if (std::binary_search(options.skip_cells.begin(), options.skip_cells.end(), i)) {
-      continue;
-    }
-    scope.push_back(i);
-  }
-  result.cells_total = scope.size();
-
-  // --- Resume pass: trust nothing — a kept record must parse, checksum, and
-  // carry the seed this spec derives for its cell. The file is index-sorted
-  // by the write contract; anything after an out-of-order line is suspect
-  // and re-runs.
-  std::vector<std::uint64_t> restored;
-  {
-    std::ifstream in(options.out_path, std::ios::binary);
-    if (in) {
-      std::string line;
-      std::uint64_t last_index = 0;
-      bool first = true;
-      while (std::getline(in, line)) {
-        if (line.empty()) {
-          continue;
-        }
-        FleetCellRecord record;
-        std::string parse_error;
-        if (!FleetRecordFromLine(line, &record, &parse_error)) {
-          result.warnings.push_back("shard record rejected (" + parse_error +
-                                    "); re-running that cell");
-          continue;
-        }
-        if (!first && record.index <= last_index) {
-          result.warnings.push_back("shard records out of order at cell " +
-                                    std::to_string(record.index) +
-                                    "; ignoring the remainder");
-          break;
-        }
-        first = false;
-        last_index = record.index;
-        if (record.index % options.shards != options.shard ||
-            record.index >= fleet.cell_count()) {
-          result.warnings.push_back("record for cell " + std::to_string(record.index) +
-                                    " does not belong to this shard; dropped");
-          continue;
-        }
-        const FleetCell cell = fleet.CellAt(record.index);
-        if (record.seed != cell.seed) {
-          result.warnings.push_back("cell " + std::to_string(record.index) +
-                                    ": record seed mismatch; re-running");
-          continue;
-        }
-        restored.push_back(record.index);
-      }
-    }
-  }
-  result.cells_restored = restored.size();
-
-  std::vector<std::uint64_t> missing;
-  for (const std::uint64_t index : scope) {
-    if (!std::binary_search(restored.begin(), restored.end(), index)) {
-      missing.push_back(index);
-    }
-  }
-  if (missing.empty()) {
-    // Complete shard: leave the file's bytes exactly as they are.
-    return result;
-  }
-
-  // The writer emits the union of restored records (wherever they fall —
-  // work from earlier probe windows is preserved) and this run's scope, all
-  // in ascending global-index order.
-  std::vector<std::uint64_t> indices;
-  indices.reserve(restored.size() + scope.size());
-  std::merge(restored.begin(), restored.end(), scope.begin(), scope.end(),
-             std::back_inserter(indices));
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-
-  // Output: fresh shards append straight to the final path (batched flush —
-  // a killed worker keeps its prefix up to the last flushed batch); partial
-  // resumes stream-rewrite old +
-  // new records to a temp file and rename, so a second kill still finds the
-  // original prefix intact.
-  const bool rewrite = !restored.empty();
-  const std::string write_path = rewrite ? options.out_path + ".tmp" : options.out_path;
-  std::ofstream out(write_path, std::ios::trunc | std::ios::binary);
-  if (!out) {
-    result.error = "cannot write shard records: " + write_path;
-    return result;
-  }
-  std::ifstream resume_stream;
-  OrderedShardWriter writer(out, indices);
-  if (rewrite) {
-    resume_stream.open(options.out_path, std::ios::binary);
-    // Re-verify nothing on the second pass: emit the byte-identical lines of
-    // the records the first pass already verified, skipping rejected ones.
-    auto* stream = &resume_stream;
-    auto* fleet_ptr = &fleet;
-    auto* opts = &options;
-    writer.SetRestored(&restored, [stream, fleet_ptr, opts](std::string* line) {
-      std::string candidate;
-      while (std::getline(*stream, candidate)) {
-        if (candidate.empty()) {
-          continue;
-        }
-        FleetCellRecord record;
-        std::string parse_error;
-        if (!FleetRecordFromLine(candidate, &record, &parse_error)) {
-          continue;
-        }
-        if (record.index >= fleet_ptr->cell_count() ||
-            record.index % opts->shards != opts->shard ||
-            record.seed != fleet_ptr->CellAt(record.index).seed) {
-          continue;
-        }
-        *line = std::move(candidate);
-        return true;
-      }
-      return false;
-    });
-  }
-
-  runtime::Supervisor supervisor(options.supervision);
-  std::mutex result_mutex;
-  std::string write_error;
-  const Clock::time_point run_start = Clock::now();
-  runtime::ParallelFor(options.jobs, missing.size(), [&](std::size_t w) {
-    {
-      std::lock_guard<std::mutex> lock(result_mutex);
-      if (!write_error.empty()) {
-        return;  // the shard file is already broken; don't waste the cells
-      }
-    }
-    const std::uint64_t index = missing[w];
     const FleetCell cell = fleet.CellAt(index);
-    // One warmed machine per pool worker, reused across every cell the
-    // worker runs this call — the amortized-setup half of the tentpole.
-    thread_local WarmCellRunner runner;
-    std::string line;
-    const auto body = [&](int attempt, runtime::Watchdog& watchdog) {
-      (void)attempt;  // the seed is attempt-invariant by design
-      if (options.poison_cell >= 0 &&
-          index == static_cast<std::uint64_t>(options.poison_cell)) {
-        // Poisoned-cell fixture: take the whole process down, like a wild
-        // write would — the in-process exception barrier cannot catch this.
-        std::abort();
-      }
-      LabConfig config = fleet.CellConfig(cell);
-      if (watchdog.armed()) {
-        config.supervision.watchdog = &watchdog;
-      }
-      const LabReport report = runner.Run(config);
-      line = FleetRecordToLine(MakeRecord(cell, config, report));
-    };
-    const std::optional<runtime::CellFailure> failure =
-        supervisor.RunCell(static_cast<std::size_t>(index), cell.seed, body);
-    std::lock_guard<std::mutex> lock(result_mutex);
-    ++result.cells_executed;
-    if (failure) {
-      result.failures.push_back(*failure);
-    } else {
-      std::string error;
-      if (!writer.Complete(index, std::move(line), &error)) {
-        if (write_error.empty()) {
-          write_error = error;
-        }
-      }
+    LabConfig config = fleet.CellConfig(cell);
+    if (watchdog.armed()) {
+      config.supervision.watchdog = &watchdog;
     }
-    if (options.chaos_kill_after_cells > 0 &&
-        result.cells_executed >= options.chaos_kill_after_cells) {
+    // One warmed machine per pool worker, reused across every cell the
+    // worker runs.
+    thread_local WarmCellRunner runner;
+    const LabReport report = runner.Run(config);
+    return RecordPayload(MakeRecord(cell, config, report));
+  };
+  std::uint64_t executed = 0;
+  log.on_cell_done = [&](std::uint64_t index, const runtime::CellFailure* failure) {
+    if (options.chaos_kill_after_cells > 0 && ++executed >= options.chaos_kill_after_cells) {
       // Host-chaos fixture: die the way a crashing host does — mid-run,
       // after an arbitrary number of flushes, with no cleanup.
       raise(SIGKILL);
     }
     if (options.on_cell_done) {
-      options.on_cell_done(cell, !failure);
+      options.on_cell_done(fleet.CellAt(index), failure == nullptr);
     }
-  });
-  {
-    std::string error;
-    if (write_error.empty() && !writer.Finish(&error)) {
-      write_error = error;
-    }
-  }
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - run_start).count();
-  if (!write_error.empty()) {
-    result.error = write_error;
-    return result;
-  }
-  out.flush();
-  out.close();
-  if (rewrite) {
-    resume_stream.close();
-    if (!result.failures.empty()) {
-      // Keep the original file: the rewrite is incomplete and the original
-      // still holds every verified record for the next resume.
-      std::remove(write_path.c_str());
-    } else if (std::rename(write_path.c_str(), options.out_path.c_str()) != 0) {
-      result.error = "cannot rename " + write_path + " over " + options.out_path;
-    }
-  }
-  return result;
+  };
+  return RunCellLog(log);
 }
 
 // --- Quarantine manifest -----------------------------------------------------
@@ -1139,9 +732,16 @@ bool SaveFleetQuarantine(const std::string& path,
       return false;
     }
     for (const FleetQuarantineEntry& entry : entries) {
-      out << "{\"cell\": \"" << U64String(entry.cell) << "\", \"seed\": \""
-          << U64String(entry.seed) << "\", \"taxonomy\": \"" << Escape(entry.taxonomy)
-          << "\", \"attempts\": " << entry.attempts << "}\n";
+      std::string line = "{\"cell\": \"";
+      AppendU64(line, entry.cell);
+      line += "\", \"seed\": \"";
+      AppendU64(line, entry.seed);
+      line += "\", \"taxonomy\": \"";
+      AppendEscaped(line, entry.taxonomy);
+      line += "\", \"attempts\": ";
+      AppendInt(line, entry.attempts);
+      line += "}\n";
+      out << line;
     }
     out.flush();
     if (!out) {
@@ -1190,8 +790,8 @@ bool StitchShardFiles(const Fleet& fleet, std::size_t shard, std::size_t shards,
       if (!FleetRecordFromLine(line, &record, &parse_error)) {
         continue;
       }
-      if (record.index >= fleet.cell_count() || record.index % shards != shard ||
-          record.seed != fleet.CellAt(record.index).seed) {
+      if (record.spec != fleet.fingerprint() || record.index >= fleet.cell_count() ||
+          record.index % shards != shard || record.seed != fleet.CellAt(record.index).seed) {
         continue;
       }
       lines.emplace(record.index, line);
@@ -1396,18 +996,24 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     FleetCellRecord record = std::move(buffered[k].record);
     buffered[k].has = false;
     const FleetCell cell = fleet.CellAt(index);
-    if (record.seed != cell.seed || record.cohort != cell.cohort) {
+    // The same binding the resume pass enforces: a record of another spec
+    // must never fold, even when its coordinate-derived seed matches.
+    const bool foreign_spec = record.spec != fleet.fingerprint();
+    if (foreign_spec || record.seed != cell.seed || record.cohort != cell.cohort) {
       if (!degraded) {
-        return fail("record seed/cohort does not match this spec");
+        return fail(foreign_spec ? "record was written under spec " +
+                                       std::to_string(record.spec) + ", not this fleet's spec " +
+                                       std::to_string(fleet.fingerprint())
+                                 : "record seed/cohort does not match this spec");
       }
       FleetQuarantineEntry entry;
       entry.cell = index;
       entry.seed = cell.seed;
       entry.cohort = cell.cohort;
-      entry.taxonomy = "seed_mismatch";
+      entry.taxonomy = foreign_spec ? "spec_mismatch" : "seed_mismatch";
       entry.attempts = 1;
       warn("cell " + std::to_string(index) + " (shard " + std::to_string(k) +
-           ") quarantined by degraded merge: seed_mismatch");
+           ") quarantined by degraded merge: " + entry.taxonomy);
       add_quarantine(std::move(entry));
       continue;
     }
@@ -1464,32 +1070,60 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
 }
 
 std::string FleetReportToJson(const FleetReport& report) {
-  std::ostringstream out;
-  out << "{\"format\": \"" << kReportFormat << "\", \"version\": " << kFormatVersion
-      << ",\n\"name\": \"" << Escape(report.name) << "\", \"fingerprint\": \""
-      << U64String(report.fingerprint) << "\", \"cells\": \"" << U64String(report.cells)
-      << "\",\n\"cells_completed\": \"" << U64String(report.cells_completed)
-      << "\", \"cells_quarantined\": \"" << U64String(report.cells_quarantined)
-      << "\",\n\"quarantine\": [";
+  std::string out;
+  out += "{\"format\": \"";
+  out += kReportFormat;
+  out += "\", \"version\": ";
+  AppendInt(out, kFormatVersion);
+  out += ",\n\"name\": \"";
+  AppendEscaped(out, report.name);
+  out += "\", \"fingerprint\": \"";
+  AppendU64(out, report.fingerprint);
+  out += "\", \"cells\": \"";
+  AppendU64(out, report.cells);
+  out += "\",\n\"cells_completed\": \"";
+  AppendU64(out, report.cells_completed);
+  out += "\", \"cells_quarantined\": \"";
+  AppendU64(out, report.cells_quarantined);
+  out += "\",\n\"quarantine\": [";
   for (std::size_t q = 0; q < report.quarantine.size(); ++q) {
     const FleetQuarantineEntry& entry = report.quarantine[q];
-    out << (q == 0 ? "\n" : ",\n") << "{\"cell\": \"" << U64String(entry.cell)
-        << "\", \"seed\": \"" << U64String(entry.seed) << "\", \"cohort\": "
-        << entry.cohort << ", \"taxonomy\": \"" << Escape(entry.taxonomy)
-        << "\", \"attempts\": " << entry.attempts << "}";
+    out += q == 0 ? "\n" : ",\n";
+    out += "{\"cell\": \"";
+    AppendU64(out, entry.cell);
+    out += "\", \"seed\": \"";
+    AppendU64(out, entry.seed);
+    out += "\", \"cohort\": ";
+    AppendU64(out, entry.cohort);
+    out += ", \"taxonomy\": \"";
+    AppendEscaped(out, entry.taxonomy);
+    out += "\", \"attempts\": ";
+    AppendInt(out, entry.attempts);
+    out += '}';
   }
-  out << "],\n\"cohorts\": [";
+  out += "],\n\"cohorts\": [";
   for (std::size_t c = 0; c < report.cohorts.size(); ++c) {
     const FleetCohortReport& cohort = report.cohorts[c];
-    out << (c == 0 ? "\n" : ",\n");
-    out << "{\"name\": \"" << Escape(cohort.name) << "\", \"os\": \"" << Escape(cohort.os)
-        << "\", \"priority\": " << cohort.priority << ", \"planned\": \""
-        << U64String(cohort.planned) << "\", \"cells\": \"" << U64String(cohort.cells)
-        << "\", \"quarantined\": \"" << U64String(cohort.quarantined)
-        << "\", \"samples\": \""
-        << U64String(cohort.counters.samples) << "\", \"stress_hours\": \""
-        << HexDouble(cohort.counters.stress_hours) << "\", \"samples_per_hour\": \""
-        << HexDouble(cohort.counters.SamplesPerHour()) << "\",\n";
+    out += c == 0 ? "\n" : ",\n";
+    out += "{\"name\": \"";
+    AppendEscaped(out, cohort.name);
+    out += "\", \"os\": \"";
+    AppendEscaped(out, cohort.os);
+    out += "\", \"priority\": ";
+    AppendInt(out, cohort.priority);
+    out += ", \"planned\": \"";
+    AppendU64(out, cohort.planned);
+    out += "\", \"cells\": \"";
+    AppendU64(out, cohort.cells);
+    out += "\", \"quarantined\": \"";
+    AppendU64(out, cohort.quarantined);
+    out += "\", \"samples\": \"";
+    AppendU64(out, cohort.counters.samples);
+    out += "\", \"stress_hours\": \"";
+    AppendHexDouble(out, cohort.counters.stress_hours);
+    out += "\", \"samples_per_hour\": \"";
+    AppendHexDouble(out, cohort.counters.SamplesPerHour());
+    out += "\",\n";
     // Readable tails for humans and dashboards; the exact states below are
     // the mergeable ground truth.
     char quantiles[256];
@@ -1499,31 +1133,38 @@ std::string FleetReportToJson(const FleetReport& report) {
                   cohort.thread.QuantileMs(0.5), cohort.thread.QuantileMs(0.99),
                   cohort.thread.QuantileMs(0.999), cohort.thread.QuantileMs(0.9999),
                   cohort.thread.max_ms());
-    out << quantiles;
-    out << "\"speed_mhz\": {\"min\": \"" << HexDouble(cohort.speed_mhz_min)
-        << "\", \"mean\": \""
-        << HexDouble(cohort.cells > 0
-                         ? cohort.speed_mhz_sum / static_cast<double>(cohort.cells)
-                         : 0.0)
-        << "\", \"max\": \"" << HexDouble(cohort.speed_mhz_max) << "\"},\n";
-    out << "\"fault_cells\": \"" << U64String(cohort.fault_cells)
-        << "\", \"fault_activations\": \"" << U64String(cohort.fault_activations)
-        << "\", \"anatomy_episodes\": \"" << U64String(cohort.anatomy_episodes)
-        << "\", \"anatomy_stage_cycles\": [";
+    out += quantiles;
+    out += "\"speed_mhz\": {\"min\": \"";
+    AppendHexDouble(out, cohort.speed_mhz_min);
+    out += "\", \"mean\": \"";
+    AppendHexDouble(out, cohort.cells > 0
+                             ? cohort.speed_mhz_sum / static_cast<double>(cohort.cells)
+                             : 0.0);
+    out += "\", \"max\": \"";
+    AppendHexDouble(out, cohort.speed_mhz_max);
+    out += "\"},\n\"fault_cells\": \"";
+    AppendU64(out, cohort.fault_cells);
+    out += "\", \"fault_activations\": \"";
+    AppendU64(out, cohort.fault_activations);
+    out += "\", \"anatomy_episodes\": \"";
+    AppendU64(out, cohort.anatomy_episodes);
+    out += "\", \"anatomy_stage_cycles\": [";
     for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      out << (s == 0 ? "" : ", ") << "\"" << U64String(cohort.anatomy_stage_cycles[s])
-          << "\"";
+      if (s != 0) out += ", ";
+      out += '"';
+      AppendU64(out, cohort.anatomy_stage_cycles[s]);
+      out += '"';
     }
-    out << "],\n\"histograms\": {";
-    WriteHistogram(out, "thread", cohort.thread);
-    out << ", ";
-    WriteHistogram(out, "dpc_interrupt", cohort.dpc_interrupt);
-    out << "}, ";
-    WriteSketch(out, "thread_sketch", cohort.thread_sketch);
-    out << "}";
+    out += "],\n\"histograms\": {";
+    AppendHistogram(out, "thread", cohort.thread);
+    out += ", ";
+    AppendHistogram(out, "dpc_interrupt", cohort.dpc_interrupt);
+    out += "}, ";
+    AppendSketch(out, "thread_sketch", cohort.thread_sketch);
+    out += '}';
   }
-  out << "]}\n";
-  return out.str();
+  out += "]}\n";
+  return out;
 }
 
 }  // namespace wdmlat::lab

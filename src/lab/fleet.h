@@ -10,12 +10,12 @@
 // count, job count, or execution order.
 //
 // Execution is sharded: cell i belongs to shard i % shards, and
-// RunFleetShard runs one shard's cells (optionally in parallel) over the
-// supervised path, writing one compact JSONL record per cell — thread + DPC
-// histograms, optional sketch, anatomy stage totals, counters — in global
-// cell-index order (a bounded reorder buffer absorbs out-of-order
-// completions). Workers resume for free: verified records already in the
-// output file are kept and only missing cells re-run.
+// RunFleetShard runs one shard's cells (optionally in parallel) through the
+// shared record-log executor (src/lab/record_log.h), writing one compact
+// record per cell — thread + DPC histograms, optional sketch, anatomy stage
+// totals, counters — in global cell-index order. Workers resume for free:
+// records that verify against this spec are kept and only missing cells
+// re-run; a shard file written under another spec is refused.
 //
 // MergeFleetShards then folds the shard files with a streaming grid-order
 // merge: records are consumed strictly in global index order (round-robin
@@ -39,6 +39,7 @@
 
 #include "src/fault/fault.h"
 #include "src/lab/lab.h"
+#include "src/lab/record_log.h"
 #include "src/obs/anatomy.h"
 #include "src/runtime/supervisor.h"
 #include "src/stats/histogram.h"
@@ -110,8 +111,9 @@ bool FleetSpecFromJson(std::string_view text, FleetSpec* spec, std::string* erro
 bool LoadFleetSpec(const std::string& path, FleetSpec* spec, std::string* error);
 
 // Stable FNV-1a fingerprint over everything that determines cell bits:
-// master seed, cohort order, names, counts, priors, durations. Recorded in
-// shard records' companion report and re-checked on merge.
+// master seed, cohort order, names, counts, priors, durations. Written into
+// every shard record ("spec") and into fleet.json; resume and merge refuse
+// records whose spec differs.
 std::uint64_t FleetFingerprint(const FleetSpec& spec);
 
 // Per-member seed: SplitMix64 hash chain over (master seed, cohort index,
@@ -164,6 +166,7 @@ struct FleetCellRecord {
   std::uint64_t index = 0;
   std::size_t cohort = 0;
   std::uint64_t seed = 0;
+  std::uint64_t spec = 0;  // FleetFingerprint of the spec that produced it
   std::uint64_t samples = 0;
   double stress_hours = 0.0;
   double speed_mhz = 300.0;
@@ -175,9 +178,9 @@ struct FleetCellRecord {
   stats::QuantileSketch thread_sketch;
 };
 
-// One JSONL line: {"cell", "seed", "checksum", "payload"} where payload is
-// the record body (report_io dialect: hexfloats + decimal u64s) and checksum
-// is Fnv1a64 over the payload text, so a torn or bit-rotted line fails
+// One record-log line (src/lab/record_log.h): {"cell", "seed", "spec",
+// "checksum", "payload"} where payload is the record body (report_io
+// dialect: hexfloats + decimal u64s), so a torn or bit-rotted line fails
 // loudly on resume and on merge.
 std::string FleetRecordToLine(const FleetCellRecord& record);
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record, std::string* error);
@@ -210,7 +213,8 @@ struct FleetShardOptions {
   std::size_t shards = 1;
   int jobs = 1;
   // Shard record file (required). An existing file resumes: records that
-  // verify (seed + checksum) are kept, only missing cells run.
+  // verify (checksum + seed + spec) are kept, only missing cells run; a file
+  // holding another spec's records is refused untouched.
   std::string out_path;
   // Cell window [cell_lo, cell_hi): only stride cells inside it run
   // (cell_hi == 0 means cell_count). The supervisor's quarantine bisection
@@ -234,29 +238,20 @@ struct FleetShardOptions {
   std::function<void(const FleetCell&, bool ok)> on_cell_done;
 };
 
-struct FleetShardResult {
-  std::uint64_t cells_total = 0;     // cells belonging to this shard
-  std::uint64_t cells_executed = 0;  // ran this invocation
-  std::uint64_t cells_restored = 0;  // verified records reused from out_path
-  std::vector<runtime::CellFailure> failures;
-  std::vector<std::string> warnings;
-  double wall_seconds = 0.0;
-  std::string error;  // fatal (spec/I-O); empty on success
+// A shard run reports what the record-log executor does: cells in scope,
+// executed and restored, failures, resume warnings and any fatal error.
+using FleetShardResult = CellLogResult;
 
-  bool ok() const { return error.empty() && failures.empty(); }
-};
-
-// Run shard `shard` of `shards` (cells with index % shards == shard), in
-// global-index order per the file contract above. Fresh runs append + flush
-// per record (a killed worker loses at most its in-flight cells); resumed
-// partial files are stream-rewritten to a temp file and atomically renamed.
+// Run shard `shard` of `shards` (cells with index % shards == shard) via
+// RunCellLog, which owns the write, flush, rewrite and resume contract.
 FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& options);
 
 // One quarantined cell, as persisted in the manifest and reported in the
 // merged fleet.json coverage section. `taxonomy` is a runtime::FailureKind
 // name when the supervisor isolated the cell (exception/timeout), or a
 // merge-detected reason ("missing_record", "corrupt_record",
-// "checksum_mismatch", "seed_mismatch") when degradation quarantined it.
+// "checksum_mismatch", "seed_mismatch", "spec_mismatch") when degradation
+// quarantined it.
 struct FleetQuarantineEntry {
   std::uint64_t cell = 0;
   std::uint64_t seed = 0;
@@ -329,8 +324,9 @@ struct FleetMergeOptions {
 // Streaming grid-order merge: consume the shard record streams strictly in
 // global cell-index order, folding each record into its cohort accumulator
 // and discarding it. `shard_paths[k]` must be shard k of shard_paths.size().
-// Fails (false + error) on a missing/torn/mismatched record — an incomplete
-// shard must be re-run, never silently skipped.
+// Fails (false + error) on a missing/torn/mismatched record — including one
+// written under another spec — since an incomplete shard must be re-run,
+// never silently skipped.
 bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_paths,
                       FleetReport* report, std::string* error);
 

@@ -4,21 +4,29 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "src/kernel/profile.h"
-#include "src/lab/journal.h"
+#include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
-#include "src/runtime/thread_pool.h"
 #include "src/sim/rng.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
+
+namespace {
+
+// Supervision black box of the cell running on this thread. It outlives the
+// attempt (the escaping exception tears down the TestSystem), so the diagnose
+// hook, which runs next on the same thread, can still read it.
+thread_local std::optional<kernel::TraceSession> t_black_box;
+
+}  // namespace
 
 const char* CellStatusName(CellStatus status) {
   switch (status) {
@@ -55,6 +63,36 @@ MatrixSpec PaperMatrix() {
                     workload::GamesStress(), workload::WebStress()};
   spec.priorities = {28, 24};
   return spec;
+}
+
+std::uint64_t MatrixFingerprint(const MatrixSpec& spec) {
+  // Fingerprint input: a canonical textual description of the spec. Text is
+  // deliberate — it keeps the hash independent of struct layout, and a
+  // mismatch can be debugged by printing the two descriptions side by side.
+  std::ostringstream out;
+  out << "master_seed=" << spec.master_seed << ";trials=" << spec.trials
+      << ";stress_minutes=" << HexDouble(spec.stress_minutes)
+      << ";warmup_seconds=" << HexDouble(spec.warmup_seconds) << ";oses=";
+  for (const auto& os : spec.oses) {
+    out << os.name << ",";
+  }
+  out << ";workloads=";
+  for (const auto& workload : spec.workloads) {
+    out << workload.name << ",";
+  }
+  out << ";priorities=";
+  for (const int priority : spec.priorities) {
+    out << priority << ",";
+  }
+  out << ";episode_threshold_us=" << HexDouble(spec.episode_threshold_us)
+      << ";max_episodes=" << spec.max_episodes << ";anatomy=" << spec.anatomy
+      << ";sketch=" << spec.sketch << ";scanner=" << spec.options.virus_scanner
+      << ";sounds=" << static_cast<int>(spec.options.sound_scheme);
+  if (spec.faults != nullptr && !spec.faults->empty()) {
+    out << ";faults=" << spec.faults->name << ":" << spec.faults->seed << ":"
+        << spec.faults->specs.size();
+  }
+  return Fnv1a64(out.str());
 }
 
 std::uint64_t ExperimentMatrix::CellSeed(std::uint64_t master_seed, std::size_t os_index,
@@ -113,18 +151,6 @@ std::size_t ExperimentMatrix::GroupIndex(std::size_t os_index, std::size_t workl
          priority_index;
 }
 
-MatrixResult ExperimentMatrix::Run(
-    int jobs, const std::function<void(const MatrixCell&)>& on_cell_done) const {
-  MatrixRunOptions options;
-  options.jobs = jobs;
-  if (on_cell_done) {
-    options.on_cell_done = [&on_cell_done](const MatrixCell& cell, CellStatus) {
-      on_cell_done(cell);
-    };
-  }
-  return Run(options);
-}
-
 MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   using Clock = std::chrono::steady_clock;
   MatrixResult result;
@@ -132,227 +158,115 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   result.timings.resize(cells_.size());
   result.statuses.assign(cells_.size(), CellStatus::kPending);
   std::vector<double> cell_seconds(cells_.size(), 0.0);
+  std::vector<Clock::time_point> cell_start(cells_.size());
   // Per-cell registry slots: each cell writes only its own, and slots merge
   // in grid order afterwards — the same slot discipline the reports use, so
   // collecting metrics cannot perturb the determinism contract.
   std::vector<obs::MetricsRegistry> cell_metrics(spec_.collect_metrics ? cells_.size() : 0);
-  std::mutex progress_mutex;
+  std::mutex worker_mutex;
   std::map<std::thread::id, int> worker_ids;
-
-  // --- Resume: restore verified cells from an existing journal --------------
-  RunJournal journal;
-  if (!options.resume_path.empty()) {
-    JournalContents contents;
-    std::string error;
-    if (!LoadJournal(options.resume_path, &spec_, &contents, &error)) {
-      result.error = error;
-      return result;
-    }
-    for (const JournalEntry& entry : contents.entries) {
-      if (entry.cell >= cells_.size()) {
-        result.warnings.push_back("journal entry for out-of-range cell " +
-                                  std::to_string(entry.cell) + " ignored");
-        continue;
-      }
-      if (entry.status != "ok") {
-        continue;  // failed cells re-run on resume
-      }
-      if (result.statuses[entry.cell] == CellStatus::kRestored) {
-        continue;  // duplicate entry (e.g. a re-run after a stale artifact)
-      }
-      // Trust nothing the journal says without re-verifying it: the seed must
-      // match this spec's derivation and the artifact must re-hash to the
-      // recorded checksum and parse back. Anything less re-runs the cell.
-      if (entry.seed != cells_[entry.cell].seed) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": journal seed mismatch; re-running");
-        continue;
-      }
-      std::ifstream in(entry.artifact, std::ios::binary);
-      if (!in) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": artifact unreadable (" + entry.artifact +
-                                  "); re-running");
-        continue;
-      }
-      std::ostringstream bytes;
-      bytes << in.rdbuf();
-      const std::string text = bytes.str();
-      if (Fnv1a64(text) != entry.checksum) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": artifact checksum mismatch (" + entry.artifact +
-                                  "); re-running");
-        continue;
-      }
-      std::string parse_error;
-      LabReport report;
-      if (!ReportFromJson(text, &report, &parse_error)) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": artifact rejected (" + parse_error + "); re-running");
-        continue;
-      }
-      result.reports[entry.cell] = std::move(report);
-      result.statuses[entry.cell] = CellStatus::kRestored;
-      ++result.cells_restored;
-    }
-    if (!journal.OpenAppend(options.resume_path, &error)) {
-      result.error = error;
-      return result;
-    }
-  } else if (!options.journal_path.empty()) {
-    std::string error;
-    if (!journal.Create(options.journal_path, spec_, &error)) {
-      result.error = error;
-      return result;
-    }
-  }
-
-  // --- Work list: pending cells, grid order, optionally capped --------------
-  std::vector<std::size_t> work;
-  work.reserve(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (result.statuses[i] == CellStatus::kPending) {
-      work.push_back(i);
-    }
-  }
-  if (options.max_cells > 0 && work.size() > options.max_cells) {
-    for (std::size_t w = options.max_cells; w < work.size(); ++w) {
-      result.statuses[work[w]] = CellStatus::kSkipped;
-    }
-    result.cells_skipped = work.size() - options.max_cells;
-    work.resize(options.max_cells);
-  }
-
-  runtime::Supervisor supervisor(options.supervision);
   const bool audits_on = options.audit_every_s > 0.0 || options.audit_fail_cell >= 0;
+  // Supervision black box: a ring of the cell's recent dispatcher events,
+  // read only if the cell fails. It is a trace sink on every event, so it is
+  // armed only for runs that asked to be supervised or checkpointed.
+  const bool black_box_on = audits_on || options.throw_cell >= 0 ||
+                            options.supervision.cell_timeout_ms > 0.0 ||
+                            !options.journal_path.empty();
   const Clock::time_point run_start = Clock::now();
-  // Each cell is an isolated single-threaded simulation writing only to its
-  // own slot; the pool provides no ordering and needs none.
-  runtime::ParallelFor(options.jobs, work.size(), [&](std::size_t w) {
-    const std::size_t i = work[w];
-    int worker = 0;
+
+  CellLogOptions log;
+  log.path = options.journal_path;
+  log.spec = MatrixFingerprint(spec_);
+  log.cell_count = cells_.size();
+  log.cell_hi = options.max_cells;
+  log.jobs = options.jobs;
+  log.supervision = options.supervision;
+  log.cell_seed = [this](std::uint64_t i) { return cells_[i].seed; };
+  log.restore = [&result](std::uint64_t i, std::string_view payload, std::string* error) {
+    if (!ReportFromJson(payload, &result.reports[i], error)) {
+      return false;
+    }
+    result.statuses[i] = CellStatus::kRestored;
+    return true;
+  };
+  log.run = [&](std::uint64_t i, runtime::Watchdog& watchdog) {
     {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      worker = static_cast<int>(
+      std::lock_guard<std::mutex> lock(worker_mutex);
+      const int worker = static_cast<int>(
           worker_ids.emplace(std::this_thread::get_id(), worker_ids.size()).first->second);
+      result.timings[i].worker = worker;
     }
-    // Supervision black box: a ring of the cell's recent dispatcher events,
-    // read only if the cell fails. Declared at cell scope so the diagnose
-    // hook can still read it after the TestSystem inside the body has been
-    // torn down by the escaping exception.
-    kernel::TraceSession black_box;
-    const bool force_violation =
-        options.audit_fail_cell >= 0 &&
-        i == static_cast<std::size_t>(options.audit_fail_cell);
-    const Clock::time_point cell_start = Clock::now();
-
-    const auto body = [&](int attempt, runtime::Watchdog& watchdog) {
-      (void)attempt;  // the seed is attempt-invariant by design
-      if (options.throw_cell >= 0 && i == static_cast<std::size_t>(options.throw_cell)) {
-        throw std::runtime_error("injected cell failure (fixture)");
+    cell_start[i] = Clock::now();
+    kernel::TraceSession* black_box = black_box_on ? &t_black_box.emplace() : nullptr;
+    if (options.throw_cell >= 0 && i == static_cast<std::uint64_t>(options.throw_cell)) {
+      throw std::runtime_error("injected cell failure (fixture)");
+    }
+    LabConfig config = cells_[i].config;
+    if (spec_.collect_metrics) {
+      config.obs.metrics = &cell_metrics[i];
+      config.obs.queue_sample_ms = spec_.queue_sample_ms;
+    }
+    config.obs.episode_threshold_us = spec_.episode_threshold_us;
+    config.obs.max_episodes = spec_.max_episodes;
+    config.obs.anatomy = spec_.anatomy;
+    config.obs.sketch = spec_.sketch;
+    if (i == 0) {
+      config.obs.trace_sink = spec_.trace_sink;
+    }
+    if (watchdog.armed()) {
+      config.supervision.watchdog = &watchdog;
+    }
+    config.supervision.audit_every_s = options.audit_every_s;
+    config.supervision.force_audit_violation =
+        options.audit_fail_cell >= 0 && i == static_cast<std::uint64_t>(options.audit_fail_cell);
+    config.supervision.audit_at_end = audits_on;
+    config.supervision.black_box = black_box;
+    result.reports[i] = RunLatencyExperiment(config);
+    return log.path.empty() ? std::string() : ReportToJson(result.reports[i]);
+  };
+  if (black_box_on) {
+    log.diagnose = [](std::uint64_t, runtime::CellFailure& failure) {
+      std::istringstream summary(t_black_box->Summary(/*recent_events=*/12));
+      std::string line;
+      while (std::getline(summary, line)) {
+        if (!line.empty()) {
+          failure.diagnostics.push_back(line);
+        }
       }
-      LabConfig config = cells_[i].config;
-      if (spec_.collect_metrics) {
-        config.obs.metrics = &cell_metrics[i];
-        config.obs.queue_sample_ms = spec_.queue_sample_ms;
-      }
-      config.obs.episode_threshold_us = spec_.episode_threshold_us;
-      config.obs.max_episodes = spec_.max_episodes;
-      config.obs.anatomy = spec_.anatomy;
-      config.obs.sketch = spec_.sketch;
-      if (i == 0) {
-        config.obs.trace_sink = spec_.trace_sink;
-      }
-      if (watchdog.armed()) {
-        config.supervision.watchdog = &watchdog;
-      }
-      config.supervision.audit_every_s = options.audit_every_s;
-      config.supervision.force_audit_violation = force_violation;
-      config.supervision.audit_at_end = audits_on;
-      if (options.isolate_failures) {
-        config.supervision.black_box = &black_box;
-      }
-      result.reports[i] = RunLatencyExperiment(config);
     };
-
-    std::optional<runtime::CellFailure> failure;
-    if (options.isolate_failures) {
-      const auto diagnose = [&](runtime::CellFailure& f) {
-        std::istringstream summary(black_box.Summary(/*recent_events=*/12));
-        std::string line;
-        while (std::getline(summary, line)) {
-          if (!line.empty()) {
-            f.diagnostics.push_back(line);
-          }
-        }
-      };
-      failure = supervisor.RunCell(i, cells_[i].seed, body, diagnose);
-    } else {
-      // Legacy path: exceptions propagate to the caller; a watchdog, when
-      // configured, still throws DeadlineExceeded through.
-      runtime::Watchdog watchdog;
-      watchdog.Arm(options.supervision.cell_timeout_ms);
-      body(1, watchdog);
-    }
-
+  }
+  log.on_cell_done = [&](std::uint64_t i, const runtime::CellFailure* failure) {
     const Clock::time_point cell_end = Clock::now();
-    cell_seconds[i] = std::chrono::duration<double>(cell_end - cell_start).count();
-    result.timings[i] = MatrixResult::CellTiming{
-        worker, std::chrono::duration<double>(cell_start - run_start).count(),
-        std::chrono::duration<double>(cell_end - run_start).count()};
-    result.statuses[i] = failure ? CellStatus::kFailed : CellStatus::kOk;
-
-    // Checkpoint: artifact file first (no contention — per-cell path), then
-    // the journal line under the lock. A kill between the two leaves an
-    // orphan artifact and no journal line: the cell re-runs, correctly.
-    JournalEntry entry;
-    entry.cell = i;
-    entry.seed = cells_[i].seed;
-    if (!failure && journal.is_open()) {
-      const std::string text = ReportToJson(result.reports[i]);
-      const std::string artifact = journal.ArtifactPath(i);
-      std::ofstream artifact_out(artifact, std::ios::trunc | std::ios::binary);
-      artifact_out << text;
-      artifact_out.flush();
-      entry.status = "ok";
-      entry.checksum = Fnv1a64(text);
-      entry.artifact = artifact;
-      entry.samples = result.reports[i].samples;
-      if (!artifact_out) {
-        entry.status = "failed";
-        entry.taxonomy = runtime::FailureKindName(runtime::FailureKind::kHostTransient);
-        entry.message = "artifact write failed: " + artifact;
-      }
-    } else if (failure) {
-      entry.status = "failed";
-      entry.taxonomy = runtime::FailureKindName(failure->kind);
-      entry.message = failure->message.substr(0, failure->message.find('\n'));
-      entry.attempts = failure->attempts;
+    cell_seconds[i] = std::chrono::duration<double>(cell_end - cell_start[i]).count();
+    result.timings[i].start_s = std::chrono::duration<double>(cell_start[i] - run_start).count();
+    result.timings[i].end_s = std::chrono::duration<double>(cell_end - run_start).count();
+    result.statuses[i] = failure != nullptr ? CellStatus::kFailed : CellStatus::kOk;
+    if (failure != nullptr && options.on_cell_failed) {
+      options.on_cell_failed(*failure);
     }
-
-    {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      ++result.cells_executed;
-      if (journal.is_open()) {
-        std::string journal_error;
-        if (!journal.Append(entry, &journal_error)) {
-          result.warnings.push_back(journal_error);
-        }
-      }
-      if (failure) {
-        result.failures.push_back(*failure);
-        if (options.on_cell_failed) {
-          options.on_cell_failed(result.failures.back());
-        }
-      }
-      if (options.on_cell_done) {
-        options.on_cell_done(cells_[i], result.statuses[i]);
-      }
+    if (options.on_cell_done) {
+      options.on_cell_done(cells_[i], result.statuses[i]);
     }
-  });
+  };
+
+  CellLogResult run = RunCellLog(log);
+  if (!run.error.empty()) {
+    result.error = std::move(run.error);
+    return result;
+  }
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - run_start).count();
   result.workers_observed = static_cast<int>(worker_ids.size());
-  result.retries = supervisor.retries();
+  result.cells_executed = run.cells_executed;
+  result.cells_restored = run.cells_restored;
+  result.retries = run.retries;
+  result.failures = std::move(run.failures);
+  result.warnings = std::move(run.warnings);
+  for (CellStatus& status : result.statuses) {
+    if (status == CellStatus::kPending) {
+      status = CellStatus::kSkipped;
+      ++result.cells_skipped;
+    }
+  }
   for (double seconds : cell_seconds) {
     result.total_cell_seconds += seconds;
   }

@@ -91,6 +91,12 @@ struct MatrixSpec {
 // loads × priorities {28, 24}, one trial per cell.
 MatrixSpec PaperMatrix();
 
+// Stable hash of everything that determines a matrix's cells and their
+// bits: master seed, grid axes (profile/workload names, priorities),
+// trials, durations, machine options, fault plan and the episode, anatomy
+// and sketch knobs. The `spec` of every matrix record.
+std::uint64_t MatrixFingerprint(const MatrixSpec& spec);
+
 // One expanded cell, in grid-enumeration order (os-major, then workload,
 // then priority, then trial).
 struct MatrixCell {
@@ -149,24 +155,21 @@ struct MergedCell {
 enum class CellStatus : std::uint8_t {
   kPending,   // never reached (only seen mid-run or after an aborted run)
   kOk,        // executed this run and completed
-  kRestored,  // restored bit-exactly from a verified journal artifact
+  kRestored,  // restored bit-exactly from a verified record
   kFailed,    // executed and failed; see MatrixResult::failures
-  kSkipped,   // not launched because MatrixRunOptions::max_cells was hit
+  kSkipped,   // outside this run's MatrixRunOptions::max_cells window
 };
 const char* CellStatusName(CellStatus status);
 
-// Knobs for the supervised runner (ExperimentMatrix::Run(MatrixRunOptions)).
-// Default-constructed options reproduce the legacy Run(jobs) behaviour:
-// no watchdog, no audits, no journal, every failure propagates.
+// Knobs for ExperimentMatrix::Run. Default-constructed options run every
+// cell once, without a watchdog, audits or a checkpoint file.
 struct MatrixRunOptions {
   int jobs = 1;
-  // Per-cell exception barrier + watchdog + retry policy. With
-  // cell_timeout_ms == 0 the watchdog stays disarmed but the barrier still
-  // converts throwing cells into structured failures.
+  // Per-cell exception barrier + watchdog + retry policy. Every cell runs
+  // behind the barrier: a throwing cell becomes a structured CellFailure and
+  // the other cells continue. cell_timeout_ms == 0 leaves the watchdog
+  // disarmed.
   runtime::SupervisorOptions supervision;
-  // When false, a cell exception propagates out of Run (legacy behaviour);
-  // when true, it is captured as a CellFailure and the other cells continue.
-  bool isolate_failures = false;
   // >0: run an invariant-audit pass inside every cell at this virtual-second
   // cadence (plus once at the end of the measurement phase).
   double audit_every_s = 0.0;
@@ -174,14 +177,15 @@ struct MatrixRunOptions {
   // inject one audit violation into this cell / throw from this cell.
   std::ptrdiff_t audit_fail_cell = -1;
   std::ptrdiff_t throw_cell = -1;
-  // >0: launch at most this many cells this run, marking the rest kSkipped —
-  // the controlled "interrupt" used by the resume-determinism tests.
+  // >0: this run's cell window is [0, max_cells); cells beyond it are
+  // kSkipped unless restored — the controlled "interrupt" used by the
+  // resume-determinism tests and `wdmlat_run --max-cells`.
   std::size_t max_cells = 0;
-  // Non-empty: write a fresh journal (plus per-cell artifacts) at this path.
+  // Non-empty: checkpoint every finished cell to this record log
+  // (src/lab/record_log.h; payload = ReportToJson). An existing log resumes:
+  // cells whose records verify are restored bit-exactly, the rest run, and a
+  // log written under a different MatrixFingerprint is refused (error).
   std::string journal_path;
-  // Non-empty: resume from this journal — restore verified completed cells,
-  // re-run missing/failed/corrupt ones, and append new entries to it.
-  std::string resume_path;
   // Progress hooks, serialized under the runner's lock (completion order).
   std::function<void(const MatrixCell&, CellStatus)> on_cell_done;
   std::function<void(const runtime::CellFailure&)> on_cell_failed;
@@ -228,18 +232,18 @@ struct MatrixResult {
   // Structured failures of every kFailed cell (completion order).
   std::vector<runtime::CellFailure> failures;
   std::size_t cells_executed = 0;  // ran this run (kOk + kFailed)
-  std::size_t cells_restored = 0;  // restored from the resume journal
+  std::size_t cells_restored = 0;  // restored from the record log
   std::size_t cells_skipped = 0;   // unlaunched due to max_cells
   std::uint64_t retries = 0;       // host-transient retries across all cells
-  // Non-fatal resume diagnostics: stale checksums, unreadable artifacts —
+  // Non-fatal resume diagnostics: torn lines, checksum or seed mismatches —
   // each one names a cell that was re-run instead of restored.
   std::vector<std::string> warnings;
   // Post-merge conservation audit: any group whose merged histogram counts
   // differ from the sum of its merged trials' counts. Always empty unless
   // the merge arithmetic itself is broken.
   std::vector<std::string> merge_violations;
-  // Set when the run aborted before executing cells (unreadable or
-  // mismatched resume journal, unwritable journal path).
+  // Set when the run aborted: a record log written under another spec
+  // (before any cell runs), or a record-log I/O failure.
   std::string error;
 
   // Every cell is kOk or kRestored (the merged exhibits cover the full grid).
@@ -265,19 +269,13 @@ class ExperimentMatrix {
   static std::uint64_t CellSeed(std::uint64_t master_seed, std::size_t os_index,
                                 std::size_t workload_index, int priority, int trial);
 
-  // Run every cell on `jobs` worker threads (jobs <= 1 runs inline) and merge
-  // trial groups. `on_cell_done`, if set, is invoked once per finished cell,
-  // serialized under a lock (completion order, not grid order). Thin wrapper
-  // over the supervised overload with default options.
-  MatrixResult Run(int jobs,
-                   const std::function<void(const MatrixCell&)>& on_cell_done = nullptr) const;
-
-  // Supervised run: per-cell watchdog/exception-barrier/retry, optional
-  // invariant audits, optional checkpoint journal and resume. Cells that
-  // fail under isolate_failures are recorded in MatrixResult::failures and
-  // excluded from the merge; everything that merges is bit-identical to the
-  // same cells merged by a fresh unsupervised run (same grid order, same
-  // per-cell bits — supervision hooks are pure observers of the simulation).
+  // Run the grid on `options.jobs` worker threads (jobs <= 1 runs inline)
+  // through the shared record-log executor (lab::RunCellLog): per-cell
+  // exception barrier/watchdog/retry, optional invariant audits, optional
+  // checkpoint and resume. Failed cells are recorded in
+  // MatrixResult::failures and excluded from the merge; everything that
+  // merges is bit-identical at any job count and across resume (same grid
+  // order, same per-cell bits — supervision hooks are pure observers).
   MatrixResult Run(const MatrixRunOptions& options) const;
 
   // Index of a group in MatrixResult::merged by grid coordinates.

@@ -1,6 +1,7 @@
 #include "src/lab/report_io.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -14,16 +15,29 @@ namespace {
 constexpr const char* kFormatName = "wdmlat-cell-report";
 constexpr int kFormatVersion = 1;
 
-std::string U64String(std::uint64_t value) { return std::to_string(value); }
-
 }  // namespace
 
 // Shared with the fleet record serialization — see report_io.h.
 namespace report_json {
 
-std::string Escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+void AppendU64(std::string& out, std::uint64_t value) {
+  char buf[20];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+void AppendInt(std::string& out, int value) {
+  char buf[16];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+void AppendHexDouble(std::string& out, double value) {
+  char buf[48];
+  out.append(buf, static_cast<std::size_t>(std::snprintf(buf, sizeof(buf), "%a", value)));
+}
+
+void AppendEscaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"':
@@ -51,7 +65,75 @@ std::string Escape(const std::string& text) {
         }
     }
   }
-  return out;
+}
+
+void AppendHistogram(std::string& out, const char* name,
+                     const stats::LatencyHistogram& hist) {
+  const stats::LatencyHistogram::State state = hist.ExportState();
+  out += '"';
+  out += name;
+  out += "\": {\"buckets\": [";
+  bool first = true;
+  for (const auto& [index, count] : state.buckets) {
+    if (!first) out += ", ";
+    first = false;
+    out += '[';
+    AppendInt(out, index);
+    out += ", \"";
+    AppendU64(out, count);
+    out += "\"]";
+  }
+  out += "], \"count\": \"";
+  AppendU64(out, state.count);
+  out += "\", \"underflow\": \"";
+  AppendU64(out, state.underflow);
+  out += "\", \"sum_us\": \"";
+  AppendHexDouble(out, state.sum_us);
+  out += "\", \"min_us\": \"";
+  AppendHexDouble(out, state.min_us);
+  out += "\", \"max_us\": \"";
+  AppendHexDouble(out, state.max_us);
+  out += "\"}";
+}
+
+void AppendSketch(std::string& out, const char* name, const stats::QuantileSketch& sketch) {
+  const stats::QuantileSketch::State state = sketch.ExportState();
+  out += '"';
+  out += name;
+  out += "\": {\"levels\": [";
+  for (std::size_t l = 0; l < state.levels.size(); ++l) {
+    if (l != 0) out += ", ";
+    out += '[';
+    for (std::size_t i = 0; i < state.levels[l].size(); ++i) {
+      if (i != 0) out += ", ";
+      out += '"';
+      AppendHexDouble(out, state.levels[l][i]);
+      out += '"';
+    }
+    out += ']';
+  }
+  out += "], \"parities\": [";
+  for (std::size_t l = 0; l < state.parities.size(); ++l) {
+    if (l != 0) out += ", ";
+    AppendInt(out, static_cast<int>(state.parities[l]));
+  }
+  // Tail heap order is exported verbatim so the import is bit-identical.
+  out += "], \"tail\": [";
+  for (std::size_t i = 0; i < state.tail.size(); ++i) {
+    if (i != 0) out += ", ";
+    out += '"';
+    AppendHexDouble(out, state.tail[i]);
+    out += '"';
+  }
+  out += "], \"count\": \"";
+  AppendU64(out, state.count);
+  out += "\", \"sum_ms\": \"";
+  AppendHexDouble(out, state.sum_ms);
+  out += "\", \"min_ms\": \"";
+  AppendHexDouble(out, state.min_ms);
+  out += "\", \"max_ms\": \"";
+  AppendHexDouble(out, state.max_ms);
+  out += "\"}";
 }
 
 bool ParseU64(std::string_view text, std::uint64_t* out) {
@@ -67,21 +149,6 @@ bool ParseU64(std::string_view text, std::uint64_t* out) {
   }
   *out = static_cast<std::uint64_t>(value);
   return true;
-}
-
-void WriteHistogram(std::ostringstream& out, const char* name,
-                    const stats::LatencyHistogram& hist) {
-  const stats::LatencyHistogram::State state = hist.ExportState();
-  out << "\"" << name << "\": {\"buckets\": [";
-  bool first = true;
-  for (const auto& [index, count] : state.buckets) {
-    out << (first ? "" : ", ") << "[" << index << ", \"" << U64String(count) << "\"]";
-    first = false;
-  }
-  out << "], \"count\": \"" << U64String(state.count) << "\", \"underflow\": \""
-      << U64String(state.underflow) << "\", \"sum_us\": \"" << HexDouble(state.sum_us)
-      << "\", \"min_us\": \"" << HexDouble(state.min_us) << "\", \"max_us\": \""
-      << HexDouble(state.max_us) << "\"}";
 }
 
 bool ReadStringField(const obs::JsonValue& object, const char* key, std::string* out,
@@ -178,31 +245,6 @@ bool ReadHistogram(const obs::JsonValue& histograms, const char* name,
   return true;
 }
 
-void WriteSketch(std::ostringstream& out, const char* name,
-                 const stats::QuantileSketch& sketch) {
-  const stats::QuantileSketch::State state = sketch.ExportState();
-  out << "\"" << name << "\": {\"levels\": [";
-  for (std::size_t l = 0; l < state.levels.size(); ++l) {
-    out << (l == 0 ? "" : ", ") << "[";
-    for (std::size_t i = 0; i < state.levels[l].size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << HexDouble(state.levels[l][i]) << "\"";
-    }
-    out << "]";
-  }
-  out << "], \"parities\": [";
-  for (std::size_t l = 0; l < state.parities.size(); ++l) {
-    out << (l == 0 ? "" : ", ") << static_cast<int>(state.parities[l]);
-  }
-  // Tail heap order is exported verbatim so the import is bit-identical.
-  out << "], \"tail\": [";
-  for (std::size_t i = 0; i < state.tail.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << HexDouble(state.tail[i]) << "\"";
-  }
-  out << "], \"count\": \"" << U64String(state.count) << "\", \"sum_ms\": \""
-      << HexDouble(state.sum_ms) << "\", \"min_ms\": \"" << HexDouble(state.min_ms)
-      << "\", \"max_ms\": \"" << HexDouble(state.max_ms) << "\"}";
-}
-
 bool ReadSketch(const obs::JsonValue& object, const char* name, stats::QuantileSketch* out,
                 std::string* error) {
   const obs::JsonValue* sketch = object.Find(name);
@@ -272,30 +314,46 @@ using namespace report_json;  // NOLINT: same-file dialect helpers
 
 namespace {
 
-void WriteAnatomy(std::ostringstream& out, const std::vector<obs::AnatomyEpisode>& anatomy) {
-  out << "\"anatomy\": [";
+void AppendBlame(std::string& out, const obs::AnatomyEpisode::Blame& blame) {
+  out += "{\"module\": \"";
+  AppendEscaped(out, blame.module);
+  out += "\", \"function\": \"";
+  AppendEscaped(out, blame.function);
+  out += "\", \"cycles\": \"";
+  AppendU64(out, blame.cycles);
+  out += "\"}";
+}
+
+void AppendAnatomy(std::string& out, const std::vector<obs::AnatomyEpisode>& anatomy) {
+  out += "\"anatomy\": [";
   for (std::size_t i = 0; i < anatomy.size(); ++i) {
     const obs::AnatomyEpisode& ep = anatomy[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "{\"latency_ms\": \"" << HexDouble(ep.latency_ms) << "\", \"window_begin\": \""
-        << U64String(ep.window_begin) << "\", \"window_end\": \""
-        << U64String(ep.window_end) << "\", \"truncated\": "
-        << (ep.truncated ? "true" : "false") << ", \"stage_cycles\": [";
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"latency_ms\": \"";
+    AppendHexDouble(out, ep.latency_ms);
+    out += "\", \"window_begin\": \"";
+    AppendU64(out, ep.window_begin);
+    out += "\", \"window_end\": \"";
+    AppendU64(out, ep.window_end);
+    out += "\", \"truncated\": ";
+    out += ep.truncated ? "true" : "false";
+    out += ", \"stage_cycles\": [";
     for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      out << (s == 0 ? "" : ", ") << "\"" << U64String(ep.stage_cycles[s]) << "\"";
+      if (s != 0) out += ", ";
+      out += '"';
+      AppendU64(out, ep.stage_cycles[s]);
+      out += '"';
     }
-    out << "], \"stage_blame\": [";
+    out += "], \"stage_blame\": [";
     for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      const obs::AnatomyEpisode::Blame& blame = ep.stage_blame[s];
-      out << (s == 0 ? "" : ", ") << "{\"module\": \"" << Escape(blame.module)
-          << "\", \"function\": \"" << Escape(blame.function) << "\", \"cycles\": \""
-          << U64String(blame.cycles) << "\"}";
+      if (s != 0) out += ", ";
+      AppendBlame(out, ep.stage_blame[s]);
     }
-    out << "], \"culprit\": {\"module\": \"" << Escape(ep.culprit.module)
-        << "\", \"function\": \"" << Escape(ep.culprit.function) << "\", \"cycles\": \""
-        << U64String(ep.culprit.cycles) << "\"}}";
+    out += "], \"culprit\": ";
+    AppendBlame(out, ep.culprit);
+    out += '}';
   }
-  out << "]";
+  out += ']';
 }
 
 bool ReadBlame(const obs::JsonValue& object, obs::AnatomyEpisode::Blame* blame,
@@ -360,8 +418,7 @@ bool ReadAnatomy(const obs::JsonValue& root, std::vector<obs::AnatomyEpisode>* a
 
 }  // namespace
 
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t hash) {
   for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ull;
@@ -390,54 +447,78 @@ bool ParseHexDouble(std::string_view text, double* out) {
 }
 
 std::string ReportToJson(const LabReport& report) {
-  std::ostringstream out;
-  out << "{\"format\": \"" << kFormatName << "\", \"version\": " << kFormatVersion
-      << ",\n";
-  out << "\"os_name\": \"" << Escape(report.os_name) << "\", \"workload_name\": \""
-      << Escape(report.workload_name)
-      << "\", \"thread_priority\": " << report.thread_priority
-      << ", \"has_interrupt_latency\": " << (report.has_interrupt_latency ? "true" : "false")
-      << ",\n";
-  out << "\"samples\": \"" << U64String(report.samples) << "\", \"samples_per_hour\": \""
-      << HexDouble(report.samples_per_hour) << "\", \"fault_activations\": \""
-      << U64String(report.fault_activations) << "\",\n";
-  out << "\"usage\": {\"category\": \"" << Escape(report.usage.category)
-      << "\", \"compression\": \"" << HexDouble(report.usage.compression)
-      << "\", \"day_hours\": \"" << HexDouble(report.usage.day_hours)
-      << "\", \"week_hours\": \"" << HexDouble(report.usage.week_hours) << "\"},\n";
-  out << "\"histograms\": {\n";
-  WriteHistogram(out, "dpc_interrupt", report.dpc_interrupt);
-  out << ",\n";
-  WriteHistogram(out, "thread", report.thread);
-  out << ",\n";
-  WriteHistogram(out, "thread_interrupt", report.thread_interrupt);
-  out << ",\n";
-  WriteHistogram(out, "interrupt", report.interrupt);
-  out << ",\n";
-  WriteHistogram(out, "isr_to_dpc", report.isr_to_dpc);
-  out << ",\n";
-  WriteHistogram(out, "true_pit_interrupt_latency", report.true_pit_interrupt_latency);
-  out << "\n},\n";
-  out << "\"episodes\": [";
+  std::string out;
+  out.reserve(4096);
+  out += "{\"format\": \"";
+  out += kFormatName;
+  out += "\", \"version\": ";
+  AppendInt(out, kFormatVersion);
+  out += ",\n\"os_name\": \"";
+  AppendEscaped(out, report.os_name);
+  out += "\", \"workload_name\": \"";
+  AppendEscaped(out, report.workload_name);
+  out += "\", \"thread_priority\": ";
+  AppendInt(out, report.thread_priority);
+  out += ", \"has_interrupt_latency\": ";
+  out += report.has_interrupt_latency ? "true" : "false";
+  out += ",\n\"samples\": \"";
+  AppendU64(out, report.samples);
+  out += "\", \"samples_per_hour\": \"";
+  AppendHexDouble(out, report.samples_per_hour);
+  out += "\", \"fault_activations\": \"";
+  AppendU64(out, report.fault_activations);
+  out += "\",\n\"usage\": {\"category\": \"";
+  AppendEscaped(out, report.usage.category);
+  out += "\", \"compression\": \"";
+  AppendHexDouble(out, report.usage.compression);
+  out += "\", \"day_hours\": \"";
+  AppendHexDouble(out, report.usage.day_hours);
+  out += "\", \"week_hours\": \"";
+  AppendHexDouble(out, report.usage.week_hours);
+  out += "\"},\n\"histograms\": {\n";
+  AppendHistogram(out, "dpc_interrupt", report.dpc_interrupt);
+  out += ",\n";
+  AppendHistogram(out, "thread", report.thread);
+  out += ",\n";
+  AppendHistogram(out, "thread_interrupt", report.thread_interrupt);
+  out += ",\n";
+  AppendHistogram(out, "interrupt", report.interrupt);
+  out += ",\n";
+  AppendHistogram(out, "isr_to_dpc", report.isr_to_dpc);
+  out += ",\n";
+  AppendHistogram(out, "true_pit_interrupt_latency", report.true_pit_interrupt_latency);
+  out += "\n},\n\"episodes\": [";
   for (std::size_t i = 0; i < report.episodes.size(); ++i) {
     const obs::EpisodeSummary& ep = report.episodes[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "{\"latency_ms\": \"" << HexDouble(ep.latency_ms) << "\", \"reported_at_ms\": \""
-        << HexDouble(ep.reported_at_ms) << "\", \"true_module\": \""
-        << Escape(ep.true_module) << "\", \"true_function\": \""
-        << Escape(ep.true_function) << "\", \"true_ms\": \"" << HexDouble(ep.true_ms)
-        << "\", \"cause_module\": \"" << Escape(ep.cause_module)
-        << "\", \"cause_function\": \"" << Escape(ep.cause_function)
-        << "\", \"cause_samples\": \"" << U64String(ep.cause_samples)
-        << "\", \"attributed\": " << (ep.attributed ? "true" : "false")
-        << ", \"module_match\": " << (ep.module_match ? "true" : "false") << "}";
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"latency_ms\": \"";
+    AppendHexDouble(out, ep.latency_ms);
+    out += "\", \"reported_at_ms\": \"";
+    AppendHexDouble(out, ep.reported_at_ms);
+    out += "\", \"true_module\": \"";
+    AppendEscaped(out, ep.true_module);
+    out += "\", \"true_function\": \"";
+    AppendEscaped(out, ep.true_function);
+    out += "\", \"true_ms\": \"";
+    AppendHexDouble(out, ep.true_ms);
+    out += "\", \"cause_module\": \"";
+    AppendEscaped(out, ep.cause_module);
+    out += "\", \"cause_function\": \"";
+    AppendEscaped(out, ep.cause_function);
+    out += "\", \"cause_samples\": \"";
+    AppendU64(out, ep.cause_samples);
+    out += "\", \"attributed\": ";
+    out += ep.attributed ? "true" : "false";
+    out += ", \"module_match\": ";
+    out += ep.module_match ? "true" : "false";
+    out += '}';
   }
-  out << "],\n";
-  WriteAnatomy(out, report.anatomy);
-  out << ",\n";
-  WriteSketch(out, "thread_sketch", report.thread_sketch);
-  out << "}\n";
-  return out.str();
+  out += "],\n";
+  AppendAnatomy(out, report.anatomy);
+  out += ",\n";
+  AppendSketch(out, "thread_sketch", report.thread_sketch);
+  out += "}\n";
+  return out;
 }
 
 bool ReportFromJson(std::string_view text, LabReport* report, std::string* error) {

@@ -9,14 +9,14 @@
 // by obs::ParseJson — including its hardened duplicate-key and non-finite
 // rejection, so a corrupt artifact fails loudly instead of skewing a merge.
 //
-// The journal stores one artifact file per completed cell plus its FNV-1a
-// checksum; RestoreReport is the read side used by --resume.
+// A matrix run's record log (src/lab/record_log.h) carries one such
+// document per finished cell as its record payload; ReportFromJson is the
+// read side of its resume.
 
 #ifndef SRC_LAB_REPORT_IO_H_
 #define SRC_LAB_REPORT_IO_H_
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -25,10 +25,11 @@
 
 namespace wdmlat::lab {
 
-// FNV-1a 64-bit over raw bytes: the journal's artifact checksum. Stable,
+// FNV-1a 64-bit over raw bytes: the record-log checksum. Stable,
 // dependency-free, and plenty against torn writes and bit rot (this guards
-// integrity, not adversaries).
-std::uint64_t Fnv1a64(std::string_view bytes);
+// integrity, not adversaries). `hash` continues an earlier digest.
+constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
+std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t hash = kFnv1a64Offset);
 
 // Exact double <-> string via C99 hexfloat. ParseHexDouble accepts only a
 // full-string parse of a finite value.
@@ -44,20 +45,27 @@ std::string ReportToJson(const LabReport& report);
 // default-constructed. A true return restores the report bit-exactly.
 bool ReportFromJson(std::string_view text, LabReport* report, std::string* error);
 
-// Building blocks of the artifact format, shared with the fleet's per-cell
-// record serialization (src/lab/fleet.cc) so both speak the same bit-exact
-// dialect: hexfloat doubles, decimal-string u64s, histogram/sketch State
-// round trips with conservation validation on import.
+// Building blocks of the record format, shared by ReportToJson, the fleet's
+// per-cell records and FleetReportToJson (src/lab/fleet.cc) so all speak the
+// same bit-exact dialect: hexfloat doubles, decimal-string u64s,
+// histogram/sketch State round trips with conservation validation on import.
+// The writers append into one caller-owned buffer: records are serialized
+// once per cell, so at population scale temporary strings show up in
+// cells/sec.
 namespace report_json {
 
-std::string Escape(const std::string& text);
+void AppendU64(std::string& out, std::uint64_t value);
+void AppendInt(std::string& out, int value);
+void AppendHexDouble(std::string& out, double value);
+// JSON string-body escaping (quotes, backslashes, control characters).
+void AppendEscaped(std::string& out, std::string_view text);
+void AppendHistogram(std::string& out, const char* name,
+                     const stats::LatencyHistogram& hist);
+void AppendSketch(std::string& out, const char* name, const stats::QuantileSketch& sketch);
+
 bool ParseU64(std::string_view text, std::uint64_t* out);
-void WriteHistogram(std::ostringstream& out, const char* name,
-                    const stats::LatencyHistogram& hist);
 bool ReadHistogram(const obs::JsonValue& parent, const char* name,
                    stats::LatencyHistogram* out, std::string* error);
-void WriteSketch(std::ostringstream& out, const char* name,
-                 const stats::QuantileSketch& sketch);
 bool ReadSketch(const obs::JsonValue& parent, const char* name, stats::QuantileSketch* out,
                 std::string* error);
 bool ReadU64Field(const obs::JsonValue& object, const char* key, std::uint64_t* out,

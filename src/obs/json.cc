@@ -23,6 +23,20 @@ void OffsetToLineColumn(std::string_view text, std::size_t offset, std::size_t* 
   *column = end - line_start + 1;
 }
 
+// UTF-8 encoding of one \uXXXX escape (a lone surrogate is encoded as-is).
+void AppendUtf8(unsigned code, std::string* out) {
+  if (code < 0x80) {
+    out->push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -182,7 +196,7 @@ class Parser {
       }
       if (out != nullptr) {
         // DOM mode rejects duplicates: last-wins lookup over hostile input
-        // would let a corrupt (or crafted) journal silently shadow a field.
+        // would let a corrupt (or crafted) record silently shadow a field.
         for (const auto& [existing, unused] : members) {
           if (existing == key) {
             pos_ = key_pos;
@@ -267,30 +281,49 @@ class Parser {
           return Fail("unterminated escape");
         }
         const char esc = text_[pos_++];
+        char decoded = esc;
         switch (esc) {
           case '"':
           case '\\':
           case '/':
+            break;
           case 'b':
+            decoded = '\b';
+            break;
           case 'f':
+            decoded = '\f';
+            break;
           case 'n':
+            decoded = '\n';
+            break;
           case 'r':
+            decoded = '\r';
+            break;
           case 't':
-            if (out != nullptr) {
-              out->push_back(esc);  // approximate; keys never use escapes here
-            }
+            decoded = '\t';
             break;
           case 'u': {
+            unsigned code = 0;
             for (int i = 0; i < 4; ++i) {
               if (AtEnd() || !std::isxdigit(static_cast<unsigned char>(Peek()))) {
                 return Fail("invalid \\u escape");
               }
-              ++pos_;
+              const char h = text_[pos_++];
+              code = code * 16 + static_cast<unsigned>(
+                                     std::isdigit(static_cast<unsigned char>(h))
+                                         ? h - '0'
+                                         : std::tolower(static_cast<unsigned char>(h)) - 'a' + 10);
             }
-            break;
+            if (out != nullptr) {
+              AppendUtf8(code, out);
+            }
+            continue;
           }
           default:
             return Fail("invalid escape character");
+        }
+        if (out != nullptr) {
+          out->push_back(decoded);
         }
         continue;
       }

@@ -93,7 +93,7 @@ struct JsonParseResult {
   bool valid = false;
   JsonValue value;
   // Populated when !valid: byte offset plus 1-based line:column of the
-  // first error, so corrupt journals and fault plans are diagnosable by eye.
+  // first error, so corrupt record logs and fault plans are diagnosable by eye.
   std::size_t error_offset = 0;
   std::size_t error_line = 0;
   std::size_t error_column = 0;
@@ -101,7 +101,7 @@ struct JsonParseResult {
 };
 
 // Parse `text` into a JsonValue tree. Same strict grammar as LintJson,
-// hardened further for hostile/corrupt input (journals, fault plans):
+// hardened further for hostile/corrupt input (record logs, fault plans):
 // duplicate object keys and numbers that overflow double (e.g. 1e999) are
 // rejected rather than silently accepted, and nesting past the shared depth
 // limit fails cleanly. LintJson validates this repo's own exporters and

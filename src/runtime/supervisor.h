@@ -34,7 +34,7 @@
 
 namespace wdmlat::runtime {
 
-// Error taxonomy of a supervised cell. Stable snake_case names (journal
+// Error taxonomy of a supervised cell. Stable snake_case names (quarantine
 // "taxonomy" strings) via FailureKindName.
 enum class FailureKind : std::uint8_t {
   kNone,
@@ -98,7 +98,7 @@ class Watchdog {
   bool armed_ = false;
 };
 
-// One structured cell failure: everything the journal, the CLI report and a
+// One structured cell failure: everything the quarantine manifest, the CLI report and a
 // post-mortem need to understand what died without re-running it.
 struct CellFailure {
   std::size_t cell = 0;

@@ -273,7 +273,7 @@ bool LatencyHistogram::ImportState(const State& state) {
     buckets_[index] = bucket_count;
     total += bucket_count;
   }
-  // Count conservation: the journal's totals must match what the buckets
+  // Count conservation: the serialized totals must match what the buckets
   // hold, or the snapshot is corrupt and must not enter a merge.
   if (total != state.count) {
     Reset();

@@ -82,7 +82,7 @@ class LatencyHistogram {
   void Reset();
 
   // Lossless state snapshot for checkpoint/resume. The doubles must be
-  // round-tripped bit-exactly by whatever serializes the state (the journal
+  // round-tripped bit-exactly by whatever serializes the state (the record log
   // writes them as C99 hexfloats); an imported histogram is then
   // indistinguishable from the original, so a resumed matrix merges
   // bit-identically to a fresh run. Lives here rather than in obs because

@@ -15,7 +15,7 @@
 // replaced by a per-level alternating parity bit (the classic derandomized
 // variant); compaction order is a pure function of the insertion/merge
 // sequence, so identical operation sequences produce bit-identical states —
-// the property the grid-order merge and the resume journal rely on.
+// the property the grid-order merge and record-log resume rely on.
 
 #ifndef SRC_STATS_QUANTILE_SKETCH_H_
 #define SRC_STATS_QUANTILE_SKETCH_H_

@@ -8,6 +8,7 @@
 
 #include "src/kernel/profile.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -30,9 +31,7 @@ TEST(CsvExportTest, DefaultPrefixIsFilesystemSafe) {
 
 TEST(CsvExportTest, WritesAllFilesForLegacyOs) {
   const LabReport report = MakeSmallReport();
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "wdmlat_csv_test";
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = testutil::TempFileFor("wdmlat_csv_test");
   const int files = WriteReportCsv(report, dir.string(), "test");
   // 6 distributions (incl. the two 98-only ones and ground truth) + summary.
   EXPECT_EQ(files, 7);
@@ -59,9 +58,7 @@ TEST(CsvExportTest, SkipsLegacyFilesOnNt) {
   config.stress_minutes = 0.1;
   config.seed = 6;
   const LabReport report = RunLatencyExperiment(config);
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "wdmlat_csv_test_nt";
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = testutil::TempFileFor("wdmlat_csv_test_nt");
   const int files = WriteReportCsv(report, dir.string(), "nt");
   EXPECT_EQ(files, 5);  // 4 distributions + summary
   EXPECT_FALSE(std::filesystem::exists(dir / "nt_interrupt.csv"));
@@ -71,9 +68,7 @@ TEST(CsvExportTest, SkipsLegacyFilesOnNt) {
 
 TEST(CsvExportTest, HistogramCsvCountsMatchReport) {
   const LabReport report = MakeSmallReport();
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "wdmlat_csv_test_counts";
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = testutil::TempFileFor("wdmlat_csv_test_counts");
   WriteReportCsv(report, dir.string(), "c");
   std::ifstream in(dir / "c_thread.csv");
   std::string line;

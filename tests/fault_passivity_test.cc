@@ -114,8 +114,11 @@ TEST(FaultPassivityTest, MatrixWithPlanIsJobCountInvariant) {
   spec.faults = &plan;
   const lab::ExperimentMatrix matrix(spec);
 
-  const lab::MatrixResult serial = matrix.Run(1);
-  const lab::MatrixResult parallel = matrix.Run(4);
+  lab::MatrixRunOptions options;
+  options.jobs = 1;
+  const lab::MatrixResult serial = matrix.Run(options);
+  options.jobs = 4;
+  const lab::MatrixResult parallel = matrix.Run(options);
 
   ASSERT_EQ(serial.merged.size(), parallel.merged.size());
   for (std::size_t i = 0; i < serial.merged.size(); ++i) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/lab/fleet.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -40,12 +41,7 @@ FleetSpec SmallPopulation() {
   return spec;
 }
 
-std::string TempDirFor(const char* name) {
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using testutil::TempDirFor;
 
 std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);

@@ -1,17 +1,21 @@
 // The fleet tentpole guarantee: the merged population report is bit-identical
 // at any --shards/--jobs split, and across a killed-and-resumed shard — the
 // grid-order merge folds cell records in global index order no matter how
-// they were produced.
+// they were produced. Records are bound to their spec: an edited spec can
+// neither resume from nor merge another spec's shard files.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/lab/fleet.h"
+#include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -45,11 +49,11 @@ FleetSpec SmallPopulation() {
   return spec;
 }
 
-std::string TempDirFor(const char* name) {
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+using testutil::TempDirFor;
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 // Run the whole population split `shards` ways at `jobs` threads per shard
@@ -185,6 +189,77 @@ TEST(FleetDeterminism, MergeFailsLoudlyOnIncompleteShard) {
   solo.out_path = FleetShardPath(dir, 0, 1);
   ASSERT_TRUE(RunFleetShard(fleet, solo).ok());
   EXPECT_FALSE(MergeFleetShards(fleet, {paths[0]}, &report, &error));
+}
+
+// Seeds depend only on (master, cohort, member), so a spec edited in place
+// derives the same seeds: only the spec fingerprint in every record can tell
+// its cells apart from the old spec's.
+FleetSpec EditedPopulation() {
+  FleetSpec spec = SmallPopulation();
+  spec.cohorts[0].stress_minutes *= 10.0;
+  return spec;
+}
+
+TEST(FleetDeterminism, EditedSpecRefusesToResumeAndLeavesShardUntouched) {
+  const Fleet fleet(SmallPopulation());
+  const Fleet edited(EditedPopulation());
+  ASSERT_TRUE(edited.error().empty()) << edited.error();
+  ASSERT_NE(fleet.fingerprint(), edited.fingerprint());
+
+  const std::string dir = TempDirFor("fleet_edited");
+  FleetShardOptions options;
+  options.out_path = FleetShardPath(dir, 0, 1);
+  options.cell_hi = 5;  // a partial shard: the edited run would have work to do
+  ASSERT_TRUE(RunFleetShard(fleet, options).ok());
+  const std::string before = ReadBytes(options.out_path);
+  ASSERT_FALSE(before.empty());
+
+  options.cell_hi = 0;
+  const FleetShardResult result = RunFleetShard(edited, options);
+  EXPECT_NE(result.error.find("spec"), std::string::npos) << result.error;
+  EXPECT_EQ(result.cells_restored, 0u);
+  EXPECT_EQ(result.cells_executed, 0u);
+  EXPECT_EQ(ReadBytes(options.out_path), before);
+
+  // The orchestrator's pre-flight check reaches the same verdict.
+  std::string error;
+  EXPECT_FALSE(CheckRecordLogSpec(options.out_path, edited.fingerprint(), &error));
+  EXPECT_TRUE(CheckRecordLogSpec(options.out_path, fleet.fingerprint(), &error)) << error;
+}
+
+TEST(FleetDeterminism, MergeRefusesRecordsOfAnotherSpec) {
+  const Fleet fleet(SmallPopulation());
+  const Fleet edited(EditedPopulation());
+  const std::string dir = TempDirFor("fleet_foreign_merge");
+  std::vector<std::string> paths;
+  for (std::size_t k = 0; k < 2; ++k) {
+    FleetShardOptions options;
+    options.shard = k;
+    options.shards = 2;
+    options.out_path = FleetShardPath(dir, k, 2);
+    ASSERT_TRUE(RunFleetShard(fleet, options).ok());
+    paths.push_back(options.out_path);
+  }
+
+  FleetReport report;
+  std::string error;
+  EXPECT_FALSE(MergeFleetShards(edited, paths, &report, &error));
+  EXPECT_NE(error.find("spec"), std::string::npos) << error;
+
+  FleetMergeOptions degraded;
+  degraded.allow_degraded = true;
+  ASSERT_TRUE(MergeFleetShards(edited, paths, degraded, &report, &error)) << error;
+  EXPECT_EQ(report.cells_completed, 0u);
+  EXPECT_EQ(report.cells_quarantined, edited.cell_count());
+  for (const FleetQuarantineEntry& entry : report.quarantine) {
+    EXPECT_EQ(entry.taxonomy, "spec_mismatch") << "cell " << entry.cell;
+  }
+  for (const FleetCohortReport& cohort : report.cohorts) {
+    EXPECT_EQ(cohort.quarantined, cohort.planned) << cohort.name;
+  }
+
+  // The records still merge cleanly under the spec that wrote them.
+  EXPECT_TRUE(MergeFleetShards(fleet, paths, &report, &error)) << error;
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "src/lab/fleet.h"
 #include "src/lab/host_chaos.h"
 #include "src/runtime/fleet_supervisor.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::runtime {
 namespace {
@@ -45,12 +46,7 @@ lab::FleetSpec SmallPopulation() {
   return spec;
 }
 
-std::string TempDirFor(const char* name) {
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using testutil::TempDirFor;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -310,6 +306,11 @@ TEST(FleetSupervisor, SpeculationStitchesTheWinningSuffix) {
   const std::string dir = TempDirFor("supervisor_speculate");
   FleetSupervisorOptions options = BaseOptions(fleet, dir, shards);
   options.speculate = true;
+  // Two slots: the speculative copy launches only once shard 1 has finished
+  // and freed its slot. With a third slot it would race shard 1, and if it
+  // won, shard 0's completion run would leave shard 1 as the oldest running
+  // worker and get it speculated too.
+  options.max_parallel = 2;
   // Shard 0's first main attempt hangs; the speculative copy (and the
   // completion run after its win) run normally, so the supervisor must
   // finish through speculation, not retry (no heartbeat timeout is set).

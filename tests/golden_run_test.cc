@@ -15,9 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string_view>
-#include <system_error>
 
 #include "src/drivers/latency_driver.h"
 #include "src/fault/fault.h"
@@ -28,6 +26,7 @@
 #include "src/obs/anatomy.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat {
 namespace {
@@ -135,8 +134,8 @@ TEST(GoldenRunTest, FaultedVirusScanWin98ChecksumIsStable) {
   EXPECT_EQ(FaultedVirusScanChecksum(kernel::MakeWin98Profile()), 11425406327170328350ull);
 }
 
-// A supervised, interrupted, resumed --jobs 4 matrix: the journal restore
-// path re-imports per-cell artifacts and merges them in grid order, so this
+// A supervised, interrupted, resumed --jobs 4 matrix: the record-log restore
+// path re-imports per-cell reports and merges them in grid order, so this
 // checksum pins byte-exact report serialization *and* merge order through
 // the engine — the full production path of a fleet run, not just one cell.
 std::uint64_t SupervisedResumedMatrixChecksum() {
@@ -150,27 +149,17 @@ std::uint64_t SupervisedResumedMatrixChecksum() {
   spec.master_seed = 1999;
   const lab::ExperimentMatrix matrix(spec);
 
-  const std::string journal =
-      (std::filesystem::path(testing::TempDir()) / "golden_resume.jsonl").string();
-  std::error_code ec;
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
-
   // First leg: run 2 of the 4 cells, then "crash".
   lab::MatrixRunOptions first;
   first.jobs = 4;
-  first.isolate_failures = true;
   first.audit_every_s = 1.0;
-  first.journal_path = journal;
+  first.journal_path = testutil::TempFileFor("golden_resume.jsonl");
   first.max_cells = 2;
   (void)matrix.Run(first);
 
-  // Second leg: resume the journal at --jobs 4 and finish the grid.
-  lab::MatrixRunOptions second;
-  second.jobs = 4;
-  second.isolate_failures = true;
-  second.audit_every_s = 1.0;
-  second.resume_path = journal;
+  // Second leg: the same run on the same record log finishes the grid.
+  lab::MatrixRunOptions second = first;
+  second.max_cells = 0;
   const lab::MatrixResult resumed = matrix.Run(second);
   EXPECT_TRUE(resumed.complete()) << resumed.error;
   EXPECT_EQ(resumed.cells_restored, 2u);
@@ -183,8 +172,6 @@ std::uint64_t SupervisedResumedMatrixChecksum() {
     hash = Fnv1a(cell.thread_interrupt.ToCsv(), hash);
     hash = Fnv1a(cell.true_pit_interrupt_latency.ToCsv(), hash);
   }
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
   return hash;
 }
 

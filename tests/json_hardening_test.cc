@@ -1,4 +1,4 @@
-// Hardening of obs::ParseJson for hostile/corrupt input (journals, fault
+// Hardening of obs::ParseJson for hostile/corrupt input (record logs, fault
 // plans, artifacts): duplicate-key rejection, double-overflow rejection,
 // depth limiting, and precise line:column error positions. LintJson stays
 // deliberately lenient — it validates this repo's own exporters.
@@ -23,6 +23,18 @@ TEST(JsonHardeningTest, DuplicateObjectKeysRejectedWithPosition) {
 
   // LintJson intentionally still accepts it (own-exporter validation only).
   EXPECT_TRUE(LintJson(doc).valid);
+}
+
+// String escapes decode to the exact bytes they stand for: a record payload
+// is JSON text carried inside a JSON string, and its checksum covers the
+// decoded bytes.
+TEST(JsonHardeningTest, StringEscapesDecodeExactly) {
+  const JsonParseResult parsed =
+      ParseJson(R"({"s": "a\nb\tc\r\"q\"\\\/\b\f\u0041\u00e9\u20ac\u0001"})");
+  ASSERT_TRUE(parsed.valid) << parsed.error;
+  EXPECT_EQ(parsed.value.StringOr("s", ""),
+            "a\nb\tc\r\"q\"\\/\b\fA\xc3\xa9\xe2\x82\xac\x01");
+  EXPECT_FALSE(ParseJson(R"({"s": "\u00g1"})").valid);
 }
 
 TEST(JsonHardeningTest, NestedDuplicatesAlsoRejected) {

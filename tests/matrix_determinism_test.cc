@@ -56,8 +56,11 @@ void ExpectMergedIdentical(const MergedCell& a, const MergedCell& b) {
 
 TEST(MatrixDeterminismTest, MergedHistogramsIdenticalAcrossJobCounts) {
   const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult serial = matrix.Run(1);
-  const MatrixResult parallel = matrix.Run(4);
+  MatrixRunOptions options;
+  options.jobs = 1;
+  const MatrixResult serial = matrix.Run(options);
+  options.jobs = 4;
+  const MatrixResult parallel = matrix.Run(options);
 
   ASSERT_EQ(serial.merged.size(), 2u);
   ASSERT_EQ(parallel.merged.size(), serial.merged.size());

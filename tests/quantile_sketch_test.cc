@@ -7,15 +7,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "src/kernel/profile.h"
 #include "src/lab/matrix.h"
 #include "src/stats/quantile_sketch.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat {
 namespace {
@@ -106,7 +105,7 @@ TEST(QuantileSketchTest, DeepTailIsExactOnTenMillionSamples) {
 }
 
 // Bitwise equality of two sketch states — the determinism the grid-order
-// merge and the resume journal promise.
+// merge and the record-log resume promise.
 void ExpectSameBits(const stats::QuantileSketch& a, const stats::QuantileSketch& b) {
   const stats::QuantileSketch::State sa = a.ExportState();
   const stats::QuantileSketch::State sb = b.ExportState();
@@ -227,7 +226,7 @@ TEST(QuantileSketchTest, ImportRejectsCorruptSnapshots) {
 }
 
 // End-to-end: the matrix's merged sketch is bit-identical across --jobs and
-// through an interrupted, journaled, resumed run — the same contract the
+// through an interrupted, checkpointed, resumed run — the same contract the
 // histograms already keep, now for the sketch's serialized state.
 TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
   lab::MatrixSpec spec;
@@ -258,23 +257,15 @@ TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
   }
 
   // Interrupt after 2 cells, resume at a different --jobs: still identical.
-  const std::string journal =
-      (std::filesystem::path(testing::TempDir()) / "sketch_resume.jsonl").string();
-  std::error_code ec;
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
-
   lab::MatrixRunOptions first;
   first.jobs = 1;
-  first.isolate_failures = true;
-  first.journal_path = journal;
+  first.journal_path = testutil::TempFileFor("sketch_resume.jsonl");
   first.max_cells = 2;
   (void)matrix.Run(first);
 
   lab::MatrixRunOptions second;
   second.jobs = 4;
-  second.isolate_failures = true;
-  second.resume_path = journal;
+  second.journal_path = first.journal_path;
   const lab::MatrixResult resumed = matrix.Run(second);
   ASSERT_TRUE(resumed.complete()) << resumed.error;
   EXPECT_EQ(resumed.cells_restored, 2u);
@@ -283,8 +274,6 @@ TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
   for (std::size_t i = 0; i < r1.merged.size(); ++i) {
     ExpectSameBits(r1.merged[i].thread_sketch, resumed.merged[i].thread_sketch);
   }
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(ReportIoTest, ReportRoundTripsBitExactly) {
   }
 
   // Serialization is a pure function of the report: re-serializing the
-  // restored report reproduces the artifact byte-for-byte, so the journal
+  // restored report reproduces the artifact byte-for-byte, so the record log
   // checksum also survives a round trip.
   EXPECT_EQ(ReportToJson(restored), text);
   EXPECT_EQ(Fnv1a64(ReportToJson(restored)), Fnv1a64(text));

@@ -1,23 +1,27 @@
-// The checkpoint/resume tentpole guarantee: an interrupted supervised matrix
-// run, resumed from its journal, merges bit-identically to an uninterrupted
-// fresh run — at any job count — and a failing cell degrades to a structured
-// failure while the rest of the grid completes.
+// The checkpoint/resume guarantee for matrix runs: an interrupted run,
+// resumed from its record log (src/lab/record_log.h), merges bit-identically
+// to an uninterrupted fresh run — at any job count — a record log written
+// under another spec is refused untouched, and a failing cell degrades to a
+// structured failure while the rest of the grid completes.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "src/kernel/profile.h"
-#include "src/lab/journal.h"
 #include "src/lab/matrix.h"
+#include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::lab {
 namespace {
+
+using testutil::TempFileFor;
 
 // Same small grid as matrix_determinism_test.cc: 1 OS x 2 workloads x 1
 // priority x 2 trials = 4 cells, short enough for suite time.
@@ -33,14 +37,25 @@ MatrixSpec SmallSpec() {
   return spec;
 }
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::path(testing::TempDir()) / name).string();
+MatrixResult RunPlain(const ExperimentMatrix& matrix, int jobs) {
+  MatrixRunOptions options;
+  options.jobs = jobs;
+  return matrix.Run(options);
 }
 
-void RemoveJournal(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".cells", ec);
-  std::filesystem::remove(path, ec);
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  return lines;
 }
 
 void ExpectMergedIdentical(const MatrixResult& a, const MatrixResult& b) {
@@ -63,134 +78,132 @@ void ExpectMergedIdentical(const MatrixResult& a, const MatrixResult& b) {
 
 TEST(ResumeDeterminismTest, SupervisedJournaledRunMatchesLegacyRun) {
   const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult legacy = matrix.Run(1);
+  const MatrixResult plain = RunPlain(matrix, 1);
 
-  const std::string journal = TempPath("supervised_run.jsonl");
-  RemoveJournal(journal);
   MatrixRunOptions options;
   options.jobs = 1;
-  options.isolate_failures = true;
   options.audit_every_s = 1.0;
-  options.journal_path = journal;
+  options.journal_path = TempFileFor("supervised_run.jsonl");
   const MatrixResult supervised = matrix.Run(options);
 
   EXPECT_TRUE(supervised.complete());
   EXPECT_TRUE(supervised.failures.empty());
   EXPECT_TRUE(supervised.merge_violations.empty());
-  ExpectMergedIdentical(legacy, supervised);
-  RemoveJournal(journal);
+  ExpectMergedIdentical(plain, supervised);
 }
 
 TEST(ResumeDeterminismTest, InterruptThenResumeIsBitIdenticalAtAnyJobCount) {
   const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult fresh = matrix.Run(1);
+  const MatrixResult fresh = RunPlain(matrix, 1);
 
   for (int resume_jobs : {1, 4}) {
     SCOPED_TRACE(resume_jobs);
-    const std::string journal = TempPath("interrupted_run.jsonl");
-    RemoveJournal(journal);
+    const std::string log = TempFileFor("interrupted_run.jsonl");
 
-    // Interrupt: only 2 of 4 cells run before the cap stops the run.
+    // Interrupt: the cell window stops the run after cells 0 and 1.
     MatrixRunOptions first;
     first.jobs = 1;
-    first.isolate_failures = true;
-    first.journal_path = journal;
+    first.journal_path = log;
     first.max_cells = 2;
     const MatrixResult interrupted = matrix.Run(first);
     EXPECT_FALSE(interrupted.complete());
     EXPECT_EQ(interrupted.cells_executed, 2u);
     EXPECT_EQ(interrupted.cells_skipped, 2u);
+    EXPECT_EQ(ReadLines(log).size(), 2u);
 
-    // Resume: restored cells come back bit-exactly from their artifacts, the
-    // remaining cells run, and the merge happens in grid order as always.
+    // Resume: the same run on the same log restores the recorded cells
+    // bit-exactly, runs the rest, and merges in grid order as always.
     MatrixRunOptions second;
     second.jobs = resume_jobs;
-    second.isolate_failures = true;
-    second.resume_path = journal;
+    second.journal_path = log;
     const MatrixResult resumed = matrix.Run(second);
     EXPECT_TRUE(resumed.complete()) << resumed.error;
     EXPECT_EQ(resumed.cells_restored, 2u);
     EXPECT_EQ(resumed.cells_executed, 2u);
     EXPECT_TRUE(resumed.warnings.empty());
     ExpectMergedIdentical(fresh, resumed);
+    EXPECT_EQ(ReadLines(log).size(), 4u);
 
     // Per-cell reports agree bit-for-bit too, restored or re-run.
     for (std::size_t i = 0; i < fresh.reports.size(); ++i) {
-      EXPECT_EQ(fresh.reports[i].thread.ToCsv(), resumed.reports[i].thread.ToCsv())
-          << "cell " << i;
-      EXPECT_EQ(fresh.reports[i].samples_per_hour, resumed.reports[i].samples_per_hour)
+      EXPECT_EQ(ReportToJson(fresh.reports[i]), ReportToJson(resumed.reports[i]))
           << "cell " << i;
     }
-    RemoveJournal(journal);
   }
 }
 
 TEST(ResumeDeterminismTest, CorruptArtifactIsReRunNotTrusted) {
   const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult fresh = matrix.Run(1);
+  const MatrixResult fresh = RunPlain(matrix, 1);
 
-  const std::string journal = TempPath("corrupt_artifact.jsonl");
-  RemoveJournal(journal);
-  MatrixRunOptions first;
-  first.jobs = 1;
-  first.isolate_failures = true;
-  first.journal_path = journal;
-  ASSERT_TRUE(matrix.Run(first).complete());
+  const std::string log = TempFileFor("corrupt_record.jsonl");
+  MatrixRunOptions options;
+  options.jobs = 1;
+  options.journal_path = log;
+  ASSERT_TRUE(matrix.Run(options).complete());
 
-  // Flip bytes in one artifact: its checksum no longer matches the journal.
+  // Flip one payload digit of cell 1's record: the line stays valid JSON,
+  // but its checksum no longer matches.
+  std::vector<std::string> lines = ReadLines(log);
+  ASSERT_EQ(lines.size(), 4u);
+  std::string& line = lines[1];
+  const std::size_t digit = line.find_first_of("12345678", line.find("\"payload\""));
+  ASSERT_NE(digit, std::string::npos);
+  ++line[digit];
   {
-    std::ofstream tamper(journal + ".cells/cell_1.json",
-                         std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(tamper.is_open());
-    tamper.seekp(0);
-    tamper << "XXXX";
+    std::ofstream out(log, std::ios::trunc | std::ios::binary);
+    for (const std::string& l : lines) {
+      out << l << "\n";
+    }
   }
 
-  MatrixRunOptions second;
-  second.jobs = 1;
-  second.isolate_failures = true;
-  second.resume_path = journal;
-  const MatrixResult resumed = matrix.Run(second);
+  const MatrixResult resumed = matrix.Run(options);
   EXPECT_TRUE(resumed.complete()) << resumed.error;
   EXPECT_EQ(resumed.cells_restored, 3u);
   EXPECT_EQ(resumed.cells_executed, 1u);  // the tampered cell re-ran
   ASSERT_EQ(resumed.warnings.size(), 1u);
-  EXPECT_NE(resumed.warnings[0].find("cell 1"), std::string::npos);
+  EXPECT_NE(resumed.warnings[0].find("checksum mismatch"), std::string::npos);
   ExpectMergedIdentical(fresh, resumed);
-  RemoveJournal(journal);
+  // The rewritten log holds a verified record for every cell again.
+  for (const std::string& l : ReadLines(log)) {
+    RecordLine record;
+    std::string error;
+    EXPECT_TRUE(ParseRecordLine(l, &record, &error)) << error;
+  }
 }
 
 TEST(ResumeDeterminismTest, MismatchedSpecRefusesToResume) {
-  const std::string journal = TempPath("fingerprint_mismatch.jsonl");
-  RemoveJournal(journal);
+  const std::string log = TempFileFor("fingerprint_mismatch.jsonl");
   {
     const ExperimentMatrix matrix(SmallSpec());
     MatrixRunOptions options;
     options.jobs = 1;
-    options.isolate_failures = true;
-    options.journal_path = journal;
+    options.journal_path = log;
     options.max_cells = 1;
     matrix.Run(options);
   }
+  const std::string before = ReadBytes(log);
+  ASSERT_FALSE(before.empty());
+
+  // An edited spec derives the same coordinates but different cell bits:
+  // its run must neither restore the old record nor touch the log.
   MatrixSpec other = SmallSpec();
-  other.master_seed = 43;  // different grid identity
+  other.stress_minutes = 2.0;
   const ExperimentMatrix matrix(other);
   MatrixRunOptions options;
   options.jobs = 1;
-  options.isolate_failures = true;
-  options.resume_path = journal;
+  options.journal_path = log;
   const MatrixResult result = matrix.Run(options);
-  EXPECT_FALSE(result.error.empty());
-  EXPECT_NE(result.error.find("different matrix"), std::string::npos);
+  EXPECT_NE(result.error.find("spec"), std::string::npos) << result.error;
   EXPECT_EQ(result.cells_executed, 0u);
-  RemoveJournal(journal);
+  EXPECT_EQ(result.cells_restored, 0u);
+  EXPECT_EQ(ReadBytes(log), before);
 }
 
 TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   const ExperimentMatrix matrix(SmallSpec());
   MatrixRunOptions options;
   options.jobs = 2;
-  options.isolate_failures = true;
   options.throw_cell = 1;
   const MatrixResult result = matrix.Run(options);
 
@@ -214,41 +227,31 @@ TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   EXPECT_TRUE(result.merge_violations.empty());
 }
 
-TEST(ResumeDeterminismTest, JournalRoundTripsThroughLoader) {
+TEST(ResumeDeterminismTest, RecordLogHoldsOneVerifiedRecordPerCompletedCell) {
   const MatrixSpec spec = SmallSpec();
   const ExperimentMatrix matrix(spec);
-  const std::string journal = TempPath("loader_roundtrip.jsonl");
-  RemoveJournal(journal);
   MatrixRunOptions options;
   options.jobs = 1;
-  options.isolate_failures = true;
-  options.journal_path = journal;
+  options.journal_path = TempFileFor("record_log.jsonl");
   options.throw_cell = 3;
-  matrix.Run(options);
+  const MatrixResult result = matrix.Run(options);
+  ASSERT_EQ(result.failures.size(), 1u);
 
-  JournalContents contents;
-  std::string error;
-  ASSERT_TRUE(LoadJournal(journal, &spec, &contents, &error)) << error;
-  EXPECT_EQ(contents.fingerprint, MatrixFingerprint(spec));
-  EXPECT_EQ(contents.master_seed, 42u);
-  EXPECT_EQ(contents.cell_count, 4u);
-  ASSERT_EQ(contents.entries.size(), 4u);
-  int ok = 0, failed = 0;
-  for (const JournalEntry& entry : contents.entries) {
-    EXPECT_EQ(entry.seed, matrix.cells()[entry.cell].seed);
-    if (entry.status == "ok") {
-      ++ok;
-      EXPECT_NE(entry.checksum, 0u);
-      EXPECT_GT(entry.samples, 0u);
-    } else {
-      ++failed;
-      EXPECT_EQ(entry.cell, 3u);
-      EXPECT_EQ(entry.taxonomy, "exception");
-    }
+  // Cells 0-2 each left one record, in cell order, bound to this spec; the
+  // failed cell 3 left none (it re-runs on resume).
+  const std::vector<std::string> lines = ReadLines(options.journal_path);
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    RecordLine record;
+    std::string error;
+    ASSERT_TRUE(ParseRecordLine(lines[i], &record, &error)) << error;
+    EXPECT_EQ(record.cell, i);
+    EXPECT_EQ(record.seed, matrix.cells()[i].seed);
+    EXPECT_EQ(record.spec, MatrixFingerprint(spec));
+    EXPECT_EQ(record.payload, ReportToJson(result.reports[i]));
+    LabReport restored;
+    EXPECT_TRUE(ReportFromJson(record.payload, &restored, &error)) << error;
   }
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(failed, 1);
-  RemoveJournal(journal);
 }
 
 }  // namespace

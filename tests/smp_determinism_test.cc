@@ -15,10 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "src/drivers/latency_driver.h"
@@ -31,6 +29,7 @@
 #include "src/sim/rng.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 #include "tests/test_util.h"
 
 namespace wdmlat {
@@ -116,7 +115,6 @@ TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
   auto run = [&matrix](int jobs) {
     lab::MatrixRunOptions options;
     options.jobs = jobs;
-    options.isolate_failures = true;
     options.audit_every_s = 1.0;
     return matrix.Run(options);
   };
@@ -138,8 +136,8 @@ TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
 }
 
 // Leg 2c: interrupt an SMP matrix after 2 of 4 cells, resume from the
-// journal at --jobs 4, and compare against an uninterrupted run — the merged
-// artifact bytes must match exactly (journal restore re-imports per-cell
+// record log at --jobs 4, and compare against an uninterrupted run — the
+// merged artifact bytes must match exactly (the restore re-imports per-cell
 // reports; any serialization loss for SMP cells would surface here).
 TEST(SmpDeterminismTest, SmpMatrixBitIdenticalAcrossResume) {
   lab::MatrixSpec spec;
@@ -166,30 +164,20 @@ TEST(SmpDeterminismTest, SmpMatrixBitIdenticalAcrossResume) {
 
   lab::MatrixRunOptions straight;
   straight.jobs = 4;
-  straight.isolate_failures = true;
   straight.audit_every_s = 1.0;
   const std::uint64_t want = digest(matrix.Run(straight));
 
-  const std::string journal =
-      (std::filesystem::path(testing::TempDir()) / "smp_resume.jsonl").string();
-  std::error_code ec;
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
-
   lab::MatrixRunOptions first = straight;
-  first.journal_path = journal;
+  first.journal_path = testutil::TempFileFor("smp_resume.jsonl");
   first.max_cells = 2;
   (void)matrix.Run(first);
 
-  lab::MatrixRunOptions second = straight;
-  second.resume_path = journal;
+  lab::MatrixRunOptions second = first;
+  second.max_cells = 0;
   const lab::MatrixResult resumed = matrix.Run(second);
   EXPECT_TRUE(resumed.complete()) << resumed.error;
   EXPECT_EQ(resumed.cells_restored, 2u);
   EXPECT_EQ(digest(resumed), want);
-
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
 }
 
 // --- Leg 3: cross-core fuzz -------------------------------------------------
