@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke test for the self-healing fleet supervisor (wdmlat_run --fleet with
-# chaos, quarantine and speculation flags):
+# chaos and quarantine flags):
 #
 #   * a clean 120-cell, 2-cohort, 3-shard run establishes the reference
 #     fleet.json
@@ -153,12 +153,12 @@ status=0
   || { echo "chaos_smoke: --chaos-seed without --fleet exited ${status}, want 2" >&2
        exit 1; }
 status=0
-"${RUN}" "${BASE[@]}" --fleet-out "${OUT}/bad" --shard 0/3 --speculate \
+"${RUN}" "${BASE[@]}" --fleet-out "${OUT}/bad" --shard 0/3 --shard-timeout-s 5 \
   2> /dev/null || status=$?
 [[ "${status}" -eq 2 ]] \
-  || { echo "chaos_smoke: --speculate with --shard exited ${status}, want 2" >&2
+  || { echo "chaos_smoke: --shard-timeout-s with --shard exited ${status}, want 2" >&2
        exit 1; }
-for flag in --shard-timeout-s --shard-retries --speculate --chaos-seed \
+for flag in --shard-timeout-s --shard-retries --chaos-seed \
             --poison-cell --quarantine; do
   "${RUN}" --help | grep -q -- "${flag}" \
     || { echo "chaos_smoke: --help does not document ${flag}" >&2; exit 1; }

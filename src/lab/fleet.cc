@@ -43,44 +43,6 @@ constexpr int kFormatVersion = 1;
 constexpr std::uint64_t kCellSeedTag = 0x666c656574636c6cull;   // "fleetcll"
 constexpr std::uint64_t kDrawSeedTag = 0x666c656574647277ull;   // "fleetdrw"
 
-bool OsProfileByName(std::string_view name, kernel::KernelProfile* out) {
-  if (name == "nt4") {
-    *out = kernel::MakeNt4Profile();
-  } else if (name == "win98") {
-    *out = kernel::MakeWin98Profile();
-  } else if (name == "w2kbeta") {
-    *out = kernel::MakeWin2000BetaProfile();
-  } else if (name == "nt_smp2") {
-    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/false);
-  } else if (name == "nt_smp4") {
-    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/false);
-  } else if (name == "nt_smp2_migrate") {
-    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/true);
-  } else if (name == "nt_smp4_migrate") {
-    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/true);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool WorkloadByName(std::string_view name, workload::StressProfile* out) {
-  if (name == "office") {
-    *out = workload::OfficeStress();
-  } else if (name == "workstation") {
-    *out = workload::WorkstationStress();
-  } else if (name == "games") {
-    *out = workload::GamesStress();
-  } else if (name == "web") {
-    *out = workload::WebStress();
-  } else if (name == "idle") {
-    *out = workload::IdleStress();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // Hardware-speed model: the simulated cycle rate is a compile-time constant
 // (sim::kCpuHz = 300 MHz), so a member's sampled clock scales the kernel
 // profile's *cost* distributions instead — a 150 MHz machine pays 2x the
@@ -104,8 +66,7 @@ std::string ValidateCohort(const FleetCohort& cohort, std::size_t index) {
                             (cohort.name.empty() ? "" : " (" + cohort.name + ")") + ": ";
   kernel::KernelProfile os;
   if (!OsProfileByName(cohort.os, &os)) {
-    return where + "unknown os \"" + cohort.os +
-           "\" (nt4|win98|w2kbeta|nt_smp2|nt_smp4|nt_smp2_migrate|nt_smp4_migrate)";
+    return where + "unknown os \"" + cohort.os + "\" (" + kOsNames + ")";
   }
   if (cohort.workloads.empty()) {
     return where + "needs at least one workload";
@@ -113,8 +74,7 @@ std::string ValidateCohort(const FleetCohort& cohort, std::size_t index) {
   workload::StressProfile wl;
   for (const std::string& name : cohort.workloads) {
     if (!WorkloadByName(name, &wl)) {
-      return where + "unknown workload \"" + name +
-             "\" (office|workstation|games|web|idle)";
+      return where + "unknown workload \"" + name + "\" (" + kWorkloadNames + ")";
     }
   }
   if (!cohort.workload_weights.empty()) {
@@ -155,15 +115,48 @@ std::string ValidateCohort(const FleetCohort& cohort, std::size_t index) {
 
 }  // namespace
 
+bool OsProfileByName(std::string_view name, kernel::KernelProfile* out) {
+  if (name == "nt4") {
+    *out = kernel::MakeNt4Profile();
+  } else if (name == "win98") {
+    *out = kernel::MakeWin98Profile();
+  } else if (name == "w2kbeta") {
+    *out = kernel::MakeWin2000BetaProfile();
+  } else if (name == "nt_smp2") {
+    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/false);
+  } else if (name == "nt_smp4") {
+    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/false);
+  } else if (name == "nt_smp2_migrate") {
+    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/true);
+  } else if (name == "nt_smp4_migrate") {
+    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/true);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool WorkloadByName(std::string_view name, workload::StressProfile* out) {
+  if (name == "office") {
+    *out = workload::OfficeStress();
+  } else if (name == "workstation") {
+    *out = workload::WorkstationStress();
+  } else if (name == "games") {
+    *out = workload::GamesStress();
+  } else if (name == "web") {
+    *out = workload::WebStress();
+  } else if (name == "idle") {
+    *out = workload::IdleStress();
+  } else {
+    return false;
+  }
+  return true;
+}
+
 std::uint64_t FleetCellSeed(std::uint64_t master_seed, std::size_t cohort,
                             std::uint64_t member) {
-  std::uint64_t hash = master_seed;
-  const std::uint64_t coords[] = {kCellSeedTag, static_cast<std::uint64_t>(cohort), member};
-  for (std::uint64_t coord : coords) {
-    std::uint64_t state = hash ^ coord;
-    hash = sim::SplitMix64(state);
-  }
-  return hash;
+  return sim::HashCoordinates(master_seed,
+                              {kCellSeedTag, static_cast<std::uint64_t>(cohort), member});
 }
 
 std::uint64_t FleetFingerprint(const FleetSpec& spec) {
@@ -760,73 +753,6 @@ bool SaveFleetQuarantine(const std::string& path,
   return true;
 }
 
-// --- Speculative stitch ------------------------------------------------------
-
-bool StitchShardFiles(const Fleet& fleet, std::size_t shard, std::size_t shards,
-                      const std::string& main_path, const std::string& extra_path,
-                      std::string* error) {
-  if (!fleet.error().empty()) {
-    if (error != nullptr) {
-      *error = fleet.error();
-    }
-    return false;
-  }
-  // Verified record lines from both files, main winning duplicates
-  // (map::emplace keeps the first insertion). Torn or foreign lines are
-  // skipped — the completion run's resume pass is the final authority.
-  std::map<std::uint64_t, std::string> lines;
-  const auto collect = [&](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) {
-        continue;
-      }
-      FleetCellRecord record;
-      std::string parse_error;
-      if (!FleetRecordFromLine(line, &record, &parse_error)) {
-        continue;
-      }
-      if (record.spec != fleet.fingerprint() || record.index >= fleet.cell_count() ||
-          record.index % shards != shard || record.seed != fleet.CellAt(record.index).seed) {
-        continue;
-      }
-      lines.emplace(record.index, line);
-    }
-  };
-  collect(main_path);
-  collect(extra_path);
-  const std::string tmp = main_path + ".stitch";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      if (error != nullptr) {
-        *error = "cannot write stitched shard: " + tmp;
-      }
-      return false;
-    }
-    for (const auto& [index, line] : lines) {
-      out << line << "\n";
-    }
-    out.flush();
-    if (!out) {
-      if (error != nullptr) {
-        *error = "stitched shard write failed: " + tmp;
-      }
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), main_path.c_str()) != 0) {
-    if (error != nullptr) {
-      *error = "cannot rename " + tmp + " over " + main_path;
-    }
-    return false;
-  }
-  return true;
-}
 
 // --- Streaming merge ---------------------------------------------------------
 

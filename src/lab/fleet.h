@@ -116,6 +116,14 @@ bool LoadFleetSpec(const std::string& path, FleetSpec* spec, std::string* error)
 // records whose spec differs.
 std::uint64_t FleetFingerprint(const FleetSpec& spec);
 
+// Name -> profile lookups shared by spec parsing and the CLI. kOsNames and
+// kWorkloadNames list every accepted name, '|'-separated, for diagnostics.
+inline constexpr const char* kOsNames =
+    "nt4|win98|w2kbeta|nt_smp2|nt_smp4|nt_smp2_migrate|nt_smp4_migrate";
+inline constexpr const char* kWorkloadNames = "office|workstation|games|web|idle";
+bool OsProfileByName(std::string_view name, kernel::KernelProfile* out);
+bool WorkloadByName(std::string_view name, workload::StressProfile* out);
+
 // Per-member seed: SplitMix64 hash chain over (master seed, cohort index,
 // member index). Shard- and jobs-independent by construction.
 std::uint64_t FleetCellSeed(std::uint64_t master_seed, std::size_t cohort,
@@ -268,14 +276,6 @@ bool LoadFleetQuarantine(const std::string& path,
 bool SaveFleetQuarantine(const std::string& path,
                          const std::vector<FleetQuarantineEntry>& entries,
                          std::string* error);
-
-// Merge a speculative suffix file into the main shard file: verified records
-// from both, main winning duplicates, written ascending via tmp + rename.
-// Tolerates a missing or torn main file (a killed straggler). The result is
-// a normal partial shard file a completion run can resume from.
-bool StitchShardFiles(const Fleet& fleet, std::size_t shard, std::size_t shards,
-                      const std::string& main_path, const std::string& extra_path,
-                      std::string* error);
 
 // Per-cohort accumulators — the O(cohorts) working set of the merge.
 struct FleetCohortReport {

@@ -98,19 +98,10 @@ std::uint64_t MatrixFingerprint(const MatrixSpec& spec) {
 std::uint64_t ExperimentMatrix::CellSeed(std::uint64_t master_seed, std::size_t os_index,
                                          std::size_t workload_index, int priority,
                                          int trial) {
-  // Hash chain: XOR each coordinate into the running hash, then push it
-  // through a full SplitMix64 avalanche round. Each round is a bijection, so
-  // neighbouring cells (which differ in one small coordinate) land on
-  // statistically independent xoshiro streams.
-  std::uint64_t hash = master_seed;
-  const std::uint64_t coords[] = {
-      static_cast<std::uint64_t>(os_index), static_cast<std::uint64_t>(workload_index),
-      static_cast<std::uint64_t>(priority), static_cast<std::uint64_t>(trial)};
-  for (std::uint64_t coord : coords) {
-    std::uint64_t state = hash ^ coord;
-    hash = sim::SplitMix64(state);
-  }
-  return hash;
+  return sim::HashCoordinates(master_seed, {static_cast<std::uint64_t>(os_index),
+                                            static_cast<std::uint64_t>(workload_index),
+                                            static_cast<std::uint64_t>(priority),
+                                            static_cast<std::uint64_t>(trial)});
 }
 
 ExperimentMatrix::ExperimentMatrix(MatrixSpec spec) : spec_(std::move(spec)) {

@@ -55,27 +55,6 @@ std::uintmax_t ProgressMetric(const std::string& out_path) {
   return total;
 }
 
-std::size_t CountLines(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return 0;
-  }
-  std::size_t lines = 0;
-  char buffer[1 << 14];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    const std::streamsize n = in.gcount();
-    for (std::streamsize i = 0; i < n; ++i) {
-      if (buffer[i] == '\n') {
-        ++lines;
-      }
-    }
-    if (n < static_cast<std::streamsize>(sizeof(buffer))) {
-      break;
-    }
-  }
-  return lines;
-}
-
 // Chaos sabotage: tear the shard file the way a crashing host would — a
 // truncated tail or a flipped bit. Applied only after a FAILED attempt; the
 // resume pass must detect and re-execute whatever this damages.
@@ -150,14 +129,8 @@ struct ShardState {
   bool killed_by_heartbeat = false;
   std::uintmax_t last_metric = 0;
   Clock::time_point last_progress{};
-  Clock::time_point started_at{};
   FleetChaosPlan current_chaos;
   bool chaos_active = false;
-
-  // Straggler speculation (at most once per shard).
-  bool speculated = false;
-  bool spec_running = false;
-  pid_t spec_pid = -1;
 };
 
 class Driver {
@@ -169,10 +142,6 @@ class Driver {
     if (options_.shards == 0 || !options_.shard_path || !options_.spawn ||
         !options_.cell_seed) {
       result_.error = "fleet supervisor misconfigured: missing shards or callbacks";
-      return result_;
-    }
-    if (options_.speculate && !options_.stitch) {
-      result_.error = "fleet supervisor misconfigured: speculate needs a stitch callback";
       return result_;
     }
     quarantine_path_ = options_.quarantine_path;
@@ -191,7 +160,6 @@ class Driver {
       PollExits();
       CheckHeartbeats();
       SpawnEligible();
-      MaybeSpeculate();
       if (AllSettled()) {
         break;  // settle without sleeping one more interval
       }
@@ -231,7 +199,7 @@ class Driver {
   int RunningCount() const {
     int n = 0;
     for (const ShardState& s : states_) {
-      n += (s.running ? 1 : 0) + (s.spec_running ? 1 : 0);
+      n += s.running ? 1 : 0;
     }
     return n;
   }
@@ -246,8 +214,6 @@ class Driver {
     result_.warnings.push_back(line);
     Log(line);
   }
-
-  std::string SpecPath(const ShardState& s) const { return s.out_path + ".spec"; }
 
   void SpawnEligible() {
     const int cap = std::max(1, options_.max_parallel);
@@ -307,78 +273,9 @@ class Driver {
     s.running = true;
     s.pid = pid;
     s.killed_by_heartbeat = false;
-    s.started_at = Clock::now();
-    s.last_progress = s.started_at;
+    s.last_progress = Clock::now();
     s.last_metric = ProgressMetric(s.out_path);
     s.phase = ShardState::Phase::kRunning;
-  }
-
-  void MaybeSpeculate() {
-    if (!options_.speculate || !options_.stitch) {
-      return;
-    }
-    // Only once every task is in flight (or settled) and a slot idles.
-    for (const ShardState& s : states_) {
-      if (s.phase == ShardState::Phase::kIdle) {
-        return;
-      }
-    }
-    if (RunningCount() >= std::max(1, options_.max_parallel)) {
-      return;
-    }
-    // Slowest still-running full-window worker that has not been speculated.
-    ShardState* pick = nullptr;
-    for (ShardState& s : states_) {
-      if (!s.running || s.run_probe || s.speculated || s.spec_running ||
-          s.bisecting) {
-        continue;
-      }
-      if (pick == nullptr || s.started_at < pick->started_at) {
-        pick = &s;
-      }
-    }
-    if (pick == nullptr) {
-      return;
-    }
-    // Lines already durable in the main file form a stride prefix; the
-    // speculative copy re-runs the suffix from there. Overlap with records
-    // the main worker flushes later is fine (the stitch dedups); a gap is
-    // impossible because flushed lines are never lost.
-    const std::size_t durable = CountLines(pick->out_path);
-    const std::size_t total =
-        CellsInWindow(pick->shard, options_.shards, 0, options_.cell_count);
-    if (durable >= total) {
-      return;  // nothing left to speculate on
-    }
-    const std::size_t spec_lo =
-        NthCellInWindow(pick->shard, options_.shards, 0, durable);
-    std::error_code ec;
-    fs::remove(SpecPath(*pick), ec);
-    FleetWorkerRequest req;
-    req.shard = pick->shard;
-    req.cell_lo = spec_lo;
-    req.cell_hi = options_.cell_count;
-    req.attempt = 1;
-    req.out_path = SpecPath(*pick);
-    req.quarantine_path = quarantine_path_;
-    req.speculative = true;
-    pid_t pid = -1;
-    std::string error;
-    if (!options_.spawn(req, &pid, &error)) {
-      std::ostringstream out;
-      out << "shard " << pick->shard << ": speculative spawn failed (" << error << ")";
-      Warn(out.str());
-      pick->speculated = true;  // do not retry speculation
-      return;
-    }
-    ++result_.spawns;
-    ++result_.speculative_spawns;
-    pick->speculated = true;
-    pick->spec_running = true;
-    pick->spec_pid = pid;
-    std::ostringstream out;
-    out << "shard " << pick->shard << ": speculating suffix from cell " << spec_lo;
-    Log(out.str());
   }
 
   void PollExits() {
@@ -387,12 +284,6 @@ class Driver {
         ShardProcessResult res;
         if (PollShardProcess(s.pid, &res)) {
           HandleMainExit(s, res);
-        }
-      }
-      if (s.spec_running) {
-        ShardProcessResult res;
-        if (PollShardProcess(s.spec_pid, &res)) {
-          HandleSpecExit(s, res);
         }
       }
     }
@@ -439,13 +330,6 @@ class Driver {
         s.bisect_lo = s.run_hi;
         AdvanceBisect(s);
       } else {
-        if (s.spec_running) {
-          ShardProcessResult kill_res;
-          KillShardProcess(s.spec_pid, &kill_res);
-          s.spec_running = false;
-          std::error_code ec;
-          fs::remove(SpecPath(s), ec);
-        }
         s.phase = ShardState::Phase::kDone;
       }
       return;
@@ -482,49 +366,6 @@ class Driver {
     s.q_kind = s.killed_by_heartbeat ? FailureKind::kTimeout : FailureKind::kException;
     s.q_attempts = s.window_attempt;
     EnterBisect(s);
-  }
-
-  void HandleSpecExit(ShardState& s, const ShardProcessResult& res) {
-    s.spec_running = false;
-    std::error_code ec;
-    if (!res.ok()) {
-      std::ostringstream out;
-      out << "shard " << s.shard << ": speculative copy " << DescribeExit(res)
-          << "; ignoring it";
-      Warn(out.str());
-      fs::remove(SpecPath(s), ec);
-      return;
-    }
-    // The speculative suffix finished first: stop the straggler, merge the
-    // two record streams (main wins duplicates), then run one completion
-    // pass over the full window — it restores everything durable and
-    // executes anything still missing, so correctness never depends on the
-    // stitch covering every cell.
-    if (s.running) {
-      ShardProcessResult kill_res;
-      KillShardProcess(s.pid, &kill_res);
-      s.running = false;
-    }
-    std::string error;
-    if (options_.stitch(s.shard, s.out_path, SpecPath(s), &error)) {
-      ++result_.speculative_wins;
-      std::ostringstream out;
-      out << "shard " << s.shard << ": speculative suffix won";
-      Log(out.str());
-    } else {
-      std::ostringstream out;
-      out << "shard " << s.shard << ": stitch failed (" << error
-          << "); completion run will redo the suffix";
-      Warn(out.str());
-    }
-    fs::remove(SpecPath(s), ec);
-    s.run_lo = 0;
-    s.run_hi = options_.cell_count;
-    s.run_probe = false;
-    s.window_attempt = 0;
-    s.backoff_ms = 0.0;
-    s.phase = ShardState::Phase::kIdle;
-    s.eligible_at = Clock::now();
   }
 
   void EnterBisect(ShardState& s) {

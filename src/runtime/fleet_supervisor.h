@@ -1,9 +1,9 @@
 // runtime::FleetSupervisor — fault-tolerant orchestration of shard workers.
 //
-// RunProcesses gives fire-and-collect batch semantics: a hung worker stalls
-// the whole population run, a crashing cell kills its shard with no way to
-// make progress past it. The supervisor fixes both without touching the
-// workers' determinism contract:
+// Launching shard workers and waiting for them is not enough: a hung worker
+// stalls the whole population run, and a crashing cell kills its shard with
+// no way to make progress past it. The supervisor fixes both without
+// touching the workers' determinism contract:
 //
 //   - Liveness deadlines from progress heartbeats. Workers flush records
 //     every 32 lines, so shard-file growth IS the heartbeat — the supervisor
@@ -17,13 +17,10 @@
 //     culprit cell, records it in a quarantine manifest ({"cell","seed",
 //     "taxonomy","attempts"}), and continues — one pathological cell costs
 //     O(log cells) re-spawns instead of the population.
-//   - Straggler speculation. Near the end of the run the slowest still-
-//     running shard's remaining suffix is re-dispatched to an idle slot;
-//     whichever copy finishes first wins and the results are stitched.
 //
 // The supervisor is simulation-agnostic: it never parses shard records or
 // fleet specs. Callbacks injected by the caller (the CLI, or a test) supply
-// shard paths, worker spawning, per-cell seeds, chaos plans and stitching.
+// shard paths, worker spawning, per-cell seeds and chaos plans.
 
 #ifndef SRC_RUNTIME_FLEET_SUPERVISOR_H_
 #define SRC_RUNTIME_FLEET_SUPERVISOR_H_
@@ -72,7 +69,6 @@ struct FleetWorkerRequest {
   std::string quarantine_path;       // manifest of cells to skip ("" = none)
   FleetChaosPlan chaos;              // perturbation for this attempt
   bool probe = false;                // bisection probe (narrowed window)
-  bool speculative = false;          // straggler speculation copy
 };
 
 // One quarantined cell, as recorded in the manifest.
@@ -94,8 +90,6 @@ struct FleetSupervisorOptions {
   int max_attempts = 3;
   // First retry backoff; doubles per subsequent retry of the same window.
   double retry_backoff_ms = 25.0;
-  // Re-dispatch the slowest still-running shard's suffix when slots idle.
-  bool speculate = false;
   // Give up on a shard after isolating this many poisoned cells.
   int max_quarantine_per_shard = 8;
   // Liveness/exit poll cadence.
@@ -118,10 +112,6 @@ struct FleetSupervisorOptions {
   // A cell was isolated: persist it, return the manifest path workers
   // should skip from now on. Unset = keep options.quarantine_path.
   std::function<std::string(const QuarantinedCell&)> on_quarantine;
-  // Merge a speculative copy's records into the main shard file
-  // (main wins duplicates). Required when speculate is set.
-  std::function<bool(std::size_t shard, const std::string& main_path,
-                     const std::string& spec_path, std::string* error)> stitch;
   // Progress/diagnostic lines ("" = silent). Optional.
   std::function<void(const std::string&)> log;
 };
@@ -134,8 +124,6 @@ struct FleetSupervisorResult {
   std::uint64_t retries = 0;              // re-spawns after a failed attempt
   std::uint64_t heartbeat_kills = 0;      // workers SIGKILLed for stalling
   std::uint64_t bisect_probes = 0;        // narrowed-window isolation spawns
-  std::uint64_t speculative_spawns = 0;
-  std::uint64_t speculative_wins = 0;     // speculation finished before main
   double wall_seconds = 0.0;
 
   bool ok() const { return error.empty(); }

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
 
 namespace wdmlat::runtime {
 
@@ -98,70 +97,6 @@ void KillShardProcess(pid_t pid, ShardProcessResult* result) {
   // either way (the parent has not waited yet, so the zombie persists).
   (void)::kill(pid, SIGKILL);
   Reap(pid, result);
-}
-
-std::vector<ShardProcessResult> RunProcesses(const std::vector<ShardProcess>& processes,
-                                             int max_parallel) {
-  std::vector<ShardProcessResult> results(processes.size());
-  if (max_parallel < 1) {
-    max_parallel = 1;
-  }
-  std::map<pid_t, std::size_t> running;  // pid -> result index
-  std::size_t next = 0;
-  bool aborted = false;
-  while (next < processes.size() || !running.empty()) {
-    while (!aborted && next < processes.size() &&
-           running.size() < static_cast<std::size_t>(max_parallel)) {
-      pid_t pid = -1;
-      if (!SpawnShardProcess(processes[next], &pid, &results[next].error)) {
-        // A failed spawn aborts the batch: kill and reap what is running so
-        // no orphan worker keeps writing shard files after we return, and
-        // mark everything not yet started. Flushed shard prefixes survive;
-        // the caller re-runs the same command to resume.
-        aborted = true;
-        ++next;
-        break;
-      }
-      running.emplace(pid, next);
-      ++next;
-    }
-    if (aborted) {
-      for (const auto& [pid, index] : running) {
-        KillShardProcess(pid, &results[index]);
-        if (results[index].error.empty()) {
-          results[index].error = "aborted: a later worker failed to spawn";
-        }
-      }
-      running.clear();
-      for (; next < processes.size(); ++next) {
-        results[next].error = "not started: an earlier worker failed to spawn";
-      }
-      break;
-    }
-    if (running.empty()) {
-      break;
-    }
-    int status = 0;
-    const pid_t done = ::waitpid(-1, &status, 0);
-    if (done < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      // Should be unreachable with children outstanding; fail them all
-      // rather than spin.
-      for (const auto& [pid, index] : running) {
-        results[index].error = std::string("waitpid failed: ") + std::strerror(errno);
-      }
-      break;
-    }
-    const auto it = running.find(done);
-    if (it == running.end()) {
-      continue;  // a child we did not spawn (library-forked); ignore
-    }
-    FillFromStatus(status, &results[it->second]);
-    running.erase(it);
-  }
-  return results;
 }
 
 }  // namespace wdmlat::runtime

@@ -6,14 +6,9 @@
 // the population run — the shard's flushed record prefix survives and a
 // re-run resumes it. fork/execv/waitpid only; no shell, no new dependencies.
 //
-// Two layers:
-//   - RunProcesses: fire-and-collect batch semantics (launch all, bounded
-//     parallelism, one result per input). A mid-launch spawn failure aborts
-//     the batch: already-running children are SIGKILLed and reaped so no
-//     orphan worker outlives the orchestrator.
-//   - Spawn/Poll/Kill ShardProcess: non-blocking primitives for a supervisor
-//     that needs to watch liveness, enforce deadlines, and retry — see
-//     runtime::FleetSupervisor.
+// Spawn/Poll/Kill ShardProcess are non-blocking primitives for a supervisor
+// that watches liveness, enforces deadlines and retries — see
+// runtime::FleetSupervisor.
 
 #ifndef SRC_RUNTIME_SHARD_RUNNER_H_
 #define SRC_RUNTIME_SHARD_RUNNER_H_
@@ -54,16 +49,6 @@ bool PollShardProcess(pid_t pid, ShardProcessResult* result);
 // SIGKILL the child and block until it is reaped (EINTR-safe). The result
 // records the termination signal like any other signaled exit.
 void KillShardProcess(pid_t pid, ShardProcessResult* result);
-
-// Run every process, at most `max_parallel` concurrently (clamped to >= 1),
-// launching in order and backfilling as children exit. Returns one result
-// per input, same order. Never throws; failures land in the results.
-//
-// If a spawn fails mid-launch the batch aborts: children already running are
-// SIGKILLed and reaped (their results record the abort), processes not yet
-// started are marked "not started". Callers treat the batch as all-or-retry.
-std::vector<ShardProcessResult> RunProcesses(const std::vector<ShardProcess>& processes,
-                                             int max_parallel);
 
 }  // namespace wdmlat::runtime
 

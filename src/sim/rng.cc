@@ -13,6 +13,15 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+std::uint64_t HashCoordinates(std::uint64_t seed, std::initializer_list<std::uint64_t> coords) {
+  std::uint64_t hash = seed;
+  for (const std::uint64_t coord : coords) {
+    std::uint64_t state = hash ^ coord;
+    hash = SplitMix64(state);
+  }
+  return hash;
+}
+
 namespace {
 
 std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -8,6 +8,7 @@
 #define SRC_SIM_RNG_H_
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "src/sim/time.h"
 
@@ -17,6 +18,13 @@ namespace wdmlat::sim {
 // value. Exposed for deterministic derived-seed schemes (per-cell seeds of
 // the experiment matrix) in addition to seeding Rng itself.
 std::uint64_t SplitMix64(std::uint64_t& state);
+
+// Coordinate hash chain for derived seeds: XOR each coordinate into the
+// running hash, then push it through a full SplitMix64 avalanche round. Each
+// round is a bijection, so neighbouring coordinates (which differ in one
+// small value) land on statistically independent streams. Matrix and fleet
+// cell seeds are both this chain.
+std::uint64_t HashCoordinates(std::uint64_t seed, std::initializer_list<std::uint64_t> coords);
 
 // xoshiro256** seeded via SplitMix64. Small, fast, and good enough for
 // workload modelling; not cryptographic.

@@ -3,15 +3,13 @@
 // supervised runs are byte-identical to direct runs, the chaos harness
 // self-heals to the same bytes for several seeds, heartbeat deadlines kill
 // and retry stalled workers, a poisoned cell is isolated in at most
-// ceil(log2(cells per shard)) bisection probes, and straggler speculation
-// stitches a winning suffix without changing the shard bytes.
+// ceil(log2(cells per shard)) bisection probes.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -106,10 +104,6 @@ FleetSupervisorOptions BaseOptions(const lab::Fleet& fleet, const std::string& d
   options.spawn = [&fleet, shards, poison_cell](const FleetWorkerRequest& request,
                                                 pid_t* pid, std::string* error) {
     return ForkWorker(fleet, shards, poison_cell, request, pid, error);
-  };
-  options.stitch = [&fleet, shards](std::size_t shard, const std::string& main_path,
-                                    const std::string& spec_path, std::string* error) {
-    return lab::StitchShardFiles(fleet, shard, shards, main_path, spec_path, error);
   };
   return options;
 }
@@ -295,55 +289,6 @@ TEST(FleetSupervisor, PoisonedCellIsIsolatedInLogarithmicProbes) {
   EXPECT_EQ(report.cells_quarantined, 1u);
   ASSERT_EQ(report.quarantine.size(), 1u);
   EXPECT_EQ(report.quarantine[0].taxonomy, "exception");
-}
-
-TEST(FleetSupervisor, SpeculationStitchesTheWinningSuffix) {
-  const lab::Fleet fleet(SmallPopulation());
-  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
-  const std::size_t shards = 2;
-  const std::vector<std::string> direct = DirectShardBytes(fleet, shards);
-
-  const std::string dir = TempDirFor("supervisor_speculate");
-  FleetSupervisorOptions options = BaseOptions(fleet, dir, shards);
-  options.speculate = true;
-  // Two slots: the speculative copy launches only once shard 1 has finished
-  // and freed its slot. With a third slot it would race shard 1, and if it
-  // won, shard 0's completion run would leave shard 1 as the oldest running
-  // worker and get it speculated too.
-  options.max_parallel = 2;
-  // Shard 0's first main attempt hangs; the speculative copy (and the
-  // completion run after its win) run normally, so the supervisor must
-  // finish through speculation, not retry (no heartbeat timeout is set).
-  int shard0_mains = 0;
-  const auto normal_spawn = options.spawn;
-  options.spawn = [&](const FleetWorkerRequest& request, pid_t* pid,
-                      std::string* error) {
-    if (request.shard == 0 && !request.speculative && ++shard0_mains == 1) {
-      const pid_t child = ::fork();
-      if (child < 0) {
-        *error = "fork failed";
-        return false;
-      }
-      if (child == 0) {
-        for (;;) {
-          ::pause();
-        }
-      }
-      *pid = child;
-      return true;
-    }
-    return normal_spawn(request, pid, error);
-  };
-  const FleetSupervisorResult result = SuperviseFleet(options);
-  ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_EQ(result.speculative_spawns, 1u);
-  EXPECT_EQ(result.speculative_wins, 1u);
-  for (std::size_t k = 0; k < shards; ++k) {
-    EXPECT_EQ(ReadFileBytes(lab::FleetShardPath(dir, k, shards)), direct[k])
-        << "shard " << k;
-    EXPECT_FALSE(
-        std::filesystem::exists(lab::FleetShardPath(dir, k, shards) + ".spec"));
-  }
 }
 
 TEST(FleetSupervisor, MisconfigurationFailsFast) {
