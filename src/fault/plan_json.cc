@@ -1,6 +1,7 @@
 #include "src/fault/plan_json.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/obs/json.h"
@@ -76,12 +77,17 @@ bool ParseSpec(const obs::JsonValue& value, std::size_t index, FaultSpec* out,
   out->at_ms = value.NumberOr("at_ms", 0.0);
   out->period_ms = value.NumberOr("period_ms", 0.0);
   out->rate_per_s = value.NumberOr("rate_per_s", 0.0);
-  out->max_activations =
-      static_cast<std::uint64_t>(value.NumberOr("max_activations", 0.0));
-  out->burst = static_cast<int>(value.NumberOr("burst", 1.0));
   out->spacing_us = value.NumberOr("spacing_us", 0.0);
-  out->disk_bytes =
-      static_cast<std::uint32_t>(value.NumberOr("disk_bytes", 64.0 * 1024.0));
+  std::string field_error;
+  if (!obs::ReadIntegerOr(value, "max_activations", 0, obs::kMaxJsonInteger,
+                          &out->max_activations, &field_error) ||
+      !obs::ReadIntegerOr(value, "burst", std::numeric_limits<int>::min(),
+                          std::numeric_limits<int>::max(), &out->burst, &field_error) ||
+      !obs::ReadIntegerOr(value, "disk_bytes", 0, std::numeric_limits<std::uint32_t>::max(),
+                          &out->disk_bytes, &field_error)) {
+    SetError(error, where.str() + field_error);
+    return false;
+  }
   out->lock = value.StringOr("lock", "dispatcher");
   out->function = value.StringOr("function", "");
   if (const obs::JsonValue* duration = value.Find("duration")) {
@@ -118,7 +124,9 @@ bool ParseFaultPlan(std::string_view text, FaultPlan* plan, std::string* error) 
   }
   FaultPlan result;
   result.name = parsed.value.StringOr("name", "custom");
-  result.seed = static_cast<std::uint64_t>(parsed.value.NumberOr("seed", 1.0));
+  if (!obs::ReadIntegerOr(parsed.value, "seed", 0, obs::kMaxJsonInteger, &result.seed, error)) {
+    return false;
+  }
   const obs::JsonValue* faults = parsed.value.Find("faults");
   if (faults == nullptr || !faults->is_array()) {
     SetError(error, "plan needs a \"faults\" array");

@@ -7,11 +7,13 @@
 #include <cstdlib>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
 
 #include "src/kernel/profile.h"
+#include "src/kernel/thread.h"
 #include "src/lab/report_io.h"
 #include "src/obs/json.h"
 #include "src/sim/rng.h"
@@ -313,7 +315,10 @@ bool FleetSpecFromJson(std::string_view text, FleetSpec* spec, std::string* erro
   }
   FleetSpec result;
   result.name = root.StringOr("name", "fleet");
-  result.master_seed = static_cast<std::uint64_t>(root.NumberOr("master_seed", 1999.0));
+  if (!obs::ReadIntegerOr(root, "master_seed", 0, obs::kMaxJsonInteger, &result.master_seed,
+                          error)) {
+    return false;
+  }
   const obs::JsonValue* cohorts = root.Find("cohorts");
   if (cohorts == nullptr || !cohorts->is_array() || cohorts->items().empty()) {
     if (error != nullptr) {
@@ -368,8 +373,16 @@ bool FleetSpecFromJson(std::string_view text, FleetSpec* spec, std::string* erro
         cohort.workload_weights.push_back(w.as_number());
       }
     }
-    cohort.priority = static_cast<int>(entry.NumberOr("priority", 28.0));
-    cohort.count = static_cast<std::uint64_t>(entry.NumberOr("count", 1.0));
+    std::string field_error;
+    if (!obs::ReadIntegerOr(entry, "priority", kernel::kMinPriority, kernel::kMaxPriority,
+                            &cohort.priority, &field_error) ||
+        !obs::ReadIntegerOr(entry, "count", 0, obs::kMaxJsonInteger, &cohort.count,
+                            &field_error)) {
+      if (error != nullptr) {
+        *error = cohort.name + ": " + field_error;
+      }
+      return false;
+    }
     cohort.stress_minutes = entry.NumberOr("stress_minutes", cohort.stress_minutes);
     cohort.warmup_seconds = entry.NumberOr("warmup_seconds", cohort.warmup_seconds);
     cohort.pit_hz = entry.NumberOr("pit_hz", cohort.pit_hz);
@@ -470,16 +483,19 @@ bool RecordFromPayload(std::string_view payload, FleetCellRecord* record,
     return false;
   }
   const obs::JsonValue& doc = body.value;
+  int version = 0;
   if (doc.StringOr("format", "") != kRecordFormat ||
-      static_cast<int>(doc.NumberOr("version", 0.0)) != kFormatVersion) {
+      !obs::ReadIntegerOr(doc, "version", kFormatVersion, kFormatVersion, &version, nullptr) ||
+      version != kFormatVersion) {
     if (error != nullptr) {
       *error = "record payload is not a " + std::string(kRecordFormat) + " v" +
                std::to_string(kFormatVersion) + " document";
     }
     return false;
   }
-  record->cohort = static_cast<std::size_t>(doc.NumberOr("cohort", 0.0));
-  if (!ReadU64Field(doc, "samples", &record->samples, error) ||
+  record->cohort = 0;
+  if (!obs::ReadIntegerOr(doc, "cohort", 0, obs::kMaxJsonInteger, &record->cohort, error) ||
+      !ReadU64Field(doc, "samples", &record->samples, error) ||
       !ReadHexDoubleField(doc, "stress_hours", &record->stress_hours, error) ||
       !ReadHexDoubleField(doc, "speed_mhz", &record->speed_mhz, error) ||
       !ReadU64Field(doc, "fault_activations", &record->fault_activations, error) ||
@@ -696,7 +712,13 @@ bool LoadFleetQuarantine(const std::string& path,
       return false;
     }
     entry.taxonomy = parsed.value.StringOr("taxonomy", "");
-    entry.attempts = static_cast<int>(parsed.value.NumberOr("attempts", 1.0));
+    if (!obs::ReadIntegerOr(parsed.value, "attempts", 1, std::numeric_limits<int>::max(),
+                            &entry.attempts, &parse_error)) {
+      if (error != nullptr) {
+        *error = path + ":" + std::to_string(line_no) + ": " + parse_error;
+      }
+      return false;
+    }
     if (entry.taxonomy.empty()) {
       if (error != nullptr) {
         *error = path + ":" + std::to_string(line_no) + ": missing taxonomy";

@@ -4,8 +4,10 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
+#include "src/kernel/thread.h"
 #include "src/obs/json.h"
 
 namespace wdmlat::lab {
@@ -226,7 +228,12 @@ bool ReadHistogram(const obs::JsonValue& histograms, const char* name,
       }
       return false;
     }
-    state.buckets.emplace_back(static_cast<int>(entry.items()[0].as_number()), count);
+    std::int64_t index = 0;
+    if (!obs::ReadInteger(entry.items()[0], "bucket index", 0, std::numeric_limits<int>::max(),
+                          &index, error)) {
+      return false;
+    }
+    state.buckets.emplace_back(static_cast<int>(index), count);
   }
   if (!ReadU64Field(*object, "count", &state.count, error) ||
       !ReadU64Field(*object, "underflow", &state.underflow, error) ||
@@ -284,10 +291,12 @@ bool ReadSketch(const obs::JsonValue& object, const char* name, stats::QuantileS
     state.levels.push_back(std::move(items));
   }
   for (const obs::JsonValue& parity : parities->items()) {
-    if (!parity.is_number()) {
-      return fail("parity is not a number");
+    std::int64_t bit = 0;
+    std::string parity_error;
+    if (!obs::ReadInteger(parity, "parity", 0, 1, &bit, &parity_error)) {
+      return fail(parity_error);
     }
-    state.parities.push_back(static_cast<std::uint8_t>(parity.as_number()));
+    state.parities.push_back(static_cast<std::uint8_t>(bit));
   }
   for (const obs::JsonValue& item : tail->items()) {
     double value = 0.0;
@@ -540,7 +549,9 @@ bool ReportFromJson(std::string_view text, LabReport* report, std::string* error
     }
     return false;
   }
-  if (static_cast<int>(root.NumberOr("version", 0.0)) != kFormatVersion) {
+  int version = 0;
+  if (!obs::ReadIntegerOr(root, "version", kFormatVersion, kFormatVersion, &version, nullptr) ||
+      version != kFormatVersion) {
     if (error != nullptr) {
       *error = "unsupported cell-report version";
     }
@@ -551,7 +562,10 @@ bool ReportFromJson(std::string_view text, LabReport* report, std::string* error
       !ReadStringField(root, "workload_name", &result.workload_name, error)) {
     return false;
   }
-  result.thread_priority = static_cast<int>(root.NumberOr("thread_priority", 0.0));
+  if (!obs::ReadIntegerOr(root, "thread_priority", 0, kernel::kMaxPriority,
+                          &result.thread_priority, error)) {
+    return false;
+  }
   result.has_interrupt_latency = root.BoolOr("has_interrupt_latency", false);
   if (!ReadU64Field(root, "samples", &result.samples, error) ||
       !ReadHexDoubleField(root, "samples_per_hour", &result.samples_per_hour, error) ||

@@ -434,6 +434,22 @@ std::string JsonValue::StringOr(std::string_view key, std::string_view fallback)
   return value != nullptr && value->is_string() ? value->as_string() : std::string(fallback);
 }
 
+bool ReadInteger(const JsonValue& value, std::string_view field, std::int64_t lo,
+                 std::int64_t hi, std::int64_t* out, std::string* error) {
+  const double number = value.as_number(std::nan(""));
+  // The comparisons are false for NaN; lo and hi convert to double exactly.
+  if (number >= static_cast<double>(lo) && number <= static_cast<double>(hi) &&
+      std::trunc(number) == number) {
+    *out = static_cast<std::int64_t>(number);
+    return true;
+  }
+  if (error != nullptr) {
+    *error = std::string(field) + " must be an integer in [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]";
+  }
+  return false;
+}
+
 JsonValue JsonValue::Bool(bool value) {
   JsonValue v;
   v.kind_ = Kind::kBool;

@@ -108,6 +108,35 @@ struct JsonParseResult {
 // intentionally stays lenient about duplicates.
 JsonParseResult ParseJson(std::string_view text);
 
+// Numbers are doubles, so integers read from JSON are exact only up to 2^53
+// in magnitude; the [lo, hi] bounds below must lie within ±kMaxJsonInteger.
+inline constexpr std::int64_t kMaxJsonInteger = std::int64_t{1} << 53;
+
+// Checked integer read. Succeeds when `value` is a number with no
+// fractional part inside [lo, hi]. Anything else (a non-number, NaN, 2.9,
+// 1e30, a negative count) fails with "<field> must be an integer in
+// [lo, hi]" in *error (when non-null) instead of being cast: a double cast
+// to an integer type it does not fit is undefined behaviour.
+bool ReadInteger(const JsonValue& value, std::string_view field, std::int64_t lo,
+                 std::int64_t hi, std::int64_t* out, std::string* error);
+
+// Member form of ReadInteger into any integer type that holds [lo, hi]. An
+// absent member leaves *out, the caller's default, untouched.
+template <typename Int>
+bool ReadIntegerOr(const JsonValue& object, std::string_view key, std::int64_t lo,
+                   std::int64_t hi, Int* out, std::string* error) {
+  const JsonValue* member = object.Find(key);
+  if (member == nullptr) {
+    return true;
+  }
+  std::int64_t value = 0;
+  if (!ReadInteger(*member, key, lo, hi, &value, error)) {
+    return false;
+  }
+  *out = static_cast<Int>(value);
+  return true;
+}
+
 }  // namespace wdmlat::obs
 
 #endif  // SRC_OBS_JSON_H_

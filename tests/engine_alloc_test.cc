@@ -6,15 +6,29 @@
 // with far-tier migration). Asserted with a counting global operator new —
 // which is why this test lives in its own binary (each tests/*.cc builds to
 // a separate executable; see tests/CMakeLists.txt).
+//
+// The HotPathBudget suite below applies the same counter to a whole loaded
+// cell: the host work per virtual second (engine events, trace events, heap
+// allocations) is as deterministic as the latency samples, so it is gated
+// exactly instead of timed.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
+#include "src/drivers/latency_driver.h"
+#include "src/kernel/kernel.h"
+#include "src/kernel/profile.h"
+#include "src/kernel/trace.h"
+#include "src/lab/test_system.h"
 #include "src/sim/engine.h"
+#include "src/workload/stress_load.h"
+#include "src/workload/stress_profile.h"
 
 namespace {
 
@@ -182,3 +196,80 @@ TEST(EngineAllocTest, OversizedCaptureDoesAllocate) {
 
 }  // namespace
 }  // namespace wdmlat::sim
+
+namespace wdmlat {
+namespace {
+
+class CountingTraceSink : public kernel::TraceSink {
+ public:
+  void OnTraceEvent(const kernel::TraceEvent&) override { ++events_; }
+  std::uint64_t events() const { return events_; }
+
+ private:
+  std::uint64_t events_ = 0;
+};
+
+struct HotPathCounts {
+  std::uint64_t engine_events = 0;
+  std::uint64_t trace_events = 0;
+  std::uint64_t allocations = 0;
+};
+
+// Ten virtual seconds of a loaded measurement cell after a 2 s warm-up:
+// the unit of the Figure 4 grid, with every count taken over the measured
+// window only.
+HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
+                                const workload::StressProfile& stress) {
+  lab::TestSystem system(std::move(profile), 42);
+  workload::StressLoad load(system.deps(), stress, system.ForkRng());
+  drivers::LatencyDriver driver(system.kernel(), drivers::LatencyDriver::Config{});
+  load.Start();
+  driver.Start();
+  system.RunFor(2.0);
+
+  CountingTraceSink sink;
+  system.kernel().SetTraceSink(&sink);
+  const std::uint64_t events_before = system.engine().events_processed();
+  AllocationScope scope;
+  system.RunFor(10.0);
+  HotPathCounts counts;
+  counts.allocations = scope.Finish();
+  counts.engine_events = system.engine().events_processed() - events_before;
+  counts.trace_events = sink.events();
+  system.kernel().SetTraceSink(nullptr);
+  return counts;
+}
+
+// Engine and trace events are exact: any change to them is a change in what
+// the simulator does and must show up in the diff that makes it. Allocations
+// are a ceiling: a change that removes hot-path allocations lowers the
+// ceiling to the printed count in the same diff.
+void ExpectBudget(const HotPathCounts& counts, std::uint64_t engine_events,
+                  std::uint64_t trace_events, std::uint64_t max_allocations) {
+  EXPECT_EQ(counts.engine_events, engine_events);
+  EXPECT_EQ(counts.trace_events, trace_events);
+  EXPECT_LE(counts.allocations, max_allocations);
+  std::printf("engine events %llu, trace events %llu, allocations %llu (ceiling %llu)\n",
+              static_cast<unsigned long long>(counts.engine_events),
+              static_cast<unsigned long long>(counts.trace_events),
+              static_cast<unsigned long long>(counts.allocations),
+              static_cast<unsigned long long>(max_allocations));
+}
+
+TEST(HotPathBudget, Win98Games) {
+  ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress()),
+               121066, 167119, 78170);
+}
+
+TEST(HotPathBudget, Nt4Games) {
+  ExpectBudget(MeasureLoadedCell(kernel::MakeNt4Profile(), workload::GamesStress()),
+               73004, 108847, 40536);
+}
+
+TEST(HotPathBudget, Nt4Smp2Office) {
+  ExpectBudget(MeasureLoadedCell(kernel::MakeNt4SmpProfile(2), workload::OfficeStress()),
+               69847, 89759, 37822);
+}
+
+}  // namespace
+}  // namespace wdmlat

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <set>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/event_pool.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -204,6 +206,38 @@ TEST(FleetRecords, LineRoundTripsBitExactAndRejectsCorruption) {
   corrupt[line.size() / 2] ^= 1;
   EXPECT_FALSE(FleetRecordFromLine(corrupt, &parsed, &error));
   EXPECT_FALSE(FleetRecordFromLine(line.substr(0, line.size() - 20), &parsed, &error));
+}
+
+TEST(FleetRecords, RecordVolumeIsPinned) {
+  // Exact bytes of one production record line: cell 0 of a screening-shaped
+  // cohort (8 kHz PIT, >= 1000 samples, sketch on). Any change to what a
+  // record carries, or how it is spelled, shows up here as a deliberate diff.
+  FleetSpec spec;
+  std::string error;
+  ASSERT_TRUE(FleetSpecFromJson(
+      R"({"name": "fleet_screen", "master_seed": 1999, "cohorts": [
+           {"name": "nt4-office-web", "os": "nt4", "workloads": ["office", "web"],
+            "count": 100, "stress_minutes": 0.0066666666666666671,
+            "warmup_seconds": 0.25, "pit_hz": 8000, "speed_mhz": [150, 450],
+            "sketch": true}]})",
+      &spec, &error))
+      << error;
+  const Fleet fleet(std::move(spec));
+  FleetShardOptions options;
+  options.out_path = testutil::TempFileFor("shard.jsonl");
+  options.cell_hi = 1;
+  ASSERT_TRUE(RunFleetShard(fleet, options).ok());
+
+  std::ifstream in(options.out_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  FleetCellRecord record;
+  ASSERT_TRUE(FleetRecordFromLine(line, &record, &error)) << error;
+  EXPECT_EQ(record.index, 0u);
+  EXPECT_GE(record.samples, 1000u);
+  const std::string encoded = FleetRecordToLine(record);
+  EXPECT_EQ(encoded, line);
+  EXPECT_EQ(encoded.size(), 51436u);
 }
 
 TEST(EngineReset, ResetEngineBehavesLikeFresh) {

@@ -1,12 +1,18 @@
 // Hardening of obs::ParseJson for hostile/corrupt input (record logs, fault
 // plans, artifacts): duplicate-key rejection, double-overflow rejection,
 // depth limiting, and precise line:column error positions. LintJson stays
-// deliberately lenient — it validates this repo's own exporters.
+// deliberately lenient — it validates this repo's own exporters. Integer
+// fields go through the checked obs::ReadInteger, so a fleet spec or plan
+// with a fractional, negative or huge count fails at parse time.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 
+#include "src/fault/plan_json.h"
+#include "src/lab/fleet.h"
 #include "src/obs/json.h"
 
 namespace wdmlat::obs {
@@ -95,6 +101,67 @@ TEST(JsonHardeningTest, ValidDocumentsStillParse) {
   EXPECT_EQ(parsed.value.NumberOr("n", 0.0), -1.5e-3);
   ASSERT_NE(parsed.value.Find("a"), nullptr);
   EXPECT_EQ(parsed.value.Find("a")->items().size(), 3u);
+}
+
+TEST(JsonHardeningTest, ReadIntegerRejectsNanFractionsAndOutOfRange) {
+  std::int64_t out = 7;
+  std::string error;
+  EXPECT_FALSE(ReadInteger(JsonValue::Number(std::nan("")), "n", 0, 10, &out, &error));
+  EXPECT_FALSE(ReadInteger(JsonValue::Number(2.9), "n", 0, 10, &out, &error));
+  EXPECT_FALSE(ReadInteger(JsonValue::Number(-1.0), "n", 0, 10, &out, &error));
+  EXPECT_FALSE(ReadInteger(JsonValue::Number(11.0), "n", 0, 10, &out, &error));
+  EXPECT_FALSE(ReadInteger(JsonValue::Number(1e30), "n", 0, kMaxJsonInteger, &out, &error));
+  EXPECT_FALSE(ReadInteger(JsonValue::String("3"), "n", 0, 10, &out, &error));
+  EXPECT_EQ(out, 7);
+  EXPECT_EQ(error, "n must be an integer in [0, 10]");
+  ASSERT_TRUE(ReadInteger(JsonValue::Number(10.0), "n", 0, 10, &out, &error));
+  EXPECT_EQ(out, 10);
+  ASSERT_TRUE(ReadInteger(JsonValue::Number(9007199254740992.0), "seed", 0, kMaxJsonInteger,
+                          &out, &error));
+  EXPECT_EQ(out, kMaxJsonInteger);
+}
+
+TEST(JsonHardeningTest, FleetSpecIntegerFieldsAreRangeChecked) {
+  // Each of these used to be cast straight from a double: -1 wrapped to a
+  // 2^64-cell run, 1e30 and 1e12 were undefined behaviour, 2.9 ran 2 cells.
+  const struct {
+    const char* text;
+    const char* field;
+  } bad[] = {
+      {R"({"cohorts": [{"count": -1}]})", "count"},
+      {R"({"cohorts": [{"count": 1e30}]})", "count"},
+      {R"({"cohorts": [{"count": 2.9}]})", "count"},
+      {R"({"cohorts": [{"priority": 1e12}]})", "priority"},
+      {R"({"master_seed": 1e300, "cohorts": [{}]})", "master_seed"},
+  };
+  for (const auto& c : bad) {
+    lab::FleetSpec spec;
+    std::string error;
+    EXPECT_FALSE(lab::FleetSpecFromJson(c.text, &spec, &error)) << c.text;
+    EXPECT_NE(error.find(std::string(c.field) + " must be an integer in ["), std::string::npos)
+        << error;
+  }
+  lab::FleetSpec spec;
+  std::string error;
+  ASSERT_TRUE(lab::FleetSpecFromJson(
+      R"({"master_seed": 9007199254740992, "cohorts": [{"count": 3, "priority": 31}]})",
+      &spec, &error))
+      << error;
+  EXPECT_EQ(spec.master_seed, 9007199254740992u);
+  EXPECT_EQ(spec.cohorts[0].count, 3u);
+  EXPECT_EQ(spec.cohorts[0].priority, 31);
+}
+
+TEST(JsonHardeningTest, FaultPlanIntegerFieldsAreRangeChecked) {
+  fault::FaultPlan plan;
+  std::string error;
+  EXPECT_FALSE(fault::ParseFaultPlan(
+      R"({"faults": [{"kind": "dpc_storm", "trigger": "periodic", "period_ms": 5,
+                      "burst": 1e10}]})",
+      &plan, &error));
+  EXPECT_NE(error.find("burst must be an integer in ["), std::string::npos) << error;
+  EXPECT_FALSE(fault::ParseFaultPlan(R"({"seed": -3, "faults": []})", &plan, &error));
+  EXPECT_NE(error.find("seed must be an integer in ["), std::string::npos) << error;
 }
 
 }  // namespace
