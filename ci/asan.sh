@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# AddressSanitizer + UndefinedBehaviorSanitizer job for the simulation core.
+#
+# Builds the tree with -fsanitize=address,undefined into a separate build
+# directory and runs the suites that drive the dispatcher and the engine
+# hardest: the kernel unit and object suites, the dispatcher tests and fuzz,
+# the invariant auditor, the engine allocation and hot-path budget suite, the
+# golden checksums and the SMP determinism and cross-core fuzz suites.
+#
+# The build keeps assert() live: RelWithDebInfo's flags are overridden so
+# NDEBUG is not defined, unlike the default build, where the dispatcher's
+# asserts are compiled out. -D_GLIBCXX_ASSERTIONS bounds-checks std::array
+# and std::vector indexing, which covers the dispatcher's fixed frame stack.
+# Any sanitizer report fails the job.
+#
+#   ci/asan.sh              # from the repo root
+#   BUILD_DIR=... JOBS=2 ci/asan.sh
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUILD_DIR="${BUILD_DIR:-build-asan}"
+
+cmake -B "$BUILD_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
+  --target kernel_units_test kernel_objects_test kernel_dispatcher_test dispatcher_fuzz_test \
+  invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test
+
+ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
+UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest'

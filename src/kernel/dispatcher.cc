@@ -66,11 +66,8 @@ void Dispatcher::OnClockTick(sim::Cycles period) {
 }
 
 Irql Dispatcher::EffectiveIrql() const {
-  if (!stack_.empty()) {
-    return stack_.back()->irql;
-  }
-  if (dpc_frame_) {
-    return Irql::kDispatch;
+  if (depth_ > 0) {
+    return frames_[depth_ - 1].irql;
   }
   if (current_ != nullptr && thread_phase_ != ThreadPhase::kNone) {
     return thread_irql_;
@@ -78,13 +75,7 @@ Irql Dispatcher::EffectiveIrql() const {
   return Irql::kPassive;
 }
 
-Label Dispatcher::CurrentLabel() const {
-  if (!stack_.empty()) {
-    return stack_.back()->label;
-  }
-  if (dpc_frame_) {
-    return dpc_frame_->label;
-  }
+Label Dispatcher::ThreadLabel() const {
   if (current_ != nullptr) {
     if (thread_phase_ == ThreadPhase::kSwitch) {
       return kDispatcherLabel;
@@ -96,31 +87,24 @@ Label Dispatcher::CurrentLabel() const {
   return kIdleLabel;
 }
 
-Label Dispatcher::InterruptedLabel() const {
-  if (stack_.size() >= 2) {
-    return stack_[stack_.size() - 2]->label;
-  }
-  if (!stack_.empty()) {
-    // Only one interrupt frame: what it interrupted is the DPC/thread level.
-    if (dpc_frame_) {
-      return dpc_frame_->label;
-    }
-    if (current_ != nullptr) {
-      if (thread_phase_ == ThreadPhase::kSwitch) {
-        return kDispatcherLabel;
-      }
-      if (current_->has_segment_) {
-        return current_->seg_label_;
-      }
-    }
-    return kIdleLabel;
-  }
-  return CurrentLabel();
+Label Dispatcher::CurrentLabel() const {
+  return depth_ > 0 ? frames_[depth_ - 1].label : ThreadLabel();
 }
 
-bool Dispatcher::idle() const {
-  return stack_.empty() && !dpc_frame_ && current_ == nullptr;
+Label Dispatcher::InterruptedLabel() const {
+  if (depth_ >= 2) {
+    return frames_[depth_ - 2].label;
+  }
+  // A lone ISR or section interrupted the thread level. A lone DPC has no
+  // interrupt above it, so, as with an empty stack, the answer is the
+  // innermost activity: the DPC itself.
+  if (depth_ == 1 && frames_[0].kind == FrameKind::kDpc) {
+    return frames_[0].label;
+  }
+  return ThreadLabel();
 }
+
+bool Dispatcher::idle() const { return depth_ == 0 && current_ == nullptr; }
 
 void Dispatcher::AuditDiscipline(std::vector<std::string>* violations) const {
   if (busy_) {
@@ -129,36 +113,29 @@ void Dispatcher::AuditDiscipline(std::vector<std::string>* violations) const {
   if (in_continuation_) {
     violations->push_back("thread continuation marked in-progress at a quiescent point");
   }
-  if (spin_waiting_ && dpc_frame_) {
-    violations->push_back("core spinning for its DPC queue lock while a DPC frame is active");
-  }
-  for (std::size_t i = 0; i < stack_.size(); ++i) {
-    const Frame& frame = *stack_[i];
-    if (i > 0 && frame.irql <= stack_[i - 1]->irql) {
-      violations->push_back("interrupt stack IRQLs not strictly increasing: frame " +
+  for (std::size_t i = 0; i < depth_; ++i) {
+    const Frame& frame = frames_[i];
+    if (i > 0 && frame.irql <= frames_[i - 1].irql) {
+      violations->push_back("frame stack IRQLs not strictly increasing: frame " +
                             std::to_string(i) + " at " + IrqlName(frame.irql) + " (" +
                             std::to_string(ToLevel(frame.irql)) + ") atop frame " +
                             std::to_string(i - 1) + " at " +
-                            std::to_string(ToLevel(stack_[i - 1]->irql)));
+                            std::to_string(ToLevel(frames_[i - 1].irql)));
     }
     if (frame.irql > Irql::kHigh) {
       violations->push_back("frame " + std::to_string(i) + " carries IRQL " +
                             std::to_string(ToLevel(frame.irql)) + " above HIGH");
     }
-    if (frame.running && i + 1 != stack_.size()) {
+    if (frame.kind == FrameKind::kDpc && spin_waiting_) {
+      violations->push_back("core spinning for its DPC queue lock while a DPC frame is active");
+    }
+    if (frame.running && i + 1 != depth_) {
       violations->push_back("paused frame " + std::to_string(i) +
-                            " below the top of the interrupt stack is marked running");
+                            " below the top of the frame stack is marked running");
     }
   }
-  if (!stack_.empty()) {
-    if (dpc_frame_ && dpc_frame_->running) {
-      violations->push_back("DPC frame marked running beneath an active interrupt stack");
-    }
-    if (thread_running_) {
-      violations->push_back("thread timer running beneath an active interrupt stack");
-    }
-  } else if (dpc_frame_ && dpc_frame_->running && thread_running_) {
-    violations->push_back("thread timer running while a DPC is running");
+  if (depth_ > 0 && thread_running_) {
+    violations->push_back("thread timer running beneath an active frame");
   }
 }
 
@@ -168,16 +145,7 @@ bool Dispatcher::InjectSection(Irql irql, sim::Cycles length, Label label) {
     ++sections_skipped_;
     return false;
   }
-  PauseActive();
-  auto frame = std::make_unique<Frame>();
-  frame->irql = irql;
-  frame->label = label;
-  frame->is_isr = false;
-  frame->remaining = length;
-  frame->created_at = engine_.now();
-  Frame* fp = frame.get();
-  frame->on_elapsed = [this, fp] { PopFrame(fp); };
-  stack_.push_back(std::move(frame));
+  PushFrame(FrameKind::kSection, irql, label, length).began_at = engine_.now();
   ++sections_run_;
   Emit(TraceEventType::kSectionStart, label, -1, length);
   return true;
@@ -257,13 +225,13 @@ void Dispatcher::ReevaluateOnce() {
     }
     AcceptInterrupt(line);
   }
-  // 2. Drain the DPC queue when nothing above DISPATCH is active and the
-  // thread level is below DISPATCH. On SMP the dequeue takes this core's DPC
-  // queue lock; if a fault-injected hold has it, the core spins (blocking
-  // this step and thread dispatch) until the release pokes it.
+  // 2. Drain the DPC queue when the frame stack is empty and the thread level
+  // is below DISPATCH. On SMP the dequeue takes this core's DPC queue lock;
+  // if a fault-injected hold has it, the core spins (blocking this step and
+  // thread dispatch) until the release pokes it.
   const bool thread_allows_dpc =
       current_ == nullptr || thread_phase_ == ThreadPhase::kNone || thread_irql_ < Irql::kDispatch;
-  if (stack_.empty() && !dpc_frame_ && !dpcs_.empty() && thread_allows_dpc && !spin_waiting_) {
+  if (depth_ == 0 && !dpcs_.empty() && thread_allows_dpc && !spin_waiting_) {
     if (smp_ == nullptr) {
       StartNextDpc();
     } else if (smp_->TryAcquireDpcLock(this)) {
@@ -272,7 +240,7 @@ void Dispatcher::ReevaluateOnce() {
     }
   }
   // 3. Thread dispatch decisions.
-  if (stack_.empty() && !dpc_frame_ && !spin_waiting_) {
+  if (depth_ == 0 && !spin_waiting_) {
     MaybeDispatchThread();
   }
   // 4. Make sure whatever is now on top is actually executing.
@@ -286,18 +254,11 @@ void Dispatcher::AcceptInterrupt(int line) {
     ++spurious_interrupts_;
     return;
   }
-  PauseActive();
-  auto frame = std::make_unique<Frame>();
-  frame->irql = ki->irql();
-  frame->label = kTrapDispatchLabel;
-  frame->is_isr = true;
-  frame->line = line;
-  frame->asserted = asserted;
-  frame->interrupt = ki;
-  frame->remaining = cfg_.isr_dispatch_overhead.Sample(rng_);
-  Frame* fp = frame.get();
-  frame->on_elapsed = [this, fp] { IsrEntry(fp); };
-  stack_.push_back(std::move(frame));
+  Frame& frame = PushFrame(FrameKind::kIsr, ki->irql(), kTrapDispatchLabel,
+                           cfg_.isr_dispatch_overhead.Sample(rng_));
+  frame.line = line;
+  frame.interrupt = ki;
+  frame.requested_at = asserted;
   ++interrupts_accepted_;
   Emit(TraceEventType::kIsrAccept, kTrapDispatchLabel, line, 0);
 }
@@ -305,11 +266,11 @@ void Dispatcher::AcceptInterrupt(int line) {
 void Dispatcher::IsrEntry(Frame* frame) {
   KInterrupt* ki = frame->interrupt;
   frame->label = ki->label();
-  frame->entered_at = engine_.now();
+  frame->began_at = engine_.now();
   ++ki->fire_count_;
   Emit(TraceEventType::kIsrEnter, frame->label, frame->line, 0);
   if (on_isr_entry) {
-    on_isr_entry(frame->line, frame->asserted, engine_.now());
+    on_isr_entry(frame->line, frame->requested_at, engine_.now());
   }
   PushCoreContext();
   for (const auto& hook : ki->pre_hooks_) {
@@ -318,62 +279,72 @@ void Dispatcher::IsrEntry(Frame* frame) {
   const sim::Cycles body = ki->isr_ ? ki->isr_() : 0;
   PopCoreContext();
   frame->remaining = body;
-  frame->on_elapsed = [this, frame] { PopFrame(frame); };
+}
+
+Dispatcher::Frame& Dispatcher::PushFrame(FrameKind kind, Irql irql, Label label,
+                                         sim::Cycles remaining) {
+  PauseActive();
+  assert(depth_ < frames_.size() && "frame IRQLs strictly increase, one slot per level");
+  Frame& frame = frames_[depth_++];
+  frame = Frame{};
+  frame.kind = kind;
+  frame.irql = irql;
+  frame.label = label;
+  frame.remaining = remaining;
+  return frame;
 }
 
 void Dispatcher::PopFrame(Frame* frame) {
-  assert(!stack_.empty() && stack_.back().get() == frame);
-  if (frame->is_isr) {
-    Emit(TraceEventType::kIsrExit, frame->label, frame->line,
-         engine_.now() - frame->entered_at);
-  } else {
-    Emit(TraceEventType::kSectionEnd, frame->label, -1, engine_.now() - frame->created_at);
+  assert(depth_ > 0 && &frames_[depth_ - 1] == frame);
+  const sim::Cycles duration = engine_.now() - frame->began_at;
+  --depth_;
+  switch (frame->kind) {
+    case FrameKind::kIsr:
+      Emit(TraceEventType::kIsrExit, frame->label, frame->line, duration);
+      return;
+    case FrameKind::kSection:
+      Emit(TraceEventType::kSectionEnd, frame->label, -1, duration);
+      return;
+    case FrameKind::kDpc: {
+      // Popped before the completion runs: it may queue work that pushes a
+      // frame into this very slot.
+      KDpc* dpc = frame->dpc;
+      Emit(TraceEventType::kDpcEnd, dpc->label(), -1, duration);
+      if (dpc->on_complete_) {
+        PushCoreContext();
+        dpc->on_complete_();
+        PopCoreContext();
+      }
+      return;
+    }
   }
-  stack_.pop_back();
 }
 
 void Dispatcher::StartNextDpc() {
+  assert(depth_ == 0 && "a DPC frame is always the bottom frame");
   KDpc* dpc = dpcs_.Pop();
   assert(dpc != nullptr);
-  const sim::Cycles enqueued = dpc->enqueue_time();
-  PauseActive();
-  auto frame = std::make_unique<Frame>();
-  frame->irql = Irql::kDispatch;
-  frame->label = kDispatcherLabel;  // dequeue overhead phase
-  frame->is_isr = false;
-  frame->remaining = cfg_.dpc_dispatch_cost.Sample(rng_);
-  Frame* fp = frame.get();
-  frame->on_elapsed = [this, fp, dpc, enqueued] { DpcEntry(fp, dpc, enqueued); };
-  dpc_frame_ = std::move(frame);
+  // kDispatcherLabel covers the dequeue overhead phase.
+  Frame& frame = PushFrame(FrameKind::kDpc, Irql::kDispatch, kDispatcherLabel,
+                           cfg_.dpc_dispatch_cost.Sample(rng_));
+  frame.dpc = dpc;
+  frame.requested_at = dpc->enqueue_time();
   ++dpcs_dispatched_;
   Emit(TraceEventType::kDpcFetch, kDispatcherLabel, -1, 0);
 }
 
-void Dispatcher::DpcEntry(Frame* frame, KDpc* dpc, sim::Cycles enqueued) {
+void Dispatcher::DpcEntry(Frame* frame) {
+  KDpc* dpc = frame->dpc;
   frame->label = dpc->label();
   ++dpc->dispatch_count_;
-  if (on_dpc_start) {
-    on_dpc_start(*dpc, enqueued, engine_.now());
-  }
-  Emit(TraceEventType::kDpcStart, dpc->label(), -1, engine_.now() - enqueued);
+  Emit(TraceEventType::kDpcStart, dpc->label(), -1, engine_.now() - frame->requested_at);
   if (dpc->routine_) {
     PushCoreContext();
     dpc->routine_();
     PopCoreContext();
   }
   frame->remaining = dpc->body_.Sample(rng_);
-  const sim::Cycles started = engine_.now();
-  frame->on_elapsed = [this, dpc, started] { FinishDpc(dpc, started); };
-}
-
-void Dispatcher::FinishDpc(KDpc* dpc, sim::Cycles started) {
-  dpc_frame_.reset();
-  Emit(TraceEventType::kDpcEnd, dpc->label(), -1, engine_.now() - started);
-  if (dpc->on_complete_) {
-    PushCoreContext();
-    dpc->on_complete_();
-    PopCoreContext();
-  }
+  frame->began_at = engine_.now();
 }
 
 void Dispatcher::MaybeDispatchThread() {
@@ -532,32 +503,33 @@ void Dispatcher::OnThreadElapsed() {
 void Dispatcher::OnFrameElapsed(Frame* frame) {
   Gate gate(this);
   frame->running = false;
-  auto handler = std::move(frame->on_elapsed);
-  frame->on_elapsed = nullptr;
-  handler();  // may mutate or destroy `frame`
+  // ISR and DPC frames elapse twice: first their dispatch overhead, then
+  // their body. Sections are all body.
+  if (frame->kind == FrameKind::kSection || frame->in_body) {
+    PopFrame(frame);
+    return;
+  }
+  frame->in_body = true;
+  if (frame->kind == FrameKind::kIsr) {
+    IsrEntry(frame);
+  } else {
+    DpcEntry(frame);
+  }
 }
 
 // --- Pause / resume machinery -------------------------------------------------
 
 void Dispatcher::PauseActive() {
-  if (!stack_.empty()) {
-    PauseFrame(stack_.back().get());
-    return;
-  }
-  if (dpc_frame_) {
-    PauseFrame(dpc_frame_.get());
+  if (depth_ > 0) {
+    PauseFrame(&frames_[depth_ - 1]);
     return;
   }
   PauseThreadTimer();
 }
 
 void Dispatcher::EnsureActiveRunning() {
-  if (!stack_.empty()) {
-    ResumeFrame(stack_.back().get());
-    return;
-  }
-  if (dpc_frame_) {
-    ResumeFrame(dpc_frame_.get());
+  if (depth_ > 0) {
+    ResumeFrame(&frames_[depth_ - 1]);
     return;
   }
   if (current_ != nullptr && thread_phase_ != ThreadPhase::kNone) {
@@ -581,11 +553,11 @@ void Dispatcher::ResumeFrame(Frame* frame) {
   }
   frame->resumed_at = engine_.now();
   frame->running = true;
-  auto on_elapsed = [this, frame] { OnFrameElapsed(frame); };
-  static_assert(sim::InplaceCallback::kFitsInline<decltype(on_elapsed)>,
+  auto elapsed = [this, frame] { OnFrameElapsed(frame); };
+  static_assert(sim::InplaceCallback::kFitsInline<decltype(elapsed)>,
                 "frame completions are the engine's hottest clients and must "
                 "never take the callback heap-fallback path");
-  frame->completion = engine_.ScheduleAfter(frame->remaining, std::move(on_elapsed));
+  frame->completion = engine_.ScheduleAfter(frame->remaining, std::move(elapsed));
 }
 
 sim::Cycles& Dispatcher::ActiveThreadRemaining() {
@@ -616,11 +588,11 @@ void Dispatcher::ResumeThreadTimer() {
   }
   thread_resumed_at_ = engine_.now();
   thread_running_ = true;
-  auto on_elapsed = [this] { OnThreadElapsed(); };
-  static_assert(sim::InplaceCallback::kFitsInline<decltype(on_elapsed)>,
+  auto elapsed = [this] { OnThreadElapsed(); };
+  static_assert(sim::InplaceCallback::kFitsInline<decltype(elapsed)>,
                 "thread completions are on the engine hot path and must "
                 "never take the callback heap-fallback path");
-  thread_completion_ = engine_.ScheduleAfter(ActiveThreadRemaining(), std::move(on_elapsed));
+  thread_completion_ = engine_.ScheduleAfter(ActiveThreadRemaining(), std::move(elapsed));
 }
 
 }  // namespace wdmlat::kernel

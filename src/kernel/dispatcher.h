@@ -2,20 +2,23 @@
 //
 // A single CPU executes, at any instant, exactly one of (from most to least
 // privileged):
-//   1. the top entry of the interrupt stack — an ISR at its device IRQL, or
-//      an injected kernel section (a legacy cli region or a raised-IRQL code
-//      path from a driver/VMM);
-//   2. the running DPC (at DISPATCH level);
-//   3. the current thread's compute segment (at the segment's IRQL,
+//   1. the top of the frame stack. A frame is an ISR at its device IRQL, an
+//      injected kernel section at its own IRQL (a legacy cli region or a
+//      raised-IRQL code path from a driver/VMM), or the running DPC at
+//      DISPATCH. This is the paper's Section 4.1 hierarchy as one stack:
+//      frame IRQLs strictly increase bottom to top, and a DPC starts only on
+//      an empty stack, so a DPC frame is always the bottom frame. The frames
+//      live by value in a fixed array with one slot per IRQL above PASSIVE.
+//   2. the current thread's compute segment (at the segment's IRQL,
 //      usually PASSIVE), or the in-progress context switch (at DISPATCH);
-//   4. nothing (idle).
+//   3. nothing (idle).
 //
 // Each timed entity is preemptible: when a more privileged entity becomes
 // runnable, the active one is paused (its remaining work saved) and resumed
-// when the stack above it drains. Pending interrupts are accepted only when
+// when the frames above it pop. Pending interrupts are accepted only when
 // the effective IRQL drops below their line's IRQL — the time from assertion
-// to ISR entry is the paper's interrupt latency. DPCs drain FIFO when no ISR
-// is active — queueing delay is the paper's DPC latency. Threads dispatch
+// to ISR entry is the paper's interrupt latency. DPCs drain FIFO when the
+// frame stack is empty — queueing delay is the paper's DPC latency. Threads dispatch
 // when nothing above them is active, the scheduler picks them, and thread
 // dispatching is not locked out — on Windows 98, legacy VMM critical sections
 // lock dispatching for milliseconds while DPCs still run, which is exactly
@@ -24,9 +27,10 @@
 #ifndef SRC_KERNEL_DISPATCHER_H_
 #define SRC_KERNEL_DISPATCHER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,8 +104,9 @@ class Dispatcher {
   Irql EffectiveIrql() const;
   // Label of the innermost executing activity.
   Label CurrentLabel() const;
-  // Label of the activity beneath the top interrupt frame: what the latest
-  // interrupt interrupted. This is what the cause tool's IDT hook samples.
+  // Label of the activity beneath the top frame: what the latest interrupt
+  // interrupted. This is what the cause tool's IDT hook samples. With only a
+  // DPC frame (no interrupt above it) this is the DPC itself.
   Label InterruptedLabel() const;
   KThread* current_thread() const { return current_; }
   bool in_thread_continuation() const { return in_continuation_; }
@@ -110,10 +115,10 @@ class Dispatcher {
 
   // IRQL / dispatcher-lock discipline audit for sim::InvariantAuditor, run
   // from engine-idle context (between simulation slices, never from inside a
-  // Gate). Validates: no gate is open, interrupt-stack IRQLs strictly
-  // increase bottom-to-top and stay above DISPATCH, exactly the innermost
-  // activity (top frame, else DPC, else thread) is marked running, and
-  // paused activities below it are not. Appends one line per violation.
+  // Gate). Validates: no gate is open, frame-stack IRQLs strictly increase
+  // bottom to top and stay at or below HIGH, no DPC frame coexists with a
+  // spin-wait, and only the innermost activity (top frame, else thread) is
+  // marked running. Appends one line per violation.
   void AuditDiscipline(std::vector<std::string>* violations) const;
 
   // --- Legacy / stress injection ---------------------------------------------
@@ -150,7 +155,6 @@ class Dispatcher {
 
   // --- Ground-truth observers (tests, NT interrupt-latency collection) -------
   std::function<void(int line, sim::Cycles asserted, sim::Cycles isr_entry)> on_isr_entry;
-  std::function<void(const KDpc& dpc, sim::Cycles enqueued, sim::Cycles start)> on_dpc_start;
   std::function<void(const KThread& thread, sim::Cycles signaled, sim::Cycles dispatched)>
       on_thread_dispatch;
 
@@ -165,21 +169,31 @@ class Dispatcher {
  private:
   enum class ThreadPhase : std::uint8_t { kNone, kSwitch, kSegment };
 
+  enum class FrameKind : std::uint8_t { kIsr, kSection, kDpc };
+
+  // One entry of the frame stack, held by value. ISR and DPC frames run in
+  // two phases: dispatch overhead, then (`in_body`) the body; a section is
+  // all body.
   struct Frame {
+    FrameKind kind = FrameKind::kSection;
     Irql irql = Irql::kHigh;
+    bool in_body = false;
+    bool running = false;
     Label label{};
-    bool is_isr = false;
-    int line = -1;
-    sim::Cycles asserted = 0;
-    KInterrupt* interrupt = nullptr;
+    int line = -1;                    // ISR
+    KInterrupt* interrupt = nullptr;  // ISR
+    KDpc* dpc = nullptr;              // DPC
+    // ISR: line asserted; DPC: enqueued. The start of its latency.
+    sim::Cycles requested_at = 0;
+    // Body start: the duration of the frame's end event is measured from it.
+    sim::Cycles began_at = 0;
     sim::Cycles remaining = 0;
     sim::Cycles resumed_at = 0;
-    sim::Cycles created_at = 0;
-    sim::Cycles entered_at = 0;
-    bool running = false;
     sim::EventHandle completion;
-    std::function<void()> on_elapsed;
   };
+  // Frame IRQLs strictly increase bottom to top and never fall to PASSIVE,
+  // so the stack holds at most one frame per level from APC to HIGH.
+  static constexpr std::size_t kMaxFrames = ToLevel(Irql::kHigh);
 
   // Re-entrancy gate: every public entry point opens one; the outermost gate
   // runs the reevaluation loop on exit, so state changes made inside
@@ -207,11 +221,12 @@ class Dispatcher {
 
   void ReevaluateOnce();
   void AcceptInterrupt(int line);
+  // Pauses the active entity and pushes a fresh frame above it.
+  Frame& PushFrame(FrameKind kind, Irql irql, Label label, sim::Cycles remaining);
   void IsrEntry(Frame* frame);
   void PopFrame(Frame* frame);
   void StartNextDpc();
-  void DpcEntry(Frame* frame, KDpc* dpc, sim::Cycles enqueued);
-  void FinishDpc(KDpc* dpc, sim::Cycles started);
+  void DpcEntry(Frame* frame);
   void MaybeDispatchThread();
   void SwitchTo(KThread* thread);
   void PreemptCurrent(bool to_front);
@@ -220,6 +235,8 @@ class Dispatcher {
   void AfterContinuation();
   void OnThreadElapsed();
   void OnFrameElapsed(Frame* frame);
+  // Label of the thread level: the context switch, the segment, or idle.
+  Label ThreadLabel() const;
 
   // Current-core context tracking for Smp (no-ops when unattached).
   void PushCoreContext();
@@ -242,8 +259,8 @@ class Dispatcher {
 
   std::vector<KInterrupt*> interrupts_;  // indexed by line
 
-  std::vector<std::unique_ptr<Frame>> stack_;
-  std::unique_ptr<Frame> dpc_frame_;
+  std::array<Frame, kMaxFrames> frames_;
+  std::size_t depth_ = 0;
 
   KThread* current_ = nullptr;
   ThreadPhase thread_phase_ = ThreadPhase::kNone;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -37,9 +38,11 @@ TEST_P(DispatcherFuzzTest, RandomOperationStormKeepsInvariants) {
   std::uint64_t wakeups = 0;
   for (int t = 0; t < 6; ++t) {
     const int event_index = t % kEvents;
+    // The loop holds itself weakly and the continuations it hands the
+    // kernel hold it strongly, so it is freed with the kernel, not leaked.
     auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&, event_index, loop] {
-      sys.kernel().Wait(&events[event_index], [&, loop] {
+    *loop = [&, event_index, self = std::weak_ptr(loop)] {
+      sys.kernel().Wait(&events[event_index], [&, loop = self.lock()] {
         ++wakeups;
         sys.kernel().Compute(rng.Uniform(5.0, 500.0), [loop] { (*loop)(); });
       });

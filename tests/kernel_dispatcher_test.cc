@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -329,23 +330,84 @@ TEST(DispatcherTest, SpuriousInterruptOnUnconnectedLineIsCounted) {
 }
 
 TEST(DispatcherTest, InterruptedLabelSeesWhatThePitInterrupted) {
+  // Two DISPATCH-level activities spanning several PIT ticks: an injected
+  // section, and a DPC whose body is the bottom frame beneath the clock ISR.
+  for (const bool use_dpc : {false, true}) {
+    SCOPED_TRACE(use_dpc ? "DPC" : "section");
+    const Label target = use_dpc ? Label{"NDIS", "_ndisMDpcX"} : Label{"VMM", "_mmFindContig"};
+    MiniSystem sys;
+    KDpc dpc(nullptr, sim::DurationDist::Constant(2500.0), target);
+    std::vector<Label> sampled;
+    sys.kernel().clock_interrupt()->AddPreHook(
+        [&] { sampled.push_back(sys.kernel().dispatcher().InterruptedLabel()); });
+    sys.engine().ScheduleAt(sim::MsToCycles(1.5), [&] {
+      if (use_dpc) {
+        sys.kernel().KeInsertQueueDpc(&dpc);
+      } else {
+        sys.kernel().InjectKernelSection(Irql::kDispatch, 2500.0, target);
+      }
+    });
+    sys.RunForMs(6.0);
+    int hits = 0;
+    for (const Label& label : sampled) {
+      if (label == target) {
+        ++hits;
+      }
+    }
+    // Ticks at 2 ms and 3 ms land inside the section or DPC body.
+    EXPECT_GE(hits, 2);
+  }
+}
+
+TEST(DispatcherTest, SectionsNestAtEveryLevelFromApcToHigh) {
+  // One section per IRQL from APC to HIGH, each injected 1 us after the one
+  // below it, while that one is still running: 31 frames, the full stack.
+  // All of it runs well before the first PIT tick at 1 ms.
+  constexpr int kLevels = ToLevel(Irql::kHigh);
+  constexpr double kStartUs = 100.0;
+  constexpr double kLengthUs = 10.0;
   MiniSystem sys;
-  std::vector<Label> sampled;
-  sys.kernel().clock_interrupt()->AddPreHook(
-      [&] { sampled.push_back(sys.kernel().dispatcher().InterruptedLabel()); });
-  // A DISPATCH-level section spanning several PIT ticks.
-  sys.engine().ScheduleAt(sim::MsToCycles(1.5), [&] {
-    sys.kernel().InjectKernelSection(Irql::kDispatch, 2500.0, Label{"VMM", "_mmFindContig"});
-  });
-  sys.RunForMs(6.0);
-  int hits = 0;
-  for (const Label& label : sampled) {
-    if (label == Label{"VMM", "_mmFindContig"}) {
-      ++hits;
+  TraceSession trace(256);
+  sys.kernel().SetTraceSink(&trace);
+  std::vector<std::string> names;
+  for (int level = 0; level <= kLevels; ++level) {
+    names.push_back("_level" + std::to_string(level));
+  }
+  for (int level = 1; level <= kLevels; ++level) {
+    sys.engine().ScheduleAt(sim::UsToCycles(kStartUs + level - 1), [&sys, &names, level] {
+      EXPECT_TRUE(sys.kernel().InjectKernelSection(static_cast<Irql>(level), kLengthUs,
+                                                   Label{"T", names[level].c_str()}));
+    });
+  }
+  // Half a microsecond after the HIGH section arrives, every frame is live.
+  sys.RunForUs(kStartUs + kLevels - 0.5);
+  EXPECT_EQ(sys.kernel().dispatcher().EffectiveIrql(), Irql::kHigh);
+  EXPECT_EQ(trace.count(TraceEventType::kSectionStart), static_cast<std::uint64_t>(kLevels));
+  EXPECT_EQ(trace.count(TraceEventType::kSectionEnd), 0u);
+  std::vector<std::string> violations;
+  sys.kernel().dispatcher().AuditDiscipline(&violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+
+  sys.RunForUs(800.0);
+  // LIFO: HIGH ends first after its full length; each level below it ran
+  // 1 us before being preempted, so level k's wall time is (32 - k) lengths.
+  std::vector<TraceEvent> ends;
+  for (const TraceEvent& event : trace.Snapshot()) {
+    if (event.type == TraceEventType::kSectionEnd) {
+      ends.push_back(event);
     }
   }
-  // Ticks at 2 ms and 3 ms land inside the section.
-  EXPECT_GE(hits, 2);
+  ASSERT_EQ(ends.size(), static_cast<std::size_t>(kLevels));
+  for (int i = 0; i < kLevels; ++i) {
+    const int level = kLevels - i;
+    EXPECT_EQ(ends[i].label, (Label{"T", names[level].c_str()})) << "end " << i;
+    EXPECT_EQ(ends[i].duration, sim::UsToCycles((i + 1) * kLengthUs)) << "level " << level;
+  }
+  EXPECT_TRUE(sys.kernel().dispatcher().idle());
+  EXPECT_EQ(sys.kernel().dispatcher().EffectiveIrql(), Irql::kPassive);
+  violations.clear();
+  sys.kernel().dispatcher().AuditDiscipline(&violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 TEST(DispatcherTest, ContextSwitchCountsAreTracked) {

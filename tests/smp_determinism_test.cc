@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -232,9 +233,11 @@ FuzzOutcome RunSmpStorm(std::uint64_t seed, bool migrating) {
   std::vector<kernel::KThread*> threads;
   for (int t = 0; t < 8; ++t) {
     const int event_index = t % kEvents;
+    // The loop holds itself weakly and the continuations it hands the
+    // kernel hold it strongly, so it is freed with the kernel, not leaked.
     auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&, event_index, loop] {
-      k.Wait(&events[event_index], [&, loop] {
+    *loop = [&, event_index, self = std::weak_ptr(loop)] {
+      k.Wait(&events[event_index], [&, loop = self.lock()] {
         ++out.wakeups;
         k.Compute(rng.Uniform(5.0, 500.0), [loop] { (*loop)(); });
       });
