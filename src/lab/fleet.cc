@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
+#include <deque>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -16,6 +19,7 @@
 #include "src/kernel/thread.h"
 #include "src/lab/report_io.h"
 #include "src/obs/json.h"
+#include "src/runtime/thread_pool.h"
 #include "src/sim/rng.h"
 #include "src/workload/stress_profile.h"
 
@@ -778,6 +782,102 @@ bool SaveFleetQuarantine(const std::string& path,
 
 // --- Streaming merge ---------------------------------------------------------
 
+namespace {
+
+// Decode-ahead for the streaming merge. Decoding a record line is pure, so
+// worker threads decode the next lines of the shard streams while the merge
+// folds earlier records serially in grid order. Each stream still yields its
+// non-empty lines in file order, exactly as a serial reader would, so the
+// fold sees the same sequence of parse results and the merged bits do not
+// change. Lines are read ahead in the order the fold expects to need them
+// (cell i from stream i % shards), and at most two per worker are held at
+// once, whatever the shard count.
+class RecordDecoder {
+ public:
+  struct Decoded {
+    bool ok = false;
+    FleetCellRecord record;
+    std::string error;
+  };
+
+  explicit RecordDecoder(std::vector<std::ifstream> streams)
+      : streams_(std::move(streams)),
+        queues_(streams_.size()),
+        exhausted_(streams_.size(), false),
+        pool_(runtime::ThreadPool::HardwareThreads()),
+        window_(2 * static_cast<std::size_t>(pool_.thread_count())) {}
+
+  // The next non-empty line of stream k, decoded; false once k is exhausted.
+  bool Next(std::size_t k, Decoded* out) {
+    if (queues_[k].empty()) {
+      ReadAhead(k);  // the fold ran ahead of the plan (dropped or stale lines)
+    }
+    if (queues_[k].empty()) {
+      return false;
+    }
+    // The slot leaves its queue only once its decode is done: on an
+    // exception the pool, which is destroyed first, still writes into it.
+    Slot& slot = *queues_[k].front();
+    --pending_;
+    TopUp();  // queue the next decodes before waiting on this one
+    slot.done.get();
+    *out = std::move(slot.decoded);
+    queues_[k].pop_front();
+    return true;
+  }
+
+ private:
+  struct Slot {
+    std::string line;
+    Decoded decoded;
+    std::future<void> done;
+  };
+
+  // Read stream k's next non-empty line and queue its decode.
+  void ReadAhead(std::size_t k) {
+    if (exhausted_[k]) {
+      return;
+    }
+    std::string line;
+    while (std::getline(streams_[k], line)) {
+      if (!line.empty()) {
+        break;
+      }
+    }
+    if (line.empty()) {
+      exhausted_[k] = true;
+      ++exhausted_count_;
+      return;
+    }
+    Slot& slot = *queues_[k].emplace_back(std::make_unique<Slot>());
+    slot.line = std::move(line);
+    slot.done = pool_.Submit([&slot] {
+      slot.decoded.ok = FleetRecordFromLine(slot.line, &slot.decoded.record, &slot.decoded.error);
+    });
+    ++pending_;
+  }
+
+  void TopUp() {
+    const std::size_t shards = streams_.size();
+    while (pending_ < window_ && exhausted_count_ < shards) {
+      ReadAhead(plan_);
+      plan_ = (plan_ + 1) % shards;
+    }
+  }
+
+  std::vector<std::ifstream> streams_;
+  std::vector<std::deque<std::unique_ptr<Slot>>> queues_;
+  std::vector<bool> exhausted_;
+  std::size_t exhausted_count_ = 0;
+  std::size_t pending_ = 0;
+  std::size_t plan_ = 0;  // the stream the next read-ahead comes from
+  // Declared after the slots it writes into, so it drains and joins first.
+  runtime::ThreadPool pool_;
+  const std::size_t window_;
+};
+
+}  // namespace
+
 bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_paths,
                       FleetReport* report, std::string* error) {
   return MergeFleetShards(fleet, shard_paths, FleetMergeOptions{}, report, error);
@@ -847,6 +947,8 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     FleetCellRecord record;
   };
   std::vector<BufferedRecord> buffered(shards);
+  RecordDecoder decoder(std::move(streams));
+  RecordDecoder::Decoded decoded;
 
   // Global grid order: cell i lives at the front of stream i % shards, so
   // the k-way merge is a round-robin walk. Folding in this one fixed order —
@@ -854,7 +956,6 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
   // floating-point sums and sketch states bit-identical.
   for (std::uint64_t index = 0; index < fleet.cell_count(); ++index) {
     const std::size_t k = index % shards;
-    std::ifstream& in = streams[k];
     const auto fail = [&](const std::string& what) {
       if (error != nullptr) {
         *error = "cell " + std::to_string(index) + " (shard " + std::to_string(k) +
@@ -867,30 +968,22 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     std::string fatal;
     const auto fill = [&]() -> bool {  // false = strict-mode parse failure
       while (!buffered[k].has) {
-        std::string line;
-        while (std::getline(in, line)) {
-          if (!line.empty()) {
-            break;
-          }
-        }
-        if (line.empty()) {
+        if (!decoder.Next(k, &decoded)) {
           return true;  // stream exhausted
         }
-        FleetCellRecord record;
-        std::string parse_error;
-        if (!FleetRecordFromLine(line, &record, &parse_error)) {
+        if (!decoded.ok) {
           if (!degraded) {
-            fatal = parse_error;
+            fatal = decoded.error;
             return false;
           }
-          drop_reason = parse_error.find("checksum mismatch") != std::string::npos
+          drop_reason = decoded.error.find("checksum mismatch") != std::string::npos
                             ? "checksum_mismatch"
                             : "corrupt_record";
-          warn("shard " + std::to_string(k) + ": dropped line (" + parse_error + ")");
+          warn("shard " + std::to_string(k) + ": dropped line (" + decoded.error + ")");
           continue;
         }
         buffered[k].has = true;
-        buffered[k].record = std::move(record);
+        buffered[k].record = std::move(decoded.record);
       }
       return true;
     };

@@ -20,10 +20,10 @@
 // MergeFleetShards then folds the shard files with a streaming grid-order
 // merge: records are consumed strictly in global index order (round-robin
 // across the per-shard streams) and folded into per-cohort accumulators,
-// then discarded — peak RSS is O(cohorts + open shard streams), not
-// O(cells), and the fold order is the same whatever `--shards`/`--jobs`
-// produced the files, so the merged report is bit-identical (fleet
-// determinism tests).
+// then discarded — peak RSS is O(cohorts + open shard streams + hardware
+// threads), not O(cells), and the fold order is the same whatever
+// `--shards`/`--jobs` produced the files, so the merged report is
+// bit-identical (fleet determinism tests).
 
 #ifndef SRC_LAB_FLEET_H_
 #define SRC_LAB_FLEET_H_
@@ -324,9 +324,11 @@ struct FleetMergeOptions {
 // Streaming grid-order merge: consume the shard record streams strictly in
 // global cell-index order, folding each record into its cohort accumulator
 // and discarding it. `shard_paths[k]` must be shard k of shard_paths.size().
-// Fails (false + error) on a missing/torn/mismatched record — including one
-// written under another spec — since an incomplete shard must be re-run,
-// never silently skipped.
+// Records are decoded on one worker per hardware thread, at most two per
+// worker ahead of the fold, and folded serially in grid order, so the
+// result is the same as a line-by-line merge. Fails (false + error) on a
+// missing/torn/mismatched record — including one written under another
+// spec — since an incomplete shard must be re-run, never silently skipped.
 bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_paths,
                       FleetReport* report, std::string* error);
 

@@ -162,17 +162,22 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
     levels_[l].insert(levels_[l].end(), other.levels_[l].begin(), other.levels_[l].end());
   }
   CompactCascade();
-  // Tail: top-K of a multiset union — exact and order-independent.
-  std::vector<double> merged;
-  merged.reserve(tail_.size() + other.tail_.size());
-  merged.insert(merged.end(), tail_.begin(), tail_.end());
-  merged.insert(merged.end(), other.tail_.begin(), other.tail_.end());
-  std::sort(merged.begin(), merged.end());
+  // Tail: top-K of a multiset union — exact and order-independent. An
+  // ascending array is a valid min-heap, and a merged tail is left ascending,
+  // so in a grid-order fold the accumulator is already sorted: only the
+  // incoming tail is sorted, then the two are merged linearly. A tail that
+  // Record or ImportState left in heap order is sorted first.
+  if (!std::is_sorted(tail_.begin(), tail_.end())) {
+    std::sort(tail_.begin(), tail_.end());
+  }
+  std::vector<double> incoming(other.tail_);
+  std::sort(incoming.begin(), incoming.end());
+  std::vector<double> merged(tail_.size() + incoming.size());
+  std::merge(tail_.begin(), tail_.end(), incoming.begin(), incoming.end(), merged.begin());
   if (merged.size() > kTailCapacity) {
     merged.erase(merged.begin(), merged.end() - kTailCapacity);
   }
   tail_ = std::move(merged);
-  std::make_heap(tail_.begin(), tail_.end(), std::greater<>());
 }
 
 void QuantileSketch::Reset() { *this = QuantileSketch(); }
@@ -224,6 +229,10 @@ bool QuantileSketch::ImportState(const State& state) {
     if (!std::isfinite(value) || value < 0.0) {
       return false;
     }
+  }
+  // TailInsert's heap operations keep the right top-K only on a min-heap.
+  if (!std::is_heap(state.tail.begin(), state.tail.end(), std::greater<>())) {
+    return false;
   }
   levels_ = state.levels;
   parities_ = state.parities;

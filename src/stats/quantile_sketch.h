@@ -69,7 +69,7 @@ class QuantileSketch {
   struct State {
     std::vector<std::vector<double>> levels;   // levels[l]: items of weight 2^l
     std::vector<std::uint8_t> parities;        // next compaction offset per level
-    std::vector<double> tail;                  // top-K reservoir, heap order
+    std::vector<double> tail;                  // top-K reservoir, min-heap order
     std::uint64_t count = 0;
     double sum_ms = 0.0;
     double min_ms = 0.0;
@@ -78,8 +78,8 @@ class QuantileSketch {
   State ExportState() const;
   // Replace *this with `state`. Returns false — leaving *this Reset() — on a
   // malformed snapshot: weight conservation broken (sum over levels of
-  // |level|*2^l != count), mismatched parity vector, oversized buffers, or
-  // non-finite / negative values.
+  // |level|*2^l != count), mismatched parity vector, oversized buffers,
+  // non-finite / negative values, or a tail that is not a min-heap.
   bool ImportState(const State& state);
 
  private:

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/lab/fleet.h"
+#include "src/runtime/thread_pool.h"
 #include "tests/temp_path.h"
 
 namespace wdmlat::lab {
@@ -75,6 +76,22 @@ std::vector<std::string> RunTwoShards(const Fleet& fleet, const std::string& dir
   return paths;
 }
 
+// Bump one payload digit while keeping the line valid JSON: the FNV checksum
+// no longer matches.
+bool FlipPayloadDigit(std::string& line) {
+  const std::size_t payload = line.find("\"payload\"");
+  if (payload == std::string::npos) {
+    return false;
+  }
+  for (std::size_t i = payload; i < line.size(); ++i) {
+    if (line[i] >= '1' && line[i] <= '8') {
+      ++line[i];
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string MergedJson(const Fleet& fleet, const std::vector<std::string>& paths,
                        const FleetMergeOptions& options) {
   FleetReport report;
@@ -130,21 +147,10 @@ TEST(FleetChaosMerge, ChecksumMismatchGetsItsOwnTaxonomy) {
   const std::string dir = TempDirFor("chaos_bitrot");
   const std::vector<std::string> paths = RunTwoShards(fleet, dir);
 
-  // Flip one payload digit of shard 1's second record (cell 3) while keeping
-  // the line valid JSON: the FNV checksum no longer matches.
+  // Flip one payload digit of shard 1's second record (cell 3).
   std::vector<std::string> lines = ReadLines(paths[1]);
   ASSERT_EQ(lines.size(), 4u);  // cells 1,3,5,7
-  std::string& line = lines[1];
-  const std::size_t payload = line.find("\"payload\"");
-  ASSERT_NE(payload, std::string::npos);
-  bool flipped = false;
-  for (std::size_t i = payload; i < line.size() && !flipped; ++i) {
-    if (line[i] >= '1' && line[i] <= '8') {
-      ++line[i];
-      flipped = true;
-    }
-  }
-  ASSERT_TRUE(flipped);
+  ASSERT_TRUE(FlipPayloadDigit(lines[1]));
   WriteLines(paths[1], lines);
 
   FleetMergeOptions degraded;
@@ -347,6 +353,219 @@ TEST(FleetChaosMerge, SkipCellsAreExcludedFromTheShardPlan) {
   for (const std::string& line : lines) {
     EXPECT_EQ(line.find("\"cell\": \"4\""), std::string::npos);
   }
+}
+
+// --- Decode-ahead boundaries --------------------------------------------------
+//
+// MergeFleetShards decodes up to two records per hardware thread ahead of the
+// serial fold. These shards hold several such windows, and the damage sits
+// past the first one, where the fold consumes records decoded ahead. Every
+// outcome must be the one a line-by-line serial merge gives.
+
+std::uint64_t DecodeWindow() {
+  return 2 * static_cast<std::uint64_t>(runtime::ThreadPool::HardwareThreads());
+}
+
+// SmallPopulation grown to `cells` cells. Its records are made up, not
+// simulated: the merge reads nothing but the record lines.
+FleetSpec WindowedPopulation(std::uint64_t cells) {
+  FleetSpec spec = SmallPopulation();
+  spec.name = "decode-ahead";
+  spec.cohorts[0].count = cells / 2;
+  spec.cohorts[1].count = cells - cells / 2;
+  return spec;
+}
+
+FleetCellRecord MadeUpRecord(const Fleet& fleet, std::uint64_t index) {
+  const FleetCell cell = fleet.CellAt(index);
+  FleetCellRecord record;
+  record.index = index;
+  record.cohort = cell.cohort;
+  record.seed = cell.seed;
+  record.spec = fleet.fingerprint();
+  record.speed_mhz = cell.speed_mhz;
+  record.samples = 300;
+  record.stress_hours = 0.001 * static_cast<double>(1 + index % 7);
+  std::uint64_t state = cell.seed;
+  for (std::uint64_t i = 0; i < record.samples; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double us = 5.0 + static_cast<double>(state >> 40) / 1024.0;
+    record.thread.RecordUs(us);
+    record.dpc_interrupt.RecordUs(us / 4.0);
+    record.thread_sketch.RecordUs(us);
+  }
+  return record;
+}
+
+std::vector<std::string> WriteMadeUpShards(const Fleet& fleet, const std::string& dir,
+                                           std::size_t shards) {
+  std::vector<std::vector<std::string>> lines(shards);
+  for (std::uint64_t i = 0; i < fleet.cell_count(); ++i) {
+    lines[i % shards].push_back(FleetRecordToLine(MadeUpRecord(fleet, i)));
+  }
+  std::vector<std::string> paths;
+  for (std::size_t k = 0; k < shards; ++k) {
+    paths.push_back(FleetShardPath(dir, k, shards));
+    WriteLines(paths.back(), lines[k]);
+  }
+  return paths;
+}
+
+// Cells whose records are damaged, all past the first decode window. The
+// three sit on different shards of a 3-shard split and are not adjacent in
+// one stream: a gap takes its taxonomy from the last line dropped before the
+// next good record, so two damaged lines in a row would name one gap twice.
+struct Damage {
+  std::uint64_t torn = 0;      // record cut mid-line
+  std::uint64_t flipped = 0;   // one payload digit changed
+  std::uint64_t repeated = 0;  // record written twice in a row
+};
+
+Damage PastTheFirstWindow() {
+  const std::uint64_t window = DecodeWindow();
+  return Damage{window + 2, window + 6, window + 10};
+}
+
+std::uint64_t WindowedCells() { return 3 * DecodeWindow() + 12; }
+
+// Rewrite the shard file that holds `cell`: `change` gets that shard's lines
+// and the cell's line number (cell c is line c / shards of shard c % shards).
+template <typename Change>
+void EditRecord(const std::vector<std::string>& paths, std::uint64_t cell, const Change& change) {
+  const std::string& path = paths[cell % paths.size()];
+  std::vector<std::string> lines = ReadLines(path);
+  change(lines, cell / paths.size());
+  WriteLines(path, lines);
+}
+
+// Cut the record of `cell` mid-line; returns the torn line.
+std::string TearRecord(const std::vector<std::string>& paths, std::uint64_t cell) {
+  std::string torn;
+  EditRecord(paths, cell, [&](std::vector<std::string>& lines, std::size_t at) {
+    lines[at] = lines[at].substr(0, lines[at].size() / 2);
+    torn = lines[at];
+  });
+  return torn;
+}
+
+// Change one payload digit of the record of `cell`; returns the line.
+std::string FlipRecord(const std::vector<std::string>& paths, std::uint64_t cell) {
+  std::string flipped;
+  EditRecord(paths, cell, [&](std::vector<std::string>& lines, std::size_t at) {
+    EXPECT_TRUE(FlipPayloadDigit(lines[at]));
+    flipped = lines[at];
+  });
+  return flipped;
+}
+
+// Write the record of `cell` twice in a row.
+void RepeatRecord(const std::vector<std::string>& paths, std::uint64_t cell) {
+  EditRecord(paths, cell, [](std::vector<std::string>& lines, std::size_t at) {
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at) + 1, lines[at]);
+  });
+}
+
+std::string ParseError(const std::string& line) {
+  FleetCellRecord record;
+  std::string error;
+  EXPECT_FALSE(FleetRecordFromLine(line, &record, &error));
+  return error;
+}
+
+TEST(FleetChaosMerge, DecodeAheadStrictModeFailsAtTheFirstDamagedCell) {
+  const Fleet fleet(WindowedPopulation(WindowedCells()));
+  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
+  const Damage damage = PastTheFirstWindow();
+  const std::string t = std::to_string(damage.torn);
+  const std::string f = std::to_string(damage.flipped);
+  const std::string r = std::to_string(damage.repeated);
+  const std::string dir = TempDirFor("chaos_window_strict");
+  FleetReport report;
+  std::string error;
+
+  std::vector<std::string> paths = WriteMadeUpShards(fleet, dir, 1);
+  const std::string torn = TearRecord(paths, damage.torn);
+  FlipRecord(paths, damage.flipped);
+  RepeatRecord(paths, damage.repeated);
+  EXPECT_FALSE(MergeFleetShards(fleet, paths, &report, &error));
+  EXPECT_EQ(error, "cell " + t + " (shard 0): " + ParseError(torn));
+
+  paths = WriteMadeUpShards(fleet, dir, 1);
+  const std::string flipped = FlipRecord(paths, damage.flipped);
+  RepeatRecord(paths, damage.repeated);
+  EXPECT_FALSE(MergeFleetShards(fleet, paths, &report, &error));
+  EXPECT_EQ(error, "cell " + f + " (shard 0): " + ParseError(flipped));
+  EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+
+  paths = WriteMadeUpShards(fleet, dir, 1);
+  RepeatRecord(paths, damage.repeated);
+  EXPECT_FALSE(MergeFleetShards(fleet, paths, &report, &error));
+  EXPECT_EQ(error, "cell " + std::to_string(damage.repeated + 1) +
+                       " (shard 0): record is for cell " + r + " — shard file out of order");
+}
+
+TEST(FleetChaosMerge, DecodeAheadDegradedModeKeepsTheSerialVerdicts) {
+  const Fleet fleet(WindowedPopulation(WindowedCells()));
+  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
+  const Damage damage = PastTheFirstWindow();
+  const std::string t = std::to_string(damage.torn);
+  const std::string f = std::to_string(damage.flipped);
+  const std::string r = std::to_string(damage.repeated);
+  const std::vector<std::string> paths =
+      WriteMadeUpShards(fleet, TempDirFor("chaos_window_degraded"), 1);
+  const std::string torn = TearRecord(paths, damage.torn);
+  const std::string flipped = FlipRecord(paths, damage.flipped);
+  RepeatRecord(paths, damage.repeated);
+
+  FleetMergeOptions degraded;
+  degraded.allow_degraded = true;
+  FleetReport report;
+  std::string error;
+  ASSERT_TRUE(MergeFleetShards(fleet, paths, degraded, &report, &error)) << error;
+  EXPECT_EQ(report.cells_completed, fleet.cell_count() - 2);
+  ASSERT_EQ(report.quarantine.size(), 2u);
+  EXPECT_EQ(report.quarantine[0].cell, damage.torn);
+  EXPECT_EQ(report.quarantine[0].taxonomy, "corrupt_record");
+  EXPECT_EQ(report.quarantine[0].seed, fleet.CellAt(damage.torn).seed);
+  EXPECT_EQ(report.quarantine[0].cohort, fleet.CellAt(damage.torn).cohort);
+  EXPECT_EQ(report.quarantine[1].cell, damage.flipped);
+  EXPECT_EQ(report.quarantine[1].taxonomy, "checksum_mismatch");
+  EXPECT_EQ(report.quarantine[1].seed, fleet.CellAt(damage.flipped).seed);
+  EXPECT_EQ(report.quarantine[1].cohort, fleet.CellAt(damage.flipped).cohort);
+  const std::vector<std::string> expected_warnings = {
+      "shard 0: dropped line (" + ParseError(torn) + ")",
+      "cell " + t + " (shard 0) quarantined by degraded merge: corrupt_record",
+      "shard 0: dropped line (" + ParseError(flipped) + ")",
+      "cell " + f + " (shard 0) quarantined by degraded merge: checksum_mismatch",
+      "shard 0: stale record for cell " + r + " (duplicate or out of order); dropped",
+  };
+  EXPECT_EQ(report.merge_warnings, expected_warnings);
+  for (const FleetCohortReport& cohort : report.cohorts) {
+    EXPECT_EQ(cohort.cells + cohort.quarantined, cohort.planned) << cohort.name;
+  }
+  EXPECT_EQ(MergedJson(fleet, paths, degraded), FleetReportToJson(report));
+}
+
+TEST(FleetChaosMerge, DecodeAheadThreeShardsMatchOneShardByteForByte) {
+  const Fleet fleet(WindowedPopulation(WindowedCells()));
+  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
+  const Damage damage = PastTheFirstWindow();
+  const std::vector<std::string> one = WriteMadeUpShards(fleet, TempDirFor("chaos_window_1"), 1);
+  const std::vector<std::string> three =
+      WriteMadeUpShards(fleet, TempDirFor("chaos_window_3"), 3);
+  const FleetMergeOptions strict;
+  EXPECT_EQ(MergedJson(fleet, three, strict), MergedJson(fleet, one, strict));
+
+  for (const std::vector<std::string>* paths : {&one, &three}) {
+    TearRecord(*paths, damage.torn);
+    FlipRecord(*paths, damage.flipped);
+    RepeatRecord(*paths, damage.repeated);
+  }
+  FleetMergeOptions degraded;
+  degraded.allow_degraded = true;
+  const std::string merged_one = MergedJson(fleet, one, degraded);
+  EXPECT_NE(merged_one.find("checksum_mismatch"), std::string::npos);
+  EXPECT_EQ(MergedJson(fleet, three, degraded), merged_one);
 }
 
 }  // namespace

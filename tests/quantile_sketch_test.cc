@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -223,6 +225,166 @@ TEST(QuantileSketchTest, ImportRejectsCorruptSnapshots) {
   bad = good;
   bad.tail.pop_back();
   EXPECT_FALSE(target.ImportState(bad));
+
+  // Tail reordered so it is no longer a min-heap: TailInsert would keep a
+  // wrong top-K on it.
+  bad = good;
+  std::iter_swap(bad.tail.begin(), std::max_element(bad.tail.begin(), bad.tail.end()));
+  ASSERT_NE(bad.tail.front(), good.tail.front());
+  EXPECT_FALSE(target.ImportState(bad));
+}
+
+// --- Tail merge against a reference ------------------------------------------
+//
+// Merge keeps the tail sorted and merges it linearly. The reference below is
+// the tail merge as first written — sort the union, keep the top
+// kTailCapacity, re-heap — plus the unchanged TailInsert for RecordMs. The
+// two must agree bit for bit on every exported state.
+
+constexpr std::size_t kTail = stats::QuantileSketch::kTailCapacity;
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
+// A sketch and, beside it, the state the reference algorithm gives after the
+// same operations. The tail merge does not touch the compactor levels
+// (GridOrderMergeIsAPureFunctionOfOperands covers them), so the reference
+// tracks the tail and the scalar fields.
+struct Tracked {
+  stats::QuantileSketch sketch;
+  stats::QuantileSketch::State reference;
+
+  void RecordMs(double ms) {
+    sketch.RecordMs(ms);
+    reference.min_ms = reference.count == 0 ? ms : std::min(reference.min_ms, ms);
+    reference.max_ms = reference.count == 0 ? ms : std::max(reference.max_ms, ms);
+    ++reference.count;
+    reference.sum_ms += ms;
+    std::vector<double>& tail = reference.tail;
+    if (tail.size() < kTail) {
+      tail.push_back(ms);
+      std::push_heap(tail.begin(), tail.end(), std::greater<>());
+    } else if (ms > tail.front()) {
+      std::pop_heap(tail.begin(), tail.end(), std::greater<>());
+      tail.back() = ms;
+      std::push_heap(tail.begin(), tail.end(), std::greater<>());
+    }
+  }
+
+  void Merge(const Tracked& other) {
+    sketch.Merge(other.sketch);
+    const stats::QuantileSketch::State& in = other.reference;
+    if (in.count == 0) {
+      return;
+    }
+    reference.min_ms = reference.count == 0 ? in.min_ms : std::min(reference.min_ms, in.min_ms);
+    reference.max_ms = reference.count == 0 ? in.max_ms : std::max(reference.max_ms, in.max_ms);
+    reference.count += in.count;
+    reference.sum_ms += in.sum_ms;
+    std::vector<double> merged = reference.tail;
+    merged.insert(merged.end(), in.tail.begin(), in.tail.end());
+    std::sort(merged.begin(), merged.end());
+    if (merged.size() > kTail) {
+      merged.erase(merged.begin(), merged.end() - kTail);
+    }
+    std::make_heap(merged.begin(), merged.end(), std::greater<>());
+    reference.tail = std::move(merged);
+  }
+
+  // Export and re-import, as a resumed run does.
+  void RoundTrip() {
+    stats::QuantileSketch restored;
+    ASSERT_TRUE(restored.ImportState(sketch.ExportState()));
+    sketch = restored;
+  }
+
+  void ExpectMatchesReference(const std::string& where) const {
+    const stats::QuantileSketch::State got = sketch.ExportState();
+    EXPECT_EQ(got.count, reference.count) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sum_ms),
+              std::bit_cast<std::uint64_t>(reference.sum_ms))
+        << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.min_ms),
+              std::bit_cast<std::uint64_t>(reference.min_ms))
+        << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_ms),
+              std::bit_cast<std::uint64_t>(reference.max_ms))
+        << where;
+    EXPECT_TRUE(Bits(got.tail) == Bits(reference.tail)) << where;
+  }
+};
+
+// A cell of `count` samples. With `distinct` > 0 the values come from that
+// many levels only, so the tail is full of equal values.
+Tracked MakeCell(DetRng& rng, std::size_t count, std::uint64_t distinct) {
+  Tracked cell;
+  for (std::size_t i = 0; i < count; ++i) {
+    cell.RecordMs(distinct == 0 ? rng.NextLatencyMs()
+                                : 0.125 * static_cast<double>(1 + rng.Next() % distinct));
+  }
+  return cell;
+}
+
+TEST(QuantileSketchTest, TailMergeMatchesTheSortUnionReference) {
+  const std::size_t sizes[] = {1, 37, 1400, kTail - 1, kTail, kTail + 1, 2 * kTail + 5};
+  const std::uint64_t distinct[] = {0, 1, 3, 40};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    DetRng rng(seed);
+    Tracked acc;
+    for (int step = 0; step < 14; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      switch (rng.Next() % 5) {
+        case 0:
+        case 1: {  // a grid-order fold of one cell, below or above the tail size
+          const std::size_t size = sizes[rng.Next() % std::size(sizes)];
+          acc.Merge(MakeCell(rng, size, distinct[rng.Next() % std::size(distinct)]));
+          break;
+        }
+        case 2: {  // a merge of merged sketches
+          Tracked left = MakeCell(rng, sizes[rng.Next() % std::size(sizes)], 0);
+          left.Merge(MakeCell(rng, sizes[rng.Next() % std::size(sizes)], 3));
+          Tracked right = MakeCell(rng, 1400, 0);
+          right.Merge(MakeCell(rng, kTail + 1, 0));
+          left.Merge(right);
+          acc.Merge(left);
+          break;
+        }
+        case 3: {  // RecordMs after a Merge leaves the tail in heap order
+          const std::size_t count = 1 + rng.Next() % 3000;
+          for (std::size_t i = 0; i < count; ++i) {
+            acc.RecordMs(rng.NextLatencyMs());
+          }
+          break;
+        }
+        case 4:  // an imported sketch, its tail as exported
+          acc.RoundTrip();
+          break;
+      }
+      acc.ExpectMatchesReference(where);
+    }
+  }
+}
+
+TEST(QuantileSketchTest, TailMergeIntoAnImportedHeapOrderedTail) {
+  DetRng rng(77);
+  for (const std::size_t size : {std::size_t{500}, kTail, 3 * kTail}) {
+    Tracked acc = MakeCell(rng, size, size == kTail ? 2 : 0);
+    acc.RoundTrip();
+    const std::vector<double> tail = acc.sketch.ExportState().tail;
+    ASSERT_TRUE(std::is_heap(tail.begin(), tail.end(), std::greater<>()));
+    ASSERT_FALSE(std::is_sorted(tail.begin(), tail.end())) << size;
+    acc.Merge(MakeCell(rng, 1400, 0));
+    acc.ExpectMatchesReference("size " + std::to_string(size));
+    acc.Merge(MakeCell(rng, kTail + 7, 0));
+    acc.ExpectMatchesReference("size " + std::to_string(size) + ", second merge");
+  }
 }
 
 // End-to-end: the matrix's merged sketch is bit-identical across --jobs and
