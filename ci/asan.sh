@@ -5,7 +5,9 @@
 # directory and runs the suites that drive the dispatcher and the engine
 # hardest: the kernel unit and object suites, the dispatcher tests and fuzz,
 # the invariant auditor, the engine allocation and hot-path budget suite, the
-# golden checksums and the SMP determinism and cross-core fuzz suites.
+# golden checksums and the SMP determinism and cross-core fuzz suites — plus
+# the Chrome trace writer (its records index a side table and it serializes
+# through its own buffer) and the traced lab runs that feed it.
 #
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
@@ -28,9 +30,10 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   --target kernel_units_test kernel_objects_test kernel_dispatcher_test dispatcher_fuzz_test \
-  invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test
+  invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test \
+  chrome_trace_test obs_lab_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest'

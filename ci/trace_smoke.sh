@@ -9,6 +9,8 @@
 #   * metrics.csv must have the kind,name,field,value header
 #   * --anatomy-out must emit parseable episode JSON plus the rendered
 #     anatomy report; --sketch must print the exact-tail quantile line
+#   * a write that fails only when the file is flushed (a full disk) must
+#     be reported on stderr as "failed to write", not announced as written
 #   * --help must print the flag table to stdout and exit 0; an unknown
 #     flag, and a flag given in a mode that does not read it, must be
 #     rejected on stderr with exit 2 before any run starts
@@ -72,6 +74,19 @@ if "${RUN}" --anatomy-out "${OUT}/never.json" 2> "${OUT}/anat_err.log"; then
 fi
 grep -q "requires --episode-threshold-us" "${OUT}/anat_err.log" \
   || { echo "trace_smoke: missing anatomy flag diagnostic" >&2; exit 1; }
+
+# A full disk must be reported for every output file. The anatomy JSON is
+# small enough to sit in the stream buffer until close, so it fails only
+# if the file is flushed and closed before the stream is checked.
+if [[ -e /dev/full ]]; then
+  "${RUN}" --os win98 --minutes 0.01 --seed 1 --episode-threshold-us 4000 \
+    --metrics-out /dev/full --anatomy-out /dev/full --trace-out /dev/full \
+    > "${OUT}/full.log" 2> "${OUT}/full.err"
+  for what in "metrics JSON" "anatomy JSON" "trace"; do
+    grep -q "failed to write ${what} to /dev/full" "${OUT}/full.err" \
+      || { echo "trace_smoke: ${what} to /dev/full not reported" >&2; exit 1; }
+  done
+fi
 
 # CLI contract: --help prints the flag table to stdout, exit 0.
 "${RUN}" --help > "${OUT}/help.txt"

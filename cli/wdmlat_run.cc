@@ -381,8 +381,9 @@ void WriteTextFile(const std::string& path, const std::string& text, const char*
   std::ofstream out(path);
   if (out) {
     out << text;
+    out.close();  // flushes: a full disk fails here, not at operator<<
   }
-  if (out.good()) {
+  if (!out.fail()) {
     std::printf("wrote %s to %s\n", what, path.c_str());
   } else {
     std::fprintf(stderr, "wdmlat_run: failed to write %s to %s\n", what, path.c_str());

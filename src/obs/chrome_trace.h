@@ -22,6 +22,14 @@
 // The matrix runner adds a second "process" with one track per host worker
 // thread, one complete event per experiment cell (see lab::AppendHostTrace).
 //
+// Events are stored as compact fixed-size records: a dispatcher event keeps
+// its label (two static pointers) and integer arg plus a small enum naming
+// the form of its name ("lockout: " + label, "thread prio N", ...), so the
+// sink neither formats nor allocates per event. Names are rendered only at
+// write time. Strings passed to the generic API (host slices, counters,
+// track names) live in a side table that the record indexes. The JSON is
+// built in one buffer and handed to the stream in blocks of about 1 MiB.
+//
 // The writer is a passive kernel::TraceSink: attaching it never changes
 // simulation results, and with no sink attached the dispatcher's emit path
 // stays zero-cost.
@@ -29,6 +37,7 @@
 #ifndef SRC_OBS_CHROME_TRACE_H_
 #define SRC_OBS_CHROME_TRACE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -36,9 +45,14 @@
 #include <utility>
 #include <vector>
 
+#include "src/kernel/label.h"
 #include "src/kernel/trace.h"
 
 namespace wdmlat::obs {
+
+// Appends `value` exactly as printf("%.6f") renders it; NaN and infinities
+// append "0", which keeps the trace valid JSON.
+void AppendFixed6(std::string& out, double value);
 
 class ChromeTraceWriter : public kernel::TraceSink {
  public:
@@ -52,21 +66,40 @@ class ChromeTraceWriter : public kernel::TraceSink {
   static constexpr int kLockoutTid = 4;
   static constexpr int kCoreTidStride = 10;
 
+  // How a record's name is rendered at write time (N is the record's arg).
+  enum class NameForm : std::uint8_t {
+    kNone,        // no "name" key
+    kText,        // the side-table entry's name (generic API)
+    kLabel,       // "MODULE!_function"
+    kLockout,     // "lockout: " + label
+    kSpin,        // "spin: " + label
+    kIpi,         // "ipi: " + label
+    kThreadPrio,  // "thread prio N"
+    kReady,       // "ready (prio N)"
+    kIrqAccept,   // "irq accept (line N)"
+    kDpcFetch,    // "dpc fetch"
+    kWake,        // "wake prio N"
+  };
+  // The one number arg of a dispatcher record, rendered as {key: arg_value}.
+  enum class ArgKey : std::uint8_t { kNone, kLine, kRequestedUs, kQueueDelayUs };
+  // Flow events (s/f) only: namespaces flow ids so independent flow
+  // families cannot collide.
+  enum class FlowCat : std::uint8_t { kNone, kDpcQueue, kThreadWake };
+
   struct Event {
     char phase = 'i';  // B, E, X, i, C, M, s (flow start), f (flow finish)
+    NameForm name = NameForm::kNone;
+    ArgKey arg_key = ArgKey::kNone;
+    FlowCat flow_cat = FlowCat::kNone;
     int pid = kSimPid;
     int tid = 0;
+    int arg = 0;             // priority or interrupt line (dispatcher records)
+    std::uint32_t text = 0;  // NameForm::kText: index into the side table
     double ts_us = 0.0;
-    double dur_us = 0.0;  // X events only
-    // Flow events (s/f) only: the id binds a start to its finish, the
-    // category namespaces ids so independent flow families cannot collide.
-    std::uint64_t flow_id = 0;
-    std::string cat;
-    std::string name;
-    // Rendered verbatim as the "args" object value: either a JSON number
-    // (second == true) or a string to be escaped (second == false).
-    std::vector<std::pair<std::string, std::string>> string_args;
-    std::vector<std::pair<std::string, double>> number_args;
+    double dur_us = 0.0;     // X events only
+    double arg_value = 0.0;  // with arg_key
+    std::uint64_t flow_id = 0;  // binds a flow start to its finish
+    kernel::Label label;
   };
 
   ChromeTraceWriter();
@@ -94,26 +127,52 @@ class ChromeTraceWriter : public kernel::TraceSink {
   // so B/E nesting in the output always matches.
   void WriteJson(std::ostream& out) const;
   std::string ToJson() const;
-  // Returns false (and writes nothing) when the file cannot be opened.
+  // Returns false when the file cannot be opened or any write to it fails
+  // (checked after the file is flushed and closed).
   bool WriteFile(const std::string& path) const;
 
  private:
-  void Push(Event event);
-  // Emit a matched flow arrow: 's' at (from_tid, from_ts) → 'f' at
-  // (to_tid, to_ts). Both ends share the name, category and a fresh id.
-  void Flow(const std::string& cat, std::string name, int from_tid, double from_ts_us,
-            int to_tid, double to_ts_us);
+  // Name and args of an event made through the generic API.
+  struct Text {
+    std::string name;
+    std::vector<std::pair<std::string, std::string>> string_args;
+    std::vector<std::pair<std::string, double>> number_args;
+  };
+  // Per simulated core: whether its tracks are named, whether its thread
+  // slice is open, and the open B-slice depth of each of its tracks.
+  struct CoreTracks {
+    bool named = false;
+    bool thread_slice_open = false;
+    std::array<int, kLockoutTid + 1> open_depth{};
+  };
 
-  // Name core `core`'s four tracks on its first event (no-op for core 0,
-  // whose tracks are named in the constructor).
-  void EnsureCoreTracks(int core);
+  // Appends a generic-API record.
+  Event& Push(char phase, int pid, int tid, double ts_us);
+  // Moves `text` into the side table and points `event` at it.
+  void SetText(Event& event, Text text);
+  // Appends a dispatcher record on track `track` of the source event's core.
+  Event& PushSim(char phase, const kernel::TraceEvent& source, int track, double ts_us,
+                 NameForm name = NameForm::kNone);
+  // Emit a matched flow arrow: 's' at (from_track, from_ts) → 'f' at
+  // (to_track, to_ts). Both ends share the name, category and a fresh id.
+  void Flow(FlowCat cat, NameForm name, const kernel::TraceEvent& source, int from_track,
+            double from_ts_us, int to_track, double to_ts_us);
+
+  // Core `core`'s tracks, named on the core's first event (core 0's are
+  // named in the constructor).
+  CoreTracks& Core(int core);
+
+  // Appends the whole JSON document to `buf`. With `out` set, every block
+  // of about 1 MiB is handed to the stream and `buf` cleared.
+  void Render(std::string& buf, std::ostream* out) const;
+  void AppendEvent(std::string& buf, const Event& event) const;
 
   std::vector<Event> events_;
-  // Open B-slice depth per (pid, tid); consulted to synthesize closing E
-  // events during serialization.
+  std::vector<Text> texts_;
+  std::vector<CoreTracks> cores_;
+  // Open B-slice depth per (pid, tid) of generic-API slices; together with
+  // the per-core depths it synthesizes closing E events at serialization.
   std::map<std::pair<int, int>, int> open_slices_;
-  std::map<int, bool> thread_slice_open_;  // per core
-  std::map<int, bool> core_tracks_named_;
   double last_ts_us_ = 0.0;
   std::uint64_t next_flow_id_ = 1;
 };

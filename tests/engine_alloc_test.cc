@@ -26,6 +26,7 @@
 #include "src/kernel/profile.h"
 #include "src/kernel/trace.h"
 #include "src/lab/test_system.h"
+#include "src/obs/chrome_trace.h"
 #include "src/sim/engine.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
@@ -202,10 +203,16 @@ namespace {
 
 // Counts trace events and folds each one, field by field, into an FNV-1a
 // hash, so the budget pins the order and content of the dispatcher's event
-// stream and not just its length.
+// stream and not just its length. Optionally forwards every event to a
+// second sink (a ChromeTraceWriter in the traced budget).
 class CountingTraceSink : public kernel::TraceSink {
  public:
+  explicit CountingTraceSink(kernel::TraceSink* forward = nullptr) : forward_(forward) {}
+
   void OnTraceEvent(const kernel::TraceEvent& event) override {
+    if (forward_ != nullptr) {
+      forward_->OnTraceEvent(event);
+    }
     ++events_;
     Mix(static_cast<std::uint64_t>(event.type));
     Mix(event.tsc);
@@ -235,6 +242,7 @@ class CountingTraceSink : public kernel::TraceSink {
     } while (*s++ != '\0');
   }
 
+  kernel::TraceSink* forward_;
   std::uint64_t events_ = 0;
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
@@ -248,9 +256,10 @@ struct HotPathCounts {
 
 // Ten virtual seconds of a loaded measurement cell after a 2 s warm-up:
 // the unit of the Figure 4 grid, with every count taken over the measured
-// window only.
+// window only. `forward`, if set, also receives every trace event.
 HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
-                                const workload::StressProfile& stress) {
+                                const workload::StressProfile& stress,
+                                kernel::TraceSink* forward = nullptr) {
   lab::TestSystem system(std::move(profile), 42);
   workload::StressLoad load(system.deps(), stress, system.ForkRng());
   drivers::LatencyDriver driver(system.kernel(), drivers::LatencyDriver::Config{});
@@ -258,7 +267,7 @@ HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
   driver.Start();
   system.RunFor(2.0);
 
-  CountingTraceSink sink;
+  CountingTraceSink sink(forward);
   system.kernel().SetTraceSink(&sink);
   const std::uint64_t events_before = system.engine().events_processed();
   AllocationScope scope;
@@ -297,6 +306,16 @@ void ExpectBudget(const HotPathCounts& counts, std::uint64_t engine_events,
 TEST(HotPathBudget, Win98Games) {
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress()),
                121066, 167119, 0xcbff71160d2b76ebull, 11907);
+}
+
+// The same cell with a ChromeTraceWriter behind the counting sink. The
+// writer stores compact records and renders names only when writing, so
+// tracing adds only its event vector's growth (15 reallocations) to the
+// plain cell's count.
+TEST(HotPathBudget, Win98GamesTraced) {
+  obs::ChromeTraceWriter writer;
+  ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(), &writer),
+               121066, 167119, 0xcbff71160d2b76ebull, 11922);
 }
 
 TEST(HotPathBudget, Nt4Games) {
