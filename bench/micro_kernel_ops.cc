@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "src/kernel/kernel.h"

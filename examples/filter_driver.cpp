@@ -12,6 +12,7 @@
 // scanner's VMM critical sections bite every thread in the system).
 
 #include <cstdio>
+#include <functional>
 
 #include "src/kernel/io_manager.h"
 #include "src/kernel/kernel.h"

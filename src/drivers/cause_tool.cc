@@ -1,7 +1,6 @@
 #include "src/drivers/cause_tool.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>

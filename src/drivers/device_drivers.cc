@@ -12,9 +12,9 @@ DiskDriver::DiskDriver(kernel::Kernel& kernel, hw::IdeDisk& disk, int line)
       dpc_(
           [this] {
             // Completion processing: deliver all finished requests.
-            while (!done_queue_.empty()) {
-              auto done = std::move(done_queue_.front());
-              done_queue_.pop_front();
+            for (; finished_ > 0; --finished_) {
+              sim::InplaceCallback done = std::move(in_flight_.front());
+              in_flight_.pop_front();
               ++completions_;
               if (done) {
                 done();
@@ -31,11 +31,11 @@ DiskDriver::DiskDriver(kernel::Kernel& kernel, hw::IdeDisk& disk, int line)
                              });
 }
 
-void DiskDriver::SubmitIo(std::uint32_t bytes, std::function<void()> on_done) {
+void DiskDriver::SubmitIo(std::uint32_t bytes, sim::InplaceCallback on_done) {
   // The hardware calls back at completion time (before asserting the
-  // interrupt); the callback's effects are delivered by the completion DPC.
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  disk_.SubmitTransfer(bytes, [this, done] { done_queue_.push_back(std::move(*done)); });
+  // interrupt); `on_done` is delivered by the completion DPC.
+  in_flight_.push_back(std::move(on_done));
+  disk_.SubmitTransfer(bytes, [this] { ++finished_; });
 }
 
 NicDriver::NicDriver(kernel::Kernel& kernel, hw::Nic& nic, int line)

@@ -10,15 +10,16 @@
 #ifndef SRC_DRIVERS_DEVICE_DRIVERS_H_
 #define SRC_DRIVERS_DEVICE_DRIVERS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "src/hw/audio_device.h"
 #include "src/hw/ide_disk.h"
 #include "src/hw/nic.h"
 #include "src/hw/usb_uhci.h"
 #include "src/kernel/kernel.h"
+#include "src/sim/inplace_callback.h"
 
 namespace wdmlat::drivers {
 
@@ -29,7 +30,7 @@ class DiskDriver {
 
   // Submit a transfer; `on_done` (optional) runs in DPC context when the
   // request's completion DPC executes.
-  void SubmitIo(std::uint32_t bytes, std::function<void()> on_done = nullptr);
+  void SubmitIo(std::uint32_t bytes, sim::InplaceCallback on_done = nullptr);
 
   std::uint64_t completions() const { return completions_; }
 
@@ -37,7 +38,11 @@ class DiskDriver {
   kernel::Kernel& kernel_;
   hw::IdeDisk& disk_;
   kernel::KDpc dpc_;
-  std::deque<std::function<void()>> done_queue_;
+  // The disk serves requests FIFO, so the submitted requests' callbacks
+  // queue here in completion order; the disk only counts how many of them
+  // have finished for the next completion DPC to deliver.
+  std::deque<sim::InplaceCallback> in_flight_;
+  std::size_t finished_ = 0;
   std::uint64_t completions_ = 0;
 };
 

@@ -68,14 +68,12 @@ double LatencyDriver::samples_per_hour() const {
   return hours <= 0.0 ? 0.0 : static_cast<double>(samples_) / hours;
 }
 
-void LatencyDriver::SetLongLatencyCallback(double threshold_ms,
-                                           std::function<void(double)> callback) {
+void LatencyDriver::SetLongLatencyCallback(double threshold_ms, LatencyCallback callback) {
   long_watches_.clear();
   AddLongLatencyCallback(threshold_ms, std::move(callback));
 }
 
-void LatencyDriver::AddLongLatencyCallback(double threshold_ms,
-                                           std::function<void(double)> callback) {
+void LatencyDriver::AddLongLatencyCallback(double threshold_ms, LatencyCallback callback) {
   long_watches_.push_back(LongLatencyWatch{threshold_ms, std::move(callback)});
 }
 
@@ -160,7 +158,7 @@ void LatencyDriver::RecordSample() {
   if (on_sample) {
     on_sample(thread_ms);
   }
-  for (const LongLatencyWatch& watch : long_watches_) {
+  for (LongLatencyWatch& watch : long_watches_) {
     if (watch.callback && watch.threshold_ms > 0.0 && thread_ms >= watch.threshold_ms) {
       watch.callback(thread_ms);
     }

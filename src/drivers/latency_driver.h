@@ -26,10 +26,10 @@
 #define SRC_DRIVERS_LATENCY_DRIVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/kernel/kernel.h"
+#include "src/sim/inplace_callback.h"
 #include "src/stats/histogram.h"
 
 namespace wdmlat::drivers {
@@ -86,13 +86,14 @@ class LatencyDriver {
   // recorded thread latency is at or above `threshold_ms`. Set replaces all
   // registered callbacks; Add appends (callbacks fire in registration
   // order, each against its own threshold).
-  void SetLongLatencyCallback(double threshold_ms, std::function<void(double)> callback);
-  void AddLongLatencyCallback(double threshold_ms, std::function<void(double)> callback);
+  using LatencyCallback = sim::InplaceFunction<void(double thread_ms)>;
+  void SetLongLatencyCallback(double threshold_ms, LatencyCallback callback);
+  void AddLongLatencyCallback(double threshold_ms, LatencyCallback callback);
 
   // Per-sample observer: runs for every recorded (post-warmup) sample with
   // the thread latency in ms, before the long-latency watches. Feeds the
   // streaming quantile sketch without touching the measurement chain.
-  std::function<void(double thread_ms)> on_sample;
+  LatencyCallback on_sample;
 
   // The TSC stamps of the most recently recorded sample, valid while the
   // long-latency watches run: the exact [dpc_tsc, thread_tsc] window the
@@ -149,7 +150,7 @@ class LatencyDriver {
 
   struct LongLatencyWatch {
     double threshold_ms = 0.0;
-    std::function<void(double)> callback;
+    LatencyCallback callback;
   };
   std::vector<LongLatencyWatch> long_watches_;
   SampleStamps last_stamps_;

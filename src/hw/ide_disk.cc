@@ -8,7 +8,7 @@ IdeDisk::IdeDisk(sim::Engine& engine, InterruptController& pic, int line, sim::R
                  Geometry geometry)
     : engine_(engine), pic_(pic), line_(line), rng_(rng), geometry_(geometry) {}
 
-void IdeDisk::SubmitTransfer(std::uint32_t bytes, std::function<void()> on_complete) {
+void IdeDisk::SubmitTransfer(std::uint32_t bytes, sim::InplaceCallback on_complete) {
   queue_.push_back(Request{bytes, std::move(on_complete)});
   if (!busy_) {
     StartNext();

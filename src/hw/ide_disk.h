@@ -11,10 +11,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "src/hw/interrupt_controller.h"
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 
@@ -40,7 +40,7 @@ class IdeDisk {
   // order; on completion it asserts its interrupt line. `on_complete` runs at
   // completion time, before the interrupt is asserted — the kernel's disk
   // driver uses it to know which request finished.
-  void SubmitTransfer(std::uint32_t bytes, std::function<void()> on_complete);
+  void SubmitTransfer(std::uint32_t bytes, sim::InplaceCallback on_complete);
 
   std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
   std::uint64_t completed_transfers() const { return completed_; }
@@ -48,7 +48,7 @@ class IdeDisk {
  private:
   struct Request {
     std::uint32_t bytes;
-    std::function<void()> on_complete;
+    sim::InplaceCallback on_complete;
   };
 
   void StartNext();

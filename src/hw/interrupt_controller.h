@@ -12,12 +12,12 @@
 #define SRC_HW_INTERRUPT_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/kernel/irql.h"
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::hw {
@@ -34,7 +34,7 @@ class InterruptController {
   int ConnectLine(std::string name, kernel::Irql irql);
 
   // Called by the CPU model to learn about newly pending interrupts.
-  void set_pending_notifier(std::function<void()> notifier) {
+  void set_pending_notifier(sim::InplaceCallback notifier) {
     pending_notifier_ = std::move(notifier);
   }
 
@@ -54,7 +54,7 @@ class InterruptController {
 
   // SMP routing hook: called once per latched Assert with the line index;
   // returns the core the pending interrupt is delivered to. Unset => core 0.
-  void set_irq_router(std::function<int(int)> router) { irq_router_ = std::move(router); }
+  void set_irq_router(sim::InplaceFunction<int(int)> router) { irq_router_ = std::move(router); }
 
   // Core the line's current (or last) pending assertion was routed to.
   int target_core(int line) const { return lines_[line].target_core; }
@@ -82,8 +82,8 @@ class InterruptController {
 
   sim::Engine& engine_;
   std::vector<Line> lines_;
-  std::function<void()> pending_notifier_;
-  std::function<int(int)> irq_router_;
+  sim::InplaceCallback pending_notifier_;
+  sim::InplaceFunction<int(int)> irq_router_;
   std::uint64_t dropped_edges_ = 0;
 };
 

@@ -15,7 +15,7 @@ Nic::Nic(sim::Engine& engine, InterruptController& pic, int line, sim::Rng rng,
       bytes_per_cycle_(link_mbit_per_s * 1e6 / 8.0 / static_cast<double>(sim::kCyclesPerSec)) {}
 
 void Nic::StartReceiveStream(std::uint64_t total_bytes, std::uint32_t frame_bytes,
-                             std::function<void()> on_done) {
+                             sim::InplaceCallback on_done) {
   assert(frame_bytes > 0);
   if (stream_active_) {
     // Back-to-back streams just extend the current one.
@@ -33,8 +33,7 @@ void Nic::NextFrame() {
   if (stream_remaining_bytes_ == 0) {
     stream_active_ = false;
     if (stream_done_) {
-      auto done = std::move(stream_done_);
-      stream_done_ = nullptr;
+      sim::InplaceCallback done = std::move(stream_done_);  // leaves stream_done_ empty
       done();
     }
     return;

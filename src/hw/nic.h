@@ -10,10 +10,10 @@
 #define SRC_HW_NIC_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/hw/interrupt_controller.h"
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 
@@ -28,7 +28,7 @@ class Nic {
   // `frame_bytes` frames. Each frame arrival increments the receive ring and
   // asserts the interrupt line. `on_done` fires when the stream completes.
   void StartReceiveStream(std::uint64_t total_bytes, std::uint32_t frame_bytes,
-                          std::function<void()> on_done);
+                          sim::InplaceCallback on_done);
 
   // Deliver a single frame immediately (interactive traffic, ACKs).
   void DeliverFrame(std::uint32_t bytes);
@@ -50,7 +50,7 @@ class Nic {
   bool stream_active_ = false;
   std::uint64_t stream_remaining_bytes_ = 0;
   std::uint32_t stream_frame_bytes_ = 1514;
-  std::function<void()> stream_done_;
+  sim::InplaceCallback stream_done_;
   std::uint32_t ring_occupancy_ = 0;
   std::uint64_t frames_delivered_ = 0;
 };

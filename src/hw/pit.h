@@ -10,11 +10,11 @@
 #define SRC_HW_PIT_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "src/hw/interrupt_controller.h"
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::hw {
@@ -43,7 +43,7 @@ class Pit {
   // previous one, modelling a drifting/coalesced tick period. A hook that
   // returns 0 leaves the schedule bit-identical to an unhooked PIT. Install
   // nullptr to remove; installers that die before the PIT must remove it.
-  void set_tick_delay_hook(std::function<sim::Cycles()> hook) {
+  void set_tick_delay_hook(sim::InplaceFunction<sim::Cycles()> hook) {
     tick_delay_hook_ = std::move(hook);
   }
   bool has_tick_delay_hook() const { return static_cast<bool>(tick_delay_hook_); }
@@ -59,7 +59,7 @@ class Pit {
   bool running_ = false;
   std::uint64_t ticks_ = 0;
   sim::EventHandle next_tick_;
-  std::function<sim::Cycles()> tick_delay_hook_;
+  sim::InplaceFunction<sim::Cycles()> tick_delay_hook_;
 };
 
 }  // namespace wdmlat::hw

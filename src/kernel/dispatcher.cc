@@ -48,11 +48,6 @@ void Dispatcher::OnDpcQueued() { Gate gate(this); }
 
 void Dispatcher::Poke() { Gate gate(this); }
 
-void Dispatcher::RunGated(const std::function<void()>& fn) {
-  Gate gate(this);
-  fn();
-}
-
 void Dispatcher::OnClockTick(sim::Cycles period) {
   // Called from inside the clock ISR handler; a gate is already open.
   if (current_ != nullptr && thread_phase_ == ThreadPhase::kSegment) {
@@ -273,7 +268,7 @@ void Dispatcher::IsrEntry(Frame* frame) {
     on_isr_entry(frame->line, frame->requested_at, engine_.now());
   }
   PushCoreContext();
-  for (const auto& hook : ki->pre_hooks_) {
+  for (auto& hook : ki->pre_hooks_) {
     hook();
   }
   const sim::Cycles body = ki->isr_ ? ki->isr_() : 0;
@@ -442,9 +437,17 @@ void Dispatcher::RunContinuation(KThread::Continuation cont) {
   in_continuation_ = true;
   cont_blocked_ = false;
   cont_exited_ = false;
-  if (cont) {
+  KThread* thread = current_;
+  if (thread->alertable_ || cont) {
     PushCoreContext();
-    cont();
+    if (thread->alertable_) {
+      thread->alertable_ = false;
+      thread->waiting_on_ = nullptr;
+      thread->DeliverUserApcs();
+    }
+    if (cont) {
+      cont();
+    }
     PopCoreContext();
   }
   in_continuation_ = false;

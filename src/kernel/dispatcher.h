@@ -30,7 +30,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,6 +42,7 @@
 #include "src/kernel/thread.h"
 #include "src/kernel/trace.h"
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 
 namespace wdmlat::kernel {
@@ -96,7 +96,11 @@ class Dispatcher {
   // batch of state changes (e.g. readying all waiters of a notification
   // event) is folded into a single scheduling decision, as a real kernel
   // does under the dispatcher lock.
-  void RunGated(const std::function<void()>& fn);
+  template <typename F>
+  void RunGated(F&& fn) {
+    Gate gate(this);
+    fn();
+  }
   // Quantum accounting, called by the clock ISR with the tick period.
   void OnClockTick(sim::Cycles period);
 
@@ -154,8 +158,8 @@ class Dispatcher {
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
   // --- Ground-truth observers (tests, NT interrupt-latency collection) -------
-  std::function<void(int line, sim::Cycles asserted, sim::Cycles isr_entry)> on_isr_entry;
-  std::function<void(const KThread& thread, sim::Cycles signaled, sim::Cycles dispatched)>
+  sim::InplaceFunction<void(int line, sim::Cycles asserted, sim::Cycles isr_entry)> on_isr_entry;
+  sim::InplaceFunction<void(const KThread& thread, sim::Cycles signaled, sim::Cycles dispatched)>
       on_thread_dispatch;
 
   // --- Statistics --------------------------------------------------------------
@@ -231,6 +235,9 @@ class Dispatcher {
   void SwitchTo(KThread* thread);
   void PreemptCurrent(bool to_front);
   void ThreadEntry();
+  // Runs `cont` in the current thread's context. A thread woken from an
+  // alertable wait first leaves the alertable state and runs its pending
+  // user APCs.
   void RunContinuation(KThread::Continuation cont);
   void AfterContinuation();
   void OnThreadElapsed();

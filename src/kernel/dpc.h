@@ -11,10 +11,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <utility>
 
 #include "src/kernel/label.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 
@@ -27,7 +27,7 @@ class KDpc {
   // `routine` runs (in zero simulated time) at the DPC's first instruction;
   // `body` is the simulated execution time of the rest of the routine,
   // sampled per dispatch.
-  KDpc(std::function<void()> routine, sim::DurationDist body, Label label,
+  KDpc(sim::InplaceCallback routine, sim::DurationDist body, Label label,
        Importance importance = Importance::kMedium)
       : routine_(std::move(routine)), body_(body), label_(label), importance_(importance) {}
 
@@ -36,7 +36,7 @@ class KDpc {
   // Optional completion callback, invoked (in zero simulated time) when the
   // DPC's body finishes executing. Used by tools that need the completion
   // instant (e.g. the periodic-load datapump model).
-  void set_on_complete(std::function<void()> on_complete) {
+  void set_on_complete(sim::InplaceCallback on_complete) {
     on_complete_ = std::move(on_complete);
   }
 
@@ -50,8 +50,8 @@ class KDpc {
   friend class Dispatcher;
   friend class Smp;
 
-  std::function<void()> routine_;
-  std::function<void()> on_complete_;
+  sim::InplaceCallback routine_;
+  sim::InplaceCallback on_complete_;
   sim::DurationDist body_;
   Label label_;
   Importance importance_;
@@ -76,11 +76,11 @@ class DpcQueue {
 
   // Notified on the empty->nonempty transition (the dispatcher requests a
   // software interrupt at DISPATCH level).
-  void set_notifier(std::function<void()> notifier) { notifier_ = std::move(notifier); }
+  void set_notifier(sim::InplaceCallback notifier) { notifier_ = std::move(notifier); }
 
  private:
   std::deque<KDpc*> queue_;
-  std::function<void()> notifier_;
+  sim::InplaceCallback notifier_;
 };
 
 }  // namespace wdmlat::kernel

@@ -14,12 +14,12 @@
 #define SRC_KERNEL_INTERRUPT_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "src/kernel/irql.h"
 #include "src/kernel/label.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::kernel {
@@ -27,7 +27,7 @@ namespace wdmlat::kernel {
 class KInterrupt {
  public:
   // Returns the simulated body duration of the service routine.
-  using ServiceRoutine = std::function<sim::Cycles()>;
+  using ServiceRoutine = sim::InplaceFunction<sim::Cycles()>;
 
   KInterrupt(int line, Irql irql, Label label, ServiceRoutine isr)
       : line_(line), irql_(irql), label_(label), isr_(std::move(isr)) {}
@@ -39,7 +39,7 @@ class KInterrupt {
 
   // Install a hook that runs (in zero simulated time) at ISR entry, before
   // the OS service routine. Hooks run in installation order.
-  void AddPreHook(std::function<void()> hook) { pre_hooks_.push_back(std::move(hook)); }
+  void AddPreHook(sim::InplaceCallback hook) { pre_hooks_.push_back(std::move(hook)); }
 
  private:
   friend class Dispatcher;
@@ -48,7 +48,7 @@ class KInterrupt {
   Irql irql_;
   Label label_;
   ServiceRoutine isr_;
-  std::vector<std::function<void()>> pre_hooks_;
+  std::vector<sim::InplaceCallback> pre_hooks_;
   std::uint64_t fire_count_ = 0;
 };
 

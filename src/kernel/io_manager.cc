@@ -43,7 +43,7 @@ void IoManager::IoDetachDevice(DeviceObject* upper) {
   upper->lower_ = nullptr;
 }
 
-DeviceObject* IoManager::TopOfStack(const std::string& device_name) {
+DeviceObject* IoManager::TopOfStack(std::string_view device_name) {
   for (const auto& device : devices_) {
     if (device->name() == device_name) {
       DeviceObject* top = device.get();
@@ -59,7 +59,7 @@ DeviceObject* IoManager::TopOfStack(const std::string& device_name) {
 void IoManager::IoCallDriver(DeviceObject* device, Irp* irp, IrpMajor major) {
   assert(device != nullptr && irp != nullptr);
   ++irps_routed_;
-  const DispatchRoutine& dispatch = device->driver()->MajorFunction(major);
+  DispatchRoutine& dispatch = device->driver()->MajorFunction(major);
   assert(dispatch && "driver has no dispatch routine for this major function");
   dispatch(*device, *irp);
 }
@@ -67,19 +67,16 @@ void IoManager::IoCallDriver(DeviceObject* device, Irp* irp, IrpMajor major) {
 void IoManager::IoSetCompletionRoutine(Irp* irp, DeviceObject* device,
                                        CompletionRoutine routine) {
   assert(irp != nullptr && routine);
-  irp->completion_routines.push_back(
-      [device, routine = std::move(routine)](Irp& completing) {
-        routine(*device, completing);
-      });
+  irp->completion_routines.push_back(Irp::Completion{device, std::move(routine)});
 }
 
 void IoManager::IoCompleteRequest(Irp* irp) {
   assert(irp != nullptr);
   // Completion walks back up the stack: most recently registered first.
   while (!irp->completion_routines.empty()) {
-    auto routine = std::move(irp->completion_routines.back());
+    Irp::Completion completion = std::move(irp->completion_routines.back());
     irp->completion_routines.pop_back();
-    routine(*irp);
+    completion.routine(*completion.device, *irp);
   }
   if (irp->on_complete) {
     irp->on_complete(irp);

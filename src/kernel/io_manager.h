@@ -14,12 +14,13 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/kernel/irp.h"
+#include "src/sim/inplace_callback.h"
 
 namespace wdmlat::kernel {
 
@@ -38,11 +39,11 @@ enum class IrpMajor : std::uint8_t {
 
 // Dispatch routines run in the requesting thread's context, in zero
 // simulated time (model CPU costs with Kernel::Compute around the call).
-using DispatchRoutine = std::function<void(DeviceObject& device, Irp& irp)>;
+using DispatchRoutine = sim::InplaceFunction<void(DeviceObject& device, Irp& irp)>;
 
 // Completion routines run, most-recently-attached first, when the IRP
 // completes; also zero simulated time.
-using CompletionRoutine = std::function<void(DeviceObject& device, Irp& irp)>;
+using CompletionRoutine = sim::InplaceFunction<void(DeviceObject& device, Irp& irp)>;
 
 class DriverObject {
  public:
@@ -53,7 +54,7 @@ class DriverObject {
   void SetMajorFunction(IrpMajor major, DispatchRoutine routine) {
     dispatch_[static_cast<std::size_t>(major)] = std::move(routine);
   }
-  const DispatchRoutine& MajorFunction(IrpMajor major) const {
+  DispatchRoutine& MajorFunction(IrpMajor major) {
     return dispatch_[static_cast<std::size_t>(major)];
   }
 
@@ -100,7 +101,7 @@ class IoManager {
   void IoDetachDevice(DeviceObject* upper);
 
   // Find a named device's stack top (how a Win32 open resolves), or nullptr.
-  DeviceObject* TopOfStack(const std::string& device_name);
+  DeviceObject* TopOfStack(std::string_view device_name);
 
   // --- IRP routing --------------------------------------------------------------
   // Send the IRP to `device`'s driver dispatch for `major`. Typically called

@@ -9,12 +9,14 @@
 #define SRC_KERNEL_IRP_H_
 
 #include <array>
-#include <functional>
 #include <vector>
 
+#include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::kernel {
+
+class DeviceObject;
 
 struct Irp {
   // The paper abbreviates IRP->AssociatedIrp.SystemBuffer as IRP->ASB and
@@ -26,12 +28,17 @@ struct Irp {
 
   // Completion notification to the issuing application (ReadFileEx I/O
   // completion). Runs in zero simulated time in the completing context.
-  std::function<void(Irp*)> on_complete;
+  sim::InplaceFunction<void(Irp*)> on_complete;
 
   // Completion routines registered by drivers in the device stack
-  // (IoSetCompletionRoutine); run most-recently-registered first when the
-  // IRP completes, before on_complete. Managed by kernel::IoManager.
-  std::vector<std::function<void(Irp&)>> completion_routines;
+  // (IoSetCompletionRoutine), each with the device it was registered for;
+  // run most-recently-registered first when the IRP completes, before
+  // on_complete. Managed by kernel::IoManager.
+  struct Completion {
+    DeviceObject* device = nullptr;
+    sim::InplaceFunction<void(DeviceObject& device, Irp& irp)> routine;
+  };
+  std::vector<Completion> completion_routines;
 };
 
 }  // namespace wdmlat::kernel

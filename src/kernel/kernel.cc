@@ -247,24 +247,13 @@ void Kernel::Wait(KEvent* event, KThread::Continuation resumed) {
   dispatcher.CurrentThreadMarkWaiting();
 }
 
-namespace {
-void DeliverUserApcs(KThread* thread, std::deque<KThread::Continuation>& queue) {
-  (void)thread;
-  while (!queue.empty()) {
-    KThread::Continuation apc = std::move(queue.front());
-    queue.pop_front();
-    apc();
-  }
-}
-}  // namespace
-
 void Kernel::WaitAlertable(KEvent* event, KThread::Continuation resumed) {
   Dispatcher& dispatcher = CurrentDispatcher();
   KThread* current = dispatcher.current_thread();
   assert(current != nullptr && dispatcher.in_thread_continuation());
   if (!current->user_apcs_.empty()) {
     // APCs pending: deliver immediately; the wait returns WAIT_IO_COMPLETION.
-    DeliverUserApcs(current, current->user_apcs_);
+    current->DeliverUserApcs();
     resumed();
     return;
   }
@@ -279,13 +268,9 @@ void Kernel::WaitAlertable(KEvent* event, KThread::Continuation resumed) {
   current->alertable_ = true;
   current->waiting_on_ = event;
   event->waiters_.push_back(current);
-  KThread* thread = current;
-  current->next_ = [this, thread, resumed = std::move(resumed)] {
-    thread->alertable_ = false;
-    thread->waiting_on_ = nullptr;
-    DeliverUserApcs(thread, thread->user_apcs_);
-    resumed();
-  };
+  // The dispatcher clears the alertable state and delivers pending APCs on
+  // the wake dispatch, before `resumed` runs.
+  current->next_ = std::move(resumed);
   dispatcher.CurrentThreadMarkWaiting();
 }
 
@@ -295,7 +280,7 @@ void Kernel::QueueUserApc(KThread* thread, KThread::Continuation apc) {
   if (thread->state_ == ThreadState::kWaiting && thread->alertable_ &&
       thread->waiting_on_ != nullptr) {
     // Abort the alertable wait: remove the thread from the event's waiter
-    // list and ready it; its wake continuation delivers the APCs.
+    // list and ready it; its wake dispatch delivers the APCs.
     auto& waiters = thread->waiting_on_->waiters_;
     for (auto it = waiters.begin(); it != waiters.end(); ++it) {
       if (*it == thread) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>

@@ -126,7 +126,8 @@ int Smp::PickCore(const KThread* thread) const {
   return best;  // an empty affinity mask degenerates to the boot core
 }
 
-void Smp::SendIpi(int target, std::function<void(Dispatcher&)> deliver) {
+template <typename F>
+void Smp::SendIpi(int target, F deliver) {
   const sim::Cycles flight = ipi_cost_.Sample(ipi_rng_);
   ++ipis_sent_;
   ++ipis_in_flight_;
@@ -248,9 +249,9 @@ bool Smp::InsertDpc(KDpc* dpc) {
   // enqueue time so the flight is charged to the measured DPC latency.
   ++dpc_migrations_;
   dpc->queued_ = true;
-  SendIpi(target, [this, dpc, now, target](Dispatcher&) {
+  SendIpi(target, [this, dpc, now](Dispatcher& d) {
     dpc->queued_ = false;
-    dpc_queues_[target]->Insert(dpc, now);
+    dpc_queues_[d.core()]->Insert(dpc, now);
   });
   return true;
 }

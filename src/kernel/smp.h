@@ -49,7 +49,6 @@
 #define SRC_KERNEL_SMP_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -63,6 +62,7 @@
 #include "src/kernel/ready_queue.h"
 #include "src/kernel/thread.h"
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 
 namespace wdmlat::kernel {
@@ -91,7 +91,7 @@ class SpinLock {
     sim::Cycles since = 0;
   };
   struct DeferredOp {
-    std::function<void(sim::Cycles waited)> op;  // runs at release, FIFO
+    sim::InplaceFunction<void(sim::Cycles waited)> op;  // runs at release, FIFO
     sim::Cycles since = 0;
   };
 
@@ -205,7 +205,9 @@ class Smp {
   int PickCore(const KThread* thread) const;
   bool CoreIdle(int core) const;
   void PlaceThread(KThread* thread, sim::Cycles signaled_at, sim::Cycles lock_wait);
-  void SendIpi(int target, std::function<void(Dispatcher&)> deliver);
+  // `deliver(Dispatcher&)` runs on the target core when the IPI lands.
+  template <typename F>
+  void SendIpi(int target, F deliver);
   void ReleaseInjected(SpinLock* lock);
 
   sim::Engine& engine_;

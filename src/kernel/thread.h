@@ -11,14 +11,14 @@
 #define SRC_KERNEL_THREAD_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/kernel/event.h"
 #include "src/kernel/irql.h"
 #include "src/kernel/label.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::kernel {
@@ -42,7 +42,7 @@ enum class ThreadState : std::uint8_t {
 
 class KThread {
  public:
-  using Continuation = std::function<void()>;
+  using Continuation = sim::InplaceCallback;
 
   KThread(std::string name, int priority);
   ~KThread();
@@ -85,9 +85,15 @@ class KThread {
   // post-wait continuation installed by Kernel::Wait).
   Continuation next_;
 
+  // Run the pending user APCs in queue order, including any an APC queues
+  // to this thread while the delivery runs, then empty the queue.
+  void DeliverUserApcs();
+
   // User APCs (ReadFileEx completion routines) pending delivery; delivered
   // when the thread performs or completes an alertable wait.
-  std::deque<Continuation> user_apcs_;
+  std::vector<Continuation> user_apcs_;
+  // Set while the thread is in (or being woken from) an alertable wait: its
+  // next dispatch delivers the pending APCs before `next_` runs.
   bool alertable_ = false;
   // The event this thread is blocked on (nullptr for semaphore/mutex waits,
   // which are not alertable); lets an APC abort the wait.

@@ -12,7 +12,7 @@
 // binary heap of POD entries, generation-tagged so Cancel/re-Set invalidate
 // lazily, with bulk compaction once stale entries outnumber active timers.
 // ExpireDue is templated on the fire functor so the per-tick call from the
-// clock ISR constructs no std::function, and dispatches in collect-then-fire
+// clock ISR wraps it in no callable object, and dispatches in collect-then-fire
 // batches so a tick with many due timers does one heap drain, not an
 // interleaved pop-fire-pop walk.
 

@@ -1,6 +1,7 @@
 #include "src/lab/os_microbench.h"
 
 #include <memory>
+#include <utility>
 
 #include "src/kernel/kernel.h"
 
@@ -18,69 +19,75 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
   system.RunFor(0.05);  // let the new rate take effect
 
   // --- 1. Thread ping-pong (context switch) ---------------------------------
+  // The probe state is shared with the threads' continuations, which outlive
+  // this function (thread B stays parked on its event).
   {
-    auto ea = std::make_shared<kernel::KEvent>();
-    auto eb = std::make_shared<kernel::KEvent>();
-    auto remaining = std::make_shared<int>(iterations);
-    auto start = std::make_shared<sim::Cycles>(0);
-    auto end = std::make_shared<sim::Cycles>(0);
+    struct PingPong {
+      kernel::KEvent ea;
+      kernel::KEvent eb;
+      int remaining = 0;
+      sim::Cycles start = 0;
+      sim::Cycles end = 0;
 
-    auto loop_a = std::make_shared<std::function<void()>>();
-    auto loop_b = std::make_shared<std::function<void()>>();
-    *loop_a = [&k, ea, eb, remaining, end, loop_a] {
-      k.Wait(ea.get(), [&k, ea, eb, remaining, end, loop_a] {
-        if (--*remaining <= 0) {
-          *end = k.GetCycleCount();
-          k.ExitThread();
-          return;
-        }
-        k.KeSetEvent(eb.get());
-        (*loop_a)();
-      });
+      static void LoopA(kernel::Kernel& k, const std::shared_ptr<PingPong>& s) {
+        k.Wait(&s->ea, [&k, s] {
+          if (--s->remaining <= 0) {
+            s->end = k.GetCycleCount();
+            k.ExitThread();
+            return;
+          }
+          k.KeSetEvent(&s->eb);
+          LoopA(k, s);
+        });
+      }
+      static void LoopB(kernel::Kernel& k, const std::shared_ptr<PingPong>& s) {
+        k.Wait(&s->eb, [&k, s] {
+          k.KeSetEvent(&s->ea);
+          LoopB(k, s);
+        });
+      }
     };
-    *loop_b = [&k, ea, eb, loop_b] {
-      k.Wait(eb.get(), [&k, ea, eb, loop_b] {
-        k.KeSetEvent(ea.get());
-        (*loop_b)();
-      });
-    };
-    k.PsCreateSystemThread("pingpong-a", 20, [loop_a] { (*loop_a)(); });
-    k.PsCreateSystemThread("pingpong-b", 20, [loop_b] { (*loop_b)(); });
-    system.engine().ScheduleAfter(sim::MsToCycles(1.0), [&k, ea, start] {
-      *start = k.GetCycleCount();
-      k.KeSetEvent(ea.get());
+    auto state = std::make_shared<PingPong>();
+    state->remaining = iterations;
+    k.PsCreateSystemThread("pingpong-a", 20, [&k, state] { PingPong::LoopA(k, state); });
+    k.PsCreateSystemThread("pingpong-b", 20, [&k, state] { PingPong::LoopB(k, state); });
+    system.engine().ScheduleAfter(sim::MsToCycles(1.0), [&k, state] {
+      state->start = k.GetCycleCount();
+      k.KeSetEvent(&state->ea);
     });
     system.RunFor(0.001 * iterations + 1.0);
-    if (*end > *start && iterations > 0) {
-      results.context_switch_us = sim::CyclesToUs(*end - *start) / (2.0 * iterations);
+    if (state->end > state->start && iterations > 0) {
+      results.context_switch_us = sim::CyclesToUs(state->end - state->start) / (2.0 * iterations);
     }
   }
 
   // --- 2. Event signal to thread wake ----------------------------------------
   {
-    auto event = std::make_shared<kernel::KEvent>();
-    auto signaled_at = std::make_shared<sim::Cycles>(0);
-    auto total = std::make_shared<sim::Cycles>(0);
-    auto woken = std::make_shared<int>(0);
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&k, event, signaled_at, total, woken, loop] {
-      k.Wait(event.get(), [&k, signaled_at, total, woken, loop] {
-        *total += k.GetCycleCount() - *signaled_at;
-        ++*woken;
-        (*loop)();
-      });
+    struct WakeProbe {
+      kernel::KEvent event;
+      sim::Cycles signaled_at = 0;
+      sim::Cycles total = 0;
+      int woken = 0;
+
+      static void Loop(kernel::Kernel& k, const std::shared_ptr<WakeProbe>& s) {
+        k.Wait(&s->event, [&k, s] {
+          s->total += k.GetCycleCount() - s->signaled_at;
+          ++s->woken;
+          Loop(k, s);
+        });
+      }
     };
-    k.PsCreateSystemThread("wake-probe", 28, [loop] { (*loop)(); });
+    auto state = std::make_shared<WakeProbe>();
+    k.PsCreateSystemThread("wake-probe", 28, [&k, state] { WakeProbe::Loop(k, state); });
     for (int i = 0; i < iterations; ++i) {
-      system.engine().ScheduleAfter(sim::UsToCycles(200.0 * (i + 1)),
-                                    [&k, event, signaled_at] {
-                                      *signaled_at = k.GetCycleCount();
-                                      k.KeSetEvent(event.get());
-                                    });
+      system.engine().ScheduleAfter(sim::UsToCycles(200.0 * (i + 1)), [&k, state] {
+        state->signaled_at = k.GetCycleCount();
+        k.KeSetEvent(&state->event);
+      });
     }
     system.RunFor(200e-6 * iterations + 0.5);
-    if (*woken > 0) {
-      results.event_wake_us = sim::CyclesToUs(*total) / *woken;
+    if (state->woken > 0) {
+      results.event_wake_us = sim::CyclesToUs(state->total) / state->woken;
     }
   }
 
@@ -113,14 +120,17 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
     const int line = system.kernel().pic().ConnectLine("UBENCH", static_cast<kernel::Irql>(11));
     k.IoConnectInterrupt(line, static_cast<kernel::Irql>(11), Label{"UBENCH", "_isr"},
                          [] { return sim::UsToCycles(1.0); });
-    auto total = std::make_shared<sim::Cycles>(0);
-    auto fires = std::make_shared<int>(0);
-    auto previous = k.dispatcher().on_isr_entry;
-    k.dispatcher().on_isr_entry = [line, total, fires, previous](int l, sim::Cycles a,
-                                                                 sim::Cycles e) {
+    // Observe ISR entries for the run, still passing each one on to the
+    // observer installed before it; the original is reinstalled afterwards.
+    sim::Cycles total = 0;
+    int fires = 0;
+    kernel::Dispatcher& dispatcher = k.dispatcher();
+    auto previous = std::move(dispatcher.on_isr_entry);
+    dispatcher.on_isr_entry = [line, &total, &fires, &previous](int l, sim::Cycles a,
+                                                                sim::Cycles e) {
       if (l == line) {
-        *total += e - a;
-        ++*fires;
+        total += e - a;
+        ++fires;
       }
       if (previous) {
         previous(l, a, e);
@@ -131,9 +141,9 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
                                     [&system, line] { system.kernel().pic().Assert(line); });
     }
     system.RunFor(170e-6 * iterations + 0.5);
-    k.dispatcher().on_isr_entry = previous;
-    if (*fires > 0) {
-      results.interrupt_dispatch_us = sim::CyclesToUs(*total) / *fires;
+    dispatcher.on_isr_entry = std::move(previous);
+    if (fires > 0) {
+      results.interrupt_dispatch_us = sim::CyclesToUs(total) / fires;
     }
   }
 

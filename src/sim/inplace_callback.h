@@ -1,13 +1,17 @@
-// Small-buffer-optimized move-only callback for the event calendar.
+// Small-buffer-optimized move-only callable: the one callable type of the
+// simulation hot path.
 //
-// The engine's hot path schedules and fires hundreds of millions of events
-// per wall-clock minute; a std::function per event means a heap allocation
-// for any capture larger than the (implementation-defined, typically 16-byte)
-// small-object buffer plus virtual dispatch through a copyable wrapper we
-// never copy. InplaceCallback stores up to kInlineSize bytes of capture
-// in-line (enough for every dispatcher lambda — see the static_asserts at the
-// call sites in src/kernel/dispatcher.cc) and falls back to the heap only for
-// oversized captures, so steady-state scheduling performs zero allocations.
+// The engine schedules and fires hundreds of millions of events per
+// wall-clock minute, and every layer above it (dispatcher frames, thread
+// continuations, DPC routines, ISRs, IRP completions, device and workload
+// callbacks) runs one or more callables per simulated event. A heap
+// allocation per callable, or virtual dispatch through a copyable wrapper we
+// never copy, would dominate that path. InplaceFunction<R(Args...)> stores up
+// to kInlineSize bytes of capture in-line (enough for every dispatcher lambda
+// — see the static_asserts at the call sites in src/kernel/dispatcher.cc) and
+// falls back to the heap only for oversized captures, so steady-state
+// scheduling performs zero allocations. InplaceCallback is the nullary form
+// the engine stores.
 
 #ifndef SRC_SIM_INPLACE_CALLBACK_H_
 #define SRC_SIM_INPLACE_CALLBACK_H_
@@ -19,12 +23,14 @@
 
 namespace wdmlat::sim {
 
-class InplaceCallback {
+template <typename Signature>
+class InplaceFunction;
+
+template <typename R, typename... Args>
+class InplaceFunction<R(Args...)> {
  public:
   // Sized for the engine's clients: dispatcher completions capture
-  // {this, frame*}, device models a handful of pointers/integers, and a
-  // whole std::function (32 bytes on libstdc++) still fits, so forwarding
-  // an existing std::function stays inline too.
+  // {this, frame*}, device models and drivers a handful of pointers/integers.
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
@@ -33,14 +39,14 @@ class InplaceCallback {
                                       alignof(std::decay_t<F>) <= kInlineAlign &&
                                       std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
-  InplaceCallback() = default;
-  InplaceCallback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  InplaceFunction() = default;
+  InplaceFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InplaceCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InplaceCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+                !std::is_same_v<std::decay_t<F>, InplaceFunction> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     Construct(std::forward<F>(f));
   }
 
@@ -50,28 +56,28 @@ class InplaceCallback {
   template <typename F>
   void emplace(F&& f) {
     reset();
-    if constexpr (std::is_same_v<std::decay_t<F>, InplaceCallback>) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InplaceFunction>) {
       MoveFrom(f);
     } else {
       Construct(std::forward<F>(f));
     }
   }
 
-  InplaceCallback(InplaceCallback&& other) noexcept { MoveFrom(other); }
-  InplaceCallback& operator=(InplaceCallback&& other) noexcept {
+  InplaceFunction(InplaceFunction&& other) noexcept { MoveFrom(other); }
+  InplaceFunction& operator=(InplaceFunction&& other) noexcept {
     if (this != &other) {
       reset();
       MoveFrom(other);
     }
     return *this;
   }
-  InplaceCallback& operator=(std::nullptr_t) {
+  InplaceFunction& operator=(std::nullptr_t) {
     reset();
     return *this;
   }
-  InplaceCallback(const InplaceCallback&) = delete;
-  InplaceCallback& operator=(const InplaceCallback&) = delete;
-  ~InplaceCallback() { reset(); }
+  InplaceFunction(const InplaceFunction&) = delete;
+  InplaceFunction& operator=(const InplaceFunction&) = delete;
+  ~InplaceFunction() { reset(); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -84,34 +90,48 @@ class InplaceCallback {
   }
 
   // Precondition: non-empty. The callable stays held (and may be invoked
-  // again); callers that need captured state released move the callback out
+  // again); callers that need captured state released move the callable out
   // first or reset() afterwards.
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    R (*invoke)(void* storage, Args&&... args);
     // Move-construct `dst` from `src`, then destroy `src`.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* storage);
   };
 
   template <typename Fn>
+  static R Call(Fn& fn, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      fn(std::forward<Args>(args)...);
+    } else {
+      return fn(std::forward<Args>(args)...);
+    }
+  }
+
+  template <typename Fn>
   struct InlineOps {
-    static void Invoke(void* storage) { (*std::launder(reinterpret_cast<Fn*>(storage)))(); }
+    static Fn* Ptr(void* storage) { return std::launder(reinterpret_cast<Fn*>(storage)); }
+    static R Invoke(void* storage, Args&&... args) {
+      return Call(*Ptr(storage), std::forward<Args>(args)...);
+    }
     static void Relocate(void* dst, void* src) {
-      Fn* from = std::launder(reinterpret_cast<Fn*>(src));
+      Fn* from = Ptr(src);
       ::new (dst) Fn(std::move(*from));
       from->~Fn();
     }
-    static void Destroy(void* storage) { std::launder(reinterpret_cast<Fn*>(storage))->~Fn(); }
+    static void Destroy(void* storage) { Ptr(storage)->~Fn(); }
     static constexpr Ops kOps{&Invoke, &Relocate, &Destroy};
   };
 
   template <typename Fn>
   struct HeapOps {
     static Fn* Ptr(void* storage) { return *reinterpret_cast<Fn**>(storage); }
-    static void Invoke(void* storage) { (*Ptr(storage))(); }
+    static R Invoke(void* storage, Args&&... args) {
+      return Call(*Ptr(storage), std::forward<Args>(args)...);
+    }
     static void Relocate(void* dst, void* src) {
       *reinterpret_cast<Fn**>(dst) = Ptr(src);  // pointer steal; src is dropped
     }
@@ -131,7 +151,7 @@ class InplaceCallback {
     }
   }
 
-  void MoveFrom(InplaceCallback& other) noexcept {
+  void MoveFrom(InplaceFunction& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(storage_, other.storage_);
@@ -142,6 +162,8 @@ class InplaceCallback {
   alignas(kInlineAlign) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+using InplaceCallback = InplaceFunction<void()>;
 
 }  // namespace wdmlat::sim
 

@@ -31,7 +31,7 @@ AuditReport InvariantAuditor::Audit() {
   last_now_ = engine_->now();
   have_last_now_ = true;
 
-  for (const auto& [name, check] : checks_) {
+  for (auto& [name, check] : checks_) {
     std::vector<std::string> lines;
     check(&lines);
     for (std::string& line : lines) {

@@ -23,12 +23,12 @@
 #define SRC_SIM_INVARIANT_AUDITOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::sim {
@@ -49,7 +49,7 @@ class InvariantAuditor {
  public:
   // An external check appends violation lines; it must not mutate any
   // simulator state.
-  using Check = std::function<void(std::vector<std::string>*)>;
+  using Check = InplaceFunction<void(std::vector<std::string>*)>;
 
   explicit InvariantAuditor(Engine& engine) : engine_(&engine) {}
 

@@ -5,10 +5,10 @@
 #ifndef SRC_SIM_POISSON_H_
 #define SRC_SIM_POISSON_H_
 
-#include <functional>
 #include <utility>
 
 #include "src/sim/engine.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 
@@ -18,7 +18,7 @@ class PoissonProcess {
  public:
   // `rate_per_s` events per simulated second on average. A rate of zero
   // produces a process that never fires.
-  PoissonProcess(Engine& engine, Rng rng, double rate_per_s, std::function<void()> action)
+  PoissonProcess(Engine& engine, Rng rng, double rate_per_s, InplaceCallback action)
       : engine_(engine), rng_(rng), rate_per_s_(rate_per_s), action_(std::move(action)) {}
 
   ~PoissonProcess() { Stop(); }
@@ -57,7 +57,7 @@ class PoissonProcess {
   Engine& engine_;
   Rng rng_;
   double rate_per_s_;
-  std::function<void()> action_;
+  InplaceCallback action_;
   bool running_ = false;
   EventHandle next_;
 };

@@ -12,7 +12,7 @@ WinstoneScript::WinstoneScript(StressLoad::Deps deps, Config config, sim::Rng rn
   assert(deps_.kernel != nullptr && deps_.disk != nullptr);
 }
 
-void WinstoneScript::Start(std::function<void(double)> done) {
+void WinstoneScript::Start(DoneCallback done) {
   done_ = std::move(done);
   remaining_iterations_ = cfg_.iterations;
   started_at_ = deps_.kernel->GetCycleCount();
@@ -120,7 +120,7 @@ WinstoneSuite::WinstoneSuite(StressLoad::Deps deps, std::vector<WinstoneApp> app
   assert(deps_.kernel != nullptr && deps_.disk != nullptr);
 }
 
-void WinstoneSuite::Start(std::function<void(double)> done) {
+void WinstoneSuite::Start(WinstoneScript::DoneCallback done) {
   done_ = std::move(done);
   started_at_ = deps_.kernel->GetCycleCount();
   deps_.kernel->PsCreateSystemThread("Winstone suite", 9, [this] { RunApp(0); });
@@ -137,47 +137,55 @@ void WinstoneSuite::RunApp(std::size_t index) {
     k.ExitThread();
     return;
   }
+  app_index_ = index;
   const WinstoneApp& app = apps_[index];
   current_file_bytes_ = app.file_bytes;
   // InstallShield: a burst of file traffic plus unpacking CPU.
-  DoFileOps(app.install_file_ops, [this, index, &app] {
-    Iterate(app, app.iterations, [this, index, &app] {
-      // Uninstall and move on.
-      DoFileOps(app.uninstall_file_ops, [this, index] {
-        ++apps_completed_;
-        RunApp(index + 1);
-      });
-    });
+  phase_ = Phase::kInstall;
+  DoFileOps(app.install_file_ops);
+}
+
+void WinstoneSuite::Iterate(int remaining) {
+  const WinstoneApp& app = apps_[app_index_];
+  if (remaining == 0) {
+    // Uninstall and move on.
+    phase_ = Phase::kUninstall;
+    DoFileOps(app.uninstall_file_ops);
+    return;
+  }
+  phase_ = Phase::kIterate;
+  iterations_remaining_ = remaining;
+  deps_.kernel->Compute(app.cpu_us_per_iteration * rng_.Uniform(0.7, 1.3), [this, &app] {
+    if (rng_.Bernoulli(app.ui_event_probability)) {
+      if (deps_.sound_scheme != nullptr) {
+        deps_.sound_scheme->OnUiEvent();
+      }
+      deps_.kernel->ExQueueWorkItem(rng_.Uniform(20.0, 100.0),
+                                    kernel::Label{"WIN32K", "_Repaint"});
+    }
+    DoFileOps(app.file_ops_per_iteration);
   });
 }
 
-void WinstoneSuite::Iterate(const WinstoneApp& app, int remaining,
-                            std::function<void()> then) {
-  kernel::Kernel& k = *deps_.kernel;
-  if (remaining == 0) {
-    then();
-    return;
+void WinstoneSuite::FileOpsDone() {
+  switch (phase_) {
+    case Phase::kInstall:
+      Iterate(apps_[app_index_].iterations);
+      return;
+    case Phase::kIterate:
+      Iterate(iterations_remaining_ - 1);
+      return;
+    case Phase::kUninstall:
+      ++apps_completed_;
+      RunApp(app_index_ + 1);
+      return;
   }
-  k.Compute(app.cpu_us_per_iteration * rng_.Uniform(0.7, 1.3),
-            [this, &app, remaining, then = std::move(then)]() mutable {
-              if (rng_.Bernoulli(app.ui_event_probability)) {
-                if (deps_.sound_scheme != nullptr) {
-                  deps_.sound_scheme->OnUiEvent();
-                }
-                deps_.kernel->ExQueueWorkItem(rng_.Uniform(20.0, 100.0),
-                                              kernel::Label{"WIN32K", "_Repaint"});
-              }
-              DoFileOps(app.file_ops_per_iteration,
-                        [this, &app, remaining, then = std::move(then)]() mutable {
-                          Iterate(app, remaining - 1, std::move(then));
-                        });
-            });
 }
 
-void WinstoneSuite::DoFileOps(int remaining, std::function<void()> then) {
+void WinstoneSuite::DoFileOps(int remaining) {
   kernel::Kernel& k = *deps_.kernel;
   if (remaining == 0) {
-    then();
+    FileOpsDone();
     return;
   }
   const auto bytes = static_cast<std::uint32_t>(
@@ -186,12 +194,10 @@ void WinstoneSuite::DoFileOps(int remaining, std::function<void()> then) {
     deps_.virus_scanner->OnFileOperation(bytes);
   }
   deps_.disk->SubmitIo(bytes, [this] { deps_.kernel->KeSetEvent(&io_event_); });
-  k.Wait(&io_event_, [this, remaining, then = std::move(then)]() mutable {
+  k.Wait(&io_event_, [this, remaining] {
     kernel::Kernel& kernel = *deps_.kernel;
     kernel.Compute(kernel.profile().file_op_kernel_us.SampleUs(rng_),
-                   [this, remaining, then = std::move(then)]() mutable {
-                     DoFileOps(remaining - 1, std::move(then));
-                   });
+                   [this, remaining] { DoFileOps(remaining - 1); });
   });
 }
 

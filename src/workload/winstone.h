@@ -15,11 +15,11 @@
 #define SRC_WORKLOAD_WINSTONE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/kernel/event.h"
+#include "src/sim/inplace_callback.h"
 #include "src/sim/rng.h"
 #include "src/workload/stress_load.h"
 
@@ -66,8 +66,11 @@ class WinstoneScript {
 
   WinstoneScript(StressLoad::Deps deps, Config config, sim::Rng rng);
 
+  // Runs at completion with the elapsed virtual seconds.
+  using DoneCallback = sim::InplaceFunction<void(double elapsed_seconds)>;
+
   // Launch the script thread; `done(elapsed_seconds)` runs at completion.
-  void Start(std::function<void(double)> done);
+  void Start(DoneCallback done);
 
   bool finished() const { return finished_; }
   double elapsed_seconds() const { return elapsed_seconds_; }
@@ -79,7 +82,7 @@ class WinstoneScript {
   StressLoad::Deps deps_;
   Config cfg_;
   sim::Rng rng_;
-  std::function<void(double)> done_;
+  DoneCallback done_;
   kernel::KEvent io_event_{kernel::EventType::kSynchronization};
   sim::Cycles started_at_ = 0;
   int remaining_iterations_ = 0;
@@ -93,23 +96,32 @@ class WinstoneSuite {
  public:
   WinstoneSuite(StressLoad::Deps deps, std::vector<WinstoneApp> apps, sim::Rng rng);
 
-  void Start(std::function<void(double)> done);
+  void Start(WinstoneScript::DoneCallback done);
 
   bool finished() const { return finished_; }
   double elapsed_seconds() const { return elapsed_seconds_; }
   std::size_t apps_completed() const { return apps_completed_; }
 
  private:
+  // Each application runs three phases, each ending in a batch of file
+  // operations: install, the user-action iterations, uninstall.
+  enum class Phase : std::uint8_t { kInstall, kIterate, kUninstall };
+
   void RunApp(std::size_t index);
-  void DoFileOps(int remaining, std::function<void()> then);
-  void Iterate(const WinstoneApp& app, int remaining, std::function<void()> then);
+  void Iterate(int remaining);
+  void DoFileOps(int remaining);
+  // The current batch of file operations is done: advance the phase.
+  void FileOpsDone();
 
   StressLoad::Deps deps_;
   std::vector<WinstoneApp> apps_;
   sim::Rng rng_;
-  std::function<void(double)> done_;
+  WinstoneScript::DoneCallback done_;
   kernel::KEvent io_event_{kernel::EventType::kSynchronization};
   sim::Cycles started_at_ = 0;
+  std::size_t app_index_ = 0;
+  Phase phase_ = Phase::kInstall;
+  int iterations_remaining_ = 0;
   std::size_t apps_completed_ = 0;
   bool finished_ = false;
   double elapsed_seconds_ = 0.0;

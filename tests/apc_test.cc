@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -53,6 +54,28 @@ TEST(ApcTest, ApcsDeliverBeforeTheWaitResumes) {
   });
   sys.RunForMs(10.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 99}));
+}
+
+TEST(ApcTest, ApcQueuedByAnApcRunsInTheSameDelivery) {
+  MiniSystem sys;
+  KEvent never;
+  std::vector<int> order;
+  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&] {
+    sys.kernel().WaitAlertable(&never, [&] {
+      order.push_back(99);  // resumed continuation
+      sys.kernel().ExitThread();
+    });
+  });
+  sys.engine().ScheduleAt(sim::MsToCycles(2.0), [&] {
+    sys.kernel().QueueUserApc(app, [&] {
+      order.push_back(1);
+      sys.kernel().QueueUserApc(app, [&] { order.push_back(2); });
+    });
+  });
+  sys.RunForMs(10.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 99}));
+  // Entry plus one wake: the nested APC needed no second dispatch.
+  EXPECT_EQ(app->dispatch_count(), 2u);
 }
 
 TEST(ApcTest, PendingApcsDeliverImmediatelyAtWait) {

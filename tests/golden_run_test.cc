@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 #include "src/drivers/latency_driver.h"

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 namespace wdmlat::sim {
 namespace {
@@ -29,8 +30,8 @@ TEST(InplaceCallbackTest, InvokesInlineLambda) {
 
 TEST(InplaceCallbackTest, DispatcherSizedCapturesStayInline) {
   // The dispatcher's hottest lambdas capture {this, frame*}; a std::function
-  // forwarded from legacy call sites is 32 bytes on libstdc++. Both must be
-  // inline-eligible or the engine hot path regresses to allocating.
+  // is 32 bytes on libstdc++. Both must be inline-eligible or the engine hot
+  // path regresses to allocating.
   struct Dummy {};
   Dummy* a = nullptr;
   Dummy* b = nullptr;
@@ -132,6 +133,67 @@ TEST(InplaceCallbackTest, ForwardedStdFunctionIsCopiedNotConsumed) {
   cb();
   fn();
   EXPECT_EQ(count, 2);
+}
+
+TEST(InplaceFunctionTest, ReturnsTheCallablesValue) {
+  InplaceFunction<int(int)> twice = [](int x) { return 2 * x; };
+  EXPECT_EQ(twice(21), 42);
+  // A void signature discards whatever the callable returns.
+  int calls = 0;
+  InplaceCallback cb = [&calls] { return ++calls; };
+  cb();
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(InplaceFunctionTest, ForwardsArgumentsByReference) {
+  InplaceFunction<void(std::vector<int>&, int)> append = [](std::vector<int>& v, int x) {
+    v.push_back(x);
+  };
+  std::vector<int> values;
+  append(values, 3);
+  append(values, 4);
+  EXPECT_EQ(values, (std::vector<int>{3, 4}));
+  // A const reference reaches the callable as the caller's object, not a copy.
+  InplaceFunction<const int*(const int&)> address = [](const int& x) { return &x; };
+  const int value = 7;
+  EXPECT_EQ(address(value), &value);
+  // A by-value move-only argument is moved through.
+  InplaceFunction<int(std::unique_ptr<int>)> consume = [](std::unique_ptr<int> p) { return *p; };
+  EXPECT_EQ(consume(std::make_unique<int>(9)), 9);
+}
+
+TEST(InplaceFunctionTest, HoldsAMoveOnlyCapture) {
+  auto owned = std::make_unique<int>(5);
+  auto fn = [owned = std::move(owned)](int x) { return *owned + x; };
+  static_assert(InplaceFunction<int(int)>::kFitsInline<decltype(fn)>);
+  InplaceFunction<int(int)> add = std::move(fn);
+  EXPECT_EQ(add(1), 6);
+  InplaceFunction<int(int)> moved = std::move(add);
+  EXPECT_FALSE(static_cast<bool>(add));  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved(2), 7);
+}
+
+TEST(InplaceFunctionTest, OversizedCaptureWithArgumentsTakesHeapFallback) {
+  std::array<std::uint8_t, 128> big{};
+  big[3] = 40;
+  auto token = std::make_shared<int>(0);
+  auto fn = [big, token](std::size_t i, int& out) {
+    out = big[i];
+    return big[i] + 2;
+  };
+  static_assert(!InplaceFunction<int(std::size_t, int&)>::kFitsInline<decltype(fn)>);
+  {
+    InplaceFunction<int(std::size_t, int&)> f = std::move(fn);
+    int out = 0;
+    EXPECT_EQ(f(3, out), 42);
+    EXPECT_EQ(out, 40);
+    InplaceFunction<int(std::size_t, int&)> moved = std::move(f);
+    out = 0;
+    EXPECT_EQ(moved(3, out), 42);
+    EXPECT_EQ(out, 40);
+    EXPECT_EQ(token.use_count(), 2);  // the heap copy, moved out of `fn`
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/drivers/latency_driver.h"
@@ -62,6 +64,29 @@ TEST(IoManagerTest, AttachBuildsAStackAndTopOfStackFindsIt) {
   EXPECT_EQ(io.TopOfStack("\\Device\\Fun0"), filter_device);
   io.IoDetachDevice(filter_device);
   EXPECT_EQ(io.TopOfStack("\\Device\\Fun0"), function_device);
+}
+
+TEST(IoManagerTest, TopOfStackTakesANameSlice) {
+  IoManager io;
+  DeviceObject* device = io.IoCreateDevice(io.IoCreateDriver("FUNC"), "\\Device\\Fun0");
+  // A view into a longer buffer: matched by its length, not up to a NUL.
+  const std::string_view line = "\\Device\\Fun0 \\Device\\Fun";
+  EXPECT_EQ(io.TopOfStack(line.substr(0, 12)), device);
+  EXPECT_EQ(io.TopOfStack(line.substr(13)), nullptr);
+}
+
+TEST(IoManagerTest, CompletionRoutineGetsTheDeviceItWasRegisteredFor) {
+  IoManager io;
+  DeviceObject* lower = io.IoCreateDevice(io.IoCreateDriver("FUNC"), "\\Device\\Fun0");
+  DeviceObject* upper = io.IoCreateDevice(io.IoCreateDriver("FILTER"), "\\Device\\Flt0");
+  io.IoAttachDeviceToStack(upper, lower);
+  Irp irp;
+  std::vector<DeviceObject*> seen;
+  io.IoSetCompletionRoutine(&irp, upper, [&](DeviceObject& d, Irp&) { seen.push_back(&d); });
+  io.IoSetCompletionRoutine(&irp, lower, [&](DeviceObject& d, Irp&) { seen.push_back(&d); });
+  io.IoCompleteRequest(&irp);
+  EXPECT_EQ(seen, (std::vector<DeviceObject*>{lower, upper}));
+  EXPECT_TRUE(irp.completion_routines.empty());
 }
 
 TEST(IoManagerTest, FilterDriverSeesIrpsAndCompletionsInStackOrder) {
