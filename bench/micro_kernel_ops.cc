@@ -66,10 +66,10 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelHeavy);
 
-// The ladder queue's headline case: a burst of same-instant expirations (a
-// PIT tick's worth of due timers) collapses into one sorted drain batch and
-// fires by cursor increment instead of per-event heap pops. Reported time is
-// per burst; items/s gives the per-event rate.
+// A burst of same-instant expirations (a PIT tick's worth of due timers):
+// each insert lands in front of its peers after a short scan from the back,
+// and each fire is a pop_back. Reported time is per burst; items/s gives the
+// per-event rate.
 void BM_EngineBatchFire(benchmark::State& state) {
   sim::Engine engine;
   std::uint64_t counter = 0;

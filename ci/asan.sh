@@ -10,7 +10,11 @@
 # through its own buffer) and the traced lab runs that feed it — plus the
 # callable the per-event layers share (sim::InplaceFunction: placement-new
 # storage, relocation and the heap fallback) and the APC and I/O manager
-# suites that move continuations and completion routines through it.
+# suites that move continuations and completion routines through it — plus
+# the engine calendar's own suites: the engine and event-pool units, the
+# differential check against a reference calendar, and the reentrant
+# dispatch fuzz, which drive the sorted calendar vector's inserts, lazy
+# drops and compaction.
 #
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
@@ -34,9 +38,10 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   --target kernel_units_test kernel_objects_test kernel_dispatcher_test dispatcher_fuzz_test \
   invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test \
-  chrome_trace_test obs_lab_test inplace_callback_test apc_test io_manager_test
+  chrome_trace_test obs_lab_test inplace_callback_test apc_test io_manager_test \
+  sim_engine_test event_pool_test calendar_differential_test batch_dispatch_fuzz_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|CalendarDifferentialTest|BatchDispatchFuzzTest'

@@ -8,9 +8,10 @@
 // original; NT 4.0 added periodic timers (paper Section 2.2), which we also
 // support.
 //
-// The queue mirrors the engine calendar's allocation-free design: a plain
-// binary heap of POD entries, generation-tagged so Cancel/re-Set invalidate
-// lazily, with bulk compaction once stale entries outnumber active timers.
+// The queue shares the engine calendar's allocation-free design — POD
+// entries, generation-tagged so Cancel/re-Set invalidate lazily, with bulk
+// compaction once stale entries outnumber active timers — but keeps them in
+// a binary heap where the calendar keeps a sorted vector.
 // ExpireDue is templated on the fire functor so the per-tick call from the
 // clock ISR wraps it in no callable object, and dispatches in collect-then-fire
 // batches so a tick with many due timers does one heap drain, not an

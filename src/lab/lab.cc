@@ -15,6 +15,10 @@ namespace wdmlat::lab {
 
 namespace {
 
+// Virtual slice length of a supervised run when no audit cadence dictates
+// one.
+constexpr double kSupervisedSliceS = 1.0;
+
 // The supervised measurement phase: the same cycle-space span as a single
 // RunUntil call, cut into slices so the watchdog and auditor get control
 // between events without perturbing them. RunUntil fires exactly the events
@@ -43,7 +47,7 @@ void RunSupervisedPhase(TestSystem& system, const RunSupervision& sup, double se
   }
   const bool auditing = sup.audit_every_s > 0.0 || sup.force_audit_violation;
   const double slice_s =
-      sup.audit_every_s > 0.0 ? sup.audit_every_s : std::max(sup.slice_s, 1e-3);
+      sup.audit_every_s > 0.0 ? sup.audit_every_s : kSupervisedSliceS;
 
   sim::Engine& engine = system.engine();
   const sim::Cycles deadline = engine.now() + sim::SecToCycles(seconds);

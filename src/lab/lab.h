@@ -96,8 +96,6 @@ struct RunSupervision {
   // run so a failure's diagnostic bundle can include the recent-event tail.
   // Trace sinks are pure observers, so the run stays bit-identical.
   kernel::TraceSession* black_box = nullptr;
-  // Virtual slice length when no audit cadence dictates one.
-  double slice_s = 1.0;
 
   bool enabled() const {
     return watchdog != nullptr || audit_every_s > 0.0 || audit_at_end ||

@@ -1,6 +1,5 @@
 #include "src/lab/report_io.h"
 
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -139,17 +138,14 @@ void AppendSketch(std::string& out, const char* name, const stats::QuantileSketc
 }
 
 bool ParseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) {
+  // from_chars takes digits only: no sign, no whitespace, no overflow wrap.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
     return false;
   }
-  const std::string copy(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(copy.c_str(), &end, 10);
-  if (errno != 0 || end != copy.c_str() + copy.size()) {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(value);
+  *out = value;
   return true;
 }
 

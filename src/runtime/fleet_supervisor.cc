@@ -37,6 +37,9 @@ std::size_t NthCellInWindow(std::size_t shard, std::size_t shards,
 
 namespace {
 
+// Give up on a shard after isolating this many poisoned cells.
+constexpr int kMaxQuarantinePerShard = 8;
+
 // Durable progress of a shard: the output file plus the rewrite tmp a
 // resuming worker streams into before its final rename. Any change in the
 // combined size is a heartbeat (the rename shrinks the sum — still a change).
@@ -424,11 +427,10 @@ class Driver {
     q.kind = s.q_kind;
     q.attempts = s.q_attempts;
     ++s.quarantined_count;
-    if (s.quarantined_count > std::max(1, options_.max_quarantine_per_shard)) {
+    if (s.quarantined_count > kMaxQuarantinePerShard) {
       s.phase = ShardState::Phase::kFailed;
       std::ostringstream out;
-      out << "shard " << s.shard << ": more than "
-          << std::max(1, options_.max_quarantine_per_shard)
+      out << "shard " << s.shard << ": more than " << kMaxQuarantinePerShard
           << " poisoned cells — giving up on this shard";
       s.failure = out.str();
       return;

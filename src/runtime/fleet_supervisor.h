@@ -90,8 +90,6 @@ struct FleetSupervisorOptions {
   int max_attempts = 3;
   // First retry backoff; doubles per subsequent retry of the same window.
   double retry_backoff_ms = 25.0;
-  // Give up on a shard after isolating this many poisoned cells.
-  int max_quarantine_per_shard = 8;
   // Liveness/exit poll cadence.
   double poll_interval_ms = 20.0;
   // Pre-existing quarantine manifest ("" = none yet); updated via

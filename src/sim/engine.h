@@ -6,28 +6,26 @@
 // is driven from this calendar. There is no wall-clock anywhere; virtual
 // hours of Windows activity run in wall-clock seconds.
 //
-// The calendar is a two-tier ladder queue tuned for the dominant traffic:
-// short-horizon periodic timers (PIT ticks, DPC completions, driver
-// timeouts). A ring of near-future buckets gives O(1) insertion for
-// everything inside a ~112 ms horizon; beyond that a binary-heap overflow
-// tier holds the far future and migrates entries into the ring as the
-// window slides over them. Same-tick (and same-bucket) expirations drain
-// through one sorted batch per bucket epoch instead of per-event heap pops.
-// The hot path is allocation-free in steady state: event records live in a
-// slab/free-list EventPool, callbacks are small-buffer-optimized
-// InplaceCallbacks, and every tier stores plain POD entries. Cancelled
-// events leave stale entries behind that are lazily purged when their epoch
-// drains and bulk-compacted when they outnumber the live ones (see
+// The calendar is one vector kept sorted in reverse fire order, so the next
+// event sits at the back: pop is pop_back, and insert scans in from the back,
+// which is short because most events are scheduled a little way ahead. The
+// simulated machine keeps few events pending (a mean of 13-16 and a maximum
+// of 162 across the benches; EXPERIMENTS.md, "A calendar sized to its
+// traffic"), so a flat vector beats any tiered structure. The hot path is
+// allocation-free in steady state: event records live in a slab/free-list
+// EventPool, callbacks are small-buffer-optimized InplaceCallbacks, and the
+// calendar stores plain POD entries in a vector that keeps its capacity.
+// Cancelled events leave stale entries behind that are dropped when they
+// reach the back and compacted when they outnumber the live ones (see
 // DESIGN.md §7 for the invariants).
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_pool.h"
@@ -102,22 +100,7 @@ class Engine {
  public:
   using Callback = InplaceCallback;
 
-  // --- Ladder geometry (public so the differential / rollover tests can
-  // target tier boundaries exactly) ----------------------------------------
-  // One bucket spans 2^16 cycles ≈ 218 µs at the simulated 300 MHz: wide
-  // enough that a PIT tick's worth of dispatcher traffic lands in one or two
-  // buckets, narrow enough that a bucket's sort stays small.
-  static constexpr std::uint32_t kBucketBits = 16;
-  static constexpr Cycles kBucketWidth = Cycles{1} << kBucketBits;
-  // 512 buckets ≈ 112 ms of near-future horizon — past every PIT period,
-  // DPC completion, and scheduler quantum either OS profile uses. Longer
-  // delays (workload think times, watchdog periods) take the overflow heap.
-  static constexpr std::uint32_t kRingBits = 9;
-  static constexpr std::uint32_t kBucketCount = 1u << kRingBits;
-  static constexpr std::uint32_t kRingMask = kBucketCount - 1;
-  static constexpr Cycles kHorizonCycles = Cycles{kBucketCount} << kBucketBits;
-
-  Engine() : pool_(new EventPool) { occupied_.fill(0); }
+  Engine() : pool_(new EventPool) {}
   ~Engine() {
     pool_->Shutdown();
     pool_->Release();
@@ -171,188 +154,91 @@ class Engine {
   void RequestStop() { stop_requested_ = true; }
 
   // Warm reuse: return the engine to its freshly constructed state — time 0,
-  // sequence 0, empty calendar — while keeping every tier's grown capacity
-  // (bucket vectors, overflow heap, drain batch, pool slabs). Outstanding
-  // events are cancelled wholesale (their captured state is released and
-  // stale handles read "not pending"), so callers must have torn down
-  // anything that expects its callbacks to still fire. A run on a reset
-  // engine is bit-identical to one on a new engine: fire order is (when,
-  // seq) and both restart from zero (guarded by the fleet golden-checksum
-  // test). Defined in engine.cc.
+  // sequence 0, empty calendar — while keeping the calendar vector's and the
+  // pool's grown capacity. Outstanding events are cancelled wholesale (their
+  // captured state is released and stale handles read "not pending"), so
+  // callers must have torn down anything that expects its callbacks to still
+  // fire. A run on a reset engine is bit-identical to one on a new engine:
+  // fire order is (when, seq) and both restart from zero (guarded by the
+  // fleet golden-checksum test). Defined in engine.cc.
   void Reset();
 
   std::uint64_t events_processed() const { return events_processed_; }
 
   // Number of scheduled-and-not-yet-fired events, excluding cancelled ones
-  // (their calendar entries linger until lazily purged when their bucket
-  // drains or bulk-compacted, but they no longer count). Tests can therefore
+  // (their calendar entries linger until they reach the back of the calendar
+  // or are compacted away, but they no longer count). Tests can therefore
   // assert on calendar size.
   std::size_t events_pending() const { return pool_->live(); }
 
   // Observability: stale (cancelled) entries still occupying the calendar,
   // and how many times the calendar has been compacted.
-  std::size_t stale_entries() const {
-    const std::size_t stored = StoredEntries();
-    return stored > pool_->live() ? stored - pool_->live() : 0;
-  }
+  std::size_t stale_entries() const { return calendar_.size() - pool_->live(); }
   std::uint64_t compactions() const { return compactions_; }
 
-  // Invariant audit for sim::InvariantAuditor: validates the ladder's
-  // bucket-index/epoch consistency (every ring entry lives in the bucket its
-  // epoch maps to, inside the current window), the occupancy bitmap, the
-  // overflow tier's heap ordering and beyond-horizon placement, the drain
-  // batch's (when, seq) sort, that no live entry is scheduled in the past,
-  // that every live pool slot owns exactly one calendar entry (count
-  // conservation across tiers), that sequence numbers were issued before
-  // next_seq_, and the pool's slab/free-list/generation consistency.
-  // Appends one line per violation; appends nothing when healthy.
+  // Invariant audit for sim::InvariantAuditor: validates that the calendar
+  // is sorted in fire order, that no live entry is scheduled in the past,
+  // that sequence numbers were issued before next_seq_, that every live pool
+  // slot owns exactly one calendar entry, and the pool's
+  // slab/free-list/generation consistency. Appends one line per violation;
+  // appends nothing when healthy.
   void AuditCalendar(std::vector<std::string>* violations) const;
 
  private:
-  // POD calendar entry: no refcounts, no indirection on sift. `generation`
+  // POD calendar entry: no refcounts, no indirection on insert. `generation`
   // pins the entry to one pool-slot incarnation; a mismatch means the event
-  // was cancelled (or fired through an earlier entry) and the entry is dead.
+  // was cancelled and the entry is dead.
   struct QueueEntry {
     Cycles when;
     std::uint64_t seq;
     std::uint64_t generation;
     std::uint32_t slot;
   };
-  // Comparator for the overflow tier's std::push_heap/pop_heap: the front of
-  // the heap is the entry that fires first, so "less" means "fires later".
-  struct FiresLater {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
+  // The engine's total fire order is ascending (when, seq); the calendar is
+  // kept sorted under "fires later", so the next event sits at the back.
+  static bool FiresLater(const QueueEntry& a, const QueueEntry& b) {
+    if (a.when != b.when) {
+      return a.when > b.when;
     }
-  };
-  // Comparator for the drain batch's sort and mid-drain sorted inserts:
-  // ascending (when, seq), the engine's total fire order.
-  struct FiresEarlier {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.when != b.when) {
-        return a.when < b.when;
-      }
-      return a.seq < b.seq;
-    }
-  };
+    return a.seq > b.seq;
+  }
 
   static constexpr Cycles kNoDeadline = std::numeric_limits<Cycles>::max();
-  // Below this calendar size, compaction is never worth the full-ring sweep;
-  // the lazy purge on drain handles small backlogs for free.
+  // Below this calendar size, compaction is never worth the sweep; dead
+  // entries are dropped for free when they reach the back.
   static constexpr std::size_t kCompactMinEntries = 64;
 
-  static constexpr std::uint64_t EpochOf(Cycles when) { return when >> kBucketBits; }
-
-  // Route one entry to its tier. Entries below the window (possible after
-  // the drain cursor out-ran now() across dead epochs) ride the current
-  // epoch's bucket/batch: nothing with a smaller (when, seq) exists anywhere,
-  // and the batch sort puts them first, so the total order is preserved.
+  // Insert in fire order. The new entry carries the largest seq issued, so
+  // it goes in front of (fires after) every entry with the same `when`. Most
+  // events are scheduled a short way ahead, so the scan from the back is
+  // short and the insert moves few entries.
   void Insert(const QueueEntry& entry) {
-    const std::uint64_t epoch = EpochOf(entry.when);
-    if (batch_active_ && epoch <= cur_epoch_) {
-      // Mid-drain insert into the epoch being dispatched: everything at or
-      // before batch_pos_ has already fired with a smaller (when, seq), so
-      // the ordered position is always in the unserved tail — and in the
-      // common monotone case, exactly at the end.
-      if (batch_pos_ >= batch_.size() || !FiresEarlier{}(entry, batch_.back())) {
-        batch_.push_back(entry);
-      } else {
-        batch_.insert(std::lower_bound(batch_.begin() + static_cast<std::ptrdiff_t>(batch_pos_),
-                                       batch_.end(), entry, FiresEarlier{}),
-                      entry);
-      }
-      return;
+    auto pos = calendar_.end();
+    while (pos != calendar_.begin() && FiresLater(entry, *(pos - 1))) {
+      --pos;
     }
-    if (epoch < cur_epoch_ + kBucketCount) {
-      const std::uint32_t index =
-          static_cast<std::uint32_t>((epoch <= cur_epoch_ ? cur_epoch_ : epoch)) & kRingMask;
-      buckets_[index].push_back(entry);
-      occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
-      ++near_count_;
-      MaybeCompact();
-      return;
-    }
-    far_.push_back(entry);
-    std::push_heap(far_.begin(), far_.end(), FiresLater{});
-    // The compaction check rides the ring/overflow inserts only: dead batch
-    // entries are self-limiting (their epoch's drain purges them within one
-    // bucket width of virtual time), whereas dead ring/overflow entries can
-    // linger for a full horizon — and keeping the check off the batch insert
-    // keeps the hottest path to a push_back.
+    calendar_.insert(pos, entry);
     MaybeCompact();
   }
 
-  // Purge stale entries, slide the ring window, and pop the next live entry
-  // into `out` if its time is <= `deadline`. The single home of the drain
-  // logic shared by Step and RunUntil. One bucket epoch is loaded (sorted)
-  // per batch; every same-epoch expiration then drains by index increment.
-  //
-  // Split for code size: only the serve loop — the branch taken on nearly
-  // every pop in steady state — stays in the header for inlining into
-  // Step/RunUntil. Epoch advance, bucket loading, far-tier migration and the
-  // all-dead wholesale drop live out of line in PopNextLiveSlow, so the hot
-  // path's register allocation never pays for them.
+  // Drop dead entries (generation mismatch = cancelled) from the back, even
+  // beyond the deadline, then pop the next live entry into `out` if its
+  // time is <= `deadline`. Shared by Step and RunUntil.
   bool PopNextLive(Cycles deadline, QueueEntry* out) {
-    // Serve the active batch: dead entries (generation mismatch = cancelled)
-    // drop out as they surface, even beyond the deadline.
-    while (batch_pos_ < batch_.size()) {
-      const QueueEntry& entry = batch_[batch_pos_];
+    while (!calendar_.empty()) {
+      const QueueEntry& entry = calendar_.back();
       if (pool_->generation(entry.slot) != entry.generation) {
-        ++batch_pos_;
+        calendar_.pop_back();
         continue;
       }
       if (entry.when > deadline) {
         return false;
       }
       *out = entry;
-      ++batch_pos_;
+      calendar_.pop_back();
       return true;
     }
-    return PopNextLiveSlow(deadline, out);
-  }
-
-  // The batch ran dry: advance to the next occupied epoch (or drop a fully
-  // dead calendar wholesale), load its bucket, and serve from it. Defined in
-  // engine.cc — see PopNextLive.
-  bool PopNextLiveSlow(Cycles deadline, QueueEntry* out);
-
-  // Pull every overflow entry whose epoch has entered the ring window into
-  // its bucket. Dead entries are dropped here instead of migrating.
-  void MigrateFar() {
-    while (!far_.empty() && EpochOf(far_.front().when) < cur_epoch_ + kBucketCount) {
-      const QueueEntry entry = far_.front();
-      std::pop_heap(far_.begin(), far_.end(), FiresLater{});
-      far_.pop_back();
-      if (pool_->generation(entry.slot) != entry.generation) {
-        continue;
-      }
-      const std::uint32_t index = static_cast<std::uint32_t>(EpochOf(entry.when)) & kRingMask;
-      buckets_[index].push_back(entry);
-      occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
-      ++near_count_;
-    }
-  }
-
-  // Distance (in epochs) from cur_epoch_ to the nearest occupied bucket,
-  // scanning the bitmap circularly. Precondition: near_count_ > 0.
-  std::uint32_t NextOccupiedDistance() const {
-    const std::uint32_t start = static_cast<std::uint32_t>(cur_epoch_) & kRingMask;
-    std::uint32_t word = start >> 6;
-    std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start & 63));
-    for (std::uint32_t scanned = 0;; ++scanned) {
-      if (bits != 0) {
-        const std::uint32_t index =
-            (word << 6) + static_cast<std::uint32_t>(__builtin_ctzll(bits));
-        return (index - start) & kRingMask;
-      }
-      word = (word + 1) & ((kBucketCount >> 6) - 1);
-      bits = occupied_[word];
-      // near_count_ > 0 guarantees a set bit within one full wrap.
-      (void)scanned;
-    }
+    return false;
   }
 
   // Fire a popped entry: advance time, free its pool slot, run the callback.
@@ -366,32 +252,16 @@ class Engine {
     cb();
   }
 
-  // Entries currently stored across all tiers (live + stale, excluding the
-  // batch's already-served prefix).
-  std::size_t StoredEntries() const {
-    return near_count_ + far_.size() + (batch_.size() - batch_pos_);
-  }
-
-  // Sweep dead entries out of every tier once they outnumber live ones.
-  // Every live event owns exactly one calendar entry, so the dead-entry
-  // count is the stored excess over the pool's live count.
+  // Sweep dead entries out once they outnumber live ones. Every live event
+  // owns exactly one calendar entry, so the dead-entry count is the stored
+  // excess over the pool's live count.
   void MaybeCompact() {
-    const std::size_t stored = StoredEntries();
+    const std::size_t stored = calendar_.size();
     if (stored >= kCompactMinEntries && stored - pool_->live() > stored / 2) {
       Compact();
     }
   }
   void Compact();
-
-  // Empty every tier. Precondition: pool_->live() == 0, so each stored entry
-  // is provably dead and no ordering or window state needs preserving.
-  // Out-of-line (noinline) so the pop fast path stays compact, but NOT
-  // __attribute__((cold)): the cancel-every-event pattern (timer churn,
-  // BM_EngineCancelledEvent) reaches this on the hot path, and cold's
-  // pessimized codegen/layout costs ~10%% there for no icache win.
-  // Returns false so the caller can tail-call it without keeping any state
-  // live across the call.
-  __attribute__((noinline)) bool DropAllDead();
 
   Cycles now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -399,21 +269,9 @@ class Engine {
   std::uint64_t compactions_ = 0;
   bool stop_requested_ = false;
   EventPool* pool_;
-
-  // --- Ladder state ---------------------------------------------------------
-  // Epoch currently being drained (or next to drain). The ring window covers
-  // epochs [cur_epoch_, cur_epoch_ + kBucketCount); the overflow tier holds
-  // everything at or beyond the window's end.
-  std::uint64_t cur_epoch_ = 0;
-  std::size_t near_count_ = 0;  // entries across all ring buckets
-  std::array<std::vector<QueueEntry>, kBucketCount> buckets_;
-  std::array<std::uint64_t, kBucketCount / 64> occupied_;  // non-empty-bucket bitmap
-  std::vector<QueueEntry> far_;  // overflow tier: binary heap under FiresLater
-  // Drain batch for cur_epoch_: sorted ascending (when, seq); entries before
-  // batch_pos_ have been dispatched or purged.
-  std::vector<QueueEntry> batch_;
-  std::size_t batch_pos_ = 0;
-  bool batch_active_ = false;
+  // Every scheduled entry, live or dead, sorted under FiresLater: the back
+  // is the next to fire.
+  std::vector<QueueEntry> calendar_;
 };
 
 }  // namespace wdmlat::sim

@@ -4,8 +4,8 @@
 // A corrupted calendar or pool does not necessarily crash: it silently skews
 // the latency distributions the whole experiment exists to measure. The
 // auditor makes corruption loud instead. It owns the built-in engine checks
-// (ladder calendar consistency — bucket-ring occupancy bitmap, far-tier
-// horizon, drain-batch sort and served-prefix discipline — plus pool
+// (calendar consistency — fire-order sort, no live event in the past, issued
+// sequence numbers, one entry per live event — plus pool
 // generation/refcount/free-list consistency and time monotonicity across
 // audits) and accepts named external checks from the
 // layers the sim library cannot see (the kernel dispatcher's IRQL/lock

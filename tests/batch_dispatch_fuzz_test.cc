@@ -1,11 +1,11 @@
-// Reentrancy fuzz for the ladder queue's batched dispatch loop.
+// Reentrancy fuzz for the engine's dispatch loop.
 //
-// The engine drains one bucket epoch per sorted batch, serving entries by
-// cursor increment — which means a callback runs while its own epoch's batch
-// is mid-drain. This storm hammers exactly that window: callbacks schedule
-// new events (including same-instant ones that must insert into the active
-// batch's unserved tail), cancel other pending events, and re-enter Step()
-// and RunUntil() recursively. Corruption would show as a double fire, a lost
+// A callback runs while the dispatch loop that popped it is still going, so
+// it may schedule into the calendar, cancel entries in it, and re-enter the
+// loop. This storm hammers exactly that window: callbacks schedule new
+// events (including same-instant ones that must fire after the current
+// event's peers), cancel other pending events, and re-enter Step() and
+// RunUntil() recursively. Corruption would show as a double fire, a lost
 // fire, a fire after cancel, time running backwards, or a calendar audit
 // violation — all of which are asserted exactly.
 //
@@ -26,6 +26,11 @@
 
 namespace wdmlat::sim {
 namespace {
+
+// Delay scales of the storm, in cycles at the simulated 300 MHz: kShort is
+// 2^16 cycles (about 218 us) and kLong is 512 kShort (about 112 ms).
+constexpr Cycles kShort = Cycles{1} << 16;
+constexpr Cycles kLong = 512 * kShort;
 
 class BatchDispatchFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -48,7 +53,7 @@ TEST_P(BatchDispatchFuzzTest, ReentrantCallbackStormNeverCorruptsTheRing) {
   Cycles last_fire_now = 0;
 
   // The recursive scheduler: every event's callback rolls the dice a few
-  // times and mutates the calendar mid-drain.
+  // times and mutates the calendar mid-dispatch.
   std::function<void()> plant = [&] {
     if (scheduled >= kBudget) {
       return;
@@ -57,20 +62,20 @@ TEST_P(BatchDispatchFuzzTest, ReentrantCallbackStormNeverCorruptsTheRing) {
     Cycles delay;
     switch (rng.UniformInt(0, 5)) {
       case 0:
-        delay = 0;  // same instant: must join the active batch behind the cursor
+        delay = 0;  // same instant: fires after every peer already scheduled for it
         break;
       case 1:
         delay = rng.UniformInt(1, 64);  // same or next tick
         break;
       case 2:
       case 3:
-        delay = rng.UniformInt(1, Engine::kBucketWidth - 1);  // intra-bucket
+        delay = rng.UniformInt(1, kShort - 1);
         break;
       case 4:
-        delay = rng.UniformInt(Engine::kBucketWidth, Engine::kHorizonCycles - 1);  // cross-ring
+        delay = rng.UniformInt(kShort, kLong - 1);
         break;
       default:
-        delay = rng.UniformInt(Engine::kHorizonCycles, 3 * Engine::kHorizonCycles);  // far tier
+        delay = rng.UniformInt(kLong, 3 * kLong);  // far future
         break;
     }
     fire_count.push_back(0);
@@ -81,7 +86,7 @@ TEST_P(BatchDispatchFuzzTest, ReentrantCallbackStormNeverCorruptsTheRing) {
       }
       last_fire_now = engine.now();
       ++fire_count[static_cast<std::size_t>(id)];
-      // Mid-drain mutations: more events (often into this very batch)...
+      // Mid-dispatch mutations: more events (often at this very instant)...
       const std::uint64_t fanout = rng.UniformInt(0, 2);
       for (std::uint64_t i = 0; i < fanout; ++i) {
         plant();
@@ -100,7 +105,7 @@ TEST_P(BatchDispatchFuzzTest, ReentrantCallbackStormNeverCorruptsTheRing) {
         if (rng.Bernoulli(0.5)) {
           engine.Step();
         } else {
-          engine.RunUntil(engine.now() + rng.UniformInt(1, 2 * Engine::kBucketWidth));
+          engine.RunUntil(engine.now() + rng.UniformInt(1, 2 * kShort));
         }
         --reentry_depth;
       }
@@ -119,7 +124,7 @@ TEST_P(BatchDispatchFuzzTest, ReentrantCallbackStormNeverCorruptsTheRing) {
     if (rng.Bernoulli(0.25)) {
       engine.Step();
     } else {
-      engine.RunUntil(engine.now() + rng.UniformInt(1, 4 * Engine::kBucketWidth));
+      engine.RunUntil(engine.now() + rng.UniformInt(1, 4 * kShort));
     }
     if (++audits % 64 == 0) {
       const AuditReport report = auditor.Audit();

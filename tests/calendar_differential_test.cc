@@ -1,16 +1,16 @@
-// Differential model check of the ladder-queue calendar.
+// Differential model check of the event calendar.
 //
-// The two-tier ladder queue in sim::Engine earns its O(1) hot path with a
-// pile of window/epoch bookkeeping; this test pins its observable behavior
-// to a reference model so trivially simple it is obviously correct: a flat
-// vector scanned for the minimum (when, seq) on every pop. Both sides are
-// driven through ~1M randomized schedule / cancel / fire / advance ops per
-// seed and must agree on the complete fire order (including equal-tick FIFO
-// ties), on now(), and on the pending count after every op. The op mix
-// deliberately targets the ladder's seams: same-instant ties, zero delays,
-// cancel-then-reschedule of the same pool slot, intra-bucket and cross-ring
-// delays, exact horizon-boundary delays, and multi-horizon far-tier delays
-// that must migrate near at bucket-epoch rollover.
+// sim::Engine keeps its calendar as one vector sorted in reverse fire order
+// with lazily dropped cancelled entries and bulk compaction; this test pins
+// its observable behavior to a reference model so trivially simple it is
+// obviously correct: a flat vector scanned for the minimum (when, seq) on
+// every pop. Both sides are driven through ~1M randomized schedule / cancel
+// / fire / advance ops per seed and must agree on the complete fire order
+// (including equal-tick FIFO ties), on now(), and on the pending count after
+// every op. The op mix covers same-instant ties, zero delays,
+// cancel-then-reschedule of the same pool slot, short and long delays,
+// delays astride a fixed boundary, and multi-boundary delays that stay
+// pending while many nearer events fire past them.
 //
 // On divergence the failing op sequence is shrunk (ddmin-style chunk
 // removal) before reporting, so a regression presents as a few ops, not a
@@ -38,8 +38,8 @@ struct Op {
   std::uint32_t victim;  // kCancel: reduced modulo the ids issued so far
 };
 
-// The reference calendar: minimum-scan over a flat vector. No buckets, no
-// epochs, no lazy purge — cancel erases immediately.
+// The reference calendar: minimum-scan over a flat vector. No ordering, no
+// lazy purge — cancel erases immediately.
 class ReferenceCalendar {
  public:
   Cycles now = 0;
@@ -109,6 +109,13 @@ class ReferenceCalendar {
   std::vector<Event> live_;
   std::uint64_t next_seq_ = 0;
 };
+
+// Delay scales of the op mix, in cycles at the simulated 300 MHz: kShort is
+// 2^16 cycles (about 218 us, shorter than a PIT period) and kLong is 512
+// kShort (about 112 ms, past every PIT period, DPC completion and scheduler
+// quantum either OS profile uses).
+constexpr Cycles kShort = Cycles{1} << 16;
+constexpr Cycles kLong = 512 * kShort;
 
 // Keep the reference's O(live) scans bounded: schedules convert to steps
 // above this, so a million ops stay fast without losing churn coverage.
@@ -280,15 +287,15 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
       } else if (shape == 1) {
         op.tie = true;  // exact (when, seq) tie with the previous schedule
       } else if (shape <= 4) {
-        op.delay = rng.UniformInt(1, Engine::kBucketWidth - 1);  // intra-bucket
+        op.delay = rng.UniformInt(1, kShort - 1);
       } else if (shape <= 6) {
-        op.delay = rng.UniformInt(Engine::kBucketWidth, Engine::kHorizonCycles - 1);  // ring
+        op.delay = rng.UniformInt(kShort, kLong - 1);
       } else if (shape == 7) {
-        // Exactly astride the near/far horizon boundary.
-        op.delay = Engine::kHorizonCycles - 3 + rng.UniformInt(0, 6);
+        // Exactly astride the kLong boundary.
+        op.delay = kLong - 3 + rng.UniformInt(0, 6);
       } else {
-        // Deep far tier: must survive several window migrations.
-        op.delay = rng.UniformInt(Engine::kHorizonCycles, 4 * Engine::kHorizonCycles);
+        // Far future: stays pending while many nearer events fire.
+        op.delay = rng.UniformInt(kLong, 4 * kLong);
       }
     } else if (kind < 60) {
       op.kind = Op::kCancel;
@@ -297,8 +304,8 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
       op.kind = Op::kStep;
     } else {
       op.kind = Op::kRunUntil;
-      // Advances from sub-bucket nudges to multi-epoch rollovers.
-      op.delay = rng.UniformInt(1, 3 * Engine::kBucketWidth);
+      // Advances from small nudges to several kShort at once.
+      op.delay = rng.UniformInt(1, 3 * kShort);
     }
     ops.push_back(op);
   }
@@ -319,7 +326,7 @@ TEST_P(CalendarDifferentialTest, MillionOpFireOrderMatchesReferenceModel) {
   for (std::size_t i = 0; i < minimal.size() && i < 64; ++i) {
     script += "\n  [" + std::to_string(i) + "] " + DescribeOp(minimal[i]);
   }
-  FAIL() << "ladder queue diverged from the reference model (seed " << GetParam()
+  FAIL() << "calendar diverged from the reference model (seed " << GetParam()
          << "):\n  " << *failure << "\nshrunk to " << minimal.size()
          << " ops: " << (shrunk ? *shrunk : "(shrink lost the failure)") << script;
 }
@@ -329,7 +336,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CalendarDifferentialTest,
 
 // A directed (non-random) probe of the exact seams the random mix may take
 // millions of ops to align: cancel-then-reschedule into the same pool slot
-// at the same instant, and a far-tier event overtaken by later near events.
+// at the same instant, and a far-future event overtaken by later near events.
 TEST(CalendarDifferentialTest, DirectedSlotReuseAndMigrationEdges) {
   std::vector<Op> ops;
   // Two ties at one instant, cancel the first, reschedule (reuses its pool
@@ -340,15 +347,39 @@ TEST(CalendarDifferentialTest, DirectedSlotReuseAndMigrationEdges) {
   ops.push_back(Op{Op::kSchedule, true, 0, 0});
   ops.push_back(Op{Op::kStep, false, 0, 0});
   ops.push_back(Op{Op::kStep, false, 0, 0});
-  // A far event, then a pile of near ties, then advance clear across the
-  // horizon so the far entry migrates mid-sequence.
-  ops.push_back(Op{Op::kSchedule, false, 2 * Engine::kHorizonCycles, 0});
+  // A far event, then a pile of near ties, then advance in two steps so the
+  // near events fire past the far one before it fires.
+  ops.push_back(Op{Op::kSchedule, false, 2 * kLong, 0});
   for (int i = 0; i < 8; ++i) {
     ops.push_back(Op{Op::kSchedule, false, 50, 0});
     ops.push_back(Op{Op::kSchedule, true, 0, 0});
   }
-  ops.push_back(Op{Op::kRunUntil, false, Engine::kHorizonCycles, 0});
-  ops.push_back(Op{Op::kRunUntil, false, 2 * Engine::kHorizonCycles, 0});
+  ops.push_back(Op{Op::kRunUntil, false, kLong, 0});
+  ops.push_back(Op{Op::kRunUntil, false, 2 * kLong, 0});
+  const std::optional<std::string> failure = RunOps(ops);
+  EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+// The random mix cancels mostly ids that have already fired, so with these
+// seeds it never leaves more dead entries than live ones and never compacts.
+// This probe does: it cancels three quarters of 256 pending events spread
+// over shared instants, so the next schedule compacts the calendar, and then
+// fires the survivors against the reference.
+TEST(CalendarDifferentialTest, DirectedMassCancelCompactsInFireOrder) {
+  std::vector<Op> ops;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    ops.push_back(Op{Op::kSchedule, false, 100 + (i * 37) % 11, 0});
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    if (i % 4 != 3) {
+      ops.push_back(Op{Op::kCancel, false, 0, i});
+    }
+  }
+  ops.push_back(Op{Op::kSchedule, false, 105, 0});
+  ops.push_back(Op{Op::kRunUntil, false, 104, 0});
+  for (int i = 0; i < 40; ++i) {
+    ops.push_back(Op{Op::kStep, false, 0, 0});
+  }
   const std::optional<std::string> failure = RunOps(ops);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }

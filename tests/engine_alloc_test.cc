@@ -1,9 +1,9 @@
 // Proves the engine hot path is allocation-free in steady state: after a
-// warmup that grows the pool slabs, every ring bucket, the drain batch, and
-// the overflow heap to their high-water marks, ScheduleAfter + Step with
-// dispatcher-sized captures must perform zero heap allocations — including
-// the batched same-tick drain loop and bucket-ring rollover (epoch advance
-// with far-tier migration). Asserted with a counting global operator new —
+// warmup that grows the pool slabs and the calendar vector to their
+// high-water marks, ScheduleAfter + Step with dispatcher-sized captures must
+// perform zero heap allocations — including same-instant bursts and a
+// calendar that keeps hundreds of far-future events pending. Asserted with a
+// counting global operator new —
 // which is why this test lives in its own binary (each tests/*.cc builds to
 // a separate executable; see tests/CMakeLists.txt).
 //
@@ -87,20 +87,11 @@ struct FakeFrame {
   std::uint64_t ticks = 0;
 };
 
-// Grow every tier of the ladder calendar to its high-water mark for the
-// workload under test: `bucket_events` entries into each of the 512 ring
-// buckets (the furthest lands in the overflow heap and warms its buffer and
-// the migration path too), and `batch_events` same-epoch entries so the
-// drain batch reaches one full epoch's capacity. Firing it all also grows
-// the pool slabs past anything the measured loops keep live.
-void WarmEngine(Engine& engine, int bucket_events, int batch_events) {
-  for (int i = 0; i < batch_events; ++i) {
-    engine.ScheduleAfter(1, [] {});
-  }
-  for (std::uint32_t epoch = 1; epoch <= Engine::kBucketCount; ++epoch) {
-    for (int i = 0; i < bucket_events; ++i) {
-      engine.ScheduleAfter(epoch * Engine::kBucketWidth, [] {});
-    }
+// Grow the calendar vector and the pool slabs to `pending` events, past
+// anything the measured loop keeps stored, then fire them all.
+void WarmEngine(Engine& engine, int pending) {
+  for (int i = 0; i < pending; ++i) {
+    engine.ScheduleAfter(static_cast<Cycles>(i), [] {});
   }
   engine.RunUntilIdle();
 }
@@ -108,9 +99,7 @@ void WarmEngine(Engine& engine, int bucket_events, int batch_events) {
 TEST(EngineAllocTest, SteadyStateScheduleFireIsAllocationFree) {
   Engine engine;
   FakeFrame frame;
-  // The measured loop packs ~6.5k events into each 2^16-cycle epoch, so the
-  // drain batch must be warmed past that.
-  WarmEngine(engine, 8, 8192);
+  WarmEngine(engine, 256);
   AllocationScope scope;
   for (int i = 0; i < 100000; ++i) {
     // The dispatcher's hottest shape: a two-pointer capture.
@@ -129,7 +118,7 @@ TEST(EngineAllocTest, SteadyStateCancelChurnIsAllocationFree) {
   Engine engine;
   std::uint64_t fired = 0;
   EventHandle completion;
-  WarmEngine(engine, 8, 4096);
+  WarmEngine(engine, 256);
   AllocationScope scope;
   for (int i = 0; i < 100000; ++i) {
     completion.Cancel();
@@ -143,13 +132,13 @@ TEST(EngineAllocTest, SteadyStateCancelChurnIsAllocationFree) {
   EXPECT_GT(fired, 0u);
 }
 
-TEST(EngineAllocTest, BatchedSameTickDrainIsAllocationFree) {
-  // Bursts of same-instant events exercise the one-sort-per-epoch batched
-  // dispatch: 64 events collapse into a single drain batch and fire by
-  // index increment. The whole burst/drain cycle must not allocate.
+TEST(EngineAllocTest, SameInstantBurstIsAllocationFree) {
+  // Bursts of 64 same-instant events, as a PIT tick's worth of dispatcher
+  // traffic: each lands in front of its peers and fires from the back in
+  // insertion order. The whole burst/drain cycle must not allocate.
   Engine engine;
   std::uint64_t fired = 0;
-  WarmEngine(engine, 64, 4096);
+  WarmEngine(engine, 256);
   AllocationScope scope;
   for (int i = 0; i < 2000; ++i) {
     const Cycles tick = engine.now() + 1000;
@@ -163,23 +152,23 @@ TEST(EngineAllocTest, BatchedSameTickDrainIsAllocationFree) {
   EXPECT_EQ(fired, 2000u * 64u);
 }
 
-TEST(EngineAllocTest, RingRolloverWithFarMigrationIsAllocationFree) {
-  // Every iteration advances the window by one bucket epoch while feeding
-  // the overflow tier an event beyond the ring horizon, so the measured
-  // region covers epoch rollover, the occupancy-bitmap scan, and far→near
-  // migration — all of which must run out of pre-grown buffers.
+TEST(EngineAllocTest, FarFutureScheduleFireIsAllocationFree) {
+  // Every iteration advances time by kStep while scheduling an event 517
+  // steps ahead, so about 517 events stay pending and every insert scans to
+  // the front of the vector, since it fires after all of them. The vector
+  // must serve that out of its warmed capacity.
+  constexpr Cycles kStep = Cycles{1} << 16;
   Engine engine;
   std::uint64_t fired = 0;
-  WarmEngine(engine, 8, 256);
+  WarmEngine(engine, 1024);
   AllocationScope scope;
   for (int i = 0; i < 4000; ++i) {
-    engine.ScheduleAfter(Engine::kHorizonCycles + 5 * Engine::kBucketWidth,
-                         [&fired] { ++fired; });
-    engine.RunUntil(engine.now() + Engine::kBucketWidth);
+    engine.ScheduleAfter(517 * kStep, [&fired] { ++fired; });
+    engine.RunUntil(engine.now() + kStep);
   }
   const std::uint64_t allocations = scope.Finish();
   EXPECT_EQ(allocations, 0u);
-  // All but the last horizon's worth of far-tier events migrated and fired.
+  // All but the last 517 steps' worth of events fired.
   EXPECT_GT(fired, 3000u);
 }
 
@@ -286,8 +275,8 @@ HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
 // the diff that makes it. Allocations are a ceiling: a change that removes
 // hot-path allocations lowers the ceiling to the printed count in the same
 // diff. No allocation is left per latency sample: what remains is std::deque
-// node churn in the event-waiter, ready and DPC queues, and engine
-// high-water growth.
+// node churn in the event-waiter, ready and DPC queues, and the calendar
+// vector's and event pool's high-water growth.
 void ExpectBudget(const HotPathCounts& counts, std::uint64_t engine_events,
                   std::uint64_t trace_events, std::uint64_t trace_hash,
                   std::uint64_t max_allocations) {
@@ -307,7 +296,7 @@ void ExpectBudget(const HotPathCounts& counts, std::uint64_t engine_events,
 
 TEST(HotPathBudget, Win98Games) {
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress()),
-               121066, 167119, 0xcbff71160d2b76ebull, 1067);
+               121066, 167119, 0xcbff71160d2b76ebull, 655);
 }
 
 // The same cell with a ChromeTraceWriter behind the counting sink. The
@@ -317,17 +306,17 @@ TEST(HotPathBudget, Win98Games) {
 TEST(HotPathBudget, Win98GamesTraced) {
   obs::ChromeTraceWriter writer;
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(), &writer),
-               121066, 167119, 0xcbff71160d2b76ebull, 1082);
+               121066, 167119, 0xcbff71160d2b76ebull, 670);
 }
 
 TEST(HotPathBudget, Nt4Games) {
   ExpectBudget(MeasureLoadedCell(kernel::MakeNt4Profile(), workload::GamesStress()),
-               73004, 108847, 0x201732abb9f7175dull, 953);
+               73004, 108847, 0x201732abb9f7175dull, 473);
 }
 
 TEST(HotPathBudget, Nt4Smp2Office) {
   ExpectBudget(MeasureLoadedCell(kernel::MakeNt4SmpProfile(2), workload::OfficeStress()),
-               69847, 89759, 0xc36b2e7604a21b76ull, 677);
+               69847, 89759, 0xc36b2e7604a21b76ull, 446);
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ TEST(EventPoolTest, CompactionPreservesFiringOrder) {
   std::vector<int> order;
   std::vector<EventHandle> doomed;
   // Interleave survivors and victims at identical and distinct times so the
-  // compaction's make_heap has real (when, seq) ties to preserve.
+  // compaction has real (when, seq) ties to preserve.
   for (int i = 0; i < 500; ++i) {
     const Cycles when = static_cast<Cycles>(100 + (i % 7));
     engine.ScheduleAt(when, [&order, i] { order.push_back(i); });

@@ -303,6 +303,19 @@ TEST(FleetChaosMerge, QuarantineManifestRoundTrips) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(FleetChaosMerge, QuarantineManifestRejectsANegativeCell) {
+  const std::string path = TempDirFor("chaos_manifest_negative") + "/quarantine.jsonl";
+  {
+    std::ofstream out(path);
+    out << "{\"cell\": \"-1\", \"seed\": \"42\", \"taxonomy\": \"timeout\", "
+           "\"attempts\": 2}\n";
+  }
+  std::vector<FleetQuarantineEntry> loaded;
+  std::string error;
+  EXPECT_FALSE(LoadFleetQuarantine(path, &loaded, &error));
+  EXPECT_NE(error.find("\"cell\""), std::string::npos) << error;
+}
+
 TEST(FleetChaosMerge, WindowedProbeRunsAccumulateIntoTheFullShard) {
   const Fleet fleet(SmallPopulation());
   ASSERT_TRUE(fleet.error().empty()) << fleet.error();

@@ -241,7 +241,7 @@ TEST(FleetRecords, RecordVolumeIsPinned) {
 }
 
 TEST(EngineReset, ResetEngineBehavesLikeFresh) {
-  // Schedule + cancel a pile of events (growing the pool and the far tier),
+  // Schedule + cancel a pile of events (growing the pool and the calendar),
   // reset, then verify the calendar audits clean and a scripted run fires in
   // the same order as a fresh engine.
   sim::Engine engine;

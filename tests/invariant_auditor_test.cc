@@ -87,7 +87,7 @@ TEST(InvariantAuditorTest, EngineAuditCalendarDirectly) {
     ids.push_back(engine.ScheduleAt(sim::UsToCycles(10.0 * (i + 1)), [] {}));
   }
   for (std::size_t i = 0; i < ids.size(); i += 3) {
-    ids[i].Cancel();  // lazy-purge entries stay in the heap as dead
+    ids[i].Cancel();  // lazy-dead entries stay in the calendar
   }
   engine.RunUntil(sim::UsToCycles(500.0));
   std::vector<std::string> violations;
@@ -95,32 +95,32 @@ TEST(InvariantAuditorTest, EngineAuditCalendarDirectly) {
   EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
-// All three ladder tiers under audit at once — ring buckets with lazy-dead
-// entries, a populated far-overflow heap, and (via callbacks) the active
-// drain batch with its cursor parked mid-burst while tail entries die.
-TEST(InvariantAuditorTest, LadderTiersAuditCleanIncludingMidBatch) {
+// The calendar under audit with every kind of entry at once — far-future
+// events, nearer events with lazy-dead entries among them, and (via
+// callbacks) a same-instant burst audited mid-dispatch while its unfired
+// peers die.
+TEST(InvariantAuditorTest, CalendarAuditCleanIncludingMidDispatch) {
+  constexpr sim::Cycles kStep = sim::Cycles{1} << 16;  // ~218 us at 300 MHz
   sim::Engine engine;
   sim::InvariantAuditor auditor(engine);
 
-  // Far tier: events beyond the ring horizon.
+  // Far future: events about 112 ms out.
   for (int i = 0; i < 16; ++i) {
-    engine.ScheduleAfter(
-        sim::Engine::kHorizonCycles + static_cast<sim::Cycles>(i) * sim::Engine::kBucketWidth,
-        [] {});
+    engine.ScheduleAfter((512 + static_cast<sim::Cycles>(i)) * kStep, [] {});
   }
-  // Near ring: one event per epoch across a span of buckets, every fourth
-  // cancelled so the buckets hold lazy-purge corpses.
-  std::vector<sim::EventHandle> ring;
+  // Nearer events, one per step, every fourth cancelled so the calendar
+  // holds lazy-dead entries.
+  std::vector<sim::EventHandle> near;
   for (sim::Cycles i = 1; i <= 64; ++i) {
-    ring.push_back(engine.ScheduleAfter(i * sim::Engine::kBucketWidth, [] {}));
+    near.push_back(engine.ScheduleAfter(i * kStep, [] {}));
   }
-  for (std::size_t i = 0; i < ring.size(); i += 4) {
-    ring[i].Cancel();
+  for (std::size_t i = 0; i < near.size(); i += 4) {
+    near[i].Cancel();
   }
 
-  // Same-instant burst: each fire audits from inside the batched drain and
-  // cancels an unserved tail entry, so the audit sees a served prefix, a
-  // live cursor, and fresh corpses behind it.
+  // Same-instant burst: each fire audits from inside the dispatch loop and
+  // cancels an unfired peer, so the audit sees fired, live and freshly dead
+  // entries of the same instant.
   const sim::Cycles tick = engine.now() + 100;
   int mid_batch_audits = 0;
   std::vector<sim::EventHandle> burst;
@@ -138,7 +138,8 @@ TEST(InvariantAuditorTest, LadderTiersAuditCleanIncludingMidBatch) {
   engine.RunUntil(tick);
   EXPECT_GT(mid_batch_audits, 8);
 
-  // Post-drain: the far tier is still populated, the ring partially dead.
+  // Post-burst: the far-future events are still pending, the nearer ones
+  // partly dead.
   const sim::AuditReport after = auditor.Audit();
   EXPECT_TRUE(after.ok()) << after.Render();
   engine.RunUntilIdle();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -47,6 +48,18 @@ TEST(ReportIoTest, ParseHexDoubleRejectsPartialAndEmpty) {
   EXPECT_FALSE(ParseHexDouble("0x1.8p+1 trailing", &out));
   EXPECT_TRUE(ParseHexDouble("0x1.8p+1", &out));
   EXPECT_EQ(out, 3.0);
+}
+
+TEST(ReportIoTest, ParseU64TakesDigitsOnly) {
+  std::uint64_t out = 7;
+  for (const char* text : {"-1", " 7", "+7", "7 ", "", "18446744073709551616"}) {
+    EXPECT_FALSE(report_json::ParseU64(text, &out)) << '"' << text << '"';
+  }
+  EXPECT_EQ(out, 7u);  // a rejected parse leaves the output alone
+  ASSERT_TRUE(report_json::ParseU64("18446744073709551615", &out));
+  EXPECT_EQ(out, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(report_json::ParseU64("0", &out));
+  EXPECT_EQ(out, 0u);
 }
 
 TEST(ReportIoTest, Fnv1a64KnownVectors) {
