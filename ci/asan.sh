@@ -14,7 +14,11 @@
 # the engine calendar's own suites: the engine and event-pool units, the
 # differential check against a reference calendar, and the reentrant
 # dispatch fuzz, which drive the sorted calendar vector's inserts, lazy
-# drops and compaction.
+# drops and compaction — plus the obs sinks' suites: the metrics registry
+# (series references held across inserts and merges), the anatomy (its span
+# blocks trimmed, reused and split by SMP relabels), the flight recorder and
+# its attribution scores, and the trace session (its ring and per-label
+# accounting).
 #
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
@@ -39,9 +43,10 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   --target kernel_units_test kernel_objects_test kernel_dispatcher_test dispatcher_fuzz_test \
   invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test \
   chrome_trace_test obs_lab_test inplace_callback_test apc_test io_manager_test \
-  sim_engine_test event_pool_test calendar_differential_test batch_dispatch_fuzz_test
+  sim_engine_test event_pool_test calendar_differential_test batch_dispatch_fuzz_test \
+  metrics_registry_test anatomy_test flight_recorder_test trace_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|CalendarDifferentialTest|BatchDispatchFuzzTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|CalendarDifferentialTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest'

@@ -7,6 +7,7 @@
 #ifndef SRC_KERNEL_LABEL_H_
 #define SRC_KERNEL_LABEL_H_
 
+#include <cstring>
 #include <string>
 
 namespace wdmlat::kernel {
@@ -18,11 +19,17 @@ struct Label {
   const char* function = "_idle";
 };
 
+// True when both labels point at the same literals: the common case, since a
+// label is defined once and copied, and a sufficient test for equality.
+inline bool SameAddress(const Label& a, const Label& b) {
+  return a.module == b.module && a.function == b.function;
+}
+
 inline bool operator==(const Label& a, const Label& b) {
-  // Content comparison: labels are built from literals but may come from
-  // different translation units.
-  return std::string_view(a.module) == b.module &&
-         std::string_view(a.function) == b.function;
+  // Labels are built from literals but may come from different translation
+  // units, so equal text at different addresses is still equal.
+  return SameAddress(a, b) ||
+         (std::strcmp(a.module, b.module) == 0 && std::strcmp(a.function, b.function) == 0);
 }
 
 inline std::string ToString(const Label& label) {

@@ -9,16 +9,20 @@ TraceSession::TraceSession(std::size_t capacity) { ring_.resize(capacity); }
 
 void TraceSession::OnTraceEvent(const TraceEvent& event) {
   ring_[next_] = event;
-  next_ = (next_ + 1) % ring_.size();
-  wrapped_ |= next_ == 0;
+  if (++next_ == ring_.size()) {
+    next_ = 0;
+    wrapped_ = true;
+  }
   ++total_;
   ++counts_[static_cast<std::size_t>(event.type)];
 
-  // Time accounting for the "exit" style events that carry a duration.
+  // Time accounting for the "exit" style events that carry a duration. Keyed
+  // by literal address; TopTimeConsumers folds entries with equal text.
   if (event.type == TraceEventType::kIsrExit || event.type == TraceEventType::kSectionEnd ||
       event.type == TraceEventType::kDpcEnd) {
-    auto it = std::find_if(label_times_.begin(), label_times_.end(),
-                           [&](const LabelTime& entry) { return entry.label == event.label; });
+    auto it = std::find_if(label_times_.begin(), label_times_.end(), [&](const LabelTime& entry) {
+      return SameAddress(entry.label, event.label);
+    });
     if (it == label_times_.end()) {
       label_times_.push_back(LabelTime{event.label, event.duration, 1});
     } else {
@@ -41,7 +45,19 @@ std::vector<TraceEvent> TraceSession::Snapshot() const {
 
 std::vector<TraceSession::LabelTime> TraceSession::TopTimeConsumers(
     std::size_t max_entries) const {
-  std::vector<LabelTime> sorted = label_times_;
+  // Fold same-text entries into the first of them, keeping first-appearance
+  // order: the table content-keyed accounting would have built.
+  std::vector<LabelTime> sorted;
+  for (const LabelTime& entry : label_times_) {
+    auto it = std::find_if(sorted.begin(), sorted.end(),
+                           [&](const LabelTime& folded) { return folded.label == entry.label; });
+    if (it == sorted.end()) {
+      sorted.push_back(entry);
+    } else {
+      it->total += entry.total;
+      it->occurrences += entry.occurrences;
+    }
+  }
   std::sort(sorted.begin(), sorted.end(),
             [](const LabelTime& a, const LabelTime& b) { return a.total > b.total; });
   if (sorted.size() > max_entries) {

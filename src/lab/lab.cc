@@ -81,6 +81,20 @@ LabReport RunLatencyExperiment(const LabConfig& config) {
 }
 
 LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
+  // The load, driver, sinks and sampler below are locals whose callbacks
+  // stay registered in the system's kernel (the driver's PIT pre-hook and
+  // threads among them). However the run ends, detach what the kernel
+  // calls directly and mark the system spent, so it cannot run into them
+  // again before a Reset.
+  struct SpendOnExit {
+    TestSystem& system;
+    ~SpendOnExit() {
+      system.kernel().SetTraceSink(nullptr);
+      system.kernel().dispatcher().on_isr_entry = nullptr;
+      system.MarkSpent();
+    }
+  } spend_on_exit{system};
+
   workload::StressLoad load(system.deps(), config.stress, system.ForkRng());
 
   drivers::LatencyDriver::Config driver_config = config.driver;
@@ -145,10 +159,17 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
   if (obs.sketch) {
     stats::QuantileSketch* sketch = &report.thread_sketch;
     obs::MetricsRegistry* metrics = obs.metrics;
-    driver.on_sample = [sketch, metrics](double thread_ms) {
+    // The registry's series is resolved at the first sample, so a run that
+    // records none leaves no empty "driver.thread_ms" behind.
+    driver.on_sample = [sketch, metrics,
+                        series = static_cast<stats::QuantileSketch*>(nullptr)](
+                           double thread_ms) mutable {
       sketch->RecordMs(thread_ms);
       if (metrics != nullptr) {
-        metrics->ObserveSketch("driver.thread_ms", thread_ms);
+        if (series == nullptr) {
+          series = &metrics->SketchSeries("driver.thread_ms");
+        }
+        series->RecordMs(thread_ms);
       }
     };
   }
@@ -202,7 +223,6 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
     injector->Stop();
     report.fault_activations = injector->activation_count();
   }
-  system.kernel().SetTraceSink(nullptr);
 
   report.dpc_interrupt = driver.dpc_interrupt_latency();
   report.thread = driver.thread_latency();

@@ -168,7 +168,9 @@ LabReport RunLatencyExperiment(const LabConfig& config);
 // options) and not advanced since: the run starts at the engine's current
 // time. The fleet's warm cell runner uses this to amortize TestSystem
 // construction across a shard's cells; results are bit-identical to
-// RunLatencyExperiment(config) (fleet golden-checksum test).
+// RunLatencyExperiment(config) (fleet golden-checksum test). However the
+// run ends, it leaves `system` spent (TestSystem::spent): Reset it before
+// running it again.
 LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config);
 
 }  // namespace wdmlat::lab

@@ -1,5 +1,6 @@
 #include "src/lab/test_system.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace wdmlat::lab {
@@ -30,7 +31,15 @@ void TestSystem::Reset(kernel::KernelProfile os, std::uint64_t seed,
   pic_.reset();
   engine_.Reset();
   rng_ = sim::Rng(seed);
+  spent_ = false;
   Build(std::move(os), options);
+}
+
+void TestSystem::RunFor(double seconds) {
+  if (spent_) {
+    throw std::logic_error("TestSystem::RunFor: system is spent by a measurement run; Reset it");
+  }
+  engine_.RunUntil(engine_.now() + sim::SecToCycles(seconds));
 }
 
 void TestSystem::Build(kernel::KernelProfile os, const TestSystemOptions& options) {

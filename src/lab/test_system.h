@@ -73,9 +73,15 @@ class TestSystem {
   // Fork a deterministic child RNG for tools/workloads on this system.
   sim::Rng ForkRng() { return rng_.Fork(); }
 
-  // Advance virtual time.
-  void RunFor(double seconds) { engine_.RunUntil(engine_.now() + sim::SecToCycles(seconds)); }
+  // Advance virtual time. Throws std::logic_error on a spent system.
+  void RunFor(double seconds);
   void RunForMinutes(double minutes) { RunFor(minutes * 60.0); }
+
+  // A measurement run (lab::RunLatencyExperimentOn) leaves callbacks into
+  // its own, now dead, locals registered on the machine; it marks the
+  // system spent, and RunFor refuses to run it again until Reset.
+  void MarkSpent() { spent_ = true; }
+  bool spent() const { return spent_; }
 
  private:
   // Shared tail of the constructor and Reset(): everything downstream of the
@@ -101,6 +107,7 @@ class TestSystem {
   std::unique_ptr<drivers::UsbAudioDriver> usb_audio_driver_;
   std::unique_ptr<vmm98::VirusScanner> virus_scanner_;
   std::unique_ptr<vmm98::SoundScheme> sound_scheme_;
+  bool spent_ = false;
 };
 
 }  // namespace wdmlat::lab

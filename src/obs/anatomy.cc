@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "src/obs/flight_recorder.h"
 
@@ -29,6 +30,28 @@ std::string FormatMs(double ms) {
 
 LatencyAnatomy::LatencyAnatomy(Config config)
     : cfg_(config), retention_cycles_(sim::MsToCycles(cfg_.retention_ms)) {}
+
+void LatencyAnatomy::SpanBlocks::Insert(std::size_t pos, const Span& span) {
+  push_back(span);
+  for (std::size_t i = size_ - 1; i > pos; --i) {
+    std::swap((*this)[i], (*this)[i - 1]);
+  }
+}
+
+void LatencyAnatomy::SpanBlocks::AddBlock() {
+  if (spare_.empty()) {
+    blocks_.push_back(std::make_unique<Span[]>(kBlockSpans));
+  } else {
+    blocks_.push_back(std::move(spare_.back()));
+    spare_.pop_back();
+  }
+}
+
+void LatencyAnatomy::SpanBlocks::RetireFrontBlock() {
+  spare_.push_back(std::move(blocks_.front()));
+  blocks_.erase(blocks_.begin());
+  head_ = 0;
+}
 
 LatencyAnatomy::Span LatencyAnatomy::Classify(sim::Cycles at) const {
   Span span;
@@ -122,14 +145,14 @@ void LatencyAnatomy::Reclassify(sim::Cycles from, sim::Cycles to, AnatomyStage s
     const Span mid{lo, hi, stage, label};
     const Span tail{hi, span.end, span.stage, span.label};
     span.end = lo;  // head keeps the old stage (possibly emptied)
-    auto it = spans_.begin() + static_cast<std::ptrdiff_t>(i);
-    if (it->end <= it->begin) {
-      *it = mid;
+    std::size_t at = i;
+    if (span.end <= span.begin) {
+      span = mid;
     } else {
-      it = spans_.insert(it + 1, mid);
+      spans_.Insert(++at, mid);
     }
     if (tail.end > tail.begin) {
-      spans_.insert(it + 1, tail);
+      spans_.Insert(at + 1, tail);
     }
   }
 }
@@ -238,7 +261,8 @@ void LatencyAnatomy::OnEpisode(double latency_ms, sim::Cycles window_begin,
     per_label.push_back(LabelCycles{stage, label, cycles});
   };
 
-  for (const Span& span : spans_) {
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    const Span& span = spans_[i];
     if (span.end <= window_begin || span.begin >= window_end) {
       continue;
     }

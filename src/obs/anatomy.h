@@ -41,7 +41,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -153,6 +153,51 @@ class LatencyAnatomy : public kernel::TraceSink {
     AnatomyStage stage = AnatomyStage::kReadyWait;
     kernel::Label label;
   };
+  // The trailing spans, oldest first, in fixed-size blocks. A block whose
+  // spans have all been trimmed goes to a spare list and takes the next
+  // appends, so the storage grows block by block (no doubling, no copying)
+  // to the high-water mark of the retention window and is then reused.
+  class SpanBlocks {
+   public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Span& operator[](std::size_t i) {
+      const std::size_t at = head_ + i;
+      return blocks_[at / kBlockSpans][at % kBlockSpans];
+    }
+    const Span& operator[](std::size_t i) const {
+      const std::size_t at = head_ + i;
+      return blocks_[at / kBlockSpans][at % kBlockSpans];
+    }
+    const Span& front() const { return (*this)[0]; }
+    Span& back() { return (*this)[size_ - 1]; }
+    void push_back(const Span& span) {
+      if (head_ + size_ == blocks_.size() * kBlockSpans) {
+        AddBlock();
+      }
+      (*this)[size_++] = span;
+    }
+    void pop_front() {
+      --size_;
+      if (++head_ == kBlockSpans) {
+        RetireFrontBlock();
+      }
+    }
+    // Shifts the spans at and after `pos` up by one. O(size - pos); only the
+    // SMP relabels split spans, and then near the back.
+    void Insert(std::size_t pos, const Span& span);
+
+   private:
+    static constexpr std::size_t kBlockSpans = 256;
+
+    void AddBlock();
+    void RetireFrontBlock();
+
+    std::vector<std::unique_ptr<Span[]>> blocks_;  // oldest first
+    std::vector<std::unique_ptr<Span[]>> spare_;
+    std::size_t head_ = 0;  // the oldest span's offset in blocks_.front()
+    std::size_t size_ = 0;
+  };
   struct MirrorFrame {
     bool dispatch = false;  // trap-dispatch overhead vs ISR body / section
     kernel::Label label;
@@ -183,7 +228,7 @@ class LatencyAnatomy : public kernel::TraceSink {
   kernel::Label lock_label_;
 
   sim::Cycles cur_start_ = 0;
-  std::deque<Span> spans_;
+  SpanBlocks spans_;
   std::vector<AnatomyEpisode> episodes_;
 };
 

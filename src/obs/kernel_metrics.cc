@@ -2,66 +2,75 @@
 
 namespace wdmlat::obs {
 
-void KernelMetricsCollector::OnTraceEvent(const kernel::TraceEvent& event) {
+namespace {
+
+// The series each trace event type writes: a count, an accumulated
+// "ms_total" and an "ms" histogram of individual durations. Null names are
+// not written. Start events carry no duration (their exit does), and the
+// anatomy boundary markers carry durations that land on other events.
+struct SeriesNames {
+  const char* count = nullptr;
+  const char* ms_total = nullptr;
+  const char* ms = nullptr;
+};
+
+constexpr std::size_t Index(kernel::TraceEventType type) { return static_cast<std::size_t>(type); }
+
+constexpr std::array<SeriesNames, kernel::kNumTraceEventTypes> kSeriesNames = [] {
   using kernel::TraceEventType;
+  std::array<SeriesNames, kernel::kNumTraceEventTypes> names{};
+  names[Index(TraceEventType::kIsrExit)] = {"kernel.isr.count", "kernel.isr.ms_total",
+                                            "kernel.isr.ms"};
+  names[Index(TraceEventType::kSectionEnd)] = {"kernel.section.count",
+                                               "kernel.section.ms_total", "kernel.section.ms"};
+  // The start event's duration is the queueing delay — the paper's DPC
+  // latency, here with exact ground truth rather than the tool's ±1 PIT
+  // period estimate.
+  names[Index(TraceEventType::kDpcStart)] = {.ms = "kernel.dpc.queue_delay_ms"};
+  names[Index(TraceEventType::kDpcEnd)] = {"kernel.dpc.count", "kernel.dpc.ms_total",
+                                           "kernel.dpc.ms"};
+  names[Index(TraceEventType::kContextSwitch)] = {.count = "kernel.context_switch.count"};
+  names[Index(TraceEventType::kThreadReady)] = {.count = "kernel.thread_ready.count"};
+  names[Index(TraceEventType::kDispatchLockout)] = {
+      "kernel.lockout.count", "kernel.lockout.ms_total", "kernel.lockout.ms"};
+  // A fresh dispatch's duration is the exact signal-to-run latency (a
+  // resume carries 0 and is skipped).
+  names[Index(TraceEventType::kThreadRun)] = {.ms = "kernel.thread_wake.ms"};
+  names[Index(TraceEventType::kSpinlockWait)] = {"kernel.spinlock.wait_count",
+                                                 "kernel.spinlock.wait_ms_total",
+                                                 "kernel.spinlock.wait_ms"};
+  names[Index(TraceEventType::kIpi)] = {.count = "kernel.ipi.count",
+                                        .ms = "kernel.ipi.flight_ms"};
+  return names;
+}();
+
+}  // namespace
+
+void KernelMetricsCollector::OnTraceEvent(const kernel::TraceEvent& event) {
+  if (event.type == kernel::TraceEventType::kThreadRun && event.duration == 0) {
+    return;
+  }
+  const std::size_t type = Index(event.type);
+  const SeriesNames& names = kSeriesNames[type];
+  Series& series = series_[type];
   const double ms = sim::CyclesToMs(event.duration);
-  switch (event.type) {
-    case TraceEventType::kIsrEnter:
-    case TraceEventType::kSectionStart:
-      break;  // counted at the matching exit, which carries the duration
-    case TraceEventType::kIsrExit:
-      registry_.Add("kernel.isr.count");
-      registry_.Add("kernel.isr.ms_total", ms);
-      registry_.Observe("kernel.isr.ms", ms);
-      break;
-    case TraceEventType::kSectionEnd:
-      registry_.Add("kernel.section.count");
-      registry_.Add("kernel.section.ms_total", ms);
-      registry_.Observe("kernel.section.ms", ms);
-      break;
-    case TraceEventType::kDpcStart:
-      // The start event's duration is the queueing delay — the paper's DPC
-      // latency, here with exact ground truth rather than the tool's ±1 PIT
-      // period estimate.
-      registry_.Observe("kernel.dpc.queue_delay_ms", ms);
-      break;
-    case TraceEventType::kDpcEnd:
-      registry_.Add("kernel.dpc.count");
-      registry_.Add("kernel.dpc.ms_total", ms);
-      registry_.Observe("kernel.dpc.ms", ms);
-      break;
-    case TraceEventType::kContextSwitch:
-      registry_.Add("kernel.context_switch.count");
-      break;
-    case TraceEventType::kThreadReady:
-      registry_.Add("kernel.thread_ready.count");
-      break;
-    case TraceEventType::kDispatchLockout:
-      registry_.Add("kernel.lockout.count");
-      registry_.Add("kernel.lockout.ms_total", ms);
-      registry_.Observe("kernel.lockout.ms", ms);
-      break;
-    case TraceEventType::kIsrAccept:
-    case TraceEventType::kDpcFetch:
-    case TraceEventType::kThreadStop:
-      break;  // anatomy boundary markers; durations land on other events
-    case TraceEventType::kThreadRun:
-      if (event.duration > 0) {
-        // Fresh dispatch: duration is the exact signal-to-run latency.
-        registry_.Observe("kernel.thread_wake.ms", ms);
-      }
-      break;
-    case TraceEventType::kSpinlockWait:
-      registry_.Add("kernel.spinlock.wait_count");
-      registry_.Add("kernel.spinlock.wait_ms_total", ms);
-      registry_.Observe("kernel.spinlock.wait_ms", ms);
-      break;
-    case TraceEventType::kIpi:
-      registry_.Add("kernel.ipi.count");
-      registry_.Observe("kernel.ipi.flight_ms", ms);
-      break;
-    case TraceEventType::kTraceEventTypeCount:
-      break;
+  if (names.count != nullptr) {
+    if (series.count == nullptr) {
+      series.count = &registry_.CounterSeries(names.count);
+    }
+    *series.count += 1.0;
+  }
+  if (names.ms_total != nullptr) {
+    if (series.ms_total == nullptr) {
+      series.ms_total = &registry_.CounterSeries(names.ms_total);
+    }
+    *series.ms_total += ms;
+  }
+  if (names.ms != nullptr) {
+    if (series.ms == nullptr) {
+      series.ms = &registry_.HistogramSeries(names.ms);
+    }
+    series.ms->RecordMs(ms);
   }
 }
 
@@ -69,7 +78,7 @@ void QueueDepthSampler::Start() {
   if (period_ms_ <= 0.0 || (registry_ == nullptr && trace_ == nullptr)) {
     return;
   }
-  kernel_.engine().ScheduleAfter(sim::MsToCycles(period_ms_), [this] { Sample(); });
+  next_ = kernel_.engine().ScheduleAfter(sim::MsToCycles(period_ms_), [this] { Sample(); });
 }
 
 void QueueDepthSampler::Sample() {
@@ -77,10 +86,16 @@ void QueueDepthSampler::Sample() {
   const double ready_len = static_cast<double>(kernel_.ReadyQueueLength());
   const double work_depth = static_cast<double>(kernel_.WorkQueueDepth());
   if (registry_ != nullptr) {
-    registry_->Observe("kernel.dpc_queue_depth", dpc_depth);
-    registry_->Observe("kernel.ready_queue_len", ready_len);
-    registry_->Observe("kernel.work_queue_depth", work_depth);
-    registry_->Add("kernel.queue_samples");
+    if (samples_ == nullptr) {
+      dpc_depth_ = &registry_->HistogramSeries("kernel.dpc_queue_depth");
+      ready_len_ = &registry_->HistogramSeries("kernel.ready_queue_len");
+      work_depth_ = &registry_->HistogramSeries("kernel.work_queue_depth");
+      samples_ = &registry_->CounterSeries("kernel.queue_samples");
+    }
+    dpc_depth_->RecordMs(dpc_depth);
+    ready_len_->RecordMs(ready_len);
+    work_depth_->RecordMs(work_depth);
+    *samples_ += 1.0;
   }
   if (trace_ != nullptr) {
     const double ts = sim::CyclesToUs(kernel_.engine().now());
@@ -88,7 +103,7 @@ void QueueDepthSampler::Sample() {
     trace_->Counter(ChromeTraceWriter::kSimPid, ts, "ready queue len", ready_len);
     trace_->Counter(ChromeTraceWriter::kSimPid, ts, "work queue depth", work_depth);
   }
-  kernel_.engine().ScheduleAfter(sim::MsToCycles(period_ms_), [this] { Sample(); });
+  next_ = kernel_.engine().ScheduleAfter(sim::MsToCycles(period_ms_), [this] { Sample(); });
 }
 
 void CollectRunCounters(kernel::Kernel& kernel, MetricsRegistry& registry) {

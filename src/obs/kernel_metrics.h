@@ -8,14 +8,24 @@
 // kernel state — neither consumes simulation RNG nor reorders other events,
 // so attaching them leaves results bit-identical (asserted by
 // tests/obs_lab_test.cc).
+//
+// Both run once per trace event or sample, so neither names a series there:
+// each caches a pointer to every series it writes, resolved from the
+// registry on the series' first use (MetricsRegistry::*Series). Resolving at
+// first use rather than at attach time keeps series that never see a value,
+// such as the SMP-only spinlock and IPI series on a uniprocessor cell, out of
+// the exports.
 
 #ifndef SRC_OBS_KERNEL_METRICS_H_
 #define SRC_OBS_KERNEL_METRICS_H_
+
+#include <array>
 
 #include "src/kernel/kernel.h"
 #include "src/kernel/trace.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/metrics.h"
+#include "src/sim/engine.h"
 
 namespace wdmlat::obs {
 
@@ -28,21 +38,33 @@ class KernelMetricsCollector : public kernel::TraceSink {
   void OnTraceEvent(const kernel::TraceEvent& event) override;
 
  private:
+  // The series one event type writes; null until its first use.
+  struct Series {
+    double* count = nullptr;
+    double* ms_total = nullptr;
+    stats::LatencyHistogram* ms = nullptr;
+  };
+
   MetricsRegistry& registry_;
+  std::array<Series, kernel::kNumTraceEventTypes> series_{};
 };
 
 // Samples queue depths into the registry every `period_ms` of virtual time
 // (histograms "kernel.dpc_queue_depth", "kernel.ready_queue_len",
-// "kernel.work_queue_depth" plus peak gauges), and mirrors them onto a
-// Chrome trace counter track when a writer is attached.
+// "kernel.work_queue_depth" and the counter "kernel.queue_samples"), and
+// mirrors them onto a Chrome trace counter track when a writer is attached.
 class QueueDepthSampler {
  public:
   QueueDepthSampler(kernel::Kernel& kernel, MetricsRegistry* registry,
                     ChromeTraceWriter* trace, double period_ms)
       : kernel_(kernel), registry_(registry), trace_(trace), period_ms_(period_ms) {}
+  // The pending sample captures `this`: destruction cancels it.
+  ~QueueDepthSampler() { next_.Cancel(); }
+  QueueDepthSampler(const QueueDepthSampler&) = delete;
+  QueueDepthSampler& operator=(const QueueDepthSampler&) = delete;
 
   // Schedules the first sample one period from now; each sample reschedules
-  // the next. Stops implicitly when the engine stops running events.
+  // the next until the sampler is destroyed.
   void Start();
 
  private:
@@ -52,6 +74,12 @@ class QueueDepthSampler {
   MetricsRegistry* registry_;
   ChromeTraceWriter* trace_;
   double period_ms_;
+  sim::EventHandle next_;
+  // Resolved together at the first sample.
+  stats::LatencyHistogram* dpc_depth_ = nullptr;
+  stats::LatencyHistogram* ready_len_ = nullptr;
+  stats::LatencyHistogram* work_depth_ = nullptr;
+  double* samples_ = nullptr;
 };
 
 // Dump the dispatcher's and engine's end-of-run counters into the registry

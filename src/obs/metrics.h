@@ -14,6 +14,13 @@
 //   histogram  — bucket-for-bucket merge (stats::LatencyHistogram::Merge)
 //   sketch     — stats::QuantileSketch::Merge (deterministic compactor fold
 //                plus exact top-K tail union)
+//
+// Per-event writers (the kernel metrics collector, the queue-depth sampler,
+// the latency driver's sketch hook) look each series up once with the *Series
+// accessors and then write through the returned reference: no name string
+// and no map lookup per event. A series comes into existence on that first
+// lookup, so writers resolve lazily, at first use, and a series that never
+// sees a value never appears in the exports.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -36,11 +43,14 @@ class MetricsRegistry {
   // histogram's "milliseconds" unit, so exported statistics come back in the
   // same unit the caller passed (a queue depth of 3 exports as 3).
   void Observe(const std::string& name, double value) { histograms_[name].RecordMs(value); }
-  // Streaming quantile sketches: same unit convention as Observe, but with
+  // Stable references to a series, created empty (zero, no observations)
+  // if missing. std::map nodes never move, so a reference stays valid for
+  // the registry's lifetime, across later inserts and Merge. Sketches are
+  // streaming quantile sketches: same unit convention as Observe, but with
   // exact deep-tail quantiles (P99.9/P99.99) and deterministic merging.
-  void ObserveSketch(const std::string& name, double value) {
-    sketches_[name].RecordMs(value);
-  }
+  double& CounterSeries(const std::string& name) { return counters_[name]; }
+  stats::LatencyHistogram& HistogramSeries(const std::string& name) { return histograms_[name]; }
+  stats::QuantileSketch& SketchSeries(const std::string& name) { return sketches_[name]; }
 
   double counter(const std::string& name) const;
   double gauge(const std::string& name) const;

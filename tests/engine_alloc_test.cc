@@ -18,15 +18,23 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
 #include <utility>
 
+#include "src/drivers/cause_tool.h"
 #include "src/drivers/latency_driver.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/profile.h"
 #include "src/kernel/trace.h"
 #include "src/lab/test_system.h"
+#include "src/obs/anatomy.h"
 #include "src/obs/chrome_trace.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/kernel_metrics.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace_fanout.h"
 #include "src/sim/engine.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
@@ -243,12 +251,16 @@ struct HotPathCounts {
   std::uint64_t allocations = 0;
 };
 
+// Attaches observers to the warmed-up cell and returns the sink that
+// receives every trace event behind the counting sink.
+using AttachSinks = std::function<kernel::TraceSink*(lab::TestSystem&, drivers::LatencyDriver&)>;
+
 // Ten virtual seconds of a loaded measurement cell after a 2 s warm-up:
 // the unit of the Figure 4 grid, with every count taken over the measured
-// window only. `forward`, if set, also receives every trace event.
+// window only. `attach`, if set, runs after the warm-up.
 HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
                                 const workload::StressProfile& stress,
-                                kernel::TraceSink* forward = nullptr) {
+                                const AttachSinks& attach = nullptr) {
   lab::TestSystem system(std::move(profile), 42);
   workload::StressLoad load(system.deps(), stress, system.ForkRng());
   drivers::LatencyDriver driver(system.kernel(), drivers::LatencyDriver::Config{});
@@ -256,7 +268,7 @@ HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
   driver.Start();
   system.RunFor(2.0);
 
-  CountingTraceSink sink(forward);
+  CountingTraceSink sink(attach ? attach(system, driver) : nullptr);
   system.kernel().SetTraceSink(&sink);
   const std::uint64_t events_before = system.engine().events_processed();
   AllocationScope scope;
@@ -305,8 +317,69 @@ TEST(HotPathBudget, Win98Games) {
 // plain cell's count.
 TEST(HotPathBudget, Win98GamesTraced) {
   obs::ChromeTraceWriter writer;
-  ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(), &writer),
+  ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(),
+                                 [&writer](lab::TestSystem&, drivers::LatencyDriver&) {
+                                   return &writer;
+                                 }),
                121066, 167119, 0xcbff71160d2b76ebull, 670);
+}
+
+// The obs stack of an observed lab run (metrics, 1 ms queue sampling, the
+// episode flight recorder with the cause tool armed, and the anatomy), wired
+// as lab::RunLatencyExperimentOn wires it, behind one fanout.
+struct ObservedStack {
+  static constexpr double kThresholdMs = 4.0;
+
+  ObservedStack(lab::TestSystem& system, drivers::LatencyDriver& driver)
+      : collector(metrics),
+        sampler(system.kernel(), &metrics, nullptr, 1.0),
+        cause_tool(system.kernel(), driver, CauseToolConfig()),
+        recorder(system.kernel(), RecorderConfig()) {
+    cause_tool.Start();
+    recorder.Arm(driver, &cause_tool);
+    fanout.Add(&collector);
+    fanout.Add(recorder.trace_sink());
+    fanout.Add(&anatomy);
+    driver.AddLongLatencyCallback(kThresholdMs, [this, &driver](double ms) {
+      anatomy.OnEpisode(ms, driver.last_stamps().dpc_tsc, driver.last_stamps().thread_tsc);
+    });
+    sampler.Start();
+  }
+  static drivers::CauseTool::Config CauseToolConfig() {
+    drivers::CauseTool::Config config;
+    config.threshold_ms = kThresholdMs;
+    return config;
+  }
+  static obs::EpisodeFlightRecorder::Config RecorderConfig() {
+    obs::EpisodeFlightRecorder::Config config;
+    config.threshold_ms = kThresholdMs;
+    return config;
+  }
+
+  obs::MetricsRegistry metrics;
+  obs::KernelMetricsCollector collector;
+  obs::QueueDepthSampler sampler;
+  drivers::CauseTool cause_tool;
+  obs::EpisodeFlightRecorder recorder;
+  obs::LatencyAnatomy anatomy;
+  obs::TraceFanout fanout;
+};
+
+// The sinks are passive and the cause tool's PIT pre-hook costs no simulated
+// time, so the trace stream is Win98Games's exactly; the engine runs only the
+// sampler's 10,000 samples more. What the obs stack adds is its storage's
+// growth to its high-water marks (the anatomy's span blocks, the recorder's
+// episodes) and each metric series' one-time creation.
+TEST(HotPathBudget, Win98GamesObserved) {
+  std::unique_ptr<ObservedStack> stack;
+  ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(),
+                                 [&stack](lab::TestSystem& system, drivers::LatencyDriver& driver) {
+                                   stack = std::make_unique<ObservedStack>(system, driver);
+                                   return &stack->fanout;
+                                 }),
+               131066, 167119, 0xcbff71160d2b76ebull, 1012);
+  EXPECT_GT(stack->metrics.counter("kernel.isr.count"), 0.0);
+  EXPECT_GT(stack->metrics.counter("kernel.queue_samples"), 0.0);
 }
 
 TEST(HotPathBudget, Nt4Games) {

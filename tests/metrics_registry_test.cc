@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "src/kernel/profile.h"
+#include "src/lab/lab.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/sim/rng.h"
+#include "src/workload/stress_profile.h"
 
 namespace wdmlat::obs {
 namespace {
@@ -171,6 +174,68 @@ TEST(MetricsRegistryTest, CsvExportShape) {
   EXPECT_NE(csv.find("counter,a.count,value,3"), std::string::npos);
   EXPECT_NE(csv.find("gauge,b.peak,value,2"), std::string::npos);
   EXPECT_NE(csv.find("histogram,c.depth,count,1"), std::string::npos);
+}
+
+TEST(MetricsRegistryTest, SeriesReferencesSurviveInsertsAndMerge) {
+  MetricsRegistry reg;
+  double& hits = reg.CounterSeries("hits");
+  stats::LatencyHistogram& wait = reg.HistogramSeries("wait_ms");
+  stats::QuantileSketch& tail = reg.SketchSeries("tail_ms");
+  // A resolved series exists, empty, before its first write.
+  EXPECT_EQ(reg.counter("hits"), 0.0);
+  ASSERT_NE(reg.histogram("wait_ms"), nullptr);
+  EXPECT_EQ(reg.histogram("wait_ms")->count(), 0u);
+
+  // Many later inserts around the resolved names, then a merge that both
+  // adds to them and inserts new series.
+  for (int i = 0; i < 200; ++i) {
+    reg.Add("a" + std::to_string(i));
+    reg.Observe("z" + std::to_string(i), 1.0);
+    reg.SketchSeries("s" + std::to_string(i)).RecordMs(1.0);
+  }
+  MetricsRegistry other = SampleRegistry(3, 50);
+  other.Add("hits", 10.0);
+  other.Observe("wait_ms", 2.0);
+  other.SketchSeries("tail_ms").RecordMs(3.0);
+  reg.Merge(other);
+
+  hits += 1.0;
+  wait.RecordMs(4.0);
+  tail.RecordMs(5.0);
+  EXPECT_DOUBLE_EQ(reg.counter("hits"), 11.0);
+  EXPECT_EQ(&reg.CounterSeries("hits"), &hits);
+  EXPECT_EQ(reg.histogram("wait_ms"), &wait);
+  EXPECT_EQ(reg.histogram("wait_ms")->count(), 2u);
+  EXPECT_EQ(reg.sketch("tail_ms"), &tail);
+  EXPECT_EQ(reg.sketch("tail_ms")->count(), 2u);
+}
+
+// The collector and sampler create a series at its first write, so a
+// uniprocessor cell, which never emits SMP events, exports no SMP series.
+TEST(MetricsRegistryTest, UniprocessorCellHasNoSmpSeries) {
+  const auto run = [](kernel::KernelProfile profile) {
+    lab::LabConfig config;
+    config.os = std::move(profile);
+    config.stress = workload::OfficeStress();
+    config.stress_minutes = 0.05;
+    config.seed = 11;
+    MetricsRegistry metrics;
+    config.obs.metrics = &metrics;
+    config.obs.queue_sample_ms = 1.0;
+    config.obs.sketch = true;
+    lab::RunLatencyExperiment(config);
+    return metrics.ToJson();
+  };
+  for (kernel::KernelProfile profile : {kernel::MakeWin98Profile(), kernel::MakeNt4Profile()}) {
+    const std::string json = run(profile);
+    EXPECT_NE(json.find("\"kernel.isr.count\""), std::string::npos) << profile.name;
+    EXPECT_EQ(json.find("kernel.spinlock."), std::string::npos) << profile.name;
+    EXPECT_EQ(json.find("kernel.ipi."), std::string::npos) << profile.name;
+  }
+  // The same check finds them where they are written: an SMP cell sends
+  // IPIs (its spinlocks are rarely contended in so short a run).
+  const std::string smp = run(kernel::MakeNt4SmpProfile(2));
+  EXPECT_NE(smp.find("kernel.ipi."), std::string::npos);
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "src/kernel/profile.h"
 #include "src/lab/lab.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/json.h"
+#include "src/obs/kernel_metrics.h"
 #include "src/obs/metrics.h"
+#include "src/runtime/supervisor.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
@@ -101,6 +104,61 @@ TEST(ObsLabTest, EpisodeThresholdDoesNotPerturbEither) {
   const LabReport a = RunLatencyExperiment(BaseConfig());
   const LabReport b = RunLatencyExperiment(with_episodes);
   ExpectReportsIdentical(a, b);
+}
+
+// A measurement run leaves callbacks into its own, by then dead, locals
+// registered on the machine: the driver's PIT pre-hook and threads, among
+// others. The run marks the system spent, so running it again without a
+// Reset throws instead of calling into a dead frame; the ISR-entry observer,
+// which captures the run's report, is cleared. After Reset the system runs
+// the next cell exactly as a fresh one would.
+TEST(ObsLabTest, RunLeavesSystemSpentUntilReset) {
+  LabConfig config = BaseConfig();
+  config.stress_minutes = 0.02;
+  obs::MetricsRegistry metrics;
+  config.obs.metrics = &metrics;
+  config.obs.queue_sample_ms = 1.0;
+  TestSystem system(config.os, config.seed, config.options);
+  EXPECT_FALSE(system.spent());
+  const LabReport first = RunLatencyExperimentOn(system, config);
+  EXPECT_TRUE(system.spent());
+  EXPECT_FALSE(system.kernel().dispatcher().on_isr_entry);
+  EXPECT_THROW(system.RunFor(0.01), std::logic_error);
+  EXPECT_THROW(system.RunForMinutes(0.001), std::logic_error);
+
+  system.Reset(config.os, config.seed, config.options);
+  EXPECT_FALSE(system.spent());
+  obs::MetricsRegistry again_metrics;
+  config.obs.metrics = &again_metrics;
+  const LabReport again = RunLatencyExperimentOn(system, config);
+  ExpectReportsIdentical(first, again);
+  EXPECT_EQ(metrics.ToJson(), again_metrics.ToJson());
+}
+
+TEST(ObsLabTest, FailedRunLeavesSystemSpent) {
+  LabConfig config = BaseConfig();
+  config.stress_minutes = 0.02;
+  config.supervision.force_audit_violation = true;
+  TestSystem system(config.os, config.seed, config.options);
+  EXPECT_THROW(RunLatencyExperimentOn(system, config), runtime::InvariantViolation);
+  EXPECT_TRUE(system.spent());
+  EXPECT_FALSE(system.kernel().dispatcher().on_isr_entry);
+  EXPECT_THROW(system.RunFor(0.01), std::logic_error);
+}
+
+// The sampler's pending sample captures the sampler: destroying it cancels
+// the sample, so the engine never calls into a dead sampler.
+TEST(ObsLabTest, DestroyedSamplerCancelsItsPendingSample) {
+  TestSystem system(kernel::MakeNt4Profile(), 3);
+  obs::MetricsRegistry metrics;
+  {
+    obs::QueueDepthSampler sampler(system.kernel(), &metrics, nullptr, 1.0);
+    sampler.Start();
+    system.RunFor(0.0105);
+  }
+  EXPECT_EQ(metrics.counter("kernel.queue_samples"), 10.0);
+  system.RunFor(0.01);
+  EXPECT_EQ(metrics.counter("kernel.queue_samples"), 10.0);
 }
 
 }  // namespace

@@ -121,6 +121,46 @@ TEST(TraceTest, TopTimeConsumersAggregatesAndSorts) {
   EXPECT_EQ(top[1].total, sim::UsToCycles(250.0));
 }
 
+// Same text at different addresses, as when two translation units spell the
+// same label: named arrays are distinct objects, unlike merged literals.
+constexpr char kModuleA[] = "MOD";
+constexpr char kModuleB[] = "MOD";
+constexpr char kFunctionA[] = "_f";
+constexpr char kFunctionB[] = "_f";
+
+TEST(TraceTest, LabelsCompareByContentAcrossAddresses) {
+  const Label a{kModuleA, kFunctionA};
+  const Label b{kModuleB, kFunctionB};
+  ASSERT_NE(static_cast<const void*>(a.module), static_cast<const void*>(b.module));
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(SameAddress(a, b));
+  EXPECT_TRUE(SameAddress(a, a));
+  EXPECT_FALSE((a == Label{kModuleA, "_g"}));
+  EXPECT_FALSE((a == Label{"MOE", kFunctionA}));
+}
+
+TEST(TraceTest, TopTimeConsumersFoldsSameTextAtDifferentAddresses) {
+  TraceSession session;
+  auto add = [&](const Label& label, double us) {
+    TraceEvent event;
+    event.type = TraceEventType::kIsrExit;
+    event.label = label;
+    event.duration = sim::UsToCycles(us);
+    session.OnTraceEvent(event);
+  };
+  add(Label{kModuleA, kFunctionA}, 100.0);
+  add(Label{"C", "_c"}, 500.0);
+  add(Label{kModuleB, kFunctionB}, 150.0);
+  add(Label{kModuleA, kFunctionA}, 50.0);
+  const auto top = session.TopTimeConsumers();
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].label, (Label{"C", "_c"}));
+  // One entry for "MOD!_f", labelled with the first address seen.
+  EXPECT_EQ(top[1].label.module, kModuleA);
+  EXPECT_EQ(top[1].occurrences, 3u);
+  EXPECT_EQ(top[1].total, sim::UsToCycles(300.0));
+}
+
 TEST(TraceTest, NoSinkMeansNoCost) {
   // Smoke: nothing crashes and the system behaves identically without a
   // sink (the default).
