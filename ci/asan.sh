@@ -18,7 +18,10 @@
 # (series references held across inserts and merges), the anatomy (its span
 # blocks trimmed, reused and split by SMP relabels), the flight recorder and
 # its attribution scores, and the trace session (its ring and per-label
-# accounting).
+# accounting) — plus the record codec: the report_io writers and their
+# strict direct reader, the deterministic mutation fuzz of record lines,
+# record payloads and cell reports, and the fleet chaos merge that decodes
+# damaged shard files on its decode-ahead pool.
 #
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
@@ -44,9 +47,10 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test \
   chrome_trace_test obs_lab_test inplace_callback_test apc_test io_manager_test \
   sim_engine_test event_pool_test calendar_differential_test batch_dispatch_fuzz_test \
-  metrics_registry_test anatomy_test flight_recorder_test trace_test
+  metrics_registry_test anatomy_test flight_recorder_test trace_test \
+  report_io_test fleet_chaos_test record_codec_fuzz_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|CalendarDifferentialTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|CalendarDifferentialTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest'

@@ -34,10 +34,8 @@ using report_json::AppendInt;
 using report_json::AppendSketch;
 using report_json::AppendU64;
 using report_json::ParseU64;
-using report_json::ReadHexDoubleField;
 using report_json::ReadHistogram;
 using report_json::ReadSketch;
-using report_json::ReadU64Field;
 
 constexpr const char* kRecordFormat = "wdmlat-fleet-cell";
 constexpr const char* kReportFormat = "wdmlat-fleet-report";
@@ -476,64 +474,45 @@ std::string RecordPayload(const FleetCellRecord& record) {
   return out;
 }
 
-// Decode a record payload (the record's body minus its log coordinates).
+// Decode a record payload (the record's body minus its log coordinates):
+// the inverse of RecordPayload.
 bool RecordFromPayload(std::string_view payload, FleetCellRecord* record,
                        std::string* error) {
-  const obs::JsonParseResult body = obs::ParseJson(payload);
-  if (!body.valid || !body.value.is_object()) {
-    if (error != nullptr) {
-      *error = "record payload is not a JSON object: " + body.error;
-    }
-    return false;
-  }
-  const obs::JsonValue& doc = body.value;
-  int version = 0;
-  if (doc.StringOr("format", "") != kRecordFormat ||
-      !obs::ReadIntegerOr(doc, "version", kFormatVersion, kFormatVersion, &version, nullptr) ||
-      version != kFormatVersion) {
+  report_json::Reader in(payload);
+  std::int64_t version = 0;
+  if (!in.Expect("{\"format\": \"") || !in.Expect(kRecordFormat) ||
+      !in.Expect("\", \"version\": ") || !in.Int(kFormatVersion, kFormatVersion, &version)) {
     if (error != nullptr) {
       *error = "record payload is not a " + std::string(kRecordFormat) + " v" +
-               std::to_string(kFormatVersion) + " document";
+               std::to_string(kFormatVersion) + " document (" + in.error() + ")";
     }
     return false;
   }
-  record->cohort = 0;
-  if (!obs::ReadIntegerOr(doc, "cohort", 0, obs::kMaxJsonInteger, &record->cohort, error) ||
-      !ReadU64Field(doc, "samples", &record->samples, error) ||
-      !ReadHexDoubleField(doc, "stress_hours", &record->stress_hours, error) ||
-      !ReadHexDoubleField(doc, "speed_mhz", &record->speed_mhz, error) ||
-      !ReadU64Field(doc, "fault_activations", &record->fault_activations, error) ||
-      !ReadU64Field(doc, "anatomy_episodes", &record->anatomy_episodes, error)) {
-    return false;
-  }
-  const obs::JsonValue* stages = doc.Find("anatomy_stage_cycles");
-  if (stages == nullptr || !stages->is_array() ||
-      stages->items().size() != obs::kAnatomyStageCount) {
+  const auto stage_cycles = [&](std::size_t s) {
+    return in.QuotedU64(&record->anatomy_stage_cycles[s]);
+  };
+  std::int64_t cohort = 0;
+  const bool ok =
+      in.Expect(", \"cohort\": ") && in.Int(0, obs::kMaxJsonInteger, &cohort) &&
+      in.Expect(", \"samples\": ") && in.QuotedU64(&record->samples) &&
+      in.Expect(", \"stress_hours\": ") && in.QuotedHexDouble(&record->stress_hours) &&
+      in.Expect(", \"speed_mhz\": ") && in.QuotedHexDouble(&record->speed_mhz) &&
+      in.Expect(", \"fault_activations\": ") && in.QuotedU64(&record->fault_activations) &&
+      in.Expect(", \"anatomy_episodes\": ") && in.QuotedU64(&record->anatomy_episodes) &&
+      in.Expect(", \"anatomy_stage_cycles\": ") &&
+      in.FixedArray(obs::kAnatomyStageCount, stage_cycles) &&
+      in.Expect(", \"histograms\": {") && ReadHistogram(in, "thread", &record->thread) &&
+      in.Expect(", ") && ReadHistogram(in, "dpc_interrupt", &record->dpc_interrupt) &&
+      in.Expect("}, ") && ReadSketch(in, "thread_sketch", &record->thread_sketch) &&
+      in.Expect("}") && in.ExpectEnd();
+  if (!ok) {
     if (error != nullptr) {
-      *error = "record needs an anatomy_stage_cycles array of " +
-               std::to_string(obs::kAnatomyStageCount);
+      *error = "record payload: " + in.error();
     }
     return false;
   }
-  for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-    const obs::JsonValue& item = stages->items()[s];
-    if (!item.is_string() || !ParseU64(item.as_string(), &record->anatomy_stage_cycles[s])) {
-      if (error != nullptr) {
-        *error = "anatomy stage cycles must be decimal u64 strings";
-      }
-      return false;
-    }
-  }
-  const obs::JsonValue* histograms = doc.Find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    if (error != nullptr) {
-      *error = "record has no histograms object";
-    }
-    return false;
-  }
-  return ReadHistogram(*histograms, "thread", &record->thread, error) &&
-         ReadHistogram(*histograms, "dpc_interrupt", &record->dpc_interrupt, error) &&
-         ReadSketch(doc, "thread_sketch", &record->thread_sketch, error);
+  record->cohort = static_cast<std::size_t>(cohort);
+  return true;
 }
 
 }  // namespace
@@ -679,6 +658,22 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
 }
 
 // --- Quarantine manifest -----------------------------------------------------
+
+namespace {
+
+// The manifest is a few lines read once per merge, so it keeps the DOM
+// reader; its u64 fields are decimal strings as in the record dialect.
+bool ReadU64Field(const obs::JsonValue& object, const char* key, std::uint64_t* out,
+                  std::string* error) {
+  const obs::JsonValue* value = object.Find(key);
+  if (value == nullptr || !value->is_string() || !ParseU64(value->as_string(), out)) {
+    *error = std::string("field \"") + key + "\" is not a decimal u64 string";
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 bool LoadFleetQuarantine(const std::string& path,
                          std::vector<FleetQuarantineEntry>* entries,

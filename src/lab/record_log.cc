@@ -1,6 +1,7 @@
 #include "src/lab/record_log.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -9,7 +10,6 @@
 #include <mutex>
 
 #include "src/lab/report_io.h"
-#include "src/obs/json.h"
 #include "src/runtime/thread_pool.h"
 
 namespace wdmlat::lab {
@@ -18,16 +18,14 @@ namespace {
 
 using report_json::AppendEscaped;
 using report_json::AppendU64;
-using report_json::ReadStringField;
-using report_json::ReadU64Field;
 
 // The checksum covers the spec as well as the payload: a bit flipped in the
 // spec field must read as damage (re-run the cell), never as a foreign spec
 // (refuse the whole log).
 std::uint64_t RecordChecksum(std::uint64_t spec, std::string_view payload) {
-  std::string prefix;
-  AppendU64(prefix, spec);
-  return Fnv1a64(payload, Fnv1a64(prefix));
+  char prefix[20];
+  const auto digits = std::to_chars(prefix, prefix + sizeof(prefix), spec);
+  return Fnv1a64(payload, Fnv1a64(std::string_view(prefix, digits.ptr - prefix)));
 }
 
 std::string ForeignSpecError(const std::string& path, std::uint64_t cell,
@@ -149,25 +147,20 @@ std::string RecordLineText(std::uint64_t cell, std::uint64_t seed, std::uint64_t
 }
 
 bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* error) {
-  const obs::JsonParseResult parsed = obs::ParseJson(line);
-  if (!parsed.valid) {
-    if (error != nullptr) {
-      *error = "record line is not valid JSON: " + parsed.error;
-    }
-    return false;
-  }
-  if (!parsed.value.is_object()) {
-    if (error != nullptr) {
-      *error = "record line is not an object";
-    }
-    return false;
-  }
+  // The inverse of RecordLineText; the payload is unescaped in one pass,
+  // into storage sized once.
+  report_json::Reader in(line);
   std::uint64_t checksum = 0;
-  if (!ReadU64Field(parsed.value, "cell", &record->cell, error) ||
-      !ReadU64Field(parsed.value, "seed", &record->seed, error) ||
-      !ReadU64Field(parsed.value, "spec", &record->spec, error) ||
-      !ReadU64Field(parsed.value, "checksum", &checksum, error) ||
-      !ReadStringField(parsed.value, "payload", &record->payload, error)) {
+  record->payload.reserve(line.size());
+  if (!in.Expect("{\"cell\": ") || !in.QuotedU64(&record->cell) ||
+      !in.Expect(", \"seed\": ") || !in.QuotedU64(&record->seed) ||
+      !in.Expect(", \"spec\": ") || !in.QuotedU64(&record->spec) ||
+      !in.Expect(", \"checksum\": ") || !in.QuotedU64(&checksum) ||
+      !in.Expect(", \"payload\": ") || !in.String(&record->payload) || !in.Expect("}") ||
+      !in.ExpectEnd()) {
+    if (error != nullptr) {
+      *error = "malformed record line: " + in.error();
+    }
     return false;
   }
   if (RecordChecksum(record->spec, record->payload) != checksum) {

@@ -1,20 +1,91 @@
 #include "src/lab/report_io.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "src/kernel/thread.h"
-#include "src/obs/json.h"
 
 namespace wdmlat::lab {
 
 namespace {
 
-constexpr const char* kFormatName = "wdmlat-cell-report";
+constexpr std::string_view kFormatName = "wdmlat-cell-report";
 constexpr int kFormatVersion = 1;
+constexpr char kHex[] = "0123456789abcdef";
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+constexpr std::uint64_t kFractionMask = (std::uint64_t{1} << 52) - 1;
+
+// The value of a lowercase hex digit, or -1. A table, because digits and
+// letters alternate unpredictably in a fraction.
+constexpr std::array<std::int8_t, 256> kHexValue = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
+  for (int d = 0; d < 16; ++d) {
+    table[static_cast<unsigned char>(kHex[d])] = static_cast<std::int8_t>(d);
+  }
+  return table;
+}();
+
+int HexDigit(char c) { return kHexValue[static_cast<unsigned char>(c)]; }
+
+// The u64 spelling at [p, end): decimal digits without a leading zero.
+// Returns one past it, or nullptr.
+const char* ScanU64(const char* p, const char* end, std::uint64_t* out) {
+  const auto [ptr, ec] = std::from_chars(p, end, *out);
+  return ec != std::errc() || (*p == '0' && ptr - p > 1) ? nullptr : ptr;
+}
+
+// The hexfloat spelling at [p, end) (see ParseHexDouble), decoded straight
+// into the bits. Returns one past it, or nullptr.
+const char* ScanHexDouble(const char* p, const char* end, double* out) {
+  std::uint64_t bits = 0;
+  if (p != end && *p == '-') {
+    bits = kSignBit;
+    ++p;
+  }
+  // The shortest spelling is "0x0p+0".
+  if (end - p < 6 || p[0] != '0' || p[1] != 'x' || (p[2] != '0' && p[2] != '1')) {
+    return nullptr;
+  }
+  const bool normal = p[2] == '1';
+  p += 3;
+  std::uint64_t fraction = 0;
+  if (*p == '.') {
+    int digits = 0;
+    for (++p; p != end && digits <= 13 && HexDigit(*p) >= 0; ++p, ++digits) {
+      fraction = fraction << 4 | static_cast<std::uint64_t>(HexDigit(*p));
+    }
+    if (digits == 0 || digits > 13 || p[-1] == '0') {
+      return nullptr;
+    }
+    fraction <<= 4 * (13 - digits);
+  }
+  // "p", a sign and the exponent's digits, without a leading zero or "-0".
+  if (end - p < 3 || p[0] != 'p' || (p[1] != '+' && p[1] != '-') || p[2] < '0' || p[2] > '9') {
+    return nullptr;
+  }
+  int exponent = 0;
+  const auto [ptr, ec] = std::from_chars(p + 2, end, exponent);
+  if (ec != std::errc() || (p[2] == '0' && (ptr - p != 3 || p[1] == '-'))) {
+    return nullptr;
+  }
+  exponent = p[1] == '-' ? -exponent : exponent;
+  if (normal) {
+    if (exponent < -1022 || exponent > 1023) {
+      return nullptr;
+    }
+    bits |= static_cast<std::uint64_t>(exponent + 1023) << 52 | fraction;
+  } else if (fraction == 0 ? exponent != 0 : exponent != -1022) {
+    return nullptr;  // zero is "0x0p+0", a subnormal "0x0.<fraction>p-1022"
+  } else {
+    bits |= fraction;
+  }
+  *out = std::bit_cast<double>(bits);
+  return ptr;
+}
 
 }  // namespace
 
@@ -34,12 +105,51 @@ void AppendInt(std::string& out, int value) {
 }
 
 void AppendHexDouble(std::string& out, double value) {
-  char buf[48];
-  out.append(buf, static_cast<std::size_t>(std::snprintf(buf, sizeof(buf), "%a", value)));
+  // %a's spelling, written from the bits: "0x1.<fraction>p<exponent>" for a
+  // normal value, "0x0.<fraction>p-1022" for a subnormal and "0x0p+0" for
+  // zero, with the fraction's trailing zero digits dropped. (libstdc++ 12's
+  // to_chars(hex) spells a subnormal normalized, "1p-1074", not as %a does.)
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  std::uint64_t fraction = bits & kFractionMask;
+  char buf[32];
+  char* p = buf;
+  if ((bits & kSignBit) != 0) {
+    *p++ = '-';
+  }
+  if (biased == 0x7ff) {
+    // Non-finite values take no "0x", as with %a; no record field holds one.
+    out.append(buf, p);
+    out += fraction != 0 ? "nan" : "inf";
+    return;
+  }
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
+  if (fraction != 0) {
+    *p++ = '.';
+    for (int shift = 48; fraction != 0; shift -= 4) {
+      *p++ = kHex[(fraction >> shift) & 0xf];
+      fraction &= (std::uint64_t{1} << shift) - 1;
+    }
+  }
+  const int exponent = biased != 0 ? biased - 1023 : (bits & kFractionMask) != 0 ? -1022 : 0;
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  p = std::to_chars(p, buf + sizeof(buf), exponent < 0 ? -exponent : exponent).ptr;
+  out.append(buf, p);
 }
 
 void AppendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
+  const char* run = text.data();
+  const char* const end = run + text.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(run, p);
+    run = p + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -56,18 +166,14 @@ void AppendEscaped(std::string& out, std::string_view text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(run, end);
 }
-
 void AppendHistogram(std::string& out, const char* name,
                      const stats::LatencyHistogram& hist) {
   const stats::LatencyHistogram::State state = hist.ExportState();
@@ -138,177 +244,224 @@ void AppendSketch(std::string& out, const char* name, const stats::QuantileSketc
 }
 
 bool ParseU64(std::string_view text, std::uint64_t* out) {
-  // from_chars takes digits only: no sign, no whitespace, no overflow wrap.
   std::uint64_t value = 0;
   const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
+  if (ScanU64(text.data(), end, &value) != end) {
     return false;
   }
   *out = value;
   return true;
 }
 
-bool ReadStringField(const obs::JsonValue& object, const char* key, std::string* out,
-                     std::string* error) {
-  const obs::JsonValue* value = object.Find(key);
-  if (value == nullptr || !value->is_string()) {
-    if (error != nullptr) {
-      *error = std::string("missing or non-string field \"") + key + "\"";
-    }
+bool Reader::Fail(std::string_view what) {
+  if (ok()) {
+    error_.assign(what);
+    error_ += " at byte ";
+    AppendU64(error_, pos_);
+  }
+  return false;
+}
+
+bool Reader::FailExpected(std::string_view literal) {
+  if (!ok()) {
     return false;
   }
-  *out = value->as_string();
+  std::string what = "expected \"";
+  AppendEscaped(what, literal);
+  what += '"';
+  return Fail(what);
+}
+
+bool Reader::ExpectEnd() {
+  return ok() && (pos_ == text_.size() || Fail("trailing bytes"));
+}
+
+bool Reader::CloseQuote(const char* stop, std::string_view what) {
+  if (stop == nullptr || stop == text_.data() + text_.size() || *stop != '"') {
+    return Fail(what);
+  }
+  pos_ = static_cast<std::size_t>(stop + 1 - text_.data());
   return true;
 }
 
-bool ReadU64Field(const obs::JsonValue& object, const char* key, std::uint64_t* out,
-                  std::string* error) {
-  std::string text;
-  if (!ReadStringField(object, key, &text, error)) {
+bool Reader::QuotedU64(std::uint64_t* out) {
+  std::uint64_t value = 0;
+  if (!Expect("\"") ||
+      !CloseQuote(ScanU64(text_.data() + pos_, text_.data() + text_.size(), &value),
+                  "expected a decimal u64")) {
     return false;
   }
-  if (!ParseU64(text, out)) {
-    if (error != nullptr) {
-      *error = std::string("field \"") + key + "\" is not a decimal u64: " + text;
-    }
-    return false;
-  }
+  *out = value;
   return true;
 }
 
-bool ReadHexDoubleField(const obs::JsonValue& object, const char* key, double* out,
-                        std::string* error) {
-  std::string text;
-  if (!ReadStringField(object, key, &text, error)) {
+bool Reader::QuotedHexDouble(double* out) {
+  double value = 0.0;
+  if (!Expect("\"") ||
+      !CloseQuote(ScanHexDouble(text_.data() + pos_, text_.data() + text_.size(), &value),
+                  "expected a hexfloat")) {
     return false;
   }
-  if (!ParseHexDouble(text, out)) {
-    if (error != nullptr) {
-      *error = std::string("field \"") + key + "\" is not a hexfloat: " + text;
-    }
-    return false;
-  }
+  *out = value;
   return true;
 }
 
-bool ReadHistogram(const obs::JsonValue& histograms, const char* name,
-                   stats::LatencyHistogram* out, std::string* error) {
-  const obs::JsonValue* object = histograms.Find(name);
-  if (object == nullptr || !object->is_object()) {
-    if (error != nullptr) {
-      *error = std::string("missing histogram \"") + name + "\"";
-    }
+bool Reader::Int(std::int64_t lo, std::int64_t hi, std::int64_t* out) {
+  if (!ok()) {
     return false;
   }
+  const char* begin = text_.data() + pos_;
+  const char* end = text_.data() + text_.size();
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  const char* digits = begin != end && *begin == '-' ? begin + 1 : begin;
+  if (ec != std::errc() || (*digits == '0' && ptr - digits > 1) ||
+      (value == 0 && digits != begin) || value < lo || value > hi) {
+    std::string what = "expected an integer in [";
+    what += std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return Fail(what);
+  }
+  pos_ += static_cast<std::size_t>(ptr - begin);
+  *out = value;
+  return true;
+}
+
+bool Reader::Bool(bool* out) {
+  if (Consume("true")) {
+    *out = true;
+    return true;
+  }
+  if (Consume("false")) {
+    *out = false;
+    return true;
+  }
+  return Fail("expected true or false");
+}
+
+bool Reader::String(std::string* out) {
+  if (!Expect("\"")) {
+    return false;
+  }
+  out->clear();
+  const char* const begin = text_.data();
+  const char* const end = begin + text_.size();
+  const char* run = begin + pos_;
+  for (const char* p = run; p != end;) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      ++p;
+      continue;
+    }
+    out->append(run, p);
+    pos_ = static_cast<std::size_t>(p - begin);
+    if (c == '"') {
+      ++pos_;
+      return true;
+    }
+    if (c != '\\') {
+      return Fail("unescaped control character in string");
+    }
+    // Only the escapes AppendEscaped writes: \u00xx (lowercase) is its
+    // spelling of the control characters that have no short escape.
+    char decoded = 0;
+    std::size_t length = 2;
+    switch (end - p < 2 ? '\0' : p[1]) {
+      case '"':
+        decoded = '"';
+        break;
+      case '\\':
+        decoded = '\\';
+        break;
+      case 'n':
+        decoded = '\n';
+        break;
+      case 'r':
+        decoded = '\r';
+        break;
+      case 't':
+        decoded = '\t';
+        break;
+      case 'u': {
+        const int high = end - p < 6 || p[2] != '0' || p[3] != '0' ? -1 : HexDigit(p[4]);
+        const int low = high < 0 || high > 1 ? -1 : HexDigit(p[5]);
+        decoded = static_cast<char>(high * 16 + low);
+        if (low < 0 || decoded == '\n' || decoded == '\r' || decoded == '\t') {
+          return Fail("non-canonical \\u escape");
+        }
+        length = 6;
+        break;
+      }
+      default:
+        return Fail("invalid escape");
+    }
+    out->push_back(decoded);
+    p += length;
+    run = p;
+  }
+  pos_ = text_.size();
+  return Fail("unterminated string");
+}
+
+bool ReadHistogram(Reader& in, std::string_view name, stats::LatencyHistogram* out) {
   stats::LatencyHistogram::State state;
-  const obs::JsonValue* buckets = object->Find("buckets");
-  if (buckets == nullptr || !buckets->is_array()) {
-    if (error != nullptr) {
-      *error = std::string("histogram \"") + name + "\" has no buckets array";
-    }
-    return false;
-  }
-  for (const obs::JsonValue& entry : buckets->items()) {
-    if (!entry.is_array() || entry.items().size() != 2 || !entry.items()[0].is_number() ||
-        !entry.items()[1].is_string()) {
-      if (error != nullptr) {
-        *error = std::string("histogram \"") + name + "\": malformed bucket entry";
-      }
-      return false;
-    }
-    std::uint64_t count = 0;
-    if (!ParseU64(entry.items()[1].as_string(), &count)) {
-      if (error != nullptr) {
-        *error = std::string("histogram \"") + name + "\": bad bucket count";
-      }
-      return false;
-    }
+  const auto bucket = [&]() {
     std::int64_t index = 0;
-    if (!obs::ReadInteger(entry.items()[0], "bucket index", 0, std::numeric_limits<int>::max(),
-                          &index, error)) {
+    std::uint64_t count = 0;
+    if (!in.Expect("[") || !in.Int(0, std::numeric_limits<int>::max(), &index) ||
+        !in.Expect(", ") || !in.QuotedU64(&count) || !in.Expect("]")) {
       return false;
     }
     state.buckets.emplace_back(static_cast<int>(index), count);
-  }
-  if (!ReadU64Field(*object, "count", &state.count, error) ||
-      !ReadU64Field(*object, "underflow", &state.underflow, error) ||
-      !ReadHexDoubleField(*object, "sum_us", &state.sum_us, error) ||
-      !ReadHexDoubleField(*object, "min_us", &state.min_us, error) ||
-      !ReadHexDoubleField(*object, "max_us", &state.max_us, error)) {
+    return true;
+  };
+  if (!in.Key(name) || !in.Expect("{\"buckets\": ") || !in.Array(bucket) ||
+      !in.Expect(", \"count\": ") || !in.QuotedU64(&state.count) ||
+      !in.Expect(", \"underflow\": ") || !in.QuotedU64(&state.underflow) ||
+      !in.Expect(", \"sum_us\": ") || !in.QuotedHexDouble(&state.sum_us) ||
+      !in.Expect(", \"min_us\": ") || !in.QuotedHexDouble(&state.min_us) ||
+      !in.Expect(", \"max_us\": ") || !in.QuotedHexDouble(&state.max_us) ||
+      !in.Expect("}")) {
     return false;
   }
   if (!out->ImportState(state)) {
-    if (error != nullptr) {
-      *error = std::string("histogram \"") + name +
-               "\": state rejected (bucket/count conservation)";
-    }
-    return false;
+    return in.Fail("histogram \"" + std::string(name) +
+                   "\": state rejected (bucket/count conservation)");
   }
   return true;
 }
 
-bool ReadSketch(const obs::JsonValue& object, const char* name, stats::QuantileSketch* out,
-                std::string* error) {
-  const obs::JsonValue* sketch = object.Find(name);
-  if (sketch == nullptr) {
-    return true;  // pre-sketch artifact: leave the sketch empty
-  }
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr) {
-      *error = std::string("sketch \"") + name + "\": " + what;
-    }
-    return false;
-  };
-  if (!sketch->is_object()) {
-    return fail("not an object");
-  }
+bool ReadSketch(Reader& in, std::string_view name, stats::QuantileSketch* out) {
   stats::QuantileSketch::State state;
-  const obs::JsonValue* levels = sketch->Find("levels");
-  const obs::JsonValue* parities = sketch->Find("parities");
-  const obs::JsonValue* tail = sketch->Find("tail");
-  if (levels == nullptr || !levels->is_array() || parities == nullptr ||
-      !parities->is_array() || tail == nullptr || !tail->is_array()) {
-    return fail("missing levels/parities/tail arrays");
-  }
-  for (const obs::JsonValue& level : levels->items()) {
-    if (!level.is_array()) {
-      return fail("malformed level");
-    }
-    std::vector<double> items;
-    items.reserve(level.items().size());
-    for (const obs::JsonValue& item : level.items()) {
+  const auto values = [&](std::vector<double>* items) {
+    return in.Array([&]() {
       double value = 0.0;
-      if (!item.is_string() || !ParseHexDouble(item.as_string(), &value)) {
-        return fail("level item is not a hexfloat");
+      if (!in.QuotedHexDouble(&value)) {
+        return false;
       }
-      items.push_back(value);
-    }
-    state.levels.push_back(std::move(items));
-  }
-  for (const obs::JsonValue& parity : parities->items()) {
+      items->push_back(value);
+      return true;
+    });
+  };
+  const auto level = [&]() { return values(&state.levels.emplace_back()); };
+  const auto parity = [&]() {
     std::int64_t bit = 0;
-    std::string parity_error;
-    if (!obs::ReadInteger(parity, "parity", 0, 1, &bit, &parity_error)) {
-      return fail(parity_error);
+    if (!in.Int(0, 1, &bit)) {
+      return false;
     }
     state.parities.push_back(static_cast<std::uint8_t>(bit));
-  }
-  for (const obs::JsonValue& item : tail->items()) {
-    double value = 0.0;
-    if (!item.is_string() || !ParseHexDouble(item.as_string(), &value)) {
-      return fail("tail item is not a hexfloat");
-    }
-    state.tail.push_back(value);
-  }
-  if (!ReadU64Field(*sketch, "count", &state.count, error) ||
-      !ReadHexDoubleField(*sketch, "sum_ms", &state.sum_ms, error) ||
-      !ReadHexDoubleField(*sketch, "min_ms", &state.min_ms, error) ||
-      !ReadHexDoubleField(*sketch, "max_ms", &state.max_ms, error)) {
+    return true;
+  };
+  if (!in.Key(name) || !in.Expect("{\"levels\": ") || !in.Array(level) ||
+      !in.Expect(", \"parities\": ") || !in.Array(parity) || !in.Expect(", \"tail\": ") ||
+      !values(&state.tail) || !in.Expect(", \"count\": ") || !in.QuotedU64(&state.count) ||
+      !in.Expect(", \"sum_ms\": ") || !in.QuotedHexDouble(&state.sum_ms) ||
+      !in.Expect(", \"min_ms\": ") || !in.QuotedHexDouble(&state.min_ms) ||
+      !in.Expect(", \"max_ms\": ") || !in.QuotedHexDouble(&state.max_ms) ||
+      !in.Expect("}")) {
     return false;
   }
   if (!out->ImportState(state)) {
-    return fail("state rejected (weight conservation)");
+    return in.Fail("sketch \"" + std::string(name) + "\": state rejected (weight conservation)");
   }
   return true;
 }
@@ -361,64 +514,37 @@ void AppendAnatomy(std::string& out, const std::vector<obs::AnatomyEpisode>& ana
   out += ']';
 }
 
-bool ReadBlame(const obs::JsonValue& object, obs::AnatomyEpisode::Blame* blame,
-               std::string* error) {
-  return object.is_object() &&
-         ReadStringField(object, "module", &blame->module, error) &&
-         ReadStringField(object, "function", &blame->function, error) &&
-         ReadU64Field(object, "cycles", &blame->cycles, error);
+bool ReadBlame(Reader& in, obs::AnatomyEpisode::Blame* blame) {
+  return in.Expect("{\"module\": ") && in.String(&blame->module) &&
+         in.Expect(", \"function\": ") && in.String(&blame->function) &&
+         in.Expect(", \"cycles\": ") && in.QuotedU64(&blame->cycles) && in.Expect("}");
 }
 
-bool ReadAnatomy(const obs::JsonValue& root, std::vector<obs::AnatomyEpisode>* anatomy,
-                 std::string* error) {
-  const obs::JsonValue* entries = root.Find("anatomy");
-  if (entries == nullptr) {
-    return true;  // pre-anatomy artifact: leave the list empty
-  }
-  const auto fail = [&](const char* what) {
-    if (error != nullptr) {
-      *error = std::string("anatomy: ") + what;
-    }
-    return false;
-  };
-  if (!entries->is_array()) {
-    return fail("not an array");
-  }
-  for (const obs::JsonValue& entry : entries->items()) {
-    if (!entry.is_object()) {
-      return fail("episode entries must be objects");
-    }
-    obs::AnatomyEpisode ep;
-    if (!ReadHexDoubleField(entry, "latency_ms", &ep.latency_ms, error) ||
-        !ReadU64Field(entry, "window_begin", &ep.window_begin, error) ||
-        !ReadU64Field(entry, "window_end", &ep.window_end, error)) {
-      return false;
-    }
-    ep.truncated = entry.BoolOr("truncated", false);
-    const obs::JsonValue* cycles = entry.Find("stage_cycles");
-    const obs::JsonValue* blames = entry.Find("stage_blame");
-    const obs::JsonValue* culprit = entry.Find("culprit");
-    if (cycles == nullptr || !cycles->is_array() ||
-        cycles->items().size() != obs::kAnatomyStageCount || blames == nullptr ||
-        !blames->is_array() || blames->items().size() != obs::kAnatomyStageCount ||
-        culprit == nullptr) {
-      return fail("episode needs stage_cycles/stage_blame arrays of 7 and a culprit");
-    }
-    for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      const obs::JsonValue& item = cycles->items()[s];
-      if (!item.is_string() || !ParseU64(item.as_string(), &ep.stage_cycles[s])) {
-        return fail("stage cycle is not a decimal u64");
-      }
-      if (!ReadBlame(blames->items()[s], &ep.stage_blame[s], error)) {
-        return false;
-      }
-    }
-    if (!ReadBlame(*culprit, &ep.culprit, error)) {
-      return false;
-    }
-    anatomy->push_back(std::move(ep));
-  }
-  return true;
+bool ReadAnatomyEpisode(Reader& in, std::vector<obs::AnatomyEpisode>* anatomy) {
+  obs::AnatomyEpisode& ep = anatomy->emplace_back();
+  const auto cycles = [&](std::size_t s) { return in.QuotedU64(&ep.stage_cycles[s]); };
+  const auto blame = [&](std::size_t s) { return ReadBlame(in, &ep.stage_blame[s]); };
+  return in.Expect("{\"latency_ms\": ") && in.QuotedHexDouble(&ep.latency_ms) &&
+         in.Expect(", \"window_begin\": ") && in.QuotedU64(&ep.window_begin) &&
+         in.Expect(", \"window_end\": ") && in.QuotedU64(&ep.window_end) &&
+         in.Expect(", \"truncated\": ") && in.Bool(&ep.truncated) &&
+         in.Expect(", \"stage_cycles\": ") && in.FixedArray(obs::kAnatomyStageCount, cycles) &&
+         in.Expect(", \"stage_blame\": ") && in.FixedArray(obs::kAnatomyStageCount, blame) &&
+         in.Expect(", \"culprit\": ") && ReadBlame(in, &ep.culprit) && in.Expect("}");
+}
+
+bool ReadEpisode(Reader& in, std::vector<obs::EpisodeSummary>* episodes) {
+  obs::EpisodeSummary& ep = episodes->emplace_back();
+  return in.Expect("{\"latency_ms\": ") && in.QuotedHexDouble(&ep.latency_ms) &&
+         in.Expect(", \"reported_at_ms\": ") && in.QuotedHexDouble(&ep.reported_at_ms) &&
+         in.Expect(", \"true_module\": ") && in.String(&ep.true_module) &&
+         in.Expect(", \"true_function\": ") && in.String(&ep.true_function) &&
+         in.Expect(", \"true_ms\": ") && in.QuotedHexDouble(&ep.true_ms) &&
+         in.Expect(", \"cause_module\": ") && in.String(&ep.cause_module) &&
+         in.Expect(", \"cause_function\": ") && in.String(&ep.cause_function) &&
+         in.Expect(", \"cause_samples\": ") && in.QuotedU64(&ep.cause_samples) &&
+         in.Expect(", \"attributed\": ") && in.Bool(&ep.attributed) &&
+         in.Expect(", \"module_match\": ") && in.Bool(&ep.module_match) && in.Expect("}");
 }
 
 }  // namespace
@@ -432,19 +558,17 @@ std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t hash) {
 }
 
 std::string HexDouble(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  return buf;
+  std::string out;
+  AppendHexDouble(out, value);
+  return out;
 }
 
 bool ParseHexDouble(std::string_view text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  const std::string copy(text);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
+  // The inverse of AppendHexDouble: only its spelling is accepted, so a
+  // padded, uppercase or unnormalized spelling of the same bits is refused.
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  if (ScanHexDouble(text.data(), end, &value) != end) {
     return false;
   }
   *out = value;
@@ -528,108 +652,58 @@ std::string ReportToJson(const LabReport& report) {
 
 bool ReportFromJson(std::string_view text, LabReport* report, std::string* error) {
   *report = LabReport{};
-  const obs::JsonParseResult parsed = obs::ParseJson(text);
-  if (!parsed.valid) {
-    if (error != nullptr) {
-      std::ostringstream message;
-      message << "JSON error at line " << parsed.error_line << ", column "
-              << parsed.error_column << ": " << parsed.error;
-      *error = message.str();
-    }
-    return false;
-  }
-  const obs::JsonValue& root = parsed.value;
-  if (!root.is_object() || root.StringOr("format", "") != kFormatName) {
-    if (error != nullptr) {
-      *error = "not a wdmlat-cell-report document";
-    }
-    return false;
-  }
-  int version = 0;
-  if (!obs::ReadIntegerOr(root, "version", kFormatVersion, kFormatVersion, &version, nullptr) ||
-      version != kFormatVersion) {
-    if (error != nullptr) {
-      *error = "unsupported cell-report version";
-    }
-    return false;
-  }
+  Reader in(text);
   LabReport result;
-  if (!ReadStringField(root, "os_name", &result.os_name, error) ||
-      !ReadStringField(root, "workload_name", &result.workload_name, error)) {
-    return false;
-  }
-  if (!obs::ReadIntegerOr(root, "thread_priority", 0, kernel::kMaxPriority,
-                          &result.thread_priority, error)) {
-    return false;
-  }
-  result.has_interrupt_latency = root.BoolOr("has_interrupt_latency", false);
-  if (!ReadU64Field(root, "samples", &result.samples, error) ||
-      !ReadHexDoubleField(root, "samples_per_hour", &result.samples_per_hour, error) ||
-      !ReadU64Field(root, "fault_activations", &result.fault_activations, error)) {
-    return false;
-  }
-  const obs::JsonValue* usage = root.Find("usage");
-  if (usage == nullptr || !usage->is_object()) {
+  std::int64_t version = 0;
+  std::int64_t priority = 0;
+  if (!in.Expect("{\"format\": \"") || !in.Expect(kFormatName) || !in.Expect("\", ")) {
     if (error != nullptr) {
-      *error = "missing usage object";
+      *error = "not a wdmlat-cell-report document (" + in.error() + ")";
     }
     return false;
   }
-  if (!ReadStringField(*usage, "category", &result.usage.category, error) ||
-      !ReadHexDoubleField(*usage, "compression", &result.usage.compression, error) ||
-      !ReadHexDoubleField(*usage, "day_hours", &result.usage.day_hours, error) ||
-      !ReadHexDoubleField(*usage, "week_hours", &result.usage.week_hours, error)) {
-    return false;
-  }
-  const obs::JsonValue* histograms = root.Find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
+  if (!in.Expect("\"version\": ") || !in.Int(kFormatVersion, kFormatVersion, &version)) {
     if (error != nullptr) {
-      *error = "missing histograms object";
+      *error = "unsupported cell-report version (" + in.error() + ")";
     }
     return false;
   }
-  if (!ReadHistogram(*histograms, "dpc_interrupt", &result.dpc_interrupt, error) ||
-      !ReadHistogram(*histograms, "thread", &result.thread, error) ||
-      !ReadHistogram(*histograms, "thread_interrupt", &result.thread_interrupt, error) ||
-      !ReadHistogram(*histograms, "interrupt", &result.interrupt, error) ||
-      !ReadHistogram(*histograms, "isr_to_dpc", &result.isr_to_dpc, error) ||
-      !ReadHistogram(*histograms, "true_pit_interrupt_latency",
-                     &result.true_pit_interrupt_latency, error)) {
-    return false;
-  }
-  const obs::JsonValue* episodes = root.Find("episodes");
-  if (episodes == nullptr || !episodes->is_array()) {
+  const auto histogram = [&](const char* separator, std::string_view name,
+                             stats::LatencyHistogram* out) {
+    return in.Expect(separator) && ReadHistogram(in, name, out);
+  };
+  const auto episode = [&]() { return ReadEpisode(in, &result.episodes); };
+  const auto anatomy = [&]() { return ReadAnatomyEpisode(in, &result.anatomy); };
+  const bool ok =
+      in.Expect(",\n\"os_name\": ") && in.String(&result.os_name) &&
+      in.Expect(", \"workload_name\": ") && in.String(&result.workload_name) &&
+      in.Expect(", \"thread_priority\": ") && in.Int(0, kernel::kMaxPriority, &priority) &&
+      in.Expect(", \"has_interrupt_latency\": ") && in.Bool(&result.has_interrupt_latency) &&
+      in.Expect(",\n\"samples\": ") && in.QuotedU64(&result.samples) &&
+      in.Expect(", \"samples_per_hour\": ") && in.QuotedHexDouble(&result.samples_per_hour) &&
+      in.Expect(", \"fault_activations\": ") && in.QuotedU64(&result.fault_activations) &&
+      in.Expect(",\n\"usage\": {\"category\": ") && in.String(&result.usage.category) &&
+      in.Expect(", \"compression\": ") && in.QuotedHexDouble(&result.usage.compression) &&
+      in.Expect(", \"day_hours\": ") && in.QuotedHexDouble(&result.usage.day_hours) &&
+      in.Expect(", \"week_hours\": ") && in.QuotedHexDouble(&result.usage.week_hours) &&
+      histogram("},\n\"histograms\": {\n", "dpc_interrupt", &result.dpc_interrupt) &&
+      histogram(",\n", "thread", &result.thread) &&
+      histogram(",\n", "thread_interrupt", &result.thread_interrupt) &&
+      histogram(",\n", "interrupt", &result.interrupt) &&
+      histogram(",\n", "isr_to_dpc", &result.isr_to_dpc) &&
+      histogram(",\n", "true_pit_interrupt_latency", &result.true_pit_interrupt_latency) &&
+      in.Expect("\n},\n\"episodes\": ") && in.List("\n", ",\n", episode) &&
+      // Both trailing fields are optional: older artifacts end without them.
+      (!in.Consume(",\n\"anatomy\": ") || in.List("\n", ",\n", anatomy)) &&
+      (!in.Consume(",\n") || ReadSketch(in, "thread_sketch", &result.thread_sketch)) &&
+      in.Expect("}\n") && in.ExpectEnd();
+  if (!ok) {
     if (error != nullptr) {
-      *error = "missing episodes array";
+      *error = in.error();
     }
     return false;
   }
-  for (const obs::JsonValue& entry : episodes->items()) {
-    if (!entry.is_object()) {
-      if (error != nullptr) {
-        *error = "episode entries must be objects";
-      }
-      return false;
-    }
-    obs::EpisodeSummary ep;
-    if (!ReadHexDoubleField(entry, "latency_ms", &ep.latency_ms, error) ||
-        !ReadHexDoubleField(entry, "reported_at_ms", &ep.reported_at_ms, error) ||
-        !ReadStringField(entry, "true_module", &ep.true_module, error) ||
-        !ReadStringField(entry, "true_function", &ep.true_function, error) ||
-        !ReadHexDoubleField(entry, "true_ms", &ep.true_ms, error) ||
-        !ReadStringField(entry, "cause_module", &ep.cause_module, error) ||
-        !ReadStringField(entry, "cause_function", &ep.cause_function, error) ||
-        !ReadU64Field(entry, "cause_samples", &ep.cause_samples, error)) {
-      return false;
-    }
-    ep.attributed = entry.BoolOr("attributed", false);
-    ep.module_match = entry.BoolOr("module_match", false);
-    result.episodes.push_back(std::move(ep));
-  }
-  if (!ReadAnatomy(root, &result.anatomy, error) ||
-      !ReadSketch(root, "thread_sketch", &result.thread_sketch, error)) {
-    return false;
-  }
+  result.thread_priority = static_cast<int>(priority);
   *report = std::move(result);
   return true;
 }

@@ -1,0 +1,360 @@
+// Deterministic mutation fuzzing of the record codec's direct reader
+// (report_json::Reader and its users: ParseRecordLine, FleetRecordFromLine
+// and ReportFromJson). Three inputs are mutated:
+//
+//   * real fleet record lines, where nearly every mutant must fail the line
+//     reader or the checksum;
+//   * their payloads re-wrapped with RecordLineText, so the checksum passes
+//     and the payload reader itself meets the damage;
+//   * ReportToJson documents with episodes, anatomy and a sketch.
+//
+// Mutations are seeded: bit flips, truncation, inserted and deleted bytes,
+// swapped and duplicated fields, over-long digit runs, u64 overflow and
+// escapes the writer never emits. Each mutant must either be rejected with
+// an error, or decode and re-encode to its own bytes: the reader accepts one
+// spelling per value. And it must never accept text that obs::ParseJson
+// rejects.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <fstream>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/kernel/profile.h"
+#include "src/lab/fleet.h"
+#include "src/lab/record_log.h"
+#include "src/lab/report_io.h"
+#include "src/obs/json.h"
+#include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
+
+namespace wdmlat::lab {
+namespace {
+
+constexpr int kMutantsPerInput = 2500;
+
+// Real record lines: short screening-shaped cells with the sketch and the
+// anatomy on, so every field of the payload carries data.
+std::vector<std::string> RealRecordLines() {
+  FleetSpec spec;
+  spec.name = "codec_fuzz";
+  spec.master_seed = 1999;
+  FleetCohort nt;
+  nt.name = "nt-office";
+  nt.os = "nt4";
+  nt.workloads = {"office", "web"};
+  nt.count = 2;
+  nt.stress_minutes = 0.003;
+  nt.warmup_seconds = 0.1;
+  nt.pit_hz = 4000.0;
+  nt.speed_mhz_lo = 150.0;
+  nt.speed_mhz_hi = 450.0;
+  nt.sketch = true;
+  FleetCohort w98 = nt;
+  w98.name = "98-games";
+  w98.os = "win98";
+  w98.workloads = {"games"};
+  w98.episode_threshold_us = 500.0;
+  spec.cohorts = {nt, w98};
+  const Fleet fleet(std::move(spec));
+  FleetShardOptions options;
+  options.out_path = testutil::TempFileFor("shard.jsonl");
+  const FleetShardResult result = RunFleetShard(fleet, options);
+  EXPECT_TRUE(result.ok()) << result.error;
+  std::ifstream in(options.out_path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  EXPECT_EQ(lines.size(), 4u);
+  return lines;
+}
+
+LabReport ReportWithEveryField() {
+  LabConfig config;
+  config.os = kernel::MakeWin98Profile();
+  config.stress = workload::GamesStress();
+  config.thread_priority = 28;
+  config.stress_minutes = 0.05;
+  config.warmup_seconds = 1.0;
+  config.seed = 1999;
+  config.obs.episode_threshold_us = 200.0;
+  config.obs.max_episodes = 3;
+  config.obs.anatomy = true;
+  config.obs.sketch = true;
+  return RunLatencyExperiment(config);
+}
+
+// Field boundaries: each ',' followed by ' ' or '\n' ends one field (or
+// array item) and starts the next.
+std::vector<std::size_t> Separators(const std::string& text) {
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] == ',' && (text[i + 1] == ' ' || text[i + 1] == '\n')) {
+      at.push_back(i);
+    }
+  }
+  return at;
+}
+
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string Mutate(std::string text) {
+    const std::size_t kind = Below(9);
+    switch (kind) {
+      case 0: {  // bit flip
+        const std::size_t at = Below(text.size());
+        text[at] = static_cast<char>(text[at] ^ (1 << Below(8)));
+        break;
+      }
+      case 1:  // truncation
+        text.resize(Below(text.size()));
+        break;
+      case 2: {  // inserted bytes, mostly ones the grammar cares about
+        static constexpr char kAlphabet[] = "\"\\{}[],: \n0123456789abcdefxp+-.tru";
+        std::string bytes;
+        for (std::size_t n = 1 + Below(4); n > 0; --n) {
+          bytes += Below(4) == 0 ? static_cast<char>(Below(256))
+                                 : kAlphabet[Below(sizeof(kAlphabet) - 1)];
+        }
+        // A quarter of them trail the text, where a reader must see its end.
+        text.insert(Below(4) == 0 ? text.size() : Below(text.size() + 1), bytes);
+        break;
+      }
+      case 3: {  // deleted bytes
+        const std::size_t at = Below(text.size());
+        text.erase(at, 1 + Below(8));
+        break;
+      }
+      case 4:  // two neighbouring fields swapped
+      case 5: {  // a field written twice
+        const std::vector<std::size_t> seps = Separators(text);
+        if (seps.size() < 2) {
+          break;
+        }
+        const std::size_t k = Below(seps.size() - 1);
+        const std::string first = text.substr(seps[k] + 1, seps[k + 1] - seps[k] - 1);
+        const std::size_t second_end =
+            k + 2 < seps.size() ? seps[k + 2] : text.find_first_of("}]", seps[k + 1]);
+        if (second_end == std::string::npos) {
+          break;
+        }
+        const std::string second =
+            text.substr(seps[k + 1] + 1, second_end - seps[k + 1] - 1);
+        const std::string fields =
+            kind == 4 ? second + "," + first : first + "," + first + "," + second;
+        text.replace(seps[k] + 1, second_end - seps[k] - 1, fields);
+        break;
+      }
+      case 6:    // an over-long digit run
+      case 7: {  // a number past u64, or a leading zero
+        const std::size_t digit = text.find_first_of("0123456789", Below(text.size()));
+        if (digit == std::string::npos) {
+          break;
+        }
+        const std::size_t run_end = text.find_first_not_of("0123456789", digit);
+        const std::size_t run = (run_end == std::string::npos ? text.size() : run_end) - digit;
+        static const char* const kNumbers[] = {"18446744073709551616", "99999999999999999999",
+                                               "184467440737095516150"};
+        std::string replacement = text.substr(digit, run);
+        if (kind == 6) {
+          replacement += std::string(20 + Below(20), '9');
+        } else if (Below(2) == 0) {
+          replacement = kNumbers[Below(3)];
+        } else {
+          replacement.insert(0, "0");
+        }
+        text.replace(digit, run, replacement);
+        break;
+      }
+      case 8: {  // an escape that JSON allows but the writer never emits
+        static const char* const kEscapes[] = {"\\/", "\\b", "\\f", "\\u0041", "\\u00e9",
+                                               "\\u000A", "\\\\\\/"};
+        text.insert(Below(text.size() + 1), kEscapes[Below(7)]);
+        break;
+      }
+    }
+    return text;
+  }
+
+ private:
+  std::size_t Below(std::size_t n) { return n == 0 ? 0 : static_cast<std::size_t>(rng_() % n); }
+
+  std::mt19937_64 rng_;
+};
+
+// What ParseJson says of text the reader accepted.
+bool DomAccepts(std::string_view text) { return obs::ParseJson(text).valid; }
+
+// Empty when the re-encoded text is the mutant; otherwise where they part,
+// with a little context (the texts themselves run to tens of KB).
+std::string Departure(const std::string& reencoded, const std::string& mutant) {
+  if (reencoded == mutant) {
+    return "";
+  }
+  std::size_t at = 0;
+  while (at < reencoded.size() && at < mutant.size() && reencoded[at] == mutant[at]) {
+    ++at;
+  }
+  const std::size_t from = at < 40 ? 0 : at - 40;
+  return "byte " + std::to_string(at) + ": re-encoded \"" + reencoded.substr(from, 80) +
+         "\" vs mutant \"" + mutant.substr(from, 80) + "\"";
+}
+
+TEST(RecordCodecFuzzTest, RecordLineMutantsAreRejectedOrReencodeExactly) {
+  const std::vector<std::string> lines = RealRecordLines();
+  ASSERT_FALSE(lines.empty());
+  Mutator mutator(0x6c696e65);
+  int rejected = 0;
+  for (int i = 0; i < kMutantsPerInput; ++i) {
+    const std::string mutant = mutator.Mutate(lines[i % lines.size()]);
+    RecordLine parsed;
+    FleetCellRecord record;
+    std::string error;
+    if (!ParseRecordLine(mutant, &parsed, &error)) {
+      EXPECT_FALSE(error.empty());
+      ++rejected;
+      continue;
+    }
+    // The line reader accepted it: it must be a line the writer would write.
+    ASSERT_EQ(Departure(RecordLineText(parsed.cell, parsed.seed, parsed.spec, parsed.payload),
+                        mutant),
+              "")
+        << "mutant " << i;
+    ASSERT_TRUE(DomAccepts(mutant)) << "mutant " << i;
+    if (FleetRecordFromLine(mutant, &record, &error)) {
+      ASSERT_EQ(Departure(FleetRecordToLine(record), mutant), "") << "mutant " << i;
+    } else {
+      EXPECT_FALSE(error.empty());
+    }
+  }
+  // Almost every mutant must die on the line grammar or the checksum.
+  EXPECT_GT(rejected, kMutantsPerInput * 9 / 10);
+}
+
+TEST(RecordCodecFuzzTest, PayloadMutantsBehindAValidChecksumAreRejectedOrReencodeExactly) {
+  const std::vector<std::string> lines = RealRecordLines();
+  ASSERT_FALSE(lines.empty());
+  std::vector<RecordLine> records(lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string error;
+    ASSERT_TRUE(ParseRecordLine(lines[i], &records[i], &error)) << error;
+  }
+  Mutator mutator(0x7061796c);
+  int accepted = 0;
+  for (int i = 0; i < kMutantsPerInput; ++i) {
+    const RecordLine& base = records[i % records.size()];
+    const std::string payload = mutator.Mutate(base.payload);
+    const std::string line = RecordLineText(base.cell, base.seed, base.spec, payload);
+    FleetCellRecord record;
+    std::string error;
+    if (!FleetRecordFromLine(line, &record, &error)) {
+      EXPECT_FALSE(error.empty());
+      EXPECT_EQ(error.find("checksum mismatch"), std::string::npos) << error;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(Departure(FleetRecordToLine(record), line), "") << "mutant " << i;
+    ASSERT_TRUE(DomAccepts(payload)) << "mutant " << i;
+  }
+  // Some mutants (a changed sum or a changed sketch value) are valid
+  // records; they are what proves the re-encode check runs.
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(RecordCodecFuzzTest, ReportMutantsAreRejectedOrReencodeExactly) {
+  const LabReport report = ReportWithEveryField();
+  ASSERT_FALSE(report.episodes.empty());
+  ASSERT_FALSE(report.anatomy.empty());
+  ASSERT_GT(report.thread_sketch.count(), 0u);
+  const std::string doc = ReportToJson(report);
+  Mutator mutator(0x7265706f);
+  int accepted = 0;
+  for (int i = 0; i < kMutantsPerInput; ++i) {
+    const std::string mutant = mutator.Mutate(doc);
+    LabReport decoded;
+    std::string error;
+    if (!ReportFromJson(mutant, &decoded, &error)) {
+      EXPECT_FALSE(error.empty());
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(Departure(ReportToJson(decoded), mutant), "") << "mutant " << i;
+    ASSERT_TRUE(DomAccepts(mutant)) << "mutant " << i;
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+// Reordering keys keeps the document valid JSON, which the DOM readers
+// accepted; the direct reader reads the writers' order only.
+TEST(RecordCodecFuzzTest, ReorderedFieldsAreValidJsonButRejected) {
+  const auto swap = [](std::string text, const std::string& a, const std::string& b) {
+    const std::size_t at_a = text.find(a);
+    const std::size_t at_b = text.find(b);
+    EXPECT_NE(at_a, std::string::npos) << a;
+    EXPECT_NE(at_b, std::string::npos) << b;
+    EXPECT_LT(at_a, at_b) << a;  // so the first replace leaves at_a in place
+    text.replace(at_b, b.size(), a);
+    text.replace(at_a, a.size(), b);
+    return text;
+  };
+  const std::vector<std::string> lines = RealRecordLines();
+  ASSERT_FALSE(lines.empty());
+  RecordLine record;
+  std::string error;
+  ASSERT_TRUE(ParseRecordLine(lines[0], &record, &error)) << error;
+
+  const std::string line = swap(lines[0], "\"cell\": \"" + std::to_string(record.cell) + "\"",
+                                "\"seed\": \"" + std::to_string(record.seed) + "\"");
+  ASSERT_TRUE(DomAccepts(line));
+  EXPECT_FALSE(ParseRecordLine(line, &record, &error));
+  EXPECT_NE(error.find("expected"), std::string::npos) << error;
+
+  const std::size_t samples = record.payload.find("\"samples\": ");
+  const std::string samples_field =
+      record.payload.substr(samples, record.payload.find(',', samples) - samples);
+  const std::string payload = swap(record.payload, "\"cohort\": 0", samples_field);
+  ASSERT_TRUE(DomAccepts(payload));
+  FleetCellRecord decoded;
+  EXPECT_FALSE(FleetRecordFromLine(
+      RecordLineText(record.cell, record.seed, record.spec, payload), &decoded, &error));
+
+  const LabReport report = ReportWithEveryField();
+  const std::string doc = ReportToJson(report);
+  const std::string reordered =
+      swap(doc, "\"os_name\": \"" + report.os_name + "\"",
+           "\"workload_name\": \"" + report.workload_name + "\"");
+  ASSERT_TRUE(DomAccepts(reordered));
+  LabReport restored;
+  EXPECT_FALSE(ReportFromJson(reordered, &restored, &error));
+}
+
+TEST(RecordCodecFuzzTest, OlderReportsWithoutTrailingFieldsStillRead) {
+  const LabReport report = ReportWithEveryField();
+  const std::string doc = ReportToJson(report);
+  const std::size_t anatomy = doc.find(",\n\"anatomy\": ");
+  const std::size_t sketch = doc.find(",\n\"thread_sketch\": ");
+  ASSERT_NE(anatomy, std::string::npos);
+  ASSERT_NE(sketch, std::string::npos);
+  const std::string without_anatomy = doc.substr(0, anatomy) + doc.substr(sketch);
+  const std::string without_both = doc.substr(0, anatomy) + "}\n";
+  LabReport restored;
+  std::string error;
+  ASSERT_TRUE(ReportFromJson(without_anatomy, &restored, &error)) << error;
+  EXPECT_TRUE(restored.anatomy.empty());
+  EXPECT_EQ(restored.thread_sketch.count(), report.thread_sketch.count());
+  ASSERT_TRUE(ReportFromJson(without_both, &restored, &error)) << error;
+  EXPECT_TRUE(restored.anatomy.empty());
+  EXPECT_EQ(restored.thread_sketch.count(), 0u);
+  EXPECT_EQ(restored.samples, report.samples);
+}
+
+}  // namespace
+}  // namespace wdmlat::lab

@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "src/kernel/profile.h"
 #include "src/lab/lab.h"
+#include "src/obs/json.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
@@ -50,9 +56,116 @@ TEST(ReportIoTest, ParseHexDoubleRejectsPartialAndEmpty) {
   EXPECT_EQ(out, 3.0);
 }
 
+TEST(ReportIoTest, ParseHexDoubleTakesFiniteHexOnly) {
+  double out = 42.0;
+  for (const char* text :
+       {"inf", "nan", "-inf", "1e999", " 0x1p+0", "\t2", "1.5", "0X1P+0",
+        // from_chars(hex) reads each of these after the "0x"; none is the
+        // spelling the writer gives its value.
+        "0xinf", "-0xnan", "0x1p+1024", "0x1P+0", "0x1.8", "0x1.80p+1", "0x1.8P+1",
+        "0x1.8p+01", "0x3p+0", "0x0p-0", "0x0.0p+0", "0x1.p+0", "0x1p-1023", "0x0.8p-1021",
+        "0x-1p+0", "--0x1p+0", "+0x1p+0", "0x1.8p+1 ", "0x1.00000000000001p+0"}) {
+    EXPECT_FALSE(ParseHexDouble(text, &out)) << '"' << text << '"';
+  }
+  EXPECT_EQ(out, 42.0);  // a rejected parse leaves the output alone
+  ASSERT_TRUE(ParseHexDouble("-0x0p+0", &out));
+  EXPECT_TRUE(SameBits(out, -0.0));
+  ASSERT_TRUE(ParseHexDouble("0x0.0000000000001p-1022", &out));
+  EXPECT_TRUE(SameBits(out, std::numeric_limits<double>::denorm_min()));
+  ASSERT_TRUE(ParseHexDouble("0x0.8p-1022", &out));
+  EXPECT_TRUE(SameBits(out, std::ldexp(1.0, -1023)));
+}
+
+// The writer's bytes are glibc's %a, independent of whatever values a bench
+// seed happens to produce: random bit patterns cover every exponent, and the
+// edge values cover zero, the subnormals and the largest finite double.
+TEST(ReportIoTest, HexDoubleMatchesPrintfA) {
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](double value) {
+    char expected[48];
+    std::snprintf(expected, sizeof(expected), "%a", value);
+    std::string written;
+    report_json::AppendHexDouble(written, value);
+    double parsed = 0.0;
+    const bool round_trips = ParseHexDouble(written, &parsed) && SameBits(parsed, value);
+    if (written != expected || HexDouble(value) != written || !round_trips) {
+      if (mismatches++ == 0) {
+        first_mismatch = std::string(expected) + " written as " + written;
+      }
+    }
+    ++checked;
+  };
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double dbl_min = std::numeric_limits<double>::min();
+  const double dbl_max = std::numeric_limits<double>::max();
+  for (const double value : {0.0, -0.0, denorm_min, -denorm_min, dbl_min, -dbl_min,
+                             std::nextafter(dbl_min, 0.0), dbl_max, -dbl_max, 1.0, 0.5}) {
+    check(value);
+  }
+  std::mt19937_64 rng(0x5eed2a);
+  std::size_t finite = 0;
+  while (finite < 1'000'000) {
+    const double value = std::bit_cast<double>(rng());
+    if (std::isfinite(value)) {
+      ++finite;
+      check(value);
+    }
+  }
+  // Random patterns are subnormal only once in 2048; draw some directly.
+  // A random shift varies how many fraction digits they need.
+  constexpr std::uint64_t kFractionMask = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  for (int i = 0; i < 20'000; ++i) {
+    const std::uint64_t bits = rng();
+    const std::uint64_t fraction =
+        std::max<std::uint64_t>((bits & kFractionMask) >> (bits >> 58), 1);
+    check(std::bit_cast<double>((bits & kSignBit) | fraction));
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+  EXPECT_GE(checked, 1'020'000u);
+  // No record field holds a non-finite value, but the writer still spells
+  // one as %a does, and the parser refuses it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double value : {inf, -inf, nan, -nan}) {
+    char expected[48];
+    std::snprintf(expected, sizeof(expected), "%a", value);
+    EXPECT_EQ(HexDouble(value), expected);
+    double parsed = 42.0;
+    EXPECT_FALSE(ParseHexDouble(HexDouble(value), &parsed)) << expected;
+  }
+}
+
+TEST(ReportIoTest, EscapedBytesReadBackThroughReaderAndDom) {
+  std::string text;
+  for (int c = 0; c < 256; ++c) {
+    text += static_cast<char>(c);
+  }
+  text += "\"quoted\" \\ run";
+  std::string quoted = "\"";
+  report_json::AppendEscaped(quoted, text);
+  quoted += '"';
+  report_json::Reader in(quoted);
+  std::string read;
+  ASSERT_TRUE(in.String(&read) && in.ExpectEnd()) << in.error();
+  EXPECT_EQ(read, text);
+  const obs::JsonParseResult dom = obs::ParseJson(quoted);
+  ASSERT_TRUE(dom.valid) << dom.error;
+  EXPECT_EQ(dom.value.as_string(), text);
+  // Escapes JSON allows but the writer never emits are refused.
+  for (const char* other : {"\"\\/\"", "\"\\u0041\"", "\"\\u000A\"", "\"\\u000a\"",
+                            "\"\\b\"", "\"\\f\"", "\"\\u0020\"", "\"raw\ttab\""}) {
+    report_json::Reader strict(other);
+    EXPECT_FALSE(strict.String(&read)) << other;
+    EXPECT_FALSE(strict.error().empty());
+  }
+}
+
 TEST(ReportIoTest, ParseU64TakesDigitsOnly) {
   std::uint64_t out = 7;
-  for (const char* text : {"-1", " 7", "+7", "7 ", "", "18446744073709551616"}) {
+  for (const char* text : {"-1", " 7", "+7", "7 ", "", "18446744073709551616", "07", "00"}) {
     EXPECT_FALSE(report_json::ParseU64(text, &out)) << '"' << text << '"';
   }
   EXPECT_EQ(out, 7u);  // a rejected parse leaves the output alone
