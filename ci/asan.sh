@@ -11,14 +11,17 @@
 # callable the per-event layers share (sim::InplaceFunction: placement-new
 # storage, relocation and the heap fallback) and the APC and I/O manager
 # suites that move continuations and completion routines through it — plus
-# the engine calendar's own suites: the engine and event-pool units, the
-# differential check against a reference calendar, and the reentrant
-# dispatch fuzz, which drive the sorted calendar vector's inserts, lazy
-# drops and compaction — plus the obs sinks' suites: the metrics registry
-# (series references held across inserts and merges), the anatomy (its span
-# blocks trimmed, reused and split by SMP relabels), the flight recorder and
-# its attribution scores, and the trace session (its ring and per-label
-# accounting) — plus the record codec: the report_io writers and their
+# the engine calendar's own suites: the engine, event-pool and timer units,
+# the differential check against a reference calendar (timers armed,
+# re-armed and disarmed among one-shots), and the reentrant dispatch fuzz,
+# which drive the sorted calendar vector's inserts, lazy drops and
+# compaction and a timer's persistent slot, which its owner may destroy
+# before or after the engine or from inside its own callable — plus the
+# ready queue's summary-mask storm against a brute-force scan — plus the
+# obs sinks' suites: the metrics registry (series references held across
+# inserts and merges), the anatomy (its span blocks trimmed, reused and
+# split by SMP relabels), the flight recorder and its attribution scores,
+# and the trace session (its ring and per-label accounting) — plus the record codec: the report_io writers and their
 # strict direct reader, the deterministic mutation fuzz of record lines,
 # record payloads and cell reports, and the fleet chaos merge that decodes
 # damaged shard files on its decode-ahead pool.
@@ -46,11 +49,12 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   --target kernel_units_test kernel_objects_test kernel_dispatcher_test dispatcher_fuzz_test \
   invariant_auditor_test engine_alloc_test golden_run_test smp_determinism_test \
   chrome_trace_test obs_lab_test inplace_callback_test apc_test io_manager_test \
-  sim_engine_test event_pool_test calendar_differential_test batch_dispatch_fuzz_test \
+  sim_engine_test event_pool_test timer_test calendar_differential_test \
+  batch_dispatch_fuzz_test ready_queue_test \
   metrics_registry_test anatomy_test flight_recorder_test trace_test \
   report_io_test fleet_chaos_test record_codec_fuzz_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|CalendarDifferentialTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest'

@@ -6,7 +6,11 @@
 #    have one callable type, sim::InplaceFunction (src/sim/inplace_callback.h);
 #  - std::deque or <deque> appears anywhere under src/obs: the sinks run once
 #    per trace event and keep their trailing storage in reused buffers (the
-#    anatomy's span blocks), which a deque's per-block allocation would undo.
+#    anatomy's span blocks), which a deque's per-block allocation would undo;
+#  - EventHandle appears anywhere under src/kernel or src/hw: their recurring
+#    completions (the dispatcher's thread and frame completions, the PIT,
+#    UHCI and audio device periods) re-arm a sim::Timer, whose callable is
+#    built once, instead of scheduling a new one-shot event each time.
 #
 # Comments count too. Registered as the `hot_path_lint` ctest; also runnable
 # standalone from the repo root (it needs no build):
@@ -42,6 +46,8 @@ check 'std::function|<functional>' "use sim::InplaceFunction in the per-event la
   src/sim src/kernel src/hw src/drivers src/workload || failed=1
 check 'std::deque|<deque>' "keep obs sink storage in reused buffers, not std::deque" \
   src/obs || failed=1
+check 'EventHandle' "re-arm a sim::Timer for recurring completions, not an EventHandle" \
+  src/kernel src/hw || failed=1
 if [ "$failed" -ne 0 ]; then
   exit 1
 fi

@@ -8,7 +8,10 @@
 namespace wdmlat::drivers {
 
 CauseTool::CauseTool(kernel::Kernel& kernel, LatencyDriver& driver, Config config)
-    : kernel_(kernel), driver_(driver), cfg_(config) {
+    : kernel_(kernel),
+      driver_(driver),
+      cfg_(config),
+      nmi_timer_(kernel.engine(), [this] { OnNmi(); }) {
   ring_.resize(cfg_.ring_size);
 }
 
@@ -43,8 +46,7 @@ void CauseTool::OnNmi() {
   slot.tsc = kernel_.GetCycleCount();
   ring_next_ = (ring_next_ + 1) % ring_.size();
   ++hook_samples_;
-  nmi_event_ =
-      kernel_.engine().ScheduleAfter(sim::MsToCycles(cfg_.nmi_period_ms), [this] { OnNmi(); });
+  nmi_timer_.ArmAfter(sim::MsToCycles(cfg_.nmi_period_ms));
 }
 
 void CauseTool::OnLongLatency(double ms) {

@@ -68,6 +68,9 @@ class CauseTool {
   };
 
   CauseTool(kernel::Kernel& kernel, LatencyDriver& driver, Config config);
+  // Its timer's callable captures `this`.
+  CauseTool(const CauseTool&) = delete;
+  CauseTool& operator=(const CauseTool&) = delete;
 
   // Patch the PIT IDT entry (or program the performance-counter NMI) and
   // arm the long-latency dump.
@@ -93,7 +96,7 @@ class CauseTool {
   std::size_t ring_next_ = 0;
   std::uint64_t hook_samples_ = 0;
   std::vector<Episode> episodes_;
-  sim::EventHandle nmi_event_;
+  sim::Timer nmi_timer_;
 };
 
 }  // namespace wdmlat::drivers

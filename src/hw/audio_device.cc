@@ -3,7 +3,7 @@
 namespace wdmlat::hw {
 
 AudioDevice::AudioDevice(sim::Engine& engine, InterruptController& pic, int line)
-    : engine_(engine), pic_(pic), line_(line) {}
+    : pic_(pic), line_(line), next_(engine, [this] { BufferComplete(); }) {}
 
 void AudioDevice::StartStream(double period_ms) {
   period_ = sim::MsToCycles(period_ms);
@@ -11,12 +11,12 @@ void AudioDevice::StartStream(double period_ms) {
     return;
   }
   streaming_ = true;
-  next_ = engine_.ScheduleAfter(period_, [this] { BufferComplete(); });
+  next_.ArmAfter(period_);
 }
 
 void AudioDevice::StopStream() {
   streaming_ = false;
-  next_.Cancel();
+  next_.Disarm();
 }
 
 void AudioDevice::BufferComplete() {
@@ -25,7 +25,7 @@ void AudioDevice::BufferComplete() {
   }
   ++buffers_completed_;
   pic_.Assert(line_);
-  next_ = engine_.ScheduleAfter(period_, [this] { BufferComplete(); });
+  next_.ArmAfter(period_);
 }
 
 }  // namespace wdmlat::hw

@@ -32,6 +32,9 @@ class AudioStreamDevice {
 class AudioDevice : public AudioStreamDevice {
  public:
   AudioDevice(sim::Engine& engine, InterruptController& pic, int line);
+  // Its timer's callable captures `this`.
+  AudioDevice(const AudioDevice&) = delete;
+  AudioDevice& operator=(const AudioDevice&) = delete;
 
   // Raises one buffer-completion interrupt every `period_ms`.
   void StartStream(double period_ms) override;
@@ -43,13 +46,12 @@ class AudioDevice : public AudioStreamDevice {
  private:
   void BufferComplete();
 
-  sim::Engine& engine_;
   InterruptController& pic_;
   int line_;
   bool streaming_ = false;
   sim::Cycles period_ = sim::kCyclesPerMs * 10;
   std::uint64_t buffers_completed_ = 0;
-  sim::EventHandle next_;
+  sim::Timer next_;
 };
 
 }  // namespace wdmlat::hw

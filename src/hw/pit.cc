@@ -5,7 +5,7 @@
 namespace wdmlat::hw {
 
 Pit::Pit(sim::Engine& engine, InterruptController& pic, int line)
-    : engine_(engine), pic_(pic), line_(line) {}
+    : pic_(pic), line_(line), next_tick_(engine, [this] { Tick(); }) {}
 
 void Pit::SetFrequencyHz(double hz) {
   assert(hz > 0.0);
@@ -19,12 +19,12 @@ void Pit::Start() {
     return;
   }
   running_ = true;
-  next_tick_ = engine_.ScheduleAfter(period_, [this] { Tick(); });
+  next_tick_.ArmAfter(period_);
 }
 
 void Pit::Stop() {
   running_ = false;
-  next_tick_.Cancel();
+  next_tick_.Disarm();
 }
 
 void Pit::Tick() {
@@ -37,7 +37,7 @@ void Pit::Tick() {
   if (tick_delay_hook_) {
     delay += tick_delay_hook_();
   }
-  next_tick_ = engine_.ScheduleAfter(delay, [this] { Tick(); });
+  next_tick_.ArmAfter(delay);
 }
 
 }  // namespace wdmlat::hw

@@ -22,6 +22,9 @@ namespace wdmlat::hw {
 class Pit {
  public:
   Pit(sim::Engine& engine, InterruptController& pic, int line);
+  // Its timer's callable captures `this`.
+  Pit(const Pit&) = delete;
+  Pit& operator=(const Pit&) = delete;
 
   // Program the tick frequency. Takes effect from the next tick. The default
   // matches Windows' 100 Hz; the measurement drivers call this with 1000.
@@ -51,14 +54,13 @@ class Pit {
  private:
   void Tick();
 
-  sim::Engine& engine_;
   InterruptController& pic_;
   int line_;
   double hz_ = 100.0;
   sim::Cycles period_ = sim::kCyclesPerSec / 100;
   bool running_ = false;
   std::uint64_t ticks_ = 0;
-  sim::EventHandle next_tick_;
+  sim::Timer next_tick_;
   sim::InplaceFunction<sim::Cycles()> tick_delay_hook_;
 };
 

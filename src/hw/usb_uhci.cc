@@ -6,7 +6,7 @@
 namespace wdmlat::hw {
 
 UhciController::UhciController(sim::Engine& engine, InterruptController& pic, int line)
-    : engine_(engine), pic_(pic), line_(line) {}
+    : pic_(pic), line_(line), next_frame_(engine, [this] { Frame(); }) {}
 
 void UhciController::StartStream(double period_ms) {
   frames_per_buffer_ = static_cast<std::uint32_t>(
@@ -16,12 +16,12 @@ void UhciController::StartStream(double period_ms) {
   }
   streaming_ = true;
   frames_into_buffer_ = 0;
-  next_frame_ = engine_.ScheduleAfter(sim::MsToCycles(kFrameMs), [this] { Frame(); });
+  next_frame_.ArmAfter(sim::MsToCycles(kFrameMs));
 }
 
 void UhciController::StopStream() {
   streaming_ = false;
-  next_frame_.Cancel();
+  next_frame_.Disarm();
 }
 
 bool UhciController::ConsumeBufferBoundary() {
@@ -41,7 +41,7 @@ void UhciController::Frame() {
   }
   // IOC on every isochronous TD: one interrupt per frame while streaming.
   pic_.Assert(line_);
-  next_frame_ = engine_.ScheduleAfter(sim::MsToCycles(kFrameMs), [this] { Frame(); });
+  next_frame_.ArmAfter(sim::MsToCycles(kFrameMs));
 }
 
 }  // namespace wdmlat::hw

@@ -25,6 +25,9 @@ namespace wdmlat::hw {
 class UhciController : public AudioStreamDevice {
  public:
   UhciController(sim::Engine& engine, InterruptController& pic, int line);
+  // Its timer's callable captures `this`.
+  UhciController(const UhciController&) = delete;
+  UhciController& operator=(const UhciController&) = delete;
 
   // AudioStreamDevice: open/close the isochronous audio stream. While open,
   // the controller interrupts every USB frame (1 ms); every `period_ms`
@@ -43,7 +46,6 @@ class UhciController : public AudioStreamDevice {
  private:
   void Frame();
 
-  sim::Engine& engine_;
   InterruptController& pic_;
   int line_;
   bool streaming_ = false;
@@ -51,7 +53,7 @@ class UhciController : public AudioStreamDevice {
   std::uint32_t frames_per_buffer_ = 10;
   std::uint32_t frames_into_buffer_ = 0;
   bool buffer_boundary_pending_ = false;
-  sim::EventHandle next_frame_;
+  sim::Timer next_frame_;
 };
 
 }  // namespace wdmlat::hw

@@ -9,7 +9,16 @@ namespace wdmlat::kernel {
 
 Dispatcher::Dispatcher(sim::Engine& engine, sim::Rng rng, hw::InterruptController& pic,
                        ReadyQueue& ready, DpcQueue& dpcs, Config config)
-    : engine_(engine), rng_(rng), pic_(pic), ready_(ready), dpcs_(dpcs), cfg_(config) {
+    : engine_(engine),
+      rng_(rng),
+      pic_(pic),
+      ready_(ready),
+      dpcs_(dpcs),
+      cfg_(config),
+      thread_timer_(engine, [this] { OnThreadElapsed(); }) {
+  for (std::size_t i = 0; i < kMaxFrames; ++i) {
+    frame_timers_[i] = sim::Timer(engine, [this, frame = &frames_[i]] { OnFrameElapsed(frame); });
+  }
   pic_.set_pending_notifier([this] { OnInterruptPending(); });
   dpcs_.set_notifier([this] { OnDpcQueued(); });
 }
@@ -280,6 +289,7 @@ Dispatcher::Frame& Dispatcher::PushFrame(FrameKind kind, Irql irql, Label label,
                                          sim::Cycles remaining) {
   PauseActive();
   assert(depth_ < frames_.size() && "frame IRQLs strictly increase, one slot per level");
+  assert(!frame_timers_[depth_].armed() && "a popped frame's completion has fired");
   Frame& frame = frames_[depth_++];
   frame = Frame{};
   frame.kind = kind;
@@ -546,7 +556,7 @@ void Dispatcher::PauseFrame(Frame* frame) {
   }
   const sim::Cycles elapsed = engine_.now() - frame->resumed_at;
   frame->remaining = frame->remaining > elapsed ? frame->remaining - elapsed : 0;
-  frame->completion.Cancel();
+  frame_timers_[frame - frames_.data()].Disarm();
   frame->running = false;
 }
 
@@ -556,11 +566,7 @@ void Dispatcher::ResumeFrame(Frame* frame) {
   }
   frame->resumed_at = engine_.now();
   frame->running = true;
-  auto elapsed = [this, frame] { OnFrameElapsed(frame); };
-  static_assert(sim::InplaceCallback::kFitsInline<decltype(elapsed)>,
-                "frame completions are the engine's hottest clients and must "
-                "never take the callback heap-fallback path");
-  frame->completion = engine_.ScheduleAfter(frame->remaining, std::move(elapsed));
+  frame_timers_[frame - frames_.data()].ArmAfter(frame->remaining);
 }
 
 sim::Cycles& Dispatcher::ActiveThreadRemaining() {
@@ -575,7 +581,7 @@ void Dispatcher::PauseThreadTimer() {
   const sim::Cycles elapsed = engine_.now() - thread_resumed_at_;
   sim::Cycles& remaining = ActiveThreadRemaining();
   remaining = remaining > elapsed ? remaining - elapsed : 0;
-  thread_completion_.Cancel();
+  thread_timer_.Disarm();
   thread_running_ = false;
 }
 
@@ -591,11 +597,7 @@ void Dispatcher::ResumeThreadTimer() {
   }
   thread_resumed_at_ = engine_.now();
   thread_running_ = true;
-  auto elapsed = [this] { OnThreadElapsed(); };
-  static_assert(sim::InplaceCallback::kFitsInline<decltype(elapsed)>,
-                "thread completions are on the engine hot path and must "
-                "never take the callback heap-fallback path");
-  thread_completion_ = engine_.ScheduleAfter(ActiveThreadRemaining(), std::move(elapsed));
+  thread_timer_.ArmAfter(ActiveThreadRemaining());
 }
 
 }  // namespace wdmlat::kernel

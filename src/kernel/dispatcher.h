@@ -193,7 +193,6 @@ class Dispatcher {
     sim::Cycles began_at = 0;
     sim::Cycles remaining = 0;
     sim::Cycles resumed_at = 0;
-    sim::EventHandle completion;
   };
   // Frame IRQLs strictly increase bottom to top and never fall to PASSIVE,
   // so the stack holds at most one frame per level from APC to HIGH.
@@ -268,6 +267,9 @@ class Dispatcher {
 
   std::array<Frame, kMaxFrames> frames_;
   std::size_t depth_ = 0;
+  // frame_timers_[i] completes frames_[i]'s current phase. The timers live
+  // beside the frames, not in them, because PushFrame reassigns a Frame.
+  std::array<sim::Timer, kMaxFrames> frame_timers_;
 
   KThread* current_ = nullptr;
   ThreadPhase thread_phase_ = ThreadPhase::kNone;
@@ -275,7 +277,7 @@ class Dispatcher {
   Irql thread_irql_ = Irql::kPassive;
   sim::Cycles thread_resumed_at_ = 0;
   bool thread_running_ = false;
-  sim::EventHandle thread_completion_;
+  sim::Timer thread_timer_;  // completes the switch or segment in progress
   sim::Cycles quantum_remaining_ = 0;
   bool quantum_expired_ = false;
 

@@ -14,49 +14,42 @@ void ReadyQueue::Push(KThread* thread, bool front) {
   } else {
     queues_[prio].push_back(thread);
   }
+  summary_ |= std::uint32_t{1} << prio;
   ++count_;
 }
 
-KThread* ReadyQueue::Peek() const {
-  for (int prio = kMaxPriority; prio >= kMinPriority; --prio) {
-    if (!queues_[prio].empty()) {
-      return queues_[prio].front();
-    }
-  }
-  return nullptr;
-}
-
 KThread* ReadyQueue::Pop() {
-  for (int prio = kMaxPriority; prio >= kMinPriority; --prio) {
-    if (!queues_[prio].empty()) {
-      KThread* thread = queues_[prio].front();
-      queues_[prio].pop_front();
-      --count_;
-      return thread;
-    }
+  if (summary_ == 0) {
+    return nullptr;
   }
-  return nullptr;
+  const int prio = top_priority();
+  std::deque<KThread*>& queue = queues_[prio];
+  KThread* thread = queue.front();
+  queue.pop_front();
+  if (queue.empty()) {
+    summary_ &= ~(std::uint32_t{1} << prio);
+  }
+  --count_;
+  return thread;
 }
 
 bool ReadyQueue::Remove(KThread* thread) {
-  for (auto& queue : queues_) {
+  // The thread's priority may have changed since it was queued, so search
+  // every non-empty queue.
+  for (std::uint32_t bits = summary_; bits != 0; bits &= bits - 1) {
+    const int prio = std::countr_zero(bits);
+    std::deque<KThread*>& queue = queues_[prio];
     auto it = std::find(queue.begin(), queue.end(), thread);
     if (it != queue.end()) {
       queue.erase(it);
+      if (queue.empty()) {
+        summary_ &= ~(std::uint32_t{1} << prio);
+      }
       --count_;
       return true;
     }
   }
   return false;
-}
-
-int ReadyQueue::top_priority() const {
-  for (int prio = kMaxPriority; prio >= kMinPriority; --prio) {
-    if (!queues_[prio].empty()) {
-      return prio;
-    }
-  }
-  return -1;
 }
 
 }  // namespace wdmlat::kernel

@@ -78,7 +78,7 @@ void QueueDepthSampler::Start() {
   if (period_ms_ <= 0.0 || (registry_ == nullptr && trace_ == nullptr)) {
     return;
   }
-  next_ = kernel_.engine().ScheduleAfter(sim::MsToCycles(period_ms_), [this] { Sample(); });
+  next_.ArmAfter(sim::MsToCycles(period_ms_));
 }
 
 void QueueDepthSampler::Sample() {
@@ -103,7 +103,7 @@ void QueueDepthSampler::Sample() {
     trace_->Counter(ChromeTraceWriter::kSimPid, ts, "ready queue len", ready_len);
     trace_->Counter(ChromeTraceWriter::kSimPid, ts, "work queue depth", work_depth);
   }
-  next_ = kernel_.engine().ScheduleAfter(sim::MsToCycles(period_ms_), [this] { Sample(); });
+  next_.ArmAfter(sim::MsToCycles(period_ms_));
 }
 
 void CollectRunCounters(kernel::Kernel& kernel, MetricsRegistry& registry) {

@@ -57,9 +57,11 @@ class QueueDepthSampler {
  public:
   QueueDepthSampler(kernel::Kernel& kernel, MetricsRegistry* registry,
                     ChromeTraceWriter* trace, double period_ms)
-      : kernel_(kernel), registry_(registry), trace_(trace), period_ms_(period_ms) {}
-  // The pending sample captures `this`: destruction cancels it.
-  ~QueueDepthSampler() { next_.Cancel(); }
+      : kernel_(kernel),
+        registry_(registry),
+        trace_(trace),
+        period_ms_(period_ms),
+        next_(kernel.engine(), [this] { Sample(); }) {}
   QueueDepthSampler(const QueueDepthSampler&) = delete;
   QueueDepthSampler& operator=(const QueueDepthSampler&) = delete;
 
@@ -74,7 +76,7 @@ class QueueDepthSampler {
   MetricsRegistry* registry_;
   ChromeTraceWriter* trace_;
   double period_ms_;
-  sim::EventHandle next_;
+  sim::Timer next_;  // captures `this`: destruction disarms it
   // Resolved together at the first sample.
   stats::LatencyHistogram* dpc_depth_ = nullptr;
   stats::LatencyHistogram* ready_len_ = nullptr;

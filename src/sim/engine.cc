@@ -70,7 +70,7 @@ void Engine::AuditCalendar(std::vector<std::string>* violations) const {
 }
 
 void Engine::Compact() {
-  // Workloads that cancel constantly (the dispatcher's paused frames and
+  // Workloads that disarm constantly (the dispatcher's paused frame and
   // thread timers) would otherwise leave dead entries stored until they
   // reach the back. remove_if keeps the survivors' fire order.
   calendar_.erase(std::remove_if(calendar_.begin(), calendar_.end(),

@@ -18,6 +18,15 @@
 // Cancelled events leave stale entries behind that are dropped when they
 // reach the back and compacted when they outnumber the live ones (see
 // DESIGN.md §7 for the invariants).
+//
+// Two kinds of event share the calendar. A one-shot event (ScheduleAt /
+// ScheduleAfter) builds its callable into a pool slot that is freed when it
+// fires or is cancelled; an EventHandle cancels it. A Timer owns one pool
+// slot for its whole life and builds its callable there once: each arming
+// inserts one calendar entry, and firing runs the callable in place. Both
+// take the next insertion sequence number per calendar entry, so a client
+// that moves from re-scheduling one callable to re-arming a Timer fires in
+// exactly the same order.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -156,7 +165,8 @@ class Engine {
   // Warm reuse: return the engine to its freshly constructed state — time 0,
   // sequence 0, empty calendar — while keeping the calendar vector's and the
   // pool's grown capacity. Outstanding events are cancelled wholesale (their
-  // captured state is released and stale handles read "not pending"), so
+  // captured state is released and stale handles read "not pending") and
+  // live timers are disarmed, keeping their slots and callables, so
   // callers must have torn down anything that expects its callbacks to still
   // fire. A run on a reset engine is bit-identical to one on a new engine:
   // fire order is (when, seq) and both restart from zero (guarded by the
@@ -165,10 +175,10 @@ class Engine {
 
   std::uint64_t events_processed() const { return events_processed_; }
 
-  // Number of scheduled-and-not-yet-fired events, excluding cancelled ones
-  // (their calendar entries linger until they reach the back of the calendar
-  // or are compacted away, but they no longer count). Tests can therefore
-  // assert on calendar size.
+  // Number of scheduled-and-not-yet-fired events and armed timers, excluding
+  // cancelled ones (their calendar entries linger until they reach the back
+  // of the calendar or are compacted away, but they no longer count). Tests
+  // can therefore assert on calendar size.
   std::size_t events_pending() const { return pool_->live(); }
 
   // Observability: stale (cancelled) entries still occupying the calendar,
@@ -241,10 +251,26 @@ class Engine {
     return false;
   }
 
-  // Fire a popped entry: advance time, free its pool slot, run the callback.
+  friend class Timer;
+
+  // Timer support: one calendar entry per arming, with the next sequence
+  // number, exactly as ScheduleAt would insert it.
+  void ArmTimer(std::uint32_t slot, Cycles when) {
+    if (when < now_) {
+      when = now_;
+    }
+    Insert(QueueEntry{when, next_seq_++, pool_->ArmTimer(slot), slot});
+  }
+
+  // Fire a popped entry: advance time, run the callback. A timer's callable
+  // runs in place in its persistent slot; a one-shot's slot is freed first.
   void Fire(const QueueEntry& entry) {
     now_ = entry.when;
     ++events_processed_;
+    if (pool_->is_timer(entry.slot)) {
+      pool_->FireTimer(entry.slot);
+      return;
+    }
     // Move the callback out of the pool (freeing the slot for reuse) so
     // captured state dies with this scope even if a handle outlives the
     // event, and so the callback may itself schedule into the freed slot.
@@ -272,6 +298,65 @@ class Engine {
   // Every scheduled entry, live or dead, sorted under FiresLater: the back
   // is the next to fire.
   std::vector<QueueEntry> calendar_;
+};
+
+// Re-armable event: a callable built once into a persistent pool slot,
+// fired each time the timer is armed. For a recurring completion this
+// replaces ScheduleAfter + EventHandle::Cancel, without a per-arming
+// callable, pool claim or handle refcount. Arming an armed timer disarms it
+// first; disarming leaves a stale calendar entry, as Cancel does. When the
+// timer fires it is disarmed before its callable runs, so the callable may
+// re-arm it. Destroying a timer disarms it and frees its slot; the timer
+// holds a pool reference, so it may outlive its engine (it is then inert).
+class Timer {
+ public:
+  Timer() = default;
+  template <typename F>
+  Timer(Engine& engine, F&& cb)
+      : engine_(&engine),
+        pool_(engine.pool_),
+        slot_(engine.pool_->AllocateTimer(std::forward<F>(cb))) {
+    static_assert(InplaceCallback::kFitsInline<F>,
+                  "timers re-fire one callable for the life of their owner and "
+                  "must never take the callback heap-fallback path");
+    pool_->AddRef();
+  }
+  Timer(Timer&& other) noexcept
+      : engine_(other.engine_), pool_(std::exchange(other.pool_, nullptr)), slot_(other.slot_) {}
+  Timer& operator=(Timer&& other) noexcept {
+    Timer moved(std::move(other));
+    std::swap(engine_, moved.engine_);
+    std::swap(pool_, moved.pool_);
+    std::swap(slot_, moved.slot_);
+    return *this;
+  }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() {
+    if (pool_ != nullptr) {
+      pool_->FreeTimer(slot_);
+      pool_->Release();
+    }
+  }
+
+  // Fire at absolute time `when` (clamped to now()), replacing any pending
+  // arming. The engine must still be alive.
+  void ArmAt(Cycles when) { engine_->ArmTimer(slot_, when); }
+  void ArmAfter(Cycles delay) { ArmAt(engine_->now() + delay); }
+
+  // Cancel the pending arming, if any. Safe to call in any state.
+  void Disarm() {
+    if (pool_ != nullptr) {
+      pool_->DisarmTimer(slot_);
+    }
+  }
+
+  bool armed() const { return pool_ != nullptr && (pool_->generation(slot_) & 1) != 0; }
+
+ private:
+  Engine* engine_ = nullptr;
+  EventPool* pool_ = nullptr;
+  std::uint32_t slot_ = EventPool::kInvalidSlot;
 };
 
 }  // namespace wdmlat::sim

@@ -9,6 +9,12 @@
 // Stale handles (fired, cancelled, or slot-reused) therefore read "not
 // pending" and cancel as a no-op without any per-event heap record.
 //
+// A timer slot (sim::Timer) is persistent: its callable is built once and
+// the slot stays off the free list until the timer is destroyed. Its
+// generation is odd while armed and even while disarmed; arming, disarming
+// and firing bump it exactly as allocate, cancel and fire do for a one-shot
+// slot, so a stale calendar entry is dead for both kinds alike.
+//
 // Handles keep the pool alive through a non-atomic intrusive refcount (the
 // engine and all its handles live on one thread by construction), which is
 // what makes Cancel()/pending() safe even on a handle that outlives the
@@ -54,22 +60,88 @@ class EventPool {
   // generation (now odd) identifies this incarnation.
   template <typename F>
   std::uint32_t Allocate(F&& cb) {
-    if (free_head_ == kInvalidSlot) {
-      Grow();
-    }
-    const std::uint32_t index = free_head_;
+    const std::uint32_t index = PopFree();
     Slot& s = slot(index);
-    free_head_ = s.next_free;
     ++s.generation;  // odd: scheduled
     s.callback.emplace(std::forward<F>(cb));
     ++live_;
     return index;
   }
 
+  // Claim a slot for a timer and build its callable once. The slot starts
+  // disarmed (even generation) and stays off the free list until FreeTimer.
+  template <typename F>
+  std::uint32_t AllocateTimer(F&& cb) {
+    const std::uint32_t index = PopFree();
+    Slot& s = slot(index);
+    s.flags = kTimerSlot;
+    s.callback.emplace(std::forward<F>(cb));
+    return index;
+  }
+
+  // Arm timer `index`, disarming it first if it is armed. Returns the new
+  // (odd) generation, which the calendar entry for this arming carries.
+  std::uint64_t ArmTimer(std::uint32_t index) {
+    Slot& s = slot(index);
+    assert((s.flags & kTimerSlot) != 0 && "arming a slot that is not a timer");
+    if ((s.generation & 1) != 0) {
+      ++s.generation;  // re-arm: the old entry goes stale
+    } else {
+      ++live_;
+    }
+    ++s.generation;
+    return s.generation;
+  }
+
+  // Disarm timer `index`; a no-op when it is not armed. Its calendar entry
+  // goes stale and the callable stays in place for the next arming.
+  void DisarmTimer(std::uint32_t index) {
+    Slot& s = slot(index);
+    if ((s.generation & 1) != 0) {
+      ++s.generation;
+      assert(live_ > 0);
+      --live_;
+    }
+  }
+
+  // The timer is being destroyed: disarm it, release its callable and
+  // return the slot to the free list. A timer destroyed by its own
+  // callable keeps the slot until that callable returns (EndTimerFire).
+  void FreeTimer(std::uint32_t index) {
+    DisarmTimer(index);
+    Slot& s = slot(index);
+    if ((s.flags & kFiring) != 0) {
+      s.flags |= kFreedWhileFiring;
+      return;
+    }
+    ReturnTimerSlot(index, s);
+  }
+
+  bool is_timer(std::uint32_t index) const { return (slot(index).flags & kTimerSlot) != 0; }
+
+  // Fire armed timer `index`: disarm it and invoke its callable in place,
+  // with no move and no slot release. The callable may re-arm its timer.
+  void FireTimer(std::uint32_t index) {
+    Slot& s = slot(index);
+    assert((s.flags & kTimerSlot) != 0 && (s.generation & 1) != 0);
+    ++s.generation;
+    --live_;
+    s.flags |= kFiring;
+    // Slabs never move, so `s` stays valid however the callable grows the
+    // pool; the scope clears the firing mark even if the callable throws.
+    struct FiringScope {
+      EventPool* pool;
+      std::uint32_t index;
+      ~FiringScope() { pool->EndTimerFire(index); }
+    } scope{this, index};
+    s.callback();
+  }
+
   // Move the callback out and free the slot (the event is firing).
   InplaceCallback Take(std::uint32_t index) {
     Slot& s = slot(index);
     assert((s.generation & 1) != 0 && "taking a slot that is not scheduled");
+    assert((s.flags & kTimerSlot) == 0 && "timer slots fire in place");
     InplaceCallback cb = std::move(s.callback);
     ReleaseSlot(index, s);
     return cb;
@@ -84,6 +156,7 @@ class EventPool {
     if (s.generation != generation) {
       return false;
     }
+    assert((s.flags & kTimerSlot) == 0 && "timers disarm, they are not cancelled");
     s.callback.reset();  // release captured state eagerly
     ReleaseSlot(index, s);
     return true;
@@ -98,15 +171,19 @@ class EventPool {
   std::size_t capacity() const { return slabs_.size() * kSlabSize; }
 
   // Self-check for the invariant auditor. Appends one line per violation:
-  // the odd-generation (scheduled) slot count must equal live_, the free
-  // list must be cycle-free, contain only even-generation slots, and account
-  // for exactly capacity() - live() slots, and the pool must be referenced.
+  // the odd-generation (scheduled or armed) slot count must equal live_, the
+  // free list must be cycle-free and contain only even-generation one-shot
+  // slots, free, live and disarmed timer slots must account for exactly
+  // capacity() slots, and the pool must be referenced.
   void AuditConsistency(std::vector<std::string>* violations) const {
     std::size_t scheduled = 0;
+    std::size_t idle_timers = 0;
     for (const auto& slab : slabs_) {
       for (std::uint32_t i = 0; i < kSlabSize; ++i) {
         if ((slab[i].generation & 1) != 0) {
           ++scheduled;
+        } else if ((slab[i].flags & kTimerSlot) != 0) {
+          ++idle_timers;
         }
       }
     }
@@ -130,6 +207,11 @@ class EventPool {
                               std::to_string(cursor));
         break;
       }
+      if ((slot(cursor).flags & kTimerSlot) != 0) {
+        violations->push_back("event_pool: free list contains timer slot " +
+                              std::to_string(cursor));
+        break;
+      }
       if (++free_len > cap) {
         violations->push_back("event_pool: free list is cyclic (walked " +
                               std::to_string(free_len) + " links over capacity " +
@@ -137,68 +219,80 @@ class EventPool {
         break;
       }
     }
-    if (free_len <= cap && free_len + live_ != cap) {
+    if (free_len <= cap && free_len + live_ + idle_timers != cap) {
       violations->push_back("event_pool: free(" + std::to_string(free_len) +
-                            ") + live(" + std::to_string(live_) +
-                            ") != capacity(" + std::to_string(cap) + ")");
+                            ") + live(" + std::to_string(live_) + ") + disarmed timers(" +
+                            std::to_string(idle_timers) + ") != capacity(" +
+                            std::to_string(cap) + ")");
     }
     if (refs_ == 0) {
       violations->push_back("event_pool: refcount is zero while in use");
     }
   }
 
-  // Called by the engine's destructor: cancel every live incarnation so
-  // captured state is released and outstanding handles read "not pending".
+  // Called by the engine's destructor: cancel every live incarnation and
+  // release every timer's callable, so captured state is released and
+  // outstanding handles and timers read "not pending" / "not armed".
   void Shutdown() {
     for (auto& slab : slabs_) {
       for (std::uint32_t i = 0; i < kSlabSize; ++i) {
         Slot& s = slab[i];
         if ((s.generation & 1) != 0) {
-          s.callback.reset();
           ++s.generation;
         }
+        s.callback.reset();
       }
     }
     live_ = 0;
   }
 
-  // Warm reuse (Engine::Reset): cancel every live incarnation like Shutdown,
-  // then rethread the complete free list across the retained slabs so every
-  // slot is allocatable again. Generations keep counting (never rewound), so
-  // handles issued before the reset still read "not pending" afterwards.
-  // Slot numbering and generation values never feed the simulation — fire
-  // order is strictly (when, seq) — so a run on a reset pool is bit-identical
-  // to one on a fresh pool.
+  // Warm reuse (Engine::Reset): cancel every live one-shot incarnation like
+  // Shutdown and disarm every timer, keeping its callable, then rethread the
+  // free list across the retained slabs over every slot that is not a
+  // timer's. Generations keep counting (never rewound), so handles issued
+  // before the reset still read "not pending" afterwards. Slot numbering
+  // and generation values never feed the simulation — fire order is
+  // strictly (when, seq) — so a run on a reset pool is bit-identical to one
+  // on a fresh pool.
   void ResetAll() {
-    for (auto& slab : slabs_) {
-      for (std::uint32_t i = 0; i < kSlabSize; ++i) {
-        Slot& s = slab[i];
-        if ((s.generation & 1) != 0) {
-          s.callback.reset();
-          ++s.generation;
-        }
-      }
-    }
     live_ = 0;
     free_head_ = kInvalidSlot;
-    // Thread slabs back-to-front so the free list walks slot 0 upward, the
-    // same ascending order a freshly grown single slab starts with.
-    for (std::size_t slab_index = slabs_.size(); slab_index-- > 0;) {
-      const std::uint32_t base = static_cast<std::uint32_t>(slab_index) << kSlabBits;
-      Slot* slab = slabs_[slab_index].get();
-      for (std::uint32_t i = 0; i < kSlabSize - 1; ++i) {
-        slab[i].next_free = base + i + 1;
+    // Walk the slots from the top down so the free list runs from the
+    // lowest free slot upward, the order a freshly grown slab starts with.
+    for (std::uint32_t index = static_cast<std::uint32_t>(capacity()); index-- > 0;) {
+      Slot& s = slot(index);
+      if ((s.generation & 1) != 0) {
+        ++s.generation;
+        if ((s.flags & kTimerSlot) == 0) {
+          s.callback.reset();
+        }
       }
-      slab[kSlabSize - 1].next_free = free_head_;
-      free_head_ = base;
+      if ((s.flags & kTimerSlot) == 0) {
+        s.next_free = free_head_;
+        free_head_ = index;
+      }
     }
+  }
+
+  // Test-only corruption for the invariant auditor's own tests: thread
+  // `index` onto the free list as is, whatever it holds.
+  void ThreadOntoFreeListForTesting(std::uint32_t index) {
+    slot(index).next_free = free_head_;
+    free_head_ = index;
   }
 
  private:
+  // Slot::flags bits. kFiring and kFreedWhileFiring only ever accompany
+  // kTimerSlot.
+  static constexpr std::uint8_t kTimerSlot = 1;        // owned by a sim::Timer
+  static constexpr std::uint8_t kFiring = 2;           // its callable is running
+  static constexpr std::uint8_t kFreedWhileFiring = 4;  // its timer died meanwhile
+
   struct Slot {
     InplaceCallback callback;
-    std::uint64_t generation = 0;  // odd while scheduled, even while free
+    std::uint64_t generation = 0;  // odd while scheduled or armed, else even
     std::uint32_t next_free = kInvalidSlot;
+    std::uint8_t flags = 0;
   };
 
   Slot& slot(std::uint32_t index) { return slabs_[index >> kSlabBits][index & (kSlabSize - 1)]; }
@@ -212,6 +306,31 @@ class EventPool {
     free_head_ = index;
     assert(live_ > 0);
     --live_;
+  }
+
+  std::uint32_t PopFree() {
+    if (free_head_ == kInvalidSlot) {
+      Grow();
+    }
+    const std::uint32_t index = free_head_;
+    free_head_ = slot(index).next_free;
+    return index;
+  }
+
+  // A disarmed timer slot becomes an ordinary free slot.
+  void ReturnTimerSlot(std::uint32_t index, Slot& s) {
+    s.flags = 0;
+    s.callback.reset();
+    s.next_free = free_head_;
+    free_head_ = index;
+  }
+
+  void EndTimerFire(std::uint32_t index) {
+    Slot& s = slot(index);
+    s.flags &= static_cast<std::uint8_t>(~kFiring);
+    if ((s.flags & kFreedWhileFiring) != 0) {
+      ReturnTimerSlot(index, s);
+    }
   }
 
   void Grow() {

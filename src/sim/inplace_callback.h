@@ -8,7 +8,7 @@
 // allocation per callable, or virtual dispatch through a copyable wrapper we
 // never copy, would dominate that path. InplaceFunction<R(Args...)> stores up
 // to kInlineSize bytes of capture in-line (enough for every dispatcher lambda
-// — see the static_asserts at the call sites in src/kernel/dispatcher.cc) and
+// — sim::Timer static_asserts it for every timer callable) and
 // falls back to the heap only for oversized captures, so steady-state
 // scheduling performs zero allocations. InplaceCallback is the nullary form
 // the engine stores.

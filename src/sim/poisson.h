@@ -19,9 +19,16 @@ class PoissonProcess {
   // `rate_per_s` events per simulated second on average. A rate of zero
   // produces a process that never fires.
   PoissonProcess(Engine& engine, Rng rng, double rate_per_s, InplaceCallback action)
-      : engine_(engine), rng_(rng), rate_per_s_(rate_per_s), action_(std::move(action)) {}
-
-  ~PoissonProcess() { Stop(); }
+      : rng_(rng),
+        rate_per_s_(rate_per_s),
+        action_(std::move(action)),
+        next_(engine, [this] {
+          if (!running_) {
+            return;
+          }
+          action_();
+          ScheduleNext();
+        }) {}
 
   PoissonProcess(const PoissonProcess&) = delete;
   PoissonProcess& operator=(const PoissonProcess&) = delete;
@@ -36,30 +43,20 @@ class PoissonProcess {
 
   void Stop() {
     running_ = false;
-    next_.Cancel();
+    next_.Disarm();
   }
 
   bool running() const { return running_; }
   double rate_per_s() const { return rate_per_s_; }
 
  private:
-  void ScheduleNext() {
-    const double gap_s = rng_.Exponential(1.0 / rate_per_s_);
-    next_ = engine_.ScheduleAfter(SecToCycles(gap_s), [this] {
-      if (!running_) {
-        return;
-      }
-      action_();
-      ScheduleNext();
-    });
-  }
+  void ScheduleNext() { next_.ArmAfter(SecToCycles(rng_.Exponential(1.0 / rate_per_s_))); }
 
-  Engine& engine_;
   Rng rng_;
   double rate_per_s_;
   InplaceCallback action_;
   bool running_ = false;
-  EventHandle next_;
+  Timer next_;
 };
 
 }  // namespace wdmlat::sim

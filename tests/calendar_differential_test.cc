@@ -5,12 +5,15 @@
 // its observable behavior to a reference model so trivially simple it is
 // obviously correct: a flat vector scanned for the minimum (when, seq) on
 // every pop. Both sides are driven through ~1M randomized schedule / cancel
-// / fire / advance ops per seed and must agree on the complete fire order
-// (including equal-tick FIFO ties), on now(), and on the pending count after
-// every op. The op mix covers same-instant ties, zero delays,
-// cancel-then-reschedule of the same pool slot, short and long delays,
-// delays astride a fixed boundary, and multi-boundary delays that stay
-// pending while many nearer events fire past them.
+// / timer arm / timer disarm / fire / advance ops per seed and must agree on
+// the complete fire order (including equal-tick FIFO ties), on now(), and on
+// the pending count after every op. The op mix covers same-instant ties,
+// zero delays, cancel-then-reschedule of the same pool slot, short and long
+// delays, delays astride a fixed boundary, and multi-boundary delays that
+// stay pending while many nearer events fire past them. A few sim::Timers
+// are armed, re-armed and disarmed among the one-shots; in the reference a
+// timer is plain cancel + schedule of its id, which is the fire order a
+// timer must reproduce.
 //
 // On divergence the failing op sequence is shrunk (ddmin-style chunk
 // removal) before reporting, so a regression presents as a few ops, not a
@@ -31,12 +34,19 @@ namespace wdmlat::sim {
 namespace {
 
 struct Op {
-  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil };
+  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil, kArm, kDisarm };
   Kind kind;
-  bool tie;             // kSchedule: reuse the previous op's absolute time
-  std::uint64_t delay;  // kSchedule / kRunUntil: cycles from now()
-  std::uint32_t victim;  // kCancel: reduced modulo the ids issued so far
+  bool tie;             // kSchedule / kArm: reuse the previous op's absolute time
+  std::uint64_t delay;  // kSchedule / kArm / kRunUntil: cycles from now()
+  // kCancel: reduced modulo the ids issued so far; kArm / kDisarm: reduced
+  // modulo kTimers.
+  std::uint32_t victim;
 };
+
+// Timers in play. A timer's log id is -(index + 1), apart from the
+// one-shots' ids 0, 1, 2, ...
+constexpr std::uint32_t kTimers = 8;
+int TimerId(std::uint32_t index) { return -static_cast<int>(index) - 1; }
 
 // The reference calendar: minimum-scan over a flat vector. No ordering, no
 // lazy purge — cancel erases immediately.
@@ -132,6 +142,12 @@ std::string DescribeOp(const Op& op) {
       return "step{}";
     case Op::kRunUntil:
       return "run_until{now+" + std::to_string(op.delay) + "}";
+    case Op::kArm:
+      return "arm{timer#" + std::to_string(op.victim % kTimers) + ", " +
+             (op.tie ? std::string("tie with previous when") : "delay=" + std::to_string(op.delay)) +
+             "}";
+    case Op::kDisarm:
+      return "disarm{timer#" + std::to_string(op.victim % kTimers) + "}";
   }
   return "?";
 }
@@ -143,6 +159,10 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
   ReferenceCalendar reference;
   std::vector<EventHandle> handles;
   std::vector<int> engine_log;
+  std::vector<Timer> timers;
+  for (std::uint32_t t = 0; t < kTimers; ++t) {
+    timers.emplace_back(engine, [id = TimerId(t), &engine_log] { engine_log.push_back(id); });
+  }
   std::vector<int> reference_log;
   std::size_t verified = 0;  // logs agree on [0, verified)
   Cycles last_when = 0;
@@ -181,6 +201,22 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
         const int id = static_cast<int>(handles.size());
         handles.push_back(engine.ScheduleAt(when, [id, &engine_log] { engine_log.push_back(id); }));
         reference.Schedule(when, id);
+        break;
+      }
+      case Op::kArm: {
+        const Cycles when = op.tie ? std::max(last_when, engine.now())
+                                   : engine.now() + static_cast<Cycles>(op.delay);
+        last_when = when;
+        const std::uint32_t t = op.victim % kTimers;
+        timers[t].ArmAt(when);
+        reference.Cancel(TimerId(t));
+        reference.Schedule(when, TimerId(t));
+        break;
+      }
+      case Op::kDisarm: {
+        const std::uint32_t t = op.victim % kTimers;
+        timers[t].Disarm();
+        reference.Cancel(TimerId(t));
         break;
       }
       case Op::kCancel: {
@@ -280,7 +316,9 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
     Op op{};
     const std::uint64_t kind = rng.UniformInt(0, 99);
     if (kind < 45) {
-      op.kind = Op::kSchedule;
+      // One in four timed ops arms a timer (re-arming it if it is armed).
+      op.kind = rng.UniformInt(0, 3) == 0 ? Op::kArm : Op::kSchedule;
+      op.victim = static_cast<std::uint32_t>(rng.NextU64());
       const std::uint64_t shape = rng.UniformInt(0, 9);
       if (shape == 0) {
         op.delay = 0;  // fires this instant: same-tick FIFO tie with now()
@@ -298,7 +336,8 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
         op.delay = rng.UniformInt(kLong, 4 * kLong);
       }
     } else if (kind < 60) {
-      op.kind = Op::kCancel;
+      // One in five cancels disarms a timer instead.
+      op.kind = rng.UniformInt(0, 4) == 0 ? Op::kDisarm : Op::kCancel;
       op.victim = static_cast<std::uint32_t>(rng.NextU64());
     } else if (kind < 90) {
       op.kind = Op::kStep;
@@ -356,6 +395,33 @@ TEST(CalendarDifferentialTest, DirectedSlotReuseAndMigrationEdges) {
   }
   ops.push_back(Op{Op::kRunUntil, false, kLong, 0});
   ops.push_back(Op{Op::kRunUntil, false, 2 * kLong, 0});
+  const std::optional<std::string> failure = RunOps(ops);
+  EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+// Timers at the seams: a timer re-armed at the instant it already holds ties
+// after the one-shot scheduled between the two armings; a disarm of an
+// unarmed timer is a no-op; a timer armed, disarmed and re-armed leaves two
+// stale entries and fires once, in order; and re-arming every timer many
+// times over leaves more stale entries than live ones, so armings compact
+// the calendar.
+TEST(CalendarDifferentialTest, DirectedTimerReArmTiesAndStaleEntries) {
+  std::vector<Op> ops;
+  ops.push_back(Op{Op::kArm, false, 100, 0});
+  ops.push_back(Op{Op::kSchedule, true, 0, 0});
+  ops.push_back(Op{Op::kArm, true, 0, 0});
+  ops.push_back(Op{Op::kDisarm, false, 0, 1});
+  ops.push_back(Op{Op::kArm, true, 0, 1});
+  ops.push_back(Op{Op::kDisarm, false, 0, 1});
+  ops.push_back(Op{Op::kArm, false, 50, 1});
+  ops.push_back(Op{Op::kSchedule, false, 0, 0});
+  for (int i = 0; i < 5; ++i) {
+    ops.push_back(Op{Op::kStep, false, 0, 0});
+  }
+  for (std::uint32_t i = 0; i < 160; ++i) {
+    ops.push_back(Op{Op::kArm, false, 200 + (i * 13) % 7, i});
+  }
+  ops.push_back(Op{Op::kRunUntil, false, 300, 0});
   const std::optional<std::string> failure = RunOps(ops);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }

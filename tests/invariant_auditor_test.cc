@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/lab/lab.h"
 #include "src/lab/test_system.h"
 #include "src/sim/engine.h"
+#include "src/sim/event_pool.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat {
@@ -186,6 +188,36 @@ TEST(InvariantAuditorTest, SupervisedRunIsBitIdenticalToUnsupervised) {
 
 // The fixture path the CI smoke test drives: a forced audit violation fails
 // the cell with kInvariantViolation instead of crashing the process.
+// A timer's slot is persistent: disarmed it is even and off the free list,
+// armed it is odd and counted live. Neither state is a violation; a timer
+// slot threaded onto the free list is.
+TEST(InvariantAuditorTest, PoolAuditAccountsForTimerSlots) {
+  sim::Engine engine;
+  sim::Timer timer(engine, [] {});
+  sim::InvariantAuditor auditor(engine);
+  EXPECT_TRUE(auditor.Audit().ok());
+  timer.ArmAfter(100);
+  EXPECT_TRUE(auditor.Audit().ok());
+  timer.Disarm();
+  const sim::AuditReport disarmed = auditor.Audit();
+  EXPECT_TRUE(disarmed.ok()) << disarmed.Render();
+
+  auto* pool = new sim::EventPool;
+  const std::uint32_t slot = pool->AllocateTimer([] {});
+  pool->ArmTimer(slot);
+  pool->DisarmTimer(slot);
+  std::vector<std::string> healthy;
+  pool->AuditConsistency(&healthy);
+  EXPECT_TRUE(healthy.empty()) << healthy.front();
+  pool->ThreadOntoFreeListForTesting(slot);
+  std::vector<std::string> violations;
+  pool->AuditConsistency(&violations);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations.front().find("free list contains timer slot"), std::string::npos)
+      << violations.front();
+  pool->Release();
+}
+
 TEST(InvariantAuditorTest, ForcedViolationThrowsInvariantViolation) {
   lab::LabConfig config;
   config.os = kernel::MakeWin98Profile();
