@@ -11,6 +11,10 @@
 #    completions (the dispatcher's thread and frame completions, the PIT,
 #    UHCI and audio device periods) re-arm a sim::Timer, whose callable is
 #    built once, instead of scheduling a new one-shot event each time.
+#  - snprintf with a "%.6f" format appears on one line under src/obs: the
+#    sinks print fixed six-decimal numbers through obs::AppendFixed6
+#    (src/obs/chrome_trace.h), one formatter that matches printf("%.6f")
+#    byte for byte at any magnitude, without a fixed-size buffer to truncate.
 #
 # Comments count too. Registered as the `hot_path_lint` ctest; also runnable
 # standalone from the repo root (it needs no build):
@@ -48,6 +52,8 @@ check 'std::deque|<deque>' "keep obs sink storage in reused buffers, not std::de
   src/obs || failed=1
 check 'EventHandle' "re-arm a sim::Timer for recurring completions, not an EventHandle" \
   src/kernel src/hw || failed=1
+check 'snprintf.*%\.6f' "format %.6f numbers with obs::AppendFixed6, not snprintf" \
+  src/obs || failed=1
 if [ "$failed" -ne 0 ]; then
   exit 1
 fi

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/chrome_trace.h"
 #include "src/obs/flight_recorder.h"
 
 namespace wdmlat::obs {
@@ -21,9 +22,9 @@ constexpr bool IsCulpableStage(AnatomyStage stage) {
 }
 
 std::string FormatMs(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", ms);
-  return buf;
+  std::string out;
+  AppendFixed6(out, ms);
+  return out;
 }
 
 }  // namespace

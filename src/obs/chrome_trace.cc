@@ -1,9 +1,13 @@
 #include "src/obs/chrome_trace.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <new>
 #include <string_view>
 
 namespace wdmlat::obs {
@@ -12,52 +16,123 @@ namespace {
 
 // Serialized JSON is handed to the output stream in blocks of this size.
 constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+// Longest AppendFixed6 output: DBL_MAX has 309 integer digits; add sign,
+// point and six decimals.
+constexpr std::size_t kMaxFixed6Chars = 320;
+// Longest rendering of an event apart from its name and its args: ph, pid,
+// tid, ts, dur and the flow keys.
+constexpr std::size_t kHeadRoom = 192 + 2 * kMaxFixed6Chars;
+// A byte escapes to at most six ("\u00XX").
+constexpr std::size_t kMaxEscape = 6;
 
-void AppendEscaped(std::string& out, std::string_view text) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t run = 0;  // start of the pending run of verbatim characters
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const unsigned char u = static_cast<unsigned char>(text[i]);
-    if (u >= 0x20 && u != '"' && u != '\\') {
-      continue;
-    }
-    out.append(text, run, i - run);
-    run = i + 1;
-    switch (u) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += "\\u00";
-        out += kHex[u >> 4];
-        out += kHex[u & 0xf];
+// |value| < 2^kExactBits takes AppendFixed6's integer path. Its scaled
+// quotient stays below 2^43 * 10^6 < 2^64; the largest trace timestamp
+// this bounds is 2^43 us, about 100 days of virtual time.
+constexpr int kExactBits = 43;
+
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+char* PutPair(char* p, unsigned pair) {
+  std::memcpy(p, &kDigitPairs[2 * pair], 2);
+  return p + 2;
+}
+
+// Writes `value` as printf("%.6f") does; needs kMaxFixed6Chars of room.
+char* PutFixed6(char* p, double value) {
+  if (!std::isfinite(value)) {
+    *p++ = '0';
+    return p;
+  }
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const int biased_exponent = static_cast<int>((bits >> 52) & 0x7ff);
+  if (biased_exponent == 0 || biased_exponent >= 1023 + kExactBits) {
+    return std::to_chars(p, p + kMaxFixed6Chars, value, std::chars_format::fixed, 6).ptr;
+  }
+  // value = mantissa * 2^-shift exactly, and shift >= 1075 - 1065 = 10.
+  constexpr std::uint64_t kImplicitBit = std::uint64_t{1} << 52;
+  const std::uint64_t mantissa = (bits & (kImplicitBit - 1)) | kImplicitBit;
+  const int shift = 1075 - biased_exponent;
+  if ((bits >> 63) != 0) {
+    *p++ = '-';
+  }
+  // The value in millionths is scaled / 2^shift, rounded half to even on the
+  // exact remainder as printf rounds. scaled < 2^53 * 10^6 < 2^73, so any
+  // shift past 73 leaves less than half a millionth: zero.
+  std::uint64_t millionths = 0;
+  if (shift <= 73) {
+    using u128 = unsigned __int128;
+    const u128 scaled = static_cast<u128>(mantissa) * 1000000u;
+    millionths = static_cast<std::uint64_t>(scaled >> shift);
+    const u128 remainder = scaled & ((u128{1} << shift) - 1);
+    const u128 half = u128{1} << (shift - 1);
+    if (remainder > half || (remainder == half && (millionths & 1) != 0)) {
+      ++millionths;
     }
   }
-  out.append(text, run);
+  p = std::to_chars(p, p + 20, millionths / 1000000).ptr;
+  *p++ = '.';
+  const auto fraction = static_cast<unsigned>(millionths % 1000000);
+  p = PutPair(p, fraction / 10000);
+  p = PutPair(p, fraction / 100 % 100);
+  return PutPair(p, fraction % 100);
+}
+
+template <std::size_t N>
+char* Put(char* p, const char (&literal)[N]) {
+  std::memcpy(p, literal, N - 1);
+  return p + N - 1;
+}
+
+char* Put(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
 }
 
 template <typename Int>
-void AppendInt(std::string& out, Int value) {
-  char buf[24];
-  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+char* PutInt(char* p, Int value) {
+  return std::to_chars(p, p + 24, value).ptr;
 }
 
-void AppendLabel(std::string& out, const kernel::Label& label) {
-  AppendEscaped(out, label.module);
-  out += '!';
-  AppendEscaped(out, label.function);
+// Needs kMaxEscape * text.size() of room.
+char* PutEscaped(char* p, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : text) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && u != '"' && u != '\\') {
+      *p++ = c;
+      continue;
+    }
+    *p++ = '\\';
+    switch (u) {
+      case '"':
+        *p++ = '"';
+        break;
+      case '\\':
+        *p++ = '\\';
+        break;
+      case '\n':
+        *p++ = 'n';
+        break;
+      case '\t':
+        *p++ = 't';
+        break;
+      case '\r':
+        *p++ = 'r';
+        break;
+      default:
+        p = Put(p, "u00");
+        *p++ = kHex[u >> 4];
+        *p++ = kHex[u & 0xf];
+    }
+  }
+  return p;
 }
 
 const char* ArgKeyName(ChromeTraceWriter::ArgKey key) {
@@ -89,14 +164,44 @@ const char* FlowCatName(ChromeTraceWriter::FlowCat cat) {
 }  // namespace
 
 void AppendFixed6(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += '0';
-    return;
-  }
-  // DBL_MAX has 309 integer digits; add sign, point and six decimals.
-  char buf[320];
-  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed, 6).ptr);
+  char buf[kMaxFixed6Chars];
+  out.append(buf, PutFixed6(buf, value));
 }
+
+// Writes into a std::string through a raw pointer. The string is kept sized
+// past the text written so far, so a piece of an event is a store or a
+// memcpy with no size bookkeeping: Room(n) returns the write position with
+// at least n bytes free behind it, and Advance(p) moves that position to p.
+class ChromeTraceWriter::Cursor {
+ public:
+  // Appends to `buf`; with `out` set, Flush hands every block of at least
+  // kBlockBytes to the stream.
+  Cursor(std::string& buf, std::ostream* out) : buf_(buf), out_(out), used_(buf.size()) {
+    buf_.resize(used_ + kBlockBytes + kHeadRoom);
+  }
+
+  char* Room(std::size_t n) {
+    if (buf_.size() - used_ < n) {
+      buf_.resize(std::max(2 * buf_.size(), used_ + n));
+    }
+    return buf_.data() + used_;
+  }
+  void Advance(char* p) { used_ = static_cast<std::size_t>(p - buf_.data()); }
+
+  void Flush() {
+    if (out_ != nullptr && used_ >= kBlockBytes) {
+      out_->write(buf_.data(), static_cast<std::streamsize>(used_));
+      used_ = 0;
+    }
+  }
+  // Trims the string to the text written.
+  void Finish() { buf_.resize(used_); }
+
+ private:
+  std::string& buf_;
+  std::ostream* out_;
+  std::size_t used_;
+};
 
 ChromeTraceWriter::ChromeTraceWriter() : cores_(1) {
   cores_[0].named = true;
@@ -123,6 +228,18 @@ ChromeTraceWriter::CoreTracks& ChromeTraceWriter::Core(int core) {
   return cores_[core];
 }
 
+ChromeTraceWriter::Event& ChromeTraceWriter::NewEvent() {
+  if (next_ == segment_end_) {
+    const std::size_t capacity = SegmentCapacity(segment_count_);
+    auto& segment = segments_.at(segment_count_++);
+    segment.reset(static_cast<Event*>(::operator new(capacity * sizeof(Event))));
+    next_ = segment.get();
+    segment_end_ = next_ + capacity;
+  }
+  ++size_;
+  return *new (next_++) Event();
+}
+
 ChromeTraceWriter::Event& ChromeTraceWriter::PushSim(char phase, const kernel::TraceEvent& source,
                                                      int track, double ts_us, NameForm name) {
   CoreTracks& core = cores_[source.core];
@@ -132,7 +249,7 @@ ChromeTraceWriter::Event& ChromeTraceWriter::PushSim(char phase, const kernel::T
     --core.open_depth[track];
   }
   last_ts_us_ = std::max(last_ts_us_, ts_us);
-  Event& event = events_.emplace_back();
+  Event& event = NewEvent();
   event.phase = phase;
   event.name = name;
   event.tid = kCoreTidStride * source.core + track;
@@ -244,7 +361,7 @@ ChromeTraceWriter::Event& ChromeTraceWriter::Push(char phase, int pid, int tid, 
   } else if (phase == 'E') {
     --open_slices_[{pid, tid}];
   }
-  Event& event = events_.emplace_back();
+  Event& event = NewEvent();
   event.phase = phase;
   event.pid = pid;
   event.tid = tid;
@@ -289,124 +406,145 @@ void ChromeTraceWriter::SetThreadName(int pid, int tid, const std::string& name)
   SetText(Push('M', pid, tid, 0.0), {"thread_name", {{"name", name}}, {}});
 }
 
-void ChromeTraceWriter::AppendEvent(std::string& buf, const Event& event) const {
-  buf += " {\"ph\": \"";
-  buf += event.phase;
-  buf += "\", \"pid\": ";
-  AppendInt(buf, event.pid);
-  buf += ", \"tid\": ";
-  AppendInt(buf, event.tid);
-  buf += ", \"ts\": ";
-  AppendFixed6(buf, event.ts_us);
+void ChromeTraceWriter::AppendEvent(Cursor& out, const Event& event) const {
+  char* p = out.Room(kHeadRoom);
+  p = Put(p, " {\"ph\": \"");
+  *p++ = event.phase;
+  p = Put(p, "\", \"pid\": ");
+  p = PutInt(p, event.pid);
+  p = Put(p, ", \"tid\": ");
+  p = PutInt(p, event.tid);
+  p = Put(p, ", \"ts\": ");
+  p = PutFixed6(p, event.ts_us);
   if (event.phase == 'X') {
-    buf += ", \"dur\": ";
-    AppendFixed6(buf, event.dur_us);
+    p = Put(p, ", \"dur\": ");
+    p = PutFixed6(p, event.dur_us);
   }
   if (event.phase == 'i') {
-    buf += ", \"s\": \"t\"";
+    p = Put(p, ", \"s\": \"t\"");
   }
   if (event.phase == 's' || event.phase == 'f') {
-    buf += ", \"id\": ";
-    AppendInt(buf, event.flow_id);
-    buf += ", \"cat\": \"";
-    buf += FlowCatName(event.flow_cat);
-    buf += '"';
+    p = Put(p, ", \"id\": ");
+    p = PutInt(p, event.flow_id);
+    p = Put(p, ", \"cat\": \"");
+    p = Put(p, FlowCatName(event.flow_cat));
+    *p++ = '"';
     if (event.phase == 'f') {
-      buf += ", \"bp\": \"e\"";  // bind to the enclosing slice
+      p = Put(p, ", \"bp\": \"e\"");  // bind to the enclosing slice
     }
   }
   const Text* text = event.name == NameForm::kText ? &texts_[event.text] : nullptr;
   if (event.name != NameForm::kNone && (text == nullptr || !text->name.empty())) {
-    buf += ", \"name\": \"";
+    // A generic-API name takes the place of the label's module.
+    std::string_view module;
+    std::string_view function;
+    if (text != nullptr) {
+      module = text->name;
+    } else {
+      module = event.label.module;
+      function = event.label.function;
+    }
+    out.Advance(p);
+    p = out.Room(64 + kMaxEscape * (module.size() + function.size()));
+    p = Put(p, ", \"name\": \"");
+    const auto put_label = [&] {
+      p = PutEscaped(p, module);
+      *p++ = '!';
+      p = PutEscaped(p, function);
+    };
     switch (event.name) {
       case NameForm::kText:
-        AppendEscaped(buf, text->name);
+        p = PutEscaped(p, module);
         break;
       case NameForm::kLabel:
-        AppendLabel(buf, event.label);
+        put_label();
         break;
       case NameForm::kLockout:
-        buf += "lockout: ";
-        AppendLabel(buf, event.label);
+        p = Put(p, "lockout: ");
+        put_label();
         break;
       case NameForm::kSpin:
-        buf += "spin: ";
-        AppendLabel(buf, event.label);
+        p = Put(p, "spin: ");
+        put_label();
         break;
       case NameForm::kIpi:
-        buf += "ipi: ";
-        AppendLabel(buf, event.label);
+        p = Put(p, "ipi: ");
+        put_label();
         break;
       case NameForm::kThreadPrio:
-        buf += "thread prio ";
-        AppendInt(buf, event.arg);
+        p = Put(p, "thread prio ");
+        p = PutInt(p, event.arg);
         break;
       case NameForm::kReady:
-        buf += "ready (prio ";
-        AppendInt(buf, event.arg);
-        buf += ')';
+        p = Put(p, "ready (prio ");
+        p = PutInt(p, event.arg);
+        *p++ = ')';
         break;
       case NameForm::kIrqAccept:
-        buf += "irq accept (line ";
-        AppendInt(buf, event.arg);
-        buf += ')';
+        p = Put(p, "irq accept (line ");
+        p = PutInt(p, event.arg);
+        *p++ = ')';
         break;
       case NameForm::kDpcFetch:
-        buf += "dpc fetch";
+        p = Put(p, "dpc fetch");
         break;
       case NameForm::kWake:
-        buf += "wake prio ";
-        AppendInt(buf, event.arg);
+        p = Put(p, "wake prio ");
+        p = PutInt(p, event.arg);
         break;
       case NameForm::kNone:
         break;
     }
-    buf += '"';
+    *p++ = '"';
   }
   if (event.arg_key != ArgKey::kNone) {
-    buf += ", \"args\": {\"";
-    buf += ArgKeyName(event.arg_key);
-    buf += "\": ";
-    AppendFixed6(buf, event.arg_value);
-    buf += '}';
+    out.Advance(p);
+    p = out.Room(64 + kMaxFixed6Chars);
+    p = Put(p, ", \"args\": {\"");
+    p = Put(p, ArgKeyName(event.arg_key));
+    p = Put(p, "\": ");
+    p = PutFixed6(p, event.arg_value);
+    *p++ = '}';
   } else if (text != nullptr && (!text->string_args.empty() || !text->number_args.empty())) {
-    buf += ", \"args\": {";
+    out.Advance(p);
+    p = Put(out.Room(16), ", \"args\": {");
     bool first_arg = true;
     for (const auto& [key, value] : text->string_args) {
-      buf += first_arg ? "\"" : ", \"";
-      AppendEscaped(buf, key);
-      buf += "\": \"";
-      AppendEscaped(buf, value);
-      buf += '"';
+      out.Advance(p);
+      p = out.Room(16 + kMaxEscape * (key.size() + value.size()));
+      p = first_arg ? Put(p, "\"") : Put(p, ", \"");
+      p = PutEscaped(p, key);
+      p = Put(p, "\": \"");
+      p = PutEscaped(p, value);
+      *p++ = '"';
       first_arg = false;
     }
     for (const auto& [key, value] : text->number_args) {
-      buf += first_arg ? "\"" : ", \"";
-      AppendEscaped(buf, key);
-      buf += "\": ";
-      AppendFixed6(buf, value);
+      out.Advance(p);
+      p = out.Room(16 + kMaxEscape * key.size() + kMaxFixed6Chars);
+      p = first_arg ? Put(p, "\"") : Put(p, ", \"");
+      p = PutEscaped(p, key);
+      p = Put(p, "\": ");
+      p = PutFixed6(p, value);
       first_arg = false;
     }
-    buf += '}';
+    *p++ = '}';
   }
-  buf += '}';
+  *p++ = '}';
+  out.Advance(p);
 }
 
 void ChromeTraceWriter::Render(std::string& buf, std::ostream* out) const {
-  buf += "{\"traceEvents\": [";
+  Cursor cursor(buf, out);
+  cursor.Advance(Put(cursor.Room(32), "{\"traceEvents\": ["));
   bool first = true;
   const auto write_event = [&](const Event& event) {
-    buf += first ? "\n" : ",\n";
+    cursor.Advance(first ? Put(cursor.Room(2), "\n") : Put(cursor.Room(2), ",\n"));
     first = false;
-    AppendEvent(buf, event);
-    if (out != nullptr && buf.size() >= kBlockBytes) {
-      out->write(buf.data(), static_cast<std::streamsize>(buf.size()));
-      buf.clear();
-    }
+    AppendEvent(cursor, event);
+    cursor.Flush();
   };
-  for (const Event& event : events_) {
-    write_event(event);
-  }
+  ForEachEvent(write_event);
   // Close still-open slices so B/E nesting in the serialized trace always
   // matches (e.g. the thread slice running when the experiment ended), in
   // (pid, tid) order.
@@ -428,12 +566,12 @@ void ChromeTraceWriter::Render(std::string& buf, std::ostream* out) const {
       write_event(closer);
     }
   }
-  buf += "\n], \"displayTimeUnit\": \"ms\"}\n";
+  cursor.Advance(Put(cursor.Room(64), "\n], \"displayTimeUnit\": \"ms\"}\n"));
+  cursor.Finish();
 }
 
 void ChromeTraceWriter::WriteJson(std::ostream& out) const {
   std::string buf;
-  buf.reserve(kBlockBytes + 4096);
   Render(buf, &out);
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }

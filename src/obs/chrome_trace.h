@@ -22,13 +22,18 @@
 // The matrix runner adds a second "process" with one track per host worker
 // thread, one complete event per experiment cell (see lab::AppendHostTrace).
 //
-// Events are stored as compact fixed-size records: a dispatcher event keeps
+// Events are stored as compact 48-byte records: a dispatcher event keeps
 // its label (two static pointers) and integer arg plus a small enum naming
 // the form of its name ("lockout: " + label, "thread prio N", ...), so the
 // sink neither formats nor allocates per event. Names are rendered only at
 // write time. Strings passed to the generic API (host slices, counters,
-// track names) live in a side table that the record indexes. The JSON is
-// built in one buffer and handed to the stream in blocks of about 1 MiB.
+// track names) live in a side table that the record indexes. Records are
+// appended to segments whose size doubles: a record is never moved or
+// copied once written, and a run of n events allocates O(log n) times.
+//
+// The JSON is rendered through a raw char* cursor into one buffer and
+// handed to the stream in blocks of about 1 MiB. Numbers go through
+// AppendFixed6, which prints exactly what printf("%.6f") prints.
 //
 // The writer is a passive kernel::TraceSink: attaching it never changes
 // simulation results, and with no sink attached the dispatcher's emit path
@@ -37,11 +42,14 @@
 #ifndef SRC_OBS_CHROME_TRACE_H_
 #define SRC_OBS_CHROME_TRACE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,7 +59,9 @@
 namespace wdmlat::obs {
 
 // Appends `value` exactly as printf("%.6f") renders it; NaN and infinities
-// append "0", which keeps the trace valid JSON.
+// append "0", which keeps the trace valid JSON. Finite normal values below
+// 2^43 in magnitude take an exact integer path; zero, subnormals and larger
+// values go through std::to_chars.
 void AppendFixed6(std::string& out, double value);
 
 class ChromeTraceWriter : public kernel::TraceSink {
@@ -86,6 +96,9 @@ class ChromeTraceWriter : public kernel::TraceSink {
   // families cannot collide.
   enum class FlowCat : std::uint8_t { kNone, kDpcQueue, kThreadWake };
 
+  // A record never carries more than one of a duration, an arg value and a
+  // flow id, nor both a dispatcher arg and a side-table index, so each group
+  // shares one slot: `phase`, `arg_key` and `name` say which member is live.
   struct Event {
     char phase = 'i';  // B, E, X, i, C, M, s (flow start), f (flow finish)
     NameForm name = NameForm::kNone;
@@ -93,16 +106,23 @@ class ChromeTraceWriter : public kernel::TraceSink {
     FlowCat flow_cat = FlowCat::kNone;
     int pid = kSimPid;
     int tid = 0;
-    int arg = 0;             // priority or interrupt line (dispatcher records)
-    std::uint32_t text = 0;  // NameForm::kText: index into the side table
+    union {
+      int arg = 0;         // priority or interrupt line (dispatcher records)
+      std::uint32_t text;  // NameForm::kText: index into the side table
+    };
     double ts_us = 0.0;
-    double dur_us = 0.0;     // X events only
-    double arg_value = 0.0;  // with arg_key
-    std::uint64_t flow_id = 0;  // binds a flow start to its finish
+    union {
+      double dur_us = 0.0;     // X events
+      double arg_value;        // with arg_key (never on X, s or f events)
+      std::uint64_t flow_id;   // s and f events: binds a flow start to its finish
+    };
     kernel::Label label;
   };
 
   ChromeTraceWriter();
+  // Records point into the writer's own segments.
+  ChromeTraceWriter(const ChromeTraceWriter&) = delete;
+  ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
 
   // kernel::TraceSink — maps dispatcher transitions onto the sim tracks.
   void OnTraceEvent(const kernel::TraceEvent& event) override;
@@ -119,8 +139,20 @@ class ChromeTraceWriter : public kernel::TraceSink {
   void SetProcessName(int pid, const std::string& name);
   void SetThreadName(int pid, int tid, const std::string& name);
 
-  const std::vector<Event>& events() const { return events_; }
-  std::size_t event_count() const { return events_.size(); }
+  // Calls `visit(const Event&)` on every stored record, in order.
+  template <typename Visit>
+  void ForEachEvent(Visit&& visit) const {
+    std::size_t left = size_;
+    for (std::size_t s = 0; left > 0; ++s) {
+      const Event* event = segments_[s].get();
+      const std::size_t n = std::min(left, SegmentCapacity(s));
+      for (const Event* end = event + n; event != end; ++event) {
+        visit(*event);
+      }
+      left -= n;
+    }
+  }
+  std::size_t event_count() const { return size_; }
 
   // Serialize as {"traceEvents": [...], "displayTimeUnit": "ms"}. Slices
   // still open at serialization time are closed at the last seen timestamp,
@@ -146,6 +178,18 @@ class ChromeTraceWriter : public kernel::TraceSink {
     std::array<int, kLockoutTid + 1> open_depth{};
   };
 
+  // Segment s holds kFirstSegment << s records. 40 segments hold 2^48
+  // records, far past any trace that fits in memory.
+  static constexpr std::size_t kFirstSegment = 256;
+  static constexpr std::size_t kMaxSegments = 40;
+  static constexpr std::size_t SegmentCapacity(std::size_t s) { return kFirstSegment << s; }
+  struct FreeSegment {
+    void operator()(Event* segment) const { ::operator delete(segment); }
+  };
+  class Cursor;
+
+  // Default-constructs a record at the end of the store.
+  Event& NewEvent();
   // Appends a generic-API record.
   Event& Push(char phase, int pid, int tid, double ts_us);
   // Moves `text` into the side table and points `event` at it.
@@ -165,9 +209,15 @@ class ChromeTraceWriter : public kernel::TraceSink {
   // Appends the whole JSON document to `buf`. With `out` set, every block
   // of about 1 MiB is handed to the stream and `buf` cleared.
   void Render(std::string& buf, std::ostream* out) const;
-  void AppendEvent(std::string& buf, const Event& event) const;
+  void AppendEvent(Cursor& out, const Event& event) const;
 
-  std::vector<Event> events_;
+  // Filled front to back; [next_, segment_end_) is the unused rest of the
+  // last segment.
+  std::array<std::unique_ptr<Event, FreeSegment>, kMaxSegments> segments_;
+  std::size_t segment_count_ = 0;
+  std::size_t size_ = 0;
+  Event* next_ = nullptr;
+  Event* segment_end_ = nullptr;
   std::vector<Text> texts_;
   std::vector<CoreTracks> cores_;
   // Open B-slice depth per (pid, tid) of generic-API slices; together with
@@ -176,6 +226,10 @@ class ChromeTraceWriter : public kernel::TraceSink {
   double last_ts_us_ = 0.0;
   std::uint64_t next_flow_id_ = 1;
 };
+
+static_assert(sizeof(ChromeTraceWriter::Event) == 48, "a trace record is 48 bytes");
+static_assert(std::is_trivially_destructible_v<ChromeTraceWriter::Event>,
+              "segments are freed without running record destructors");
 
 }  // namespace wdmlat::obs
 

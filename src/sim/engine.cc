@@ -4,6 +4,8 @@
 
 namespace wdmlat::sim {
 
+void EventPool::Destroy() { delete this; }
+
 void Engine::RunUntilIdle() {
   stop_requested_ = false;
   while (!stop_requested_ && Step()) {

@@ -51,7 +51,7 @@ class EventPool {
   void Release() {
     assert(refs_ > 0);
     if (--refs_ == 0) {
-      delete this;
+      Destroy();
     }
   }
 
@@ -282,6 +282,10 @@ class EventPool {
   }
 
  private:
+  // Deletes the pool; out of line, so a caller that drops two references
+  // in a row does not inline a `delete this` between the two decrements.
+  [[gnu::cold, gnu::noinline]] void Destroy();
+
   // Slot::flags bits. kFiring and kFreedWhileFiring only ever accompany
   // kTimerSlot.
   static constexpr std::uint8_t kTimerSlot = 1;        // owned by a sim::Timer

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -50,6 +51,13 @@ TraceEvent Ev(TraceEventType type, double ts_us, kernel::Label label = {}, int a
   return event;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 // A small but representative dispatcher stream: a nested ISR-over-section
 // window, a DPC, a context switch, a lockout, and a thread-ready mark.
 void FeedScenario(ChromeTraceWriter& writer) {
@@ -81,7 +89,7 @@ TEST(ChromeTraceTest, BeginEndEventsBalancePerTrack) {
   ChromeTraceWriter writer;
   FeedScenario(writer);
   // The context switch leaves a thread slice open; serialization must close
-  // it, so count phases in the rendered JSON, not in events().
+  // it, so count phases in the rendered JSON, not in the stored records.
   const std::string json = writer.ToJson();
   std::map<char, int> phases;
   for (std::size_t pos = 0; (pos = json.find("\"ph\": \"", pos)) != std::string::npos;) {
@@ -99,9 +107,9 @@ TEST(ChromeTraceTest, NestingNeverGoesNegativeAndTimestampsAreMonotonic) {
   FeedScenario(writer);
   std::map<std::pair<int, int>, int> depth;
   std::map<std::pair<int, int>, double> last_ts;
-  for (const ChromeTraceWriter::Event& event : writer.events()) {
+  writer.ForEachEvent([&](const ChromeTraceWriter::Event& event) {
     if (event.phase == 'M') {
-      continue;
+      return;
     }
     const std::pair<int, int> track{event.pid, event.tid};
     if (last_ts.count(track) != 0) {
@@ -114,9 +122,73 @@ TEST(ChromeTraceTest, NestingNeverGoesNegativeAndTimestampsAreMonotonic) {
       EXPECT_GT(depth[track], 0) << "E with no open B on track " << event.tid;
       --depth[track];
     }
-  }
+  });
   // The ISR nested inside the VMM section on the interrupt track.
   EXPECT_EQ((depth[{ChromeTraceWriter::kSimPid, ChromeTraceWriter::kInterruptTid}]), 0);
+}
+
+// Records live in segments of 256, 512, 1024, ... records. Thousands of ISR
+// slices spread over six of them while a VMM section and a host slice, opened in
+// the first segment, stay open across every boundary; the run ends inside
+// a thread slice. Each record must come back once and in order, the trace
+// (past the 1 MiB stream block) must reach the file intact, and the three
+// open slices must be closed at the last timestamp.
+TEST(ChromeTraceTest, SegmentedStoreKeepsRecordsAcrossSegments) {
+  ChromeTraceWriter writer;
+  const std::size_t metadata = writer.event_count();
+  const kernel::Label vmm{"VMM", "_mmFindContig"};
+  const kernel::Label isr{"LATDRV", "_PitIsr"};
+  writer.BeginSlice(ChromeTraceWriter::kHostPid, 1, 0.0, "host slice");
+  writer.OnTraceEvent(Ev(TraceEventType::kSectionStart, 1.0, vmm, -1, 5.0));
+  constexpr int kIsrs = 8000;
+  for (int i = 0; i < kIsrs; ++i) {
+    writer.OnTraceEvent(Ev(TraceEventType::kIsrEnter, 2.0 + i, isr, 0));
+    writer.OnTraceEvent(Ev(TraceEventType::kIsrExit, 2.5 + i, isr, 0, 0.5));
+  }
+  writer.OnTraceEvent(Ev(TraceEventType::kContextSwitch, kIsrs + 3.0, {}, 28));
+  const std::size_t stored = metadata + 2 + 2 * kIsrs + 1;
+  EXPECT_EQ(writer.event_count(), stored);
+  EXPECT_GT(stored, std::size_t{256 + 512 + 1024 + 2048 + 4096});
+
+  std::size_t visited = 0;
+  std::vector<double> isr_starts;
+  writer.ForEachEvent([&](const ChromeTraceWriter::Event& event) {
+    ++visited;
+    if (event.phase == 'B' && event.name == ChromeTraceWriter::NameForm::kLabel &&
+        event.arg_key == ChromeTraceWriter::ArgKey::kLine) {
+      isr_starts.push_back(event.ts_us);
+    }
+  });
+  EXPECT_EQ(visited, stored);
+  ASSERT_EQ(isr_starts.size(), static_cast<std::size_t>(kIsrs));
+  for (int i = 0; i < kIsrs; ++i) {
+    if (isr_starts[i] != 2.0 + i) {
+      ADD_FAILURE() << "ISR " << i << " starts at " << isr_starts[i];
+      break;
+    }
+  }
+
+  const std::string json = writer.ToJson();
+  EXPECT_GT(json.size(), std::size_t{1} << 20);
+  const std::string path = testutil::TempFileFor("segments.trace.json");
+  ASSERT_TRUE(writer.WriteFile(path));
+  EXPECT_TRUE(ReadFile(path) == json) << "WriteFile differs from ToJson";
+  std::filesystem::remove(path);
+  std::map<char, int> phases;
+  for (std::size_t pos = 0; (pos = json.find("\"ph\": \"", pos)) != std::string::npos;) {
+    pos += 7;
+    ++phases[json[pos]];
+  }
+  EXPECT_EQ(phases['B'], kIsrs + 3);
+  EXPECT_EQ(phases['E'], phases['B']);
+  const std::string closers =
+      ",\n {\"ph\": \"E\", \"pid\": 1, \"tid\": 1, \"ts\": 8003.000000}"
+      ",\n {\"ph\": \"E\", \"pid\": 1, \"tid\": 3, \"ts\": 8003.000000}"
+      ",\n {\"ph\": \"E\", \"pid\": 2, \"tid\": 1, \"ts\": 8003.000000}"
+      "\n], \"displayTimeUnit\": \"ms\"}\n";
+  ASSERT_GE(json.size(), closers.size());
+  EXPECT_EQ(json.substr(json.size() - closers.size()), closers);
+  EXPECT_TRUE(LintJson(json).valid);
 }
 
 TEST(ChromeTraceTest, TrackMetadataAndHostSlices) {
@@ -179,11 +251,36 @@ std::string Printf6(double value) {
 
 // AppendFixed6 must match printf("%.6f") byte for byte: trace timestamps
 // (cycles / 300 MHz), exact decimal halfway cases, negatives and -0.0,
-// integer args, and magnitudes far past any trace timestamp.
+// integer args, and magnitudes far past any trace timestamp. Values below
+// 2^43 take an exact integer path, so the edges of that path are covered
+// too: both sides of 2^43, the smallest normals and the subnormals, the
+// dyadic fractions j/2^k (k = 7 gives the ties that round to even), and
+// random bit patterns over every exponent.
 TEST(ChromeTraceTest, Fixed6MatchesPrintf) {
   std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.5, 1e-7, 4e-7, 5e-7, 6e-7, -5e-7,
                                 1e15, 1e16, 1e17, 1e22, 1e23, 1e300, DBL_MAX, -DBL_MAX,
                                 DBL_MIN, std::numeric_limits<double>::denorm_min()};
+  constexpr double kExactLimit = 8796093022208.0;  // 2^43
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double sign : {1.0, -1.0}) {
+    double below = sign * kExactLimit;
+    double above = sign * kExactLimit;
+    for (int i = 0; i < 64; ++i) {
+      values.push_back(below);
+      values.push_back(above);
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, sign * inf);
+    }
+    double normal = sign * DBL_MIN;
+    double subnormal = std::nextafter(sign * DBL_MIN, 0.0);
+    for (int i = 0; i < 64; ++i) {
+      values.push_back(normal);
+      values.push_back(subnormal);
+      normal = std::nextafter(normal, sign * inf);
+      subnormal = std::nextafter(subnormal, 0.0);
+    }
+    values.push_back(sign * std::numeric_limits<double>::denorm_min());
+  }
   std::mt19937_64 rng(19);
   for (int i = 0; i < 50000; ++i) {
     const std::uint64_t cycles = rng() >> 14;  // up to 2^50
@@ -197,12 +294,29 @@ TEST(ChromeTraceTest, Fixed6MatchesPrintf) {
     values.push_back(-n / 128.0);
     values.push_back(static_cast<double>(rng() >> 24) + n / 128.0);
   }
+  for (int k = 1; k <= 30; ++k) {
+    const double scale = std::ldexp(1.0, -k);
+    for (std::uint64_t j = 1; j < 2000; j += 2) {
+      values.push_back(static_cast<double>(j) * scale);
+      values.push_back(static_cast<double>((rng() >> 11) | 1) * scale);  // j < 2^53: exact
+    }
+  }
   for (int line = -1000; line <= 1000; ++line) {
     values.push_back(static_cast<double>(line));
   }
   std::uniform_real_distribution<double> exponent(15.0, 300.0);
   for (int i = 0; i < 5000; ++i) {
     values.push_back(std::pow(10.0, exponent(rng)));
+  }
+  // Random bit patterns: sign and mantissa uniform, the biased exponent
+  // uniform over every finite exponent for a few, and for the rest over
+  // the subnormals, the integer path and the first binades past it (the
+  // long printf renderings of huge values would dominate the test's time).
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = rng();
+    const std::uint64_t biased =
+        i % 50 == 0 ? (bits >> 52) % 2047 : (bits >> 52) % (1023 + 43 + 16);
+    values.push_back(std::bit_cast<double>((bits & 0x800fffffffffffffull) | (biased << 52)));
   }
   int mismatches = 0;
   for (const double value : values) {
@@ -211,7 +325,7 @@ TEST(ChromeTraceTest, Fixed6MatchesPrintf) {
     }
   }
   EXPECT_EQ(mismatches, 0) << "of " << values.size() << " values";
-  EXPECT_GE(values.size(), 100000u);
+  EXPECT_GE(values.size(), 1000000u);
 }
 
 TEST(ChromeTraceTest, NonFiniteNumbersWriteZero) {
@@ -235,13 +349,6 @@ std::uint64_t Fnv1a(std::string_view bytes) {
     hash *= 0x100000001b3ull;
   }
   return hash;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 // One virtual second of a traced cell (after a short warm-up), followed by

@@ -83,10 +83,15 @@ void* operator new(std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+// Out of line: inlined into a delete expression, the std::free would meet
+// the pointer of the operator new call in view and g++ would take the pair
+// for a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace wdmlat::sim {
 namespace {
@@ -313,15 +318,15 @@ TEST(HotPathBudget, Win98Games) {
 
 // The same cell with a ChromeTraceWriter behind the counting sink. The
 // writer stores compact records and renders names only when writing, so
-// tracing adds only its event vector's growth (15 reallocations) to the
-// plain cell's count.
+// tracing adds only its record segments to the plain cell's count: nine
+// allocations, doubling from 256 records.
 TEST(HotPathBudget, Win98GamesTraced) {
   obs::ChromeTraceWriter writer;
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(),
                                  [&writer](lab::TestSystem&, drivers::LatencyDriver&) {
                                    return &writer;
                                  }),
-               121066, 167119, 0xcbff71160d2b76ebull, 670);
+               121066, 167119, 0xcbff71160d2b76ebull, 664);
 }
 
 // The obs stack of an observed lab run (metrics, 1 ms queue sampling, the
