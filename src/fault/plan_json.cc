@@ -17,39 +17,68 @@ void SetError(std::string* error, const std::string& message) {
 }
 
 // Parse the "duration" object sub-schema (see plan_json.h header comment).
+// Parameters the samplers cannot take are rejected here, not asserted on
+// (or sampled into negative cycle counts) mid-run: a negative duration, an
+// inverted range, a non-positive mean, median or tail index.
 bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
                        std::string* error) {
+  const auto reject = [error](const char* message) {
+    SetError(error, message);
+    return false;
+  };
   if (value.is_number()) {
+    if (value.as_number() < 0.0) {
+      return reject("duration must be >= 0");
+    }
     *out = sim::DurationDist::Constant(value.as_number());
     return true;
   }
   if (!value.is_object()) {
-    SetError(error, "duration must be a number (µs) or a dist object");
-    return false;
+    return reject("duration must be a number (µs) or a dist object");
   }
   const std::string dist = value.StringOr("dist", "constant");
   if (dist == "constant") {
-    *out = sim::DurationDist::Constant(value.NumberOr("us", 0.0));
+    const double us = value.NumberOr("us", 0.0);
+    if (us < 0.0) {
+      return reject("constant needs us >= 0");
+    }
+    *out = sim::DurationDist::Constant(us);
     return true;
   }
   if (dist == "uniform") {
-    *out = sim::DurationDist::Uniform(value.NumberOr("lo_us", 0.0),
-                                      value.NumberOr("hi_us", 0.0));
+    const double lo = value.NumberOr("lo_us", 0.0);
+    const double hi = value.NumberOr("hi_us", 0.0);
+    if (lo < 0.0 || lo > hi) {
+      return reject("uniform needs 0 <= lo_us <= hi_us");
+    }
+    *out = sim::DurationDist::Uniform(lo, hi);
     return true;
   }
   if (dist == "exponential") {
-    *out = sim::DurationDist::Exponential(value.NumberOr("mean_us", 0.0));
+    const double mean = value.NumberOr("mean_us", 0.0);
+    if (mean <= 0.0) {
+      return reject("exponential needs mean_us > 0");
+    }
+    *out = sim::DurationDist::Exponential(mean);
     return true;
   }
   if (dist == "lognormal") {
-    *out = sim::DurationDist::LogNormal(value.NumberOr("median_us", 0.0),
-                                        value.NumberOr("sigma", 1.0));
+    const double median = value.NumberOr("median_us", 0.0);
+    const double sigma = value.NumberOr("sigma", 1.0);
+    if (median <= 0.0 || sigma < 0.0) {
+      return reject("lognormal needs median_us > 0 and sigma >= 0");
+    }
+    *out = sim::DurationDist::LogNormal(median, sigma);
     return true;
   }
   if (dist == "bounded_pareto") {
-    *out = sim::DurationDist::BoundedPareto(value.NumberOr("alpha", 1.1),
-                                            value.NumberOr("lo_us", 0.0),
-                                            value.NumberOr("hi_us", 0.0));
+    const double alpha = value.NumberOr("alpha", 1.1);
+    const double lo = value.NumberOr("lo_us", 0.0);
+    const double hi = value.NumberOr("hi_us", 0.0);
+    if (alpha <= 0.0 || lo <= 0.0 || hi <= lo) {
+      return reject("bounded_pareto needs alpha > 0 and 0 < lo_us < hi_us");
+    }
+    *out = sim::DurationDist::BoundedPareto(alpha, lo, hi);
     return true;
   }
   SetError(error, "unknown duration dist \"" + dist + "\"");
@@ -97,8 +126,8 @@ bool ParseSpec(const obs::JsonValue& value, std::size_t index, FaultSpec* out,
       return false;
     }
   } else if (const obs::JsonValue* shorthand = value.Find("duration_us")) {
-    if (!shorthand->is_number()) {
-      SetError(error, where.str() + "duration_us must be a number");
+    if (!shorthand->is_number() || shorthand->as_number() < 0.0) {
+      SetError(error, where.str() + "duration_us must be a number >= 0");
       return false;
     }
     out->duration_us = sim::DurationDist::Constant(shorthand->as_number());

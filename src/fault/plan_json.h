@@ -27,7 +27,10 @@
 //
 // "duration" dist kinds: constant {us}, uniform {lo_us, hi_us},
 // exponential {mean_us}, lognormal {median_us, sigma},
-// bounded_pareto {alpha, lo_us, hi_us}.
+// bounded_pareto {alpha, lo_us, hi_us}. Durations are >= 0, a uniform
+// range is 0 <= lo_us <= hi_us, means and medians are > 0, sigma >= 0, and
+// a bounded Pareto needs alpha > 0 and 0 < lo_us < hi_us; anything else is
+// a parse error.
 //
 // timer_jitter reinterprets two fields: `burst` is the number of PIT ticks
 // perturbed per activation and `duration` is the per-tick period drift —

@@ -5,14 +5,15 @@
 
 namespace wdmlat::kernel {
 
-TraceSession::TraceSession(std::size_t capacity) { ring_.resize(capacity); }
+std::vector<TraceEvent> TraceRing::Snapshot() const {
+  std::vector<TraceEvent> out;
+  out.reserve(size());
+  ForEach([&out](const TraceEvent& event) { out.push_back(event); });
+  return out;
+}
 
 void TraceSession::OnTraceEvent(const TraceEvent& event) {
-  ring_[next_] = event;
-  if (++next_ == ring_.size()) {
-    next_ = 0;
-    wrapped_ = true;
-  }
+  ring_.OnTraceEvent(event);
   ++total_;
   ++counts_[static_cast<std::size_t>(event.type)];
 
@@ -30,17 +31,6 @@ void TraceSession::OnTraceEvent(const TraceEvent& event) {
       ++it->occurrences;
     }
   }
-}
-
-std::vector<TraceEvent> TraceSession::Snapshot() const {
-  std::vector<TraceEvent> out;
-  const std::size_t count = wrapped_ ? ring_.size() : next_;
-  out.reserve(count);
-  const std::size_t begin = wrapped_ ? next_ : 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(ring_[(begin + i) % ring_.size()]);
-  }
-  return out;
 }
 
 std::vector<TraceSession::LabelTime> TraceSession::TopTimeConsumers(

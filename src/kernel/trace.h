@@ -2,10 +2,11 @@
 //
 // A TraceSink receives structured callbacks for every dispatcher transition:
 // ISR enter/exit, DPC start/end, context switches, kernel sections and
-// dispatch lockouts. TraceSession is the standard sink: a ring buffer of
-// events plus per-type counters and per-label time accounting, with a text
-// renderer — the "who is stealing my CPU at raised IRQL" view that the
-// paper's cause tool approximates from the outside with IP sampling.
+// dispatch lockouts. TraceRing is the bare sink: a fixed ring of the most
+// recent events. TraceSession adds per-type counters and per-label time
+// accounting on top of a ring, with a text renderer — the "who is stealing
+// my CPU at raised IRQL" view that the paper's cause tool approximates from
+// the outside with IP sampling.
 
 #ifndef SRC_KERNEL_TRACE_H_
 #define SRC_KERNEL_TRACE_H_
@@ -113,10 +114,49 @@ class TraceSink {
   virtual void OnTraceEvent(const TraceEvent& event) = 0;
 };
 
-// Ring-buffer sink with per-type counts and per-label time accounting.
+// Fixed-capacity ring of the most recent events (capacity > 0): each event
+// overwrites the oldest once the ring is full. Nothing else is kept per
+// event.
+class TraceRing : public TraceSink {
+ public:
+  explicit TraceRing(std::size_t capacity) : events_(capacity) {}
+
+  void OnTraceEvent(const TraceEvent& event) override {
+    events_[next_] = event;
+    if (++next_ == events_.size()) {
+      next_ = 0;
+      wrapped_ = true;
+    }
+  }
+
+  std::size_t size() const { return wrapped_ ? events_.size() : next_; }
+
+  // Calls visit(const TraceEvent&) on the retained events, oldest first.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    if (wrapped_) {
+      for (std::size_t i = next_; i < events_.size(); ++i) {
+        visit(events_[i]);
+      }
+    }
+    for (std::size_t i = 0; i < next_; ++i) {
+      visit(events_[i]);
+    }
+  }
+
+  // Oldest-first copy of the retained events.
+  std::vector<TraceEvent> Snapshot() const;
+
+ private:
+  std::vector<TraceEvent> events_;
+  std::size_t next_ = 0;
+  bool wrapped_ = false;
+};
+
+// A TraceRing plus per-type counts and per-label time accounting.
 class TraceSession : public TraceSink {
  public:
-  explicit TraceSession(std::size_t capacity = 4096);
+  explicit TraceSession(std::size_t capacity = 4096) : ring_(capacity) {}
 
   void OnTraceEvent(const TraceEvent& event) override;
 
@@ -126,7 +166,7 @@ class TraceSession : public TraceSink {
   std::uint64_t total_events() const { return total_; }
 
   // Oldest-first snapshot of the retained ring.
-  std::vector<TraceEvent> Snapshot() const;
+  std::vector<TraceEvent> Snapshot() const { return ring_.Snapshot(); }
 
   struct LabelTime {
     Label label;
@@ -141,9 +181,7 @@ class TraceSession : public TraceSink {
   std::string Summary(std::size_t recent_events = 0) const;
 
  private:
-  std::vector<TraceEvent> ring_;
-  std::size_t next_ = 0;
-  bool wrapped_ = false;
+  TraceRing ring_;
   std::uint64_t total_ = 0;
   std::uint64_t counts_[kNumTraceEventTypes] = {};
   std::vector<LabelTime> label_times_;

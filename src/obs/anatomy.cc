@@ -51,7 +51,29 @@ void LatencyAnatomy::SpanBlocks::AddBlock() {
 void LatencyAnatomy::SpanBlocks::RetireFrontBlock() {
   spare_.push_back(std::move(blocks_.front()));
   blocks_.erase(blocks_.begin());
-  head_ = 0;
+  size_ -= kBlockSpans;
+}
+
+std::size_t LatencyAnatomy::FirstEndingAfter(std::size_t from, sim::Cycles t) const {
+  // Span ends ascend (the spans partition the timeline in order).
+  std::size_t lo = from;
+  std::size_t hi = spans_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (spans_[mid].end > t) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+std::size_t LatencyAnatomy::RetainedBegin() const {
+  // end + retention >= cur_start_  <=>  end > cur_start_ - retention - 1.
+  return cur_start_ > retention_cycles_
+             ? FirstEndingAfter(0, cur_start_ - retention_cycles_ - 1)
+             : 0;
 }
 
 LatencyAnatomy::Span LatencyAnatomy::Classify(sim::Cycles at) const {
@@ -115,8 +137,8 @@ void LatencyAnatomy::CloseSpan(sim::Cycles now) {
     AppendSpan(span);
   }
   cur_start_ = now;
-  while (!spans_.empty() && spans_.front().end + retention_cycles_ < now) {
-    spans_.pop_front();
+  if (now > retention_cycles_) {
+    spans_.RetireBlocksEndingBefore(now - retention_cycles_);
   }
 }
 
@@ -262,11 +284,10 @@ void LatencyAnatomy::OnEpisode(double latency_ms, sim::Cycles window_begin,
     per_label.push_back(LabelCycles{stage, label, cycles});
   };
 
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
+  const std::size_t retained = RetainedBegin();
+  for (std::size_t i = FirstEndingAfter(retained, window_begin);
+       i < spans_.size() && spans_[i].begin < window_end; ++i) {
     const Span& span = spans_[i];
-    if (span.end <= window_begin || span.begin >= window_end) {
-      continue;
-    }
     add(span.stage, span.label,
         std::min(span.end, window_end) - std::max(span.begin, window_begin));
   }
@@ -284,7 +305,8 @@ void LatencyAnatomy::OnEpisode(double latency_ms, sim::Cycles window_begin,
     }
   }
 
-  const sim::Cycles coverage_begin = spans_.empty() ? cur_start_ : spans_.front().begin;
+  const sim::Cycles coverage_begin =
+      retained == spans_.size() ? cur_start_ : spans_[retained].begin;
   episode.truncated = coverage_begin > window_begin;
 
   // Per-stage top blame and the overall culprit (culpable stages only).

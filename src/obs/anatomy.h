@@ -153,33 +153,33 @@ class LatencyAnatomy : public kernel::TraceSink {
     AnatomyStage stage = AnatomyStage::kReadyWait;
     kernel::Label label;
   };
-  // The trailing spans, oldest first, in fixed-size blocks. A block whose
-  // spans have all been trimmed goes to a spare list and takes the next
-  // appends, so the storage grows block by block (no doubling, no copying)
-  // to the high-water mark of the retention window and is then reused.
+  // The trailing spans, oldest first, in fixed-size blocks. Spans are not
+  // trimmed one by one: once the front block's last span has left the
+  // retention window, the whole block goes to a spare list and takes the
+  // next appends, so the storage grows block by block (no doubling, no
+  // copying) to the high-water mark of the window and is then reused. The
+  // aged spans still stored ahead of the window are skipped by readers
+  // (LatencyAnatomy::RetainedBegin).
   class SpanBlocks {
    public:
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    Span& operator[](std::size_t i) {
-      const std::size_t at = head_ + i;
-      return blocks_[at / kBlockSpans][at % kBlockSpans];
-    }
+    Span& operator[](std::size_t i) { return blocks_[i / kBlockSpans][i % kBlockSpans]; }
     const Span& operator[](std::size_t i) const {
-      const std::size_t at = head_ + i;
-      return blocks_[at / kBlockSpans][at % kBlockSpans];
+      return blocks_[i / kBlockSpans][i % kBlockSpans];
     }
-    const Span& front() const { return (*this)[0]; }
     Span& back() { return (*this)[size_ - 1]; }
     void push_back(const Span& span) {
-      if (head_ + size_ == blocks_.size() * kBlockSpans) {
+      if (size_ == blocks_.size() * kBlockSpans) {
         AddBlock();
       }
       (*this)[size_++] = span;
     }
-    void pop_front() {
-      --size_;
-      if (++head_ == kBlockSpans) {
+    // Retires front blocks while a later block exists and the front one's
+    // last span ends before `horizon`. Span ends ascend, so every span in a
+    // retired block ended before it too.
+    void RetireBlocksEndingBefore(sim::Cycles horizon) {
+      while (size_ > kBlockSpans && blocks_.front()[kBlockSpans - 1].end < horizon) {
         RetireFrontBlock();
       }
     }
@@ -195,7 +195,6 @@ class LatencyAnatomy : public kernel::TraceSink {
 
     std::vector<std::unique_ptr<Span[]>> blocks_;  // oldest first
     std::vector<std::unique_ptr<Span[]>> spare_;
-    std::size_t head_ = 0;  // the oldest span's offset in blocks_.front()
     std::size_t size_ = 0;
   };
   struct MirrorFrame {
@@ -209,6 +208,12 @@ class LatencyAnatomy : public kernel::TraceSink {
   // state; `at` resolves the idle lockout-vs-ready split.
   Span Classify(sim::Cycles at) const;
   void CloseSpan(sim::Cycles now);
+  // The oldest span still inside the retention window: the first whose
+  // end + retention reaches the last event's time (cur_start_). The spans
+  // before it have aged out and are only waiting for their block to retire.
+  std::size_t RetainedBegin() const;
+  // The first span at or after `from` that ends after `t` (size() if none).
+  std::size_t FirstEndingAfter(std::size_t from, sim::Cycles t) const;
   void AppendSpan(Span span);
   // Relabel the ready_wait/lockout portions of [from, to) to `stage` —
   // retrospective accounting for SMP spin/IPI windows. Splits spans at the

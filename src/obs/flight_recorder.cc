@@ -89,7 +89,7 @@ std::string RenderAttributionReport(const std::vector<EpisodeSummary>& episodes)
 }
 
 EpisodeFlightRecorder::EpisodeFlightRecorder(kernel::Kernel& kernel, Config config)
-    : kernel_(kernel), cfg_(config), session_(config.ring_capacity) {}
+    : kernel_(kernel), cfg_(config), ring_(config.ring_capacity) {}
 
 void EpisodeFlightRecorder::Arm(drivers::LatencyDriver& driver,
                                 drivers::CauseTool* cause_tool) {
@@ -112,11 +112,11 @@ void EpisodeFlightRecorder::OnLongLatency(double latency_ms) {
   const sim::Cycles window = sim::MsToCycles(latency_ms) + 2 * slack;
   const sim::Cycles window_start =
       episode.reported_at > window ? episode.reported_at - window : 0;
-  for (const kernel::TraceEvent& event : session_.Snapshot()) {
+  ring_.ForEach([&](const kernel::TraceEvent& event) {
     if (event.tsc >= window_start) {
       episode.trace.push_back(event);
     }
-  }
+  });
 
   // Ground truth: per-label wall time of blame-carrying activities in the
   // window; the top label is what actually consumed the episode.

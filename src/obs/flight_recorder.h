@@ -5,7 +5,7 @@
 // *outside* view that can only see what the clock interrupt happened to
 // land on. The simulator also has the *inside* view: the dispatcher's trace
 // stream says exactly which ISRs, raised-IRQL sections, DPCs and dispatch
-// lockouts ran. This recorder keeps a trailing TraceSession ring and, when
+// lockouts ran. This recorder keeps a trailing kernel::TraceRing and, when
 // the latency tool reports a sample over the threshold, snapshots the ring
 // together with the cause tool's sample buffer into a structured episode
 // record carrying ground-truth blame — which makes the Table-4 methodology
@@ -116,8 +116,7 @@ class EpisodeFlightRecorder {
 
   // The trailing trace ring; attach (typically via TraceFanout) to the
   // dispatcher so the recorder sees every transition.
-  kernel::TraceSink* trace_sink() { return &session_; }
-  const kernel::TraceSession& session() const { return session_; }
+  kernel::TraceSink* trace_sink() { return &ring_; }
 
   // Register the snapshot callback on the driver (appended, so an earlier
   // CauseTool registration keeps firing first and its episode dump is
@@ -134,7 +133,7 @@ class EpisodeFlightRecorder {
 
   kernel::Kernel& kernel_;
   Config cfg_;
-  kernel::TraceSession session_;
+  kernel::TraceRing ring_;
   drivers::CauseTool* cause_tool_ = nullptr;
   std::size_t cause_episodes_seen_ = 0;
   std::vector<Episode> episodes_;

@@ -1,33 +1,41 @@
 #include "src/obs/metrics.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 
 namespace wdmlat::obs {
 
-namespace {
-
-// Shortest round-trip-safe decimal representation; JSON has no Inf/NaN, so
-// clamp those to null-safe sentinels (they should not occur in practice).
-std::string NumberToJson(double value) {
+std::string JsonNumber(double value) {
   if (!std::isfinite(value)) {
     return "0";
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
-    if (std::strtod(shorter, nullptr) == value) {
-      return shorter;
+  // The shortest round-trip spelling's significant digits: no %g precision
+  // below this count can round-trip, so the search starts there.
+  const char* const digits_end =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* p = buf; p != digits_end && *p != 'e'; ++p) {
+    precision += *p >= '0' && *p <= '9' ? 1 : 0;
+  }
+  for (; precision < 17; ++precision) {
+    const char* const end =
+        std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, precision).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == value) {
+      return std::string(buf, static_cast<std::size_t>(end - buf));
     }
   }
-  return buf;
+  const char* const end =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 17).ptr;
+  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
+
+namespace {
 
 // Metric names are internal identifiers, but the exporter must stay
 // well-formed whatever callers register.
@@ -137,7 +145,7 @@ std::string MetricsRegistry::ToJson() const {
     bool first = true;
     for (const auto& [name, value] : entries) {
       out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
-          << "\": " << NumberToJson(value);
+          << "\": " << JsonNumber(value);
       first = false;
     }
     out << (first ? "" : "\n  ") << "}";
@@ -152,7 +160,7 @@ std::string MetricsRegistry::ToJson() const {
     out << (first_hist ? "\n" : ",\n") << "    \"" << EscapeJson(name) << "\": {";
     bool first_field = true;
     AppendHistogramFields(hist, [&](const char* field, double value) {
-      out << (first_field ? "" : ", ") << "\"" << field << "\": " << NumberToJson(value);
+      out << (first_field ? "" : ", ") << "\"" << field << "\": " << JsonNumber(value);
       first_field = false;
     });
     out << "}";
@@ -164,7 +172,7 @@ std::string MetricsRegistry::ToJson() const {
     out << (first_sketch ? "\n" : ",\n") << "    \"" << EscapeJson(name) << "\": {";
     bool first_field = true;
     AppendSketchFields(sketch, [&](const char* field, double value) {
-      out << (first_field ? "" : ", ") << "\"" << field << "\": " << NumberToJson(value);
+      out << (first_field ? "" : ", ") << "\"" << field << "\": " << JsonNumber(value);
       first_field = false;
     });
     out << "}";
@@ -178,19 +186,19 @@ std::string MetricsRegistry::ToCsv() const {
   std::ostringstream out;
   out << "kind,name,field,value\n";
   for (const auto& [name, value] : counters_) {
-    out << "counter," << name << ",value," << NumberToJson(value) << "\n";
+    out << "counter," << name << ",value," << JsonNumber(value) << "\n";
   }
   for (const auto& [name, value] : gauges_) {
-    out << "gauge," << name << ",value," << NumberToJson(value) << "\n";
+    out << "gauge," << name << ",value," << JsonNumber(value) << "\n";
   }
   for (const auto& [name, hist] : histograms_) {
     AppendHistogramFields(hist, [&](const char* field, double value) {
-      out << "histogram," << name << "," << field << "," << NumberToJson(value) << "\n";
+      out << "histogram," << name << "," << field << "," << JsonNumber(value) << "\n";
     });
   }
   for (const auto& [name, sketch] : sketches_) {
     AppendSketchFields(sketch, [&](const char* field, double value) {
-      out << "sketch," << name << "," << field << "," << NumberToJson(value) << "\n";
+      out << "sketch," << name << "," << field << "," << JsonNumber(value) << "\n";
     });
   }
   return out.str();

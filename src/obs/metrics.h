@@ -33,6 +33,11 @@
 
 namespace wdmlat::obs {
 
+// The shortest "%.<p>g" spelling of `value` that reads back as the same
+// double (p <= 16, else "%.17g"); "0" for Inf and NaN, which JSON cannot
+// spell. The metrics exports write every number this way.
+std::string JsonNumber(double value);
+
 class MetricsRegistry {
  public:
   // Counters accumulate; a missing counter starts at zero.

@@ -103,9 +103,10 @@ double QuantileSketch::QuantileMs(double q) const {
   if (above < tail_.size()) {
     // The reservoir holds the top min(count, kTailCapacity) samples, so this
     // rank is answered with the exact recorded value.
-    std::vector<double> sorted(tail_);
-    std::sort(sorted.begin(), sorted.end());
-    return sorted[sorted.size() - 1 - static_cast<std::size_t>(above)];
+    std::vector<double> selected(tail_);
+    const auto kth = selected.end() - 1 - static_cast<std::ptrdiff_t>(above);
+    std::nth_element(selected.begin(), kth, selected.end());
+    return *kth;
   }
   // Weighted-rank estimate over the compactor items (their weights sum to
   // count by the conservation invariant).

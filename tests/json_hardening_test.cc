@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/fault/plan_json.h"
 #include "src/lab/fleet.h"
@@ -162,6 +163,40 @@ TEST(JsonHardeningTest, FaultPlanIntegerFieldsAreRangeChecked) {
   EXPECT_NE(error.find("burst must be an integer in ["), std::string::npos) << error;
   EXPECT_FALSE(fault::ParseFaultPlan(R"({"seed": -3, "faults": []})", &plan, &error));
   EXPECT_NE(error.find("seed must be an integer in ["), std::string::npos) << error;
+}
+
+// Duration parameters a sampler cannot take (the mutation fuzz found an
+// inverted uniform range, which the sampler asserted on) are parse errors.
+TEST(JsonHardeningTest, FaultPlanDurationParametersAreRangeChecked) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("duration_us": -1)", "duration_us must be a number >= 0"},
+      {R"("duration": -1)", "duration must be >= 0"},
+      {R"("duration": {"dist": "constant", "us": -0.5})", "constant needs us >= 0"},
+      {R"("duration": {"dist": "uniform", "lo_us": 50, "hi_us": 10})", "uniform needs"},
+      {R"("duration": {"dist": "uniform", "lo_us": -5, "hi_us": 10})", "uniform needs"},
+      {R"("duration": {"dist": "exponential"})", "exponential needs mean_us > 0"},
+      {R"("duration": {"dist": "lognormal", "median_us": 0})", "lognormal needs"},
+      {R"("duration": {"dist": "lognormal", "median_us": 5, "sigma": -1})", "lognormal needs"},
+      {R"("duration": {"dist": "bounded_pareto", "alpha": 0, "lo_us": 1, "hi_us": 9})",
+       "bounded_pareto needs"},
+      {R"("duration": {"dist": "bounded_pareto", "alpha": 1.2, "lo_us": 9, "hi_us": 9})",
+       "bounded_pareto needs"},
+  };
+  for (const auto& [field, message] : cases) {
+    const std::string text = std::string(R"({"faults": [{"kind": "masked_window", )") + field +
+                             "}]}";
+    fault::FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(fault::ParseFaultPlan(text, &plan, &error)) << text;
+    EXPECT_NE(error.find(message), std::string::npos) << text << ": " << error;
+  }
+  fault::FaultPlan plan;
+  std::string error;
+  EXPECT_TRUE(fault::ParseFaultPlan(
+      R"({"faults": [{"kind": "masked_window", "duration": {"dist": "uniform", "lo_us": 0,
+                      "hi_us": 0}}]})",
+      &plan, &error))
+      << error;
 }
 
 }  // namespace

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -236,6 +243,79 @@ TEST(MetricsRegistryTest, UniprocessorCellHasNoSmpSeries) {
   // IPIs (its spinlocks are rarely contended in so short a run).
   const std::string smp = run(kernel::MakeNt4SmpProfile(2));
   EXPECT_NE(smp.find("kernel.ipi."), std::string::npos);
+}
+
+// The exporters' number spelling as it was first written: the shortest
+// "%.<p>g" that strtod reads back as the same double, found by trying every
+// precision from 1, else "%.17g".
+std::string PrintfSearch(double value) {
+  if (!std::isfinite(value)) {
+    return "0";
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
+    if (std::strtod(shorter, nullptr) == value) {
+      return shorter;
+    }
+  }
+  return buf;
+}
+
+// JsonNumber starts its search at the shortest round-trip digit count and
+// uses to_chars/from_chars; it must spell every value exactly as the
+// printf search does. Over a million values: random bit patterns (most
+// need 16 or 17 digits), every power of two with both neighbours and both
+// signs, integers, thousandths, and the special values.
+TEST(JsonNumberTest, MatchesThePrintfSearch) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                0.1,
+                                0.2,
+                                0.1 + 0.2,
+                                1.0 / 3.0,
+                                2.0 / 3.0,
+                                1e21,
+                                1e22,
+                                123456789012345678.0,
+                                9007199254740993.0,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 rng(0x6a736f6e);
+  // The printf search spends some 20 us on a 17-digit value, so the random
+  // patterns are the fewest.
+  for (int i = 0; i < 50000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    const double power = std::ldexp(1.0, e);
+    for (const double v : {power, std::nextafter(power, 0.0), std::nextafter(power, 2 * power)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  for (int k = 0; k < 470000; ++k) {
+    values.push_back(static_cast<double>(k));
+    values.push_back(static_cast<double>(k) / 1000.0);
+  }
+  ASSERT_GE(values.size(), 1000000u);
+  int mismatches = 0;
+  for (const double value : values) {
+    const std::string want = PrintfSearch(value);
+    const std::string got = JsonNumber(value);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(value)
+                    << ": JsonNumber \"" << got << "\", printf search \"" << want << "\"";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

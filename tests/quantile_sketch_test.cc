@@ -387,6 +387,54 @@ TEST(QuantileSketchTest, TailMergeIntoAnImportedHeapOrderedTail) {
   }
 }
 
+// QuantileMs answers a rank inside the exact tail by selecting the k-th
+// value, not by sorting the tail. The selection must return the very double
+// a full sort of the tail puts at that index: with duplicate values, with
+// counts below, at and above the tail size, for tails in heap order (after
+// RecordMs) and sorted (after a Merge), and at the edge quantiles.
+TEST(QuantileSketchTest, ExactTailQuantileMatchesFullSort) {
+  const std::size_t sizes[] = {1, 2, 37, kTail - 1, kTail, kTail + 1, 3 * kTail};
+  const std::uint64_t distinct[] = {0, 1, 3, 40};
+  const double quantiles[] = {0.0, 1e-9, 0.5, 0.99, 0.9999, 1.0};
+  DetRng rng(29);
+  int exact_answers = 0;
+  for (const std::size_t size : sizes) {
+    for (const std::uint64_t levels : distinct) {
+      const Tracked recorded = MakeCell(rng, size, levels);
+      Tracked merged = MakeCell(rng, size / 2 + 1, levels);
+      merged.Merge(recorded);
+      for (const stats::QuantileSketch* sketch :
+           std::vector<const stats::QuantileSketch*>{&recorded.sketch, &merged.sketch}) {
+        std::vector<double> sorted = sketch->ExportState().tail;
+        std::sort(sorted.begin(), sorted.end());
+        for (const double q : quantiles) {
+          const std::string where = "size " + std::to_string(size) + " levels " +
+                                    std::to_string(levels) + " q " + std::to_string(q);
+          const double got = sketch->QuantileMs(q);
+          if (q >= 1.0) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(sketch->max_ms()))
+                << where;
+            continue;
+          }
+          const std::uint64_t count = sketch->count();
+          std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count)));
+          rank = std::max<std::uint64_t>(1, std::min(rank, count));
+          const std::uint64_t above = count - rank;
+          if (above >= sorted.size()) {
+            continue;  // answered by the compactor estimate
+          }
+          ++exact_answers;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(sorted[sorted.size() - 1 - above]))
+              << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_answers, 200);
+}
+
 // End-to-end: the matrix's merged sketch is bit-identical across --jobs and
 // through an interrupted, checkpointed, resumed run — the same contract the
 // histograms already keep, now for the sketch's serialized state.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/kernel/kernel.h"
 #include "tests/test_util.h"
 
@@ -100,6 +103,32 @@ TEST(TraceTest, RingWrapsKeepingNewestEvents) {
   EXPECT_EQ(events.front().tsc, 12u);
   EXPECT_EQ(events.back().tsc, 19u);
   EXPECT_EQ(session.total_events(), 20u);
+}
+
+// The bare ring the flight recorder reads: ForEach visits oldest first
+// before the ring fills, exactly when it fills and after it wraps.
+TEST(TraceTest, BareRingVisitsOldestFirst) {
+  TraceRing ring(8);
+  sim::Cycles pushed = 0;
+  for (const sim::Cycles total : {3u, 8u, 20u}) {
+    for (; pushed < total; ++pushed) {
+      TraceEvent event;
+      event.tsc = pushed;
+      ring.OnTraceEvent(event);
+    }
+    SCOPED_TRACE(total);
+    ASSERT_EQ(ring.size(), std::min<std::size_t>(total, 8));
+    std::vector<sim::Cycles> visited;
+    ring.ForEach([&visited](const TraceEvent& event) { visited.push_back(event.tsc); });
+    ASSERT_EQ(visited.size(), ring.size());
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+      EXPECT_EQ(visited[i], total - visited.size() + i);
+    }
+    const std::vector<TraceEvent> snapshot = ring.Snapshot();
+    ASSERT_EQ(snapshot.size(), visited.size());
+    EXPECT_EQ(snapshot.front().tsc, visited.front());
+    EXPECT_EQ(snapshot.back().tsc, visited.back());
+  }
 }
 
 TEST(TraceTest, TopTimeConsumersAggregatesAndSorts) {
