@@ -10,7 +10,8 @@
 #     leaves the record log untouched
 #   * the --audit-fail-cell fixture degrades exactly one cell to a
 #     structured [invariant_violation] failure (exit 3) while every other
-#     cell completes
+#     cell completes, and the --throw-cell fixture does the same through
+#     the exception barrier ([exception])
 #
 # Registered as the `resume_smoke` ctest; also runnable standalone from the
 # repo root:
@@ -113,5 +114,21 @@ grep -q 'cell 2 ' "${OUT}/fixture.err" \
   || { echo "resume_smoke: expected the other 15 cells to complete" >&2; exit 1; }
 grep -q '1 cell(s) failed out of 16' "${OUT}/fixture.err" \
   || { echo "resume_smoke: missing failure summary" >&2; exit 1; }
+
+# Exception barrier: a cell that throws (cell 5) fails with the [exception]
+# taxonomy, is never retried, and the other 15 cells complete (exit 3).
+status=0
+"${RUN}" "${GRID[@]}" --jobs 2 --throw-cell 5 \
+  > "${OUT}/throw.log" 2> "${OUT}/throw.err" || status=$?
+[[ "${status}" -eq 3 ]] \
+  || { echo "resume_smoke: --throw-cell run exited ${status}, want 3" >&2; exit 1; }
+grep -q '\[exception\]' "${OUT}/throw.err" \
+  || { echo "resume_smoke: failure lacks exception taxonomy" >&2; exit 1; }
+grep -q 'cell 5 ' "${OUT}/throw.err" \
+  || { echo "resume_smoke: failure does not name cell 5" >&2; exit 1; }
+[[ "$(grep -c '^  ok:' "${OUT}/throw.log")" -eq 15 ]] \
+  || { echo "resume_smoke: expected the other 15 cells to complete" >&2; exit 1; }
+grep -q '1 cell(s) failed out of 16' "${OUT}/throw.err" \
+  || { echo "resume_smoke: missing failure summary for --throw-cell" >&2; exit 1; }
 
 echo "resume_smoke: OK"

@@ -75,7 +75,6 @@ struct Flags {
   int trials = 1;
   std::string journal;
   double cell_timeout_ms = 0.0;
-  int cell_retries = 3;
   double audit_every_s = 0.0;
   std::uint64_t max_cells = 0;
   int audit_fail_cell = -1;
@@ -200,9 +199,7 @@ constexpr FlagRow kFlags[] = {
      "checkpoint finished cells to a record log;\n"
      "re-running the same command resumes from it"},
     {"--cell-timeout-ms", "F", &Flags::cell_timeout_ms, kMatrix | kFleet | kWorker, true,
-     kSupervisedSection, "host-clock deadline budget per cell attempt"},
-    {"--cell-retries", "N", &Flags::cell_retries, kMatrix | kFleet | kWorker, false,
-     kSupervisedSection, "attempts for host-transient failures (default 3)"},
+     kSupervisedSection, "host-clock deadline budget per cell"},
     {"--audit-every-s", "F", &Flags::audit_every_s, kMatrix, true, kSupervisedSection,
      "run the invariant auditor every F virtual secs"},
     {"--max-cells", "N", &Flags::max_cells, kMatrix, true, kSupervisedSection,
@@ -601,8 +598,7 @@ int RunMatrix(const Flags& f) {
 
   lab::MatrixRunOptions run_options;
   run_options.jobs = f.jobs;
-  run_options.supervision.cell_timeout_ms = f.cell_timeout_ms;
-  run_options.supervision.max_attempts = f.cell_retries;
+  run_options.cell_timeout_ms = f.cell_timeout_ms;
   run_options.audit_every_s = f.audit_every_s;
   run_options.audit_fail_cell = f.audit_fail_cell;
   run_options.throw_cell = f.throw_cell;
@@ -629,11 +625,6 @@ int RunMatrix(const Flags& f) {
   if (result.cells_restored > 0) {
     std::printf("resumed: %zu cell(s) restored from %s, %zu executed\n",
                 result.cells_restored, f.journal.c_str(), result.cells_executed);
-  }
-  if (result.retries > 0) {
-    std::printf("supervisor: %llu host-transient retr%s\n",
-                static_cast<unsigned long long>(result.retries),
-                result.retries == 1 ? "y" : "ies");
   }
 
   std::printf("\nMerged distributions (per OS x workload x priority group):\n");
@@ -846,9 +837,6 @@ int RunFleet(const Flags& f, const lab::Fleet& fleet, const char* argv0) {
     if (f.cell_timeout_ms > 0.0) {
       process.argv.push_back("--cell-timeout-ms=" + std::to_string(f.cell_timeout_ms));
     }
-    if (f.cell_retries != 3) {
-      process.argv.push_back("--cell-retries=" + std::to_string(f.cell_retries));
-    }
     if (request.cell_lo != 0) {
       process.argv.push_back("--cell-lo=" + std::to_string(request.cell_lo));
     }
@@ -976,8 +964,7 @@ int RunFleetWorker(const Flags& f, const lab::Fleet& fleet) {
   options.shards = static_cast<std::size_t>(worker_shards);
   options.jobs = f.jobs;
   options.out_path = lab::FleetShardPath(f.fleet_out, options.shard, options.shards);
-  options.supervision.cell_timeout_ms = f.cell_timeout_ms;
-  options.supervision.max_attempts = f.cell_retries;
+  options.cell_timeout_ms = f.cell_timeout_ms;
   options.cell_lo = f.cell_lo;
   options.cell_hi = f.cell_hi;
   options.poison_cell = f.poison_cell;
@@ -1034,8 +1021,8 @@ int main(int argc, char** argv) {
   if (f.minutes <= 0.0) {
     Die("--minutes must be positive");
   }
-  if (f.jobs < 1 || f.trials < 1 || f.cell_retries < 1 || f.shard_retries < 1) {
-    Die("--jobs, --trials, --cell-retries and --shard-retries must be at least 1");
+  if (f.jobs < 1 || f.trials < 1 || f.shard_retries < 1) {
+    Die("--jobs, --trials and --shard-retries must be at least 1");
   }
   if (f.cores != 0 && (f.cores < 1 || f.cores > 32)) {
     Die("--cores must be in 1..32");

@@ -77,6 +77,12 @@ std::string FaultSpec::LabelFunction() const {
   return name;
 }
 
+std::string PlanTimeCeilingError(std::string_view field) {
+  std::ostringstream error;
+  error << field << " exceeds the plan time ceiling of " << kMaxPlanTimeUs << " us";
+  return error.str();
+}
+
 std::string ValidatePlan(const FaultPlan& plan) {
   std::ostringstream error;
   for (std::size_t i = 0; i < plan.specs.size(); ++i) {
@@ -86,12 +92,24 @@ std::string ValidatePlan(const FaultPlan& plan) {
       error << "at_ms must be >= 0";
       return error.str();
     }
+    if (!WithinPlanTimeCeiling(spec.at_ms * 1e3)) {
+      error << PlanTimeCeilingError("at_ms");
+      return error.str();
+    }
     if (spec.trigger == TriggerKind::kPeriodic && spec.period_ms <= 0.0) {
       error << "periodic trigger needs period_ms > 0";
       return error.str();
     }
+    if (!WithinPlanTimeCeiling(spec.period_ms * 1e3)) {
+      error << PlanTimeCeilingError("period_ms");
+      return error.str();
+    }
     if (spec.trigger == TriggerKind::kPoisson && spec.rate_per_s <= 0.0) {
       error << "poisson trigger needs rate_per_s > 0";
+      return error.str();
+    }
+    if (spec.trigger == TriggerKind::kPoisson && !WithinPlanTimeCeiling(1e6 / spec.rate_per_s)) {
+      error << PlanTimeCeilingError("the mean poisson gap 1 / rate_per_s");
       return error.str();
     }
     if (spec.burst < 1) {
@@ -100,6 +118,12 @@ std::string ValidatePlan(const FaultPlan& plan) {
     }
     if (spec.spacing_us < 0.0) {
       error << "spacing_us must be >= 0";
+      return error.str();
+    }
+    // The last event of a burst lands spacing_us * (burst - 1) after the first.
+    if (!WithinPlanTimeCeiling(spec.spacing_us) ||
+        !WithinPlanTimeCeiling(spec.spacing_us * (spec.burst - 1))) {
+      error << PlanTimeCeilingError("spacing_us * (burst - 1)");
       return error.str();
     }
     if (spec.kind == FaultKind::kDiskSeekStorm && spec.disk_bytes == 0) {

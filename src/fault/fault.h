@@ -141,9 +141,21 @@ struct FaultPlan {
   bool empty() const { return specs.empty(); }
 };
 
+// Ceiling on every time field of a plan, in µs: durations and their dist
+// parameters, at_ms, period_ms, spacing_us (and a burst's whole span) and a
+// Poisson trigger's mean gap 1 / rate_per_s. 1e12 µs (11.6 virtual days) is
+// 3e14 cycles, so sim::UsToCycles/MsToCycles of any of them, the exponential
+// tails drawn from them and the engine's now + delay sums all stay far
+// inside the 2^64-cycle range of sim::Cycles.
+inline constexpr double kMaxPlanTimeUs = 1e12;
+// False (a NaN as well) when `us` is above kMaxPlanTimeUs.
+inline bool WithinPlanTimeCeiling(double us) { return us <= kMaxPlanTimeUs; }
+// "<field> exceeds the plan time ceiling of 1e+12 us".
+std::string PlanTimeCeilingError(std::string_view field);
+
 // Empty string when the plan is well-formed; otherwise a one-line
 // description of the first problem (unknown trigger parameters, zero rates,
-// non-positive bursts, ...).
+// non-positive bursts, times past kMaxPlanTimeUs, ...).
 std::string ValidatePlan(const FaultPlan& plan);
 
 // --- Built-in plans ---------------------------------------------------------

@@ -19,16 +19,20 @@ void SetError(std::string* error, const std::string& message) {
 // Parse the "duration" object sub-schema (see plan_json.h header comment).
 // Parameters the samplers cannot take are rejected here, not asserted on
 // (or sampled into negative cycle counts) mid-run: a negative duration, an
-// inverted range, a non-positive mean, median or tail index.
+// inverted range, a non-positive mean, median or tail index, or a time past
+// kMaxPlanTimeUs, which would overflow sim::Cycles.
 bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
                        std::string* error) {
-  const auto reject = [error](const char* message) {
+  const auto reject = [error](const std::string& message) {
     SetError(error, message);
     return false;
   };
   if (value.is_number()) {
     if (value.as_number() < 0.0) {
       return reject("duration must be >= 0");
+    }
+    if (!WithinPlanTimeCeiling(value.as_number())) {
+      return reject(PlanTimeCeilingError("duration"));
     }
     *out = sim::DurationDist::Constant(value.as_number());
     return true;
@@ -42,6 +46,9 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
     if (us < 0.0) {
       return reject("constant needs us >= 0");
     }
+    if (!WithinPlanTimeCeiling(us)) {
+      return reject(PlanTimeCeilingError("us"));
+    }
     *out = sim::DurationDist::Constant(us);
     return true;
   }
@@ -51,6 +58,9 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
     if (lo < 0.0 || lo > hi) {
       return reject("uniform needs 0 <= lo_us <= hi_us");
     }
+    if (!WithinPlanTimeCeiling(hi)) {
+      return reject(PlanTimeCeilingError("hi_us"));
+    }
     *out = sim::DurationDist::Uniform(lo, hi);
     return true;
   }
@@ -58,6 +68,9 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
     const double mean = value.NumberOr("mean_us", 0.0);
     if (mean <= 0.0) {
       return reject("exponential needs mean_us > 0");
+    }
+    if (!WithinPlanTimeCeiling(mean)) {
+      return reject(PlanTimeCeilingError("mean_us"));
     }
     *out = sim::DurationDist::Exponential(mean);
     return true;
@@ -68,6 +81,9 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
     if (median <= 0.0 || sigma < 0.0) {
       return reject("lognormal needs median_us > 0 and sigma >= 0");
     }
+    if (!WithinPlanTimeCeiling(median)) {
+      return reject(PlanTimeCeilingError("median_us"));
+    }
     *out = sim::DurationDist::LogNormal(median, sigma);
     return true;
   }
@@ -77,6 +93,9 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
     const double hi = value.NumberOr("hi_us", 0.0);
     if (alpha <= 0.0 || lo <= 0.0 || hi <= lo) {
       return reject("bounded_pareto needs alpha > 0 and 0 < lo_us < hi_us");
+    }
+    if (!WithinPlanTimeCeiling(hi)) {
+      return reject(PlanTimeCeilingError("hi_us"));
     }
     *out = sim::DurationDist::BoundedPareto(alpha, lo, hi);
     return true;
@@ -128,6 +147,10 @@ bool ParseSpec(const obs::JsonValue& value, std::size_t index, FaultSpec* out,
   } else if (const obs::JsonValue* shorthand = value.Find("duration_us")) {
     if (!shorthand->is_number() || shorthand->as_number() < 0.0) {
       SetError(error, where.str() + "duration_us must be a number >= 0");
+      return false;
+    }
+    if (!WithinPlanTimeCeiling(shorthand->as_number())) {
+      SetError(error, where.str() + PlanTimeCeilingError("duration_us"));
       return false;
     }
     out->duration_us = sim::DurationDist::Constant(shorthand->as_number());

@@ -30,7 +30,9 @@
 // bounded_pareto {alpha, lo_us, hi_us}. Durations are >= 0, a uniform
 // range is 0 <= lo_us <= hi_us, means and medians are > 0, sigma >= 0, and
 // a bounded Pareto needs alpha > 0 and 0 < lo_us < hi_us; anything else is
-// a parse error.
+// a parse error. So is any time field (a duration or dist parameter in µs,
+// at_ms, period_ms, spacing_us, a burst's span, a Poisson trigger's mean
+// gap) past fault::kMaxPlanTimeUs.
 //
 // timer_jitter reinterprets two fields: `burst` is the number of PIT ticks
 // perturbed per activation and `duration` is the per-tick period drift —

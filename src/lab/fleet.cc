@@ -620,7 +620,7 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
   log.cell_lo = options.cell_lo;
   log.cell_hi = options.cell_hi;
   log.jobs = options.jobs;
-  log.supervision = options.supervision;
+  log.cell_timeout_ms = options.cell_timeout_ms;
   log.cell_seed = [&fleet](std::uint64_t index) { return fleet.CellAt(index).seed; };
   log.restore = [](std::uint64_t, std::string_view payload, std::string* error) {
     FleetCellRecord record;

@@ -240,8 +240,8 @@ struct FleetShardOptions {
   // freshly executed cells (0 = never), and/or sleep before starting.
   std::uint64_t chaos_kill_after_cells = 0;
   double chaos_delay_ms = 0.0;
-  // Per-cell exception barrier / watchdog / retry.
-  runtime::SupervisorOptions supervision;
+  // Host-clock budget of each cell's watchdog; 0 leaves it disarmed.
+  double cell_timeout_ms = 0.0;
   // Progress hook, serialized under the writer lock (completion order).
   std::function<void(const FleetCell&, bool ok)> on_cell_done;
 };

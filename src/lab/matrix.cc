@@ -22,7 +22,7 @@ namespace wdmlat::lab {
 namespace {
 
 // Supervision black box of the cell running on this thread. It outlives the
-// attempt (the escaping exception tears down the TestSystem), so the diagnose
+// cell body (the escaping exception tears down the TestSystem), so the diagnose
 // hook, which runs next on the same thread, can still read it.
 thread_local std::optional<kernel::TraceSession> t_black_box;
 
@@ -161,7 +161,7 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   // read only if the cell fails. It is a trace sink on every event, so it is
   // armed only for runs that asked to be supervised or checkpointed.
   const bool black_box_on = audits_on || options.throw_cell >= 0 ||
-                            options.supervision.cell_timeout_ms > 0.0 ||
+                            options.cell_timeout_ms > 0.0 ||
                             !options.journal_path.empty();
   const Clock::time_point run_start = Clock::now();
 
@@ -171,7 +171,7 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   log.cell_count = cells_.size();
   log.cell_hi = options.max_cells;
   log.jobs = options.jobs;
-  log.supervision = options.supervision;
+  log.cell_timeout_ms = options.cell_timeout_ms;
   log.cell_seed = [this](std::uint64_t i) { return cells_[i].seed; };
   log.restore = [&result](std::uint64_t i, std::string_view payload, std::string* error) {
     if (!ReportFromJson(payload, &result.reports[i], error)) {
@@ -249,7 +249,6 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   result.workers_observed = static_cast<int>(worker_ids.size());
   result.cells_executed = run.cells_executed;
   result.cells_restored = run.cells_restored;
-  result.retries = run.retries;
   result.failures = std::move(run.failures);
   result.warnings = std::move(run.warnings);
   for (CellStatus& status : result.statuses) {

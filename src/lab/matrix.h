@@ -165,11 +165,11 @@ const char* CellStatusName(CellStatus status);
 // cell once, without a watchdog, audits or a checkpoint file.
 struct MatrixRunOptions {
   int jobs = 1;
-  // Per-cell exception barrier + watchdog + retry policy. Every cell runs
-  // behind the barrier: a throwing cell becomes a structured CellFailure and
-  // the other cells continue. cell_timeout_ms == 0 leaves the watchdog
-  // disarmed.
-  runtime::SupervisorOptions supervision;
+  // Host-clock budget of each cell's watchdog; 0 leaves it disarmed. Every
+  // cell runs behind the exception barrier (runtime::RunSupervised): a
+  // throwing cell becomes a structured CellFailure and the other cells
+  // continue.
+  double cell_timeout_ms = 0.0;
   // >0: run an invariant-audit pass inside every cell at this virtual-second
   // cadence (plus once at the end of the measurement phase).
   double audit_every_s = 0.0;
@@ -234,7 +234,6 @@ struct MatrixResult {
   std::size_t cells_executed = 0;  // ran this run (kOk + kFailed)
   std::size_t cells_restored = 0;  // restored from the record log
   std::size_t cells_skipped = 0;   // unlaunched due to max_cells
-  std::uint64_t retries = 0;       // host-transient retries across all cells
   // Non-fatal resume diagnostics: torn lines, checksum or seed mismatches —
   // each one names a cell that was re-run instead of restored.
   std::vector<std::string> warnings;
@@ -271,7 +270,7 @@ class ExperimentMatrix {
 
   // Run the grid on `options.jobs` worker threads (jobs <= 1 runs inline)
   // through the shared record-log executor (lab::RunCellLog): per-cell
-  // exception barrier/watchdog/retry, optional invariant audits, optional
+  // exception barrier and watchdog, optional invariant audits, optional
   // checkpoint and resume. Failed cells are recorded in
   // MatrixResult::failures and excluded from the merge; everything that
   // merges is bit-identical at any job count and across resume (same grid

@@ -292,7 +292,6 @@ CellLogResult RunCellLog(const CellLogOptions& options) {
   }
   OrderedRecordWriter writer(out, std::move(indices), restored, restored_at, &old_log);
 
-  runtime::Supervisor supervisor(options.supervision);
   std::mutex result_mutex;
   std::string write_error;
   const Clock::time_point run_start = Clock::now();
@@ -306,8 +305,7 @@ CellLogResult RunCellLog(const CellLogOptions& options) {
     const std::uint64_t index = missing[w];
     const std::uint64_t seed = options.cell_seed(index);
     std::string payload;
-    const auto body = [&](int attempt, runtime::Watchdog& watchdog) {
-      (void)attempt;  // the seed is attempt-invariant by design
+    const auto body = [&](runtime::Watchdog& watchdog) {
       payload = options.run(index, watchdog);
     };
     std::function<void(runtime::CellFailure&)> diagnose;
@@ -315,7 +313,8 @@ CellLogResult RunCellLog(const CellLogOptions& options) {
       diagnose = [&](runtime::CellFailure& failure) { options.diagnose(index, failure); };
     }
     const std::optional<runtime::CellFailure> failure =
-        supervisor.RunCell(static_cast<std::size_t>(index), seed, body, diagnose);
+        runtime::RunSupervised(static_cast<std::size_t>(index), seed,
+                               options.cell_timeout_ms, body, diagnose);
     std::string line;
     if (writing && !failure) {
       line = RecordLineText(index, seed, options.spec, payload);
@@ -341,7 +340,6 @@ CellLogResult RunCellLog(const CellLogOptions& options) {
     writer.Finish(&write_error);
   }
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - run_start).count();
-  result.retries = supervisor.retries();
   if (!writing) {
     return result;
   }

@@ -70,8 +70,9 @@ struct CellLogOptions {
   std::uint64_t cell_lo = 0;
   std::uint64_t cell_hi = 0;
   int jobs = 1;
-  // Per-cell exception barrier / watchdog / retry.
-  runtime::SupervisorOptions supervision;
+  // Host-clock budget of each cell's watchdog (runtime::RunSupervised);
+  // 0 leaves it disarmed.
+  double cell_timeout_ms = 0.0;
 
   // The seed a cell's record must carry.
   std::function<std::uint64_t(std::uint64_t cell)> cell_seed;
@@ -79,11 +80,11 @@ struct CellLogOptions {
   // record and re-runs the cell. Called before any cell runs.
   std::function<bool(std::uint64_t cell, std::string_view payload, std::string* error)>
       restore;
-  // One attempt of a cell, under the supervisor's exception barrier:
-  // returns the record payload (ignored without a path) or throws.
+  // Run one cell under the exception barrier: returns the record payload
+  // (ignored without a path) or throws.
   std::function<std::string(std::uint64_t cell, runtime::Watchdog& watchdog)> run;
-  // Optional: attach the diagnostic bundle to a cell's final failure. Runs
-  // on the thread that ran the cell, right after its last attempt.
+  // Optional: attach the diagnostic bundle to a cell's failure. Runs on the
+  // thread that ran the cell, right after it failed.
   std::function<void(std::uint64_t cell, runtime::CellFailure& failure)> diagnose;
   // Optional: called once per executed cell, serialized, in completion
   // order; `failure` is null on success.
@@ -94,7 +95,6 @@ struct CellLogResult {
   std::uint64_t cells_total = 0;     // cells in this run's scope
   std::uint64_t cells_executed = 0;  // ran this invocation
   std::uint64_t cells_restored = 0;  // verified records reused from the log
-  std::uint64_t retries = 0;         // host-transient retries
   std::vector<runtime::CellFailure> failures;  // completion order
   std::vector<std::string> warnings;           // records rejected on resume
   double wall_seconds = 0.0;

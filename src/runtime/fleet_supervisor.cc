@@ -314,7 +314,8 @@ class Driver {
       }
       std::ostringstream out;
       out << "shard " << s.shard << ": no progress for " << stalled_s
-          << " s — killing stalled worker (host_transient)";
+          << " s — killing stalled worker (" << FailureKindName(FailureKind::kHostTransient)
+          << ")";
       Warn(out.str());
       ShardProcessResult res;
       KillShardProcess(s.pid, &res);

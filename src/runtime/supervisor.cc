@@ -1,8 +1,6 @@
 #include "src/runtime/supervisor.h"
 
 #include <sstream>
-#include <thread>
-#include <utility>
 
 namespace wdmlat::runtime {
 
@@ -67,8 +65,7 @@ void Watchdog::Check() const {
 
 std::string CellFailure::Render() const {
   std::ostringstream out;
-  out << "cell " << cell << " seed " << seed << " failed [" << FailureKindName(kind)
-      << "] after " << attempts << (attempts == 1 ? " attempt" : " attempts") << " ("
+  out << "cell " << cell << " seed " << seed << " failed [" << FailureKindName(kind) << "] ("
       << elapsed_ms << " ms): " << message;
   for (const std::string& line : diagnostics) {
     out << "\n  | " << line;
@@ -76,55 +73,34 @@ std::string CellFailure::Render() const {
   return out.str();
 }
 
-Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
-}
-
-std::optional<CellFailure> Supervisor::RunCell(
-    std::size_t cell, std::uint64_t seed,
-    const std::function<void(int attempt, Watchdog& watchdog)>& body,
-    const std::function<void(CellFailure&)>& diagnose) {
-  ++cells_run_;
+std::optional<CellFailure> RunSupervised(std::size_t cell, std::uint64_t seed,
+                                         double cell_timeout_ms,
+                                         const std::function<void(Watchdog& watchdog)>& body,
+                                         const std::function<void(CellFailure&)>& diagnose) {
   Watchdog watchdog;
-  double backoff_ms = options_.retry_backoff_ms;
-  for (int attempt = 1;; ++attempt) {
-    watchdog.Arm(options_.cell_timeout_ms);
-    CellFailure failure;
-    failure.cell = cell;
-    failure.seed = seed;
-    failure.attempts = attempt;
-    try {
-      body(attempt, watchdog);
-      return std::nullopt;
-    } catch (const DeadlineExceeded& e) {
-      failure.kind = FailureKind::kTimeout;
-      failure.message = e.what();
-    } catch (const InvariantViolation& e) {
-      failure.kind = FailureKind::kInvariantViolation;
-      failure.message = e.what();
-    } catch (const TransientError& e) {
-      failure.kind = FailureKind::kHostTransient;
-      failure.message = e.what();
-    } catch (const std::exception& e) {
-      failure.kind = FailureKind::kException;
-      failure.message = e.what();
-    } catch (...) {
-      failure.kind = FailureKind::kException;
-      failure.message = "non-standard exception";
-    }
-    failure.elapsed_ms = watchdog.elapsed_ms();
-    const bool retryable = failure.kind == FailureKind::kHostTransient &&
-                           attempt < options_.max_attempts;
-    if (!retryable) {
-      if (diagnose) diagnose(failure);
-      return failure;
-    }
-    ++retries_;
-    if (backoff_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff_ms *= 2.0;
-    }
+  watchdog.Arm(cell_timeout_ms);
+  CellFailure failure;
+  failure.cell = cell;
+  failure.seed = seed;
+  try {
+    body(watchdog);
+    return std::nullopt;
+  } catch (const DeadlineExceeded& e) {
+    failure.kind = FailureKind::kTimeout;
+    failure.message = e.what();
+  } catch (const InvariantViolation& e) {
+    failure.kind = FailureKind::kInvariantViolation;
+    failure.message = e.what();
+  } catch (const std::exception& e) {
+    failure.kind = FailureKind::kException;
+    failure.message = e.what();
+  } catch (...) {
+    failure.kind = FailureKind::kException;
+    failure.message = "non-standard exception";
   }
+  failure.elapsed_ms = watchdog.elapsed_ms();
+  if (diagnose) diagnose(failure);
+  return failure;
 }
 
 }  // namespace wdmlat::runtime

@@ -1,16 +1,16 @@
-// runtime::Supervisor — the exception barrier and watchdog around one
+// runtime::RunSupervised — the exception barrier and watchdog around one
 // experiment cell.
 //
 // The matrix runner's headline statistics (expected hourly/daily/weekly
 // worst cases) only exist if multi-hour loaded runs complete reliably, so a
-// single throwing cell must not discard the whole run. The supervisor wraps
-// each cell body in an exception barrier that converts any escaping
-// exception into a structured CellFailure (taxonomy + message + diagnostic
-// bundle filled in by the caller), arms a host-clock watchdog that the cell
-// polls cooperatively between simulation slices, and retries host-transient
-// failures a bounded number of times with exponential backoff — reusing the
-// same seed, so a retry that succeeds is bit-identical to a first-attempt
-// success.
+// single throwing cell must not discard the whole run. RunSupervised wraps
+// a cell body in an exception barrier that converts any escaping exception
+// into a structured CellFailure (taxonomy + message + diagnostic bundle
+// filled in by the caller) and arms a host-clock watchdog that the cell
+// polls cooperatively between simulation slices. Every in-process failure
+// is deterministic — the same seed would fail the same way — so none is
+// retried; a worker process that dies or hangs is the fleet's to retry
+// (runtime::FleetSupervisor).
 //
 // The watchdog is host-clock by design: simulated time is deterministic and
 // cannot hang, but the host running the simulation can (a pathological fault
@@ -21,7 +21,6 @@
 #ifndef SRC_RUNTIME_SUPERVISOR_H_
 #define SRC_RUNTIME_SUPERVISOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -46,8 +45,9 @@ enum class FailureKind : std::uint8_t {
   // A periodic or end-of-run invariant audit found corrupted simulator
   // state; the cell's results are untrustworthy and are discarded.
   kInvariantViolation,
-  // A host-side transient (I/O hiccup, resource exhaustion): retried with
-  // backoff up to SupervisorOptions::max_attempts, preserving the seed.
+  // A fleet worker process that was killed or hung (never an in-process
+  // verdict): FleetSupervisor re-spawns its shard window, which resumes
+  // from the flushed records with the same seeds.
   kHostTransient,
 };
 
@@ -60,13 +60,6 @@ class DeadlineExceeded : public std::runtime_error {
   explicit DeadlineExceeded(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Thrown (by cell bodies or infrastructure) to mark a failure as
-// host-transient and therefore retryable.
-class TransientError : public std::runtime_error {
- public:
-  explicit TransientError(const std::string& what) : std::runtime_error(what) {}
-};
-
 // Thrown by the lab layer when a sim::InvariantAuditor pass fails; carries
 // the rendered violation list.
 class InvariantViolation : public std::runtime_error {
@@ -74,7 +67,7 @@ class InvariantViolation : public std::runtime_error {
   explicit InvariantViolation(const std::string& what) : std::runtime_error(what) {}
 };
 
-// A host-clock deadline budget. Armed per attempt by the supervisor and
+// A host-clock deadline budget. Armed once per cell by RunSupervised and
 // polled cooperatively (Check) by the cell between simulation slices.
 class Watchdog {
  public:
@@ -83,7 +76,6 @@ class Watchdog {
   void Disarm() { armed_ = false; }
 
   bool armed() const { return armed_; }
-  double timeout_ms() const { return timeout_ms_; }
   double elapsed_ms() const;
   bool expired() const;
 
@@ -105,7 +97,6 @@ struct CellFailure {
   std::uint64_t seed = 0;
   FailureKind kind = FailureKind::kException;
   std::string message;
-  int attempts = 1;
   double elapsed_ms = 0.0;
   // Diagnostic bundle: flight-recorder tail, metrics snapshot, audit report.
   // Filled by the caller's diagnose hook (the supervisor itself is
@@ -116,40 +107,14 @@ struct CellFailure {
   std::string Render() const;
 };
 
-struct SupervisorOptions {
-  // Host-clock budget per attempt; 0 disables the watchdog.
-  double cell_timeout_ms = 0.0;
-  // Total attempts for host-transient failures (>= 1). Deterministic
-  // failures (exception/timeout/invariant) never retry.
-  int max_attempts = 3;
-  // First retry backoff; doubles per subsequent retry.
-  double retry_backoff_ms = 25.0;
-};
-
-class Supervisor {
- public:
-  explicit Supervisor(SupervisorOptions options);
-
-  const SupervisorOptions& options() const { return options_; }
-
-  // Run `body(attempt, watchdog)` under the exception barrier. The watchdog
-  // is re-armed for every attempt; attempts are 1-based. Returns nullopt on
-  // success, or the structured failure of the last attempt. `diagnose`, when
-  // set, runs once on the final failure to attach the diagnostic bundle.
-  std::optional<CellFailure> RunCell(
-      std::size_t cell, std::uint64_t seed,
-      const std::function<void(int attempt, Watchdog& watchdog)>& body,
-      const std::function<void(CellFailure&)>& diagnose = nullptr);
-
-  std::uint64_t cells_run() const { return cells_run_.load(std::memory_order_relaxed); }
-  std::uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
-
- private:
-  SupervisorOptions options_;
-  // Atomic: one Supervisor serves every pool worker of a matrix run.
-  std::atomic<std::uint64_t> cells_run_{0};
-  std::atomic<std::uint64_t> retries_{0};
-};
+// Run `body(watchdog)` under the exception barrier, with the watchdog armed
+// for `cell_timeout_ms` (<= 0 leaves it disarmed). Returns nullopt on
+// success, or the structured failure; `diagnose`, when set, runs once on
+// that failure to attach the diagnostic bundle.
+std::optional<CellFailure> RunSupervised(
+    std::size_t cell, std::uint64_t seed, double cell_timeout_ms,
+    const std::function<void(Watchdog& watchdog)>& body,
+    const std::function<void(CellFailure&)>& diagnose = nullptr);
 
 }  // namespace wdmlat::runtime
 

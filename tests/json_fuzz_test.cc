@@ -1,13 +1,15 @@
 // Deterministic mutation fuzzing of the hand-written-input parsers: the DOM
-// reader obs::ParseJson and the two schema readers built on it,
-// fault::ParseFaultPlan and lab::FleetSpecFromJson. Real documents (a
-// metrics export, a fault plan using every dist, a two-cohort fleet spec)
-// are mutated with the seeded JsonMutator of tests/json_mutator.h.
+// reader obs::ParseJson and the schema readers built on it,
+// fault::ParseFaultPlan, lab::FleetSpecFromJson and
+// lab::LoadFleetQuarantine. Real documents (a metrics export, a fault plan
+// using every dist, a two-cohort fleet spec, a quarantine manifest) are
+// mutated with the seeded JsonMutator of tests/json_mutator.h.
 //
 // Each mutant must either be rejected cleanly, with an error message (and,
 // from ParseJson, a position inside the text), or be accepted and re-parse
 // to the same value: the accepted DOM is written back out in a canonical
-// spelling, and that text must parse to the same tree, plan or spec. Run
+// spelling (a manifest through SaveFleetQuarantine), and that text must
+// parse to the same tree, plan, spec or entries. Run
 // under ci/asan.sh, a crash, an out-of-bounds read or a leak on any mutant
 // fails the job.
 
@@ -16,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "tests/json_mutator.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat {
 namespace {
@@ -154,6 +158,30 @@ constexpr const char* kFleetSpec = R"({"name": "pop", "master_seed": 11, "cohort
   {"name": "y", "os": "win98", "workloads": ["web"], "count": 3, "speed_mhz": 233,
    "episode_threshold_us": 500, "virus_scanner": true}]})";
 
+// A quarantine manifest as the fleet orchestrator writes it: supervisor
+// verdicts and merge-detected reasons, one u64 seed past 2^63.
+constexpr const char* kQuarantineManifest =
+    "{\"cell\": \"3\", \"seed\": \"12345678901234567890\", \"taxonomy\": \"exception\", "
+    "\"attempts\": 3}\n"
+    "{\"cell\": \"17\", \"seed\": \"42\", \"taxonomy\": \"timeout\", \"attempts\": 2}\n"
+    "{\"cell\": \"40\", \"seed\": \"7\", \"taxonomy\": \"missing_record\", "
+    "\"attempts\": 1}\n";
+
+// Every persisted field of a manifest's entries (cohort is not persisted).
+std::string Describe(const std::vector<lab::FleetQuarantineEntry>& entries) {
+  std::string out;
+  for (const lab::FleetQuarantineEntry& entry : entries) {
+    out += std::to_string(entry.cell) + "," + std::to_string(entry.seed) + "," +
+           entry.taxonomy + "," + std::to_string(entry.attempts) + "|";
+  }
+  return out;
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
 TEST(JsonFuzzTest, ParseJsonMutantsAreRejectedOrReparseToTheSameTree) {
   const std::string documents[] = {MetricsDocument(), kFaultPlan, kFleetSpec};
   testutil::JsonMutator mutator(0x646f6d);
@@ -237,6 +265,38 @@ TEST(JsonFuzzTest, FleetSpecMutantsAreRejectedOrReparseToTheSameSpec) {
     ASSERT_EQ(again.name, spec.name) << "mutant " << i;
     ASSERT_EQ(again.cell_count(), spec.cell_count()) << "mutant " << i;
     ASSERT_EQ(lab::FleetFingerprint(again), lab::FleetFingerprint(spec)) << "mutant " << i;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(JsonFuzzTest, QuarantineManifestMutantsAreRejectedOrReloadToTheSameEntries) {
+  const std::string mutant_path = testutil::TempFileFor("mutant.jsonl");
+  const std::string saved_path = testutil::TempFileFor("saved.jsonl");
+  std::vector<lab::FleetQuarantineEntry> original;
+  std::string error;
+  WriteFile(mutant_path, kQuarantineManifest);
+  ASSERT_TRUE(lab::LoadFleetQuarantine(mutant_path, &original, &error)) << error;
+  ASSERT_EQ(original.size(), 3u);
+  testutil::JsonMutator mutator(0x71756172);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutantsPerInput; ++i) {
+    WriteFile(mutant_path, mutator.Mutate(kQuarantineManifest));
+    std::vector<lab::FleetQuarantineEntry> entries;
+    error.clear();
+    if (!lab::LoadFleetQuarantine(mutant_path, &entries, &error)) {
+      ++rejected;
+      ASSERT_FALSE(error.empty()) << "mutant " << i;
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(lab::SaveFleetQuarantine(saved_path, entries, &error))
+        << "mutant " << i << ": " << error;
+    std::vector<lab::FleetQuarantineEntry> again;
+    ASSERT_TRUE(lab::LoadFleetQuarantine(saved_path, &again, &error))
+        << "mutant " << i << ": " << error;
+    ASSERT_EQ(Describe(again), Describe(entries)) << "mutant " << i;
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);

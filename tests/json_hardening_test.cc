@@ -166,7 +166,9 @@ TEST(JsonHardeningTest, FaultPlanIntegerFieldsAreRangeChecked) {
 }
 
 // Duration parameters a sampler cannot take (the mutation fuzz found an
-// inverted uniform range, which the sampler asserted on) are parse errors.
+// inverted uniform range, which the sampler asserted on) are parse errors,
+// and so is any time past fault::kMaxPlanTimeUs, whose conversion to
+// sim::Cycles would overflow.
 TEST(JsonHardeningTest, FaultPlanDurationParametersAreRangeChecked) {
   const std::pair<const char*, const char*> cases[] = {
       {R"("duration_us": -1)", "duration_us must be a number >= 0"},
@@ -181,6 +183,24 @@ TEST(JsonHardeningTest, FaultPlanDurationParametersAreRangeChecked) {
        "bounded_pareto needs"},
       {R"("duration": {"dist": "bounded_pareto", "alpha": 1.2, "lo_us": 9, "hi_us": 9})",
        "bounded_pareto needs"},
+      {R"("duration_us": 1e17)", "duration_us exceeds the plan time ceiling"},
+      {R"("duration": 1e13)", "duration exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "constant", "us": 1e13})", "us exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "uniform", "lo_us": 0, "hi_us": 1e14})",
+       "hi_us exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "exponential", "mean_us": 1e13})",
+       "mean_us exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "lognormal", "median_us": 1e13})",
+       "median_us exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "bounded_pareto", "lo_us": 1, "hi_us": 1e14})",
+       "hi_us exceeds the plan time ceiling"},
+      {R"("at_ms": 1e14)", "at_ms exceeds the plan time ceiling"},
+      {R"("trigger": "periodic", "period_ms": 1e14)", "period_ms exceeds the plan time ceiling"},
+      {R"("trigger": "poisson", "rate_per_s": 1e-9)",
+       "mean poisson gap 1 / rate_per_s exceeds the plan time ceiling"},
+      {R"("spacing_us": 1e13)", "spacing_us * (burst - 1) exceeds the plan time ceiling"},
+      {R"("burst": 3, "spacing_us": 6e11)",
+       "spacing_us * (burst - 1) exceeds the plan time ceiling"},
   };
   for (const auto& [field, message] : cases) {
     const std::string text = std::string(R"({"faults": [{"kind": "masked_window", )") + field +
@@ -196,6 +216,11 @@ TEST(JsonHardeningTest, FaultPlanDurationParametersAreRangeChecked) {
       R"({"faults": [{"kind": "masked_window", "duration": {"dist": "uniform", "lo_us": 0,
                       "hi_us": 0}}]})",
       &plan, &error))
+      << error;
+  // Times at the ceiling itself are accepted.
+  EXPECT_TRUE(fault::ParseFaultPlan(
+      R"({"faults": [{"kind": "masked_window", "at_ms": 1e9, "duration_us": 1e12}]})", &plan,
+      &error))
       << error;
 }
 

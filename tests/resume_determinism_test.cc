@@ -227,6 +227,31 @@ TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   EXPECT_TRUE(result.merge_violations.empty());
 }
 
+TEST(ResumeDeterminismTest, ExpiredWatchdogFailsEveryCellAsTimeoutWithoutRecords) {
+  const ExperimentMatrix matrix(SmallSpec());
+  MatrixRunOptions options;
+  options.jobs = 2;
+  options.cell_timeout_ms = 1e-6;  // expires before the first slice boundary
+  options.journal_path = TempFileFor("timeout_run.jsonl");
+  const MatrixResult result = matrix.Run(options);
+
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_FALSE(result.complete());
+  EXPECT_EQ(result.cells_executed, 4u);
+  ASSERT_EQ(result.failures.size(), 4u);
+  for (const runtime::CellFailure& failure : result.failures) {
+    EXPECT_EQ(failure.kind, runtime::FailureKind::kTimeout) << failure.Render();
+    EXPECT_EQ(failure.seed, matrix.cells()[failure.cell].seed);
+    EXPECT_NE(failure.message.find("host deadline budget"), std::string::npos)
+        << failure.message;
+    EXPECT_FALSE(failure.diagnostics.empty()) << "no black-box tail attached";
+  }
+  for (CellStatus status : result.statuses) {
+    EXPECT_EQ(status, CellStatus::kFailed);
+  }
+  EXPECT_TRUE(ReadLines(options.journal_path).empty());
+}
+
 TEST(ResumeDeterminismTest, RecordLogHoldsOneVerifiedRecordPerCompletedCell) {
   const MatrixSpec spec = SmallSpec();
   const ExperimentMatrix matrix(spec);

@@ -1,6 +1,6 @@
-// runtime::Supervisor: the exception barrier, watchdog and retry policy
-// around one experiment cell. Tested without any simulation — the supervisor
-// is simulation-agnostic by design.
+// runtime::RunSupervised: the exception barrier and watchdog around one
+// experiment cell. Tested without any simulation — the supervisor is
+// simulation-agnostic by design.
 
 #include "src/runtime/supervisor.h"
 
@@ -54,31 +54,21 @@ TEST(WatchdogTest, GenerousBudgetDoesNotExpire) {
   EXPECT_GE(dog.elapsed_ms(), 0.0);
 }
 
-SupervisorOptions FastRetryOptions(int max_attempts) {
-  SupervisorOptions options;
-  options.max_attempts = max_attempts;
-  options.retry_backoff_ms = 0.0;  // keep the test instant
-  return options;
-}
-
-TEST(SupervisorTest, SuccessReturnsNulloptAndCountsCells) {
-  Supervisor supervisor(FastRetryOptions(3));
+TEST(SupervisorTest, SuccessReturnsNulloptAndRunsTheBodyOnce) {
   int calls = 0;
-  const auto failure = supervisor.RunCell(
-      7, 99, [&](int attempt, Watchdog&) {
-        EXPECT_EQ(attempt, 1);
-        ++calls;
-      });
+  bool armed = true;
+  const auto failure = RunSupervised(7, 99, 0.0, [&](Watchdog& dog) {
+    armed = dog.armed();
+    ++calls;
+  });
   EXPECT_FALSE(failure.has_value());
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(supervisor.cells_run(), 1u);
-  EXPECT_EQ(supervisor.retries(), 0u);
+  EXPECT_FALSE(armed);  // a zero budget leaves the watchdog disarmed
 }
 
 TEST(SupervisorTest, ExceptionIsDeterministicAndNeverRetried) {
-  Supervisor supervisor(FastRetryOptions(5));
   int calls = 0;
-  const auto failure = supervisor.RunCell(3, 42, [&](int, Watchdog&) {
+  const auto failure = RunSupervised(3, 42, 0.0, [&](Watchdog&) {
     ++calls;
     throw std::runtime_error("boom");
   });
@@ -87,13 +77,11 @@ TEST(SupervisorTest, ExceptionIsDeterministicAndNeverRetried) {
   EXPECT_EQ(failure->kind, FailureKind::kException);
   EXPECT_EQ(failure->cell, 3u);
   EXPECT_EQ(failure->seed, 42u);
-  EXPECT_EQ(failure->attempts, 1);
   EXPECT_EQ(failure->message, "boom");
 }
 
 TEST(SupervisorTest, InvariantViolationMapsToItsTaxonomy) {
-  Supervisor supervisor(FastRetryOptions(3));
-  const auto failure = supervisor.RunCell(0, 1, [](int, Watchdog&) {
+  const auto failure = RunSupervised(0, 1, 0.0, [](Watchdog&) {
     throw InvariantViolation("heap order broken");
   });
   ASSERT_TRUE(failure.has_value());
@@ -101,53 +89,20 @@ TEST(SupervisorTest, InvariantViolationMapsToItsTaxonomy) {
 }
 
 TEST(SupervisorTest, DeadlineMapsToTimeout) {
-  SupervisorOptions options = FastRetryOptions(3);
-  options.cell_timeout_ms = 1.0;
-  Supervisor supervisor(options);
-  const auto failure = supervisor.RunCell(0, 1, [](int, Watchdog& dog) {
+  const auto failure = RunSupervised(0, 1, 1.0, [](Watchdog& dog) {
+    EXPECT_TRUE(dog.armed());
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     dog.Check();  // cooperative poll, as the sliced lab run does
   });
   ASSERT_TRUE(failure.has_value());
   EXPECT_EQ(failure->kind, FailureKind::kTimeout);
-  EXPECT_EQ(failure->attempts, 1);  // timeouts are not retried
-}
-
-TEST(SupervisorTest, HostTransientRetriesWithSameSeedThenSucceeds) {
-  Supervisor supervisor(FastRetryOptions(3));
-  int calls = 0;
-  const auto failure = supervisor.RunCell(1, 77, [&](int attempt, Watchdog&) {
-    ++calls;
-    EXPECT_EQ(attempt, calls);  // attempts are 1-based and sequential
-    if (attempt < 3) {
-      throw TransientError("disk hiccup");
-    }
-  });
-  EXPECT_FALSE(failure.has_value());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(supervisor.retries(), 2u);
-}
-
-TEST(SupervisorTest, HostTransientExhaustsAttempts) {
-  Supervisor supervisor(FastRetryOptions(3));
-  int calls = 0;
-  const auto failure = supervisor.RunCell(1, 77, [&](int, Watchdog&) {
-    ++calls;
-    throw TransientError("still down");
-  });
-  ASSERT_TRUE(failure.has_value());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(failure->kind, FailureKind::kHostTransient);
-  EXPECT_EQ(failure->attempts, 3);
-  EXPECT_EQ(supervisor.retries(), 2u);
+  EXPECT_GE(failure->elapsed_ms, 1.0);
 }
 
 TEST(SupervisorTest, DiagnoseHookRunsOnceOnFinalFailure) {
-  Supervisor supervisor(FastRetryOptions(2));
   int diagnosed = 0;
-  const auto failure = supervisor.RunCell(
-      5, 9,
-      [](int, Watchdog&) { throw TransientError("flaky"); },
+  const auto failure = RunSupervised(
+      5, 9, 0.0, [](Watchdog&) { throw InvariantViolation("ready queue torn"); },
       [&](CellFailure& f) {
         ++diagnosed;
         f.diagnostics.push_back("black-box tail line");
@@ -157,14 +112,22 @@ TEST(SupervisorTest, DiagnoseHookRunsOnceOnFinalFailure) {
   ASSERT_EQ(failure->diagnostics.size(), 1u);
 
   const std::string rendered = failure->Render();
-  EXPECT_NE(rendered.find("cell 5 seed 9"), std::string::npos);
-  EXPECT_NE(rendered.find("[host_transient]"), std::string::npos);
+  EXPECT_NE(rendered.find("cell 5 seed 9 failed [invariant_violation] ("), std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("): ready queue torn"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("| black-box tail line"), std::string::npos);
 }
 
+TEST(SupervisorTest, DiagnoseHookSkipsSuccess) {
+  int diagnosed = 0;
+  const auto failure =
+      RunSupervised(0, 0, 0.0, [](Watchdog&) {}, [&](CellFailure&) { ++diagnosed; });
+  EXPECT_FALSE(failure.has_value());
+  EXPECT_EQ(diagnosed, 0);
+}
+
 TEST(SupervisorTest, NonStandardExceptionIsStillCaptured) {
-  Supervisor supervisor(FastRetryOptions(1));
-  const auto failure = supervisor.RunCell(0, 0, [](int, Watchdog&) { throw 42; });
+  const auto failure = RunSupervised(0, 0, 0.0, [](Watchdog&) { throw 42; });
   ASSERT_TRUE(failure.has_value());
   EXPECT_EQ(failure->kind, FailureKind::kException);
   EXPECT_EQ(failure->message, "non-standard exception");
