@@ -158,9 +158,12 @@ status=0
 [[ "${status}" -eq 2 ]] \
   || { echo "chaos_smoke: --shard-timeout-s with --shard exited ${status}, want 2" >&2
        exit 1; }
+# Read the help once: piping it into `grep -q`, which exits at its first
+# match, can kill wdmlat_run with SIGPIPE, and pipefail makes that a failure.
+help="$("${RUN}" --help)"
 for flag in --shard-timeout-s --shard-retries --chaos-seed \
             --poison-cell --quarantine; do
-  "${RUN}" --help | grep -q -- "${flag}" \
+  grep -q -- "${flag}" <<< "${help}" \
     || { echo "chaos_smoke: --help does not document ${flag}" >&2; exit 1; }
 done
 

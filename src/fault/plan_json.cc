@@ -1,5 +1,6 @@
 #include "src/fault/plan_json.h"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,13 +17,19 @@ void SetError(std::string* error, const std::string& message) {
   }
 }
 
+// The largest |z| sim::Rng::Normal draws: sqrt(-2 ln 2^-53), from its
+// smallest uniform.
+constexpr double kLargestNormalZ = 8.58;
+
 // Parse the "duration" object sub-schema (see plan_json.h header comment).
 // Parameters the samplers cannot take are rejected here, not asserted on
 // (or sampled into negative cycle counts) mid-run: a negative duration, an
 // inverted range, a non-positive mean, median or tail index, or a time past
-// kMaxPlanTimeUs, which would overflow sim::Cycles.
-bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
-                       std::string* error) {
+// kMaxPlanTimeUs, which would overflow sim::Cycles. That includes a
+// distribution whose UpperBoundUs() passes the ceiling, and a lognormal whose
+// largest draw does.
+bool ParseDurationParameters(const obs::JsonValue& value, sim::DurationDist* out,
+                             std::string* error) {
   const auto reject = [error](const std::string& message) {
     SetError(error, message);
     return false;
@@ -84,6 +91,9 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
     if (!WithinPlanTimeCeiling(median)) {
       return reject(PlanTimeCeilingError("median_us"));
     }
+    if (!WithinPlanTimeCeiling(median * std::exp(sigma * kLargestNormalZ))) {
+      return reject(PlanTimeCeilingError("the largest lognormal draw median_us * e^(8.58 sigma)"));
+    }
     *out = sim::DurationDist::LogNormal(median, sigma);
     return true;
   }
@@ -102,6 +112,18 @@ bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
   }
   SetError(error, "unknown duration dist \"" + dist + "\"");
   return false;
+}
+
+bool ParseDurationDist(const obs::JsonValue& value, sim::DurationDist* out,
+                       std::string* error) {
+  if (!ParseDurationParameters(value, out, error)) {
+    return false;
+  }
+  if (!WithinPlanTimeCeiling(out->UpperBoundUs())) {
+    SetError(error, PlanTimeCeilingError("duration upper bound"));
+    return false;
+  }
+  return true;
 }
 
 bool ParseSpec(const obs::JsonValue& value, std::size_t index, FaultSpec* out,

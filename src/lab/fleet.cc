@@ -27,6 +27,7 @@ namespace wdmlat::lab {
 
 namespace {
 
+using report_json::AppendCompactSketch;
 using report_json::AppendEscaped;
 using report_json::AppendHexDouble;
 using report_json::AppendHistogram;
@@ -34,12 +35,16 @@ using report_json::AppendInt;
 using report_json::AppendSketch;
 using report_json::AppendU64;
 using report_json::ParseU64;
+using report_json::ReadCompactSketch;
 using report_json::ReadHistogram;
-using report_json::ReadSketch;
 
 constexpr const char* kRecordFormat = "wdmlat-fleet-cell";
 constexpr const char* kReportFormat = "wdmlat-fleet-report";
 constexpr int kFormatVersion = 1;
+// The cell record payload's own version: 2 spells its sketch compactly
+// (report_json::AppendCompactSketch). kFormatVersion stays 1 because it also
+// feeds the fleet fingerprint and the fleet.json "version".
+constexpr int kRecordVersion = 2;
 
 // Domain-separation tags for the hash chains: the cell seed feeds the
 // simulation, the draw seed feeds the per-member priors. Distinct tags keep
@@ -444,7 +449,7 @@ std::string RecordPayload(const FleetCellRecord& record) {
   out += "{\"format\": \"";
   out += kRecordFormat;
   out += "\", \"version\": ";
-  AppendInt(out, kFormatVersion);
+  AppendInt(out, kRecordVersion);
   out += ", \"cohort\": ";
   AppendU64(out, record.cohort);
   out += ", \"samples\": \"";
@@ -469,7 +474,7 @@ std::string RecordPayload(const FleetCellRecord& record) {
   out += ", ";
   AppendHistogram(out, "dpc_interrupt", record.dpc_interrupt);
   out += "}, ";
-  AppendSketch(out, "thread_sketch", record.thread_sketch);
+  AppendCompactSketch(out, "thread_sketch", record.thread_sketch);
   out += '}';
   return out;
 }
@@ -481,10 +486,18 @@ bool RecordFromPayload(std::string_view payload, FleetCellRecord* record,
   report_json::Reader in(payload);
   std::int64_t version = 0;
   if (!in.Expect("{\"format\": \"") || !in.Expect(kRecordFormat) ||
-      !in.Expect("\", \"version\": ") || !in.Int(kFormatVersion, kFormatVersion, &version)) {
+      !in.Expect("\", \"version\": ") || !in.Int(1, obs::kMaxJsonInteger, &version)) {
     if (error != nullptr) {
-      *error = "record payload is not a " + std::string(kRecordFormat) + " v" +
-               std::to_string(kFormatVersion) + " document (" + in.error() + ")";
+      *error = "record payload is not a " + std::string(kRecordFormat) + " document (" +
+               in.error() + ")";
+    }
+    return false;
+  }
+  if (version != kRecordVersion) {
+    if (error != nullptr) {
+      *error = "record payload is " + std::string(kRecordFormat) + " v" +
+               std::to_string(version) + "; this build reads v" +
+               std::to_string(kRecordVersion) + " only (re-run the cell)";
     }
     return false;
   }
@@ -503,7 +516,7 @@ bool RecordFromPayload(std::string_view payload, FleetCellRecord* record,
       in.FixedArray(obs::kAnatomyStageCount, stage_cycles) &&
       in.Expect(", \"histograms\": {") && ReadHistogram(in, "thread", &record->thread) &&
       in.Expect(", ") && ReadHistogram(in, "dpc_interrupt", &record->dpc_interrupt) &&
-      in.Expect("}, ") && ReadSketch(in, "thread_sketch", &record->thread_sketch) &&
+      in.Expect("}, ") && ReadCompactSketch(in, "thread_sketch", &record->thread_sketch) &&
       in.Expect("}") && in.ExpectEnd();
   if (!ok) {
     if (error != nullptr) {
@@ -523,17 +536,17 @@ std::string FleetRecordToLine(const FleetCellRecord& record) {
 
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
                          std::string* error) {
-  *record = FleetCellRecord{};
+  // Decoded in place: the payload sets every field but the coordinates, and
+  // a record is two 8 KiB histograms, too big to build aside and copy.
   RecordLine parsed;
-  FleetCellRecord result;
   if (!ParseRecordLine(line, &parsed, error) ||
-      !RecordFromPayload(parsed.payload, &result, error)) {
+      !RecordFromPayload(parsed.payload, record, error)) {
+    *record = FleetCellRecord{};
     return false;
   }
-  result.index = parsed.cell;
-  result.seed = parsed.seed;
-  result.spec = parsed.spec;
-  *record = std::move(result);
+  record->index = parsed.cell;
+  record->seed = parsed.seed;
+  record->spec = parsed.spec;
   return true;
 }
 

@@ -188,8 +188,10 @@ struct FleetCellRecord {
 
 // One record-log line (src/lab/record_log.h): {"cell", "seed", "spec",
 // "checksum", "payload"} where payload is the record body (report_io
-// dialect: hexfloats + decimal u64s), so a torn or bit-rotted line fails
-// loudly on resume and on merge.
+// dialect: hexfloats + decimal u64s, the sketch in cycle counts when it
+// can be; payload version 2), so a torn or bit-rotted line fails loudly on
+// resume and on merge. A payload of another version is rejected: resume
+// re-runs its cell, a strict merge stops on it.
 std::string FleetRecordToLine(const FleetCellRecord& record);
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record, std::string* error);
 

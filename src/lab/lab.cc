@@ -157,21 +157,10 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
     }
   }
   if (obs.sketch) {
+    // Each sample is recorded once; the registry's "driver.thread_ms" series
+    // gets the run's sketch merged in at the end.
     stats::QuantileSketch* sketch = &report.thread_sketch;
-    obs::MetricsRegistry* metrics = obs.metrics;
-    // The registry's series is resolved at the first sample, so a run that
-    // records none leaves no empty "driver.thread_ms" behind.
-    driver.on_sample = [sketch, metrics,
-                        series = static_cast<stats::QuantileSketch*>(nullptr)](
-                           double thread_ms) mutable {
-      sketch->RecordMs(thread_ms);
-      if (metrics != nullptr) {
-        if (series == nullptr) {
-          series = &metrics->SketchSeries("driver.thread_ms");
-        }
-        series->RecordMs(thread_ms);
-      }
-    };
+    driver.on_sample = [sketch](double thread_ms) { sketch->RecordMs(thread_ms); };
   }
   if (!fanout.empty()) {
     system.kernel().SetTraceSink(&fanout);
@@ -239,6 +228,12 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
     report.anatomy = anatomy->episodes();
   }
   if (obs.metrics != nullptr) {
+    // A run that records no sample leaves no empty "driver.thread_ms"
+    // behind. Every run gets a fresh registry, so the merge into an empty
+    // series exports what recording each sample there did.
+    if (report.thread_sketch.count() > 0) {
+      obs.metrics->SketchSeries("driver.thread_ms").Merge(report.thread_sketch);
+    }
     obs::CollectRunCounters(system.kernel(), *obs.metrics);
     obs.metrics->Add("driver.samples", static_cast<double>(report.samples));
     obs.metrics->Set("driver.samples_per_hour", report.samples_per_hour);

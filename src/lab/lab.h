@@ -65,8 +65,9 @@ struct ObsOptions {
   // trace sink — measured distributions stay bit-identical.
   bool anatomy = false;
   // Stream every recorded thread-latency sample into
-  // LabReport::thread_sketch (and metrics series "driver.thread_ms" when a
-  // registry is attached).
+  // LabReport::thread_sketch, merged at the end of the run into the metrics
+  // series "driver.thread_ms" when a registry is attached. The registry is
+  // expected to be fresh for the run, as every caller's is.
   bool sketch = false;
 };
 

@@ -19,13 +19,14 @@ namespace {
 using report_json::AppendEscaped;
 using report_json::AppendU64;
 
-// The checksum covers the spec as well as the payload: a bit flipped in the
-// spec field must read as damage (re-run the cell), never as a foreign spec
-// (refuse the whole log).
-std::uint64_t RecordChecksum(std::uint64_t spec, std::string_view payload) {
+// The checksum is FNV-1a over the spec's digits and then the payload: a bit
+// flipped in the spec field must read as damage (re-run the cell), never as
+// a foreign spec (refuse the whole log). This is its digest of the spec; the
+// payload's escape and unescape continue it.
+std::uint64_t SpecDigest(std::uint64_t spec) {
   char prefix[20];
   const auto digits = std::to_chars(prefix, prefix + sizeof(prefix), spec);
-  return Fnv1a64(payload, Fnv1a64(std::string_view(prefix, digits.ptr - prefix)));
+  return Fnv1a64(std::string_view(prefix, digits.ptr - prefix));
 }
 
 std::string ForeignSpecError(const std::string& path, std::uint64_t cell,
@@ -139,31 +140,37 @@ std::string RecordLineText(std::uint64_t cell, std::uint64_t seed, std::uint64_t
   out += "\", \"spec\": \"";
   AppendU64(out, spec);
   out += "\", \"checksum\": \"";
-  AppendU64(out, RecordChecksum(spec, payload));
+  const std::size_t checksum_at = out.size();
   out += "\", \"payload\": \"";
-  AppendEscaped(out, payload);
+  const std::uint64_t checksum = AppendEscaped(out, payload, SpecDigest(spec));
   out += "\"}";
+  // The checksum comes before the payload it is computed over, in one pass
+  // with the escaping: put its digits in afterwards.
+  char digits[20];
+  const char* const digits_end = std::to_chars(digits, digits + sizeof(digits), checksum).ptr;
+  out.insert(checksum_at, digits, static_cast<std::size_t>(digits_end - digits));
   return out;
 }
 
 bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* error) {
-  // The inverse of RecordLineText; the payload is unescaped in one pass,
-  // into storage sized once.
+  // The inverse of RecordLineText; the payload is unescaped and
+  // checksummed in one pass, into storage sized once.
   report_json::Reader in(line);
   std::uint64_t checksum = 0;
   record->payload.reserve(line.size());
-  if (!in.Expect("{\"cell\": ") || !in.QuotedU64(&record->cell) ||
-      !in.Expect(", \"seed\": ") || !in.QuotedU64(&record->seed) ||
-      !in.Expect(", \"spec\": ") || !in.QuotedU64(&record->spec) ||
-      !in.Expect(", \"checksum\": ") || !in.QuotedU64(&checksum) ||
-      !in.Expect(", \"payload\": ") || !in.String(&record->payload) || !in.Expect("}") ||
-      !in.ExpectEnd()) {
+  const bool head = in.Expect("{\"cell\": ") && in.QuotedU64(&record->cell) &&
+                    in.Expect(", \"seed\": ") && in.QuotedU64(&record->seed) &&
+                    in.Expect(", \"spec\": ") && in.QuotedU64(&record->spec) &&
+                    in.Expect(", \"checksum\": ") && in.QuotedU64(&checksum) &&
+                    in.Expect(", \"payload\": ");
+  std::uint64_t digest = SpecDigest(record->spec);
+  if (!head || !in.String(&record->payload, &digest) || !in.Expect("}") || !in.ExpectEnd()) {
     if (error != nullptr) {
       *error = "malformed record line: " + in.error();
     }
     return false;
   }
-  if (RecordChecksum(record->spec, record->payload) != checksum) {
+  if (digest != checksum) {
     if (error != nullptr) {
       *error = "record payload checksum mismatch (torn or corrupt line)";
     }

@@ -1,11 +1,16 @@
 #include "src/lab/report_io.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <charconv>
+#include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/kernel/thread.h"
+#include "src/sim/time.h"
 
 namespace wdmlat::lab {
 
@@ -31,11 +36,76 @@ constexpr std::array<std::int8_t, 256> kHexValue = [] {
 
 int HexDigit(char c) { return kHexValue[static_cast<unsigned char>(c)]; }
 
-// The u64 spelling at [p, end): decimal digits without a leading zero.
-// Returns one past it, or nullptr.
+// The letter of a character's two-byte escape (\" \\ \n \r \t), or 0.
+char ShortEscape(unsigned char c) {
+  switch (c) {
+    case '"':
+      return '"';
+    case '\\':
+      return '\\';
+    case '\n':
+      return 'n';
+    case '\r':
+      return 'r';
+    case '\t':
+      return 't';
+    default:
+      return 0;
+  }
+}
+
+constexpr std::uint64_t kFnv1a64Prime = 0x100000001b3ull;
+
+bool IsDigit(const char* p, const char* end) {
+  return p != end && static_cast<unsigned char>(*p - '0') < 10;
+}
+
+// The u64 spelling at [p, end): decimal digits without a leading zero, at
+// most 2^64 - 1. Returns one past it, or nullptr. (std::from_chars reads the
+// same in about 1.5x the time, and a record spells thousands of these.)
 const char* ScanU64(const char* p, const char* end, std::uint64_t* out) {
-  const auto [ptr, ec] = std::from_chars(p, end, *out);
-  return ec != std::errc() || (*p == '0' && ptr - p > 1) ? nullptr : ptr;
+  const char* q = p;
+  std::uint64_t value = 0;
+  // Nineteen digits cannot overflow; a twentieth is checked, a 21st cannot fit.
+  for (; q - p < 19 && IsDigit(q, end); ++q) {
+    value = value * 10 + static_cast<std::uint64_t>(*q - '0');
+  }
+  if (IsDigit(q, end)) {
+    const auto digit = static_cast<std::uint64_t>(*q++ - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10 || IsDigit(q, end)) {
+      return nullptr;
+    }
+    value = value * 10 + digit;
+  }
+  if (q == p || (*p == '0' && q - p > 1)) {
+    return nullptr;
+  }
+  *out = value;
+  return q;
+}
+
+// Sort cycle counts ascending: a least-significant-digit radix sort with
+// one pass per byte of the largest count (three for a tail of tens of
+// milliseconds), in about two thirds of std::sort's time on a record's tail.
+void SortCycles(std::vector<std::uint64_t>& values) {
+  std::uint64_t bits = 0;
+  for (const std::uint64_t value : values) {
+    bits |= value;
+  }
+  std::vector<std::uint64_t> sorted(values.size());
+  for (int shift = 0; shift < 64 && (bits >> shift) != 0; shift += 8) {
+    std::array<std::size_t, 257> next{};
+    for (const std::uint64_t value : values) {
+      ++next[((value >> shift) & 0xff) + 1];
+    }
+    for (std::size_t digit = 1; digit < next.size(); ++digit) {
+      next[digit] += next[digit - 1];
+    }
+    for (const std::uint64_t value : values) {
+      sorted[next[(value >> shift) & 0xff]++] = value;
+    }
+    values.swap(sorted);
+  }
 }
 
 // The hexfloat spelling at [p, end) (see ParseHexDouble), decoded straight
@@ -85,6 +155,91 @@ const char* ScanHexDouble(const char* p, const char* end, double* out) {
   }
   *out = std::bit_cast<double>(bits);
   return ptr;
+}
+
+// The largest cycle count a compact sketch spells: 2^53, so that any JSON
+// reader reads it exactly.
+constexpr std::uint64_t kMaxSketchCycles = std::uint64_t{1} << 53;
+
+constexpr double kCyclesPerMs = static_cast<double>(sim::kCyclesPerMs);
+
+// The one rule that names a value's cycle count: ms * kCyclesPerMs, rounded.
+std::uint64_t RoundCycles(double ms) {
+  return static_cast<std::uint64_t>(ms * kCyclesPerMs + 0.5);
+}
+
+// The cycle count c with sim::CyclesToMs(c) bit-equal to `ms`, or false.
+bool ExactCycles(double ms, std::uint64_t* cycles) {
+  if (!(ms >= 0.0) || ms > static_cast<double>(kMaxSketchCycles) / kCyclesPerMs) {
+    return false;
+  }
+  const std::uint64_t c = RoundCycles(ms);
+  if (c > kMaxSketchCycles ||
+      std::bit_cast<std::uint64_t>(sim::CyclesToMs(c)) != std::bit_cast<std::uint64_t>(ms)) {
+    return false;
+  }
+  *cycles = c;
+  return true;
+}
+
+// The value of a spelled cycle count; false unless ExactCycles gives that
+// count back for it, so each value reads from one spelling only.
+bool CycleValue(std::uint64_t cycles, double* ms) {
+  *ms = sim::CyclesToMs(cycles);
+  return cycles <= kMaxSketchCycles && RoundCycles(*ms) == cycles;
+}
+
+// `values` as bare integers joined by ",", or the gaps between neighbours
+// (the first value, then each value minus the one before) when `gaps`.
+void AppendU64List(std::string& out, const std::vector<std::uint64_t>& values,
+                   std::size_t begin, std::size_t end, bool gaps) {
+  const std::size_t at = out.size();
+  out.resize(at + (end - begin) * 21);
+  char* p = out.data() + at;
+  std::uint64_t previous = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i != begin) *p++ = ',';
+    p = std::to_chars(p, p + 20, gaps ? values[i] - previous : values[i]).ptr;
+    previous = values[i];
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+// A sketch state in cycle counts: the level items flattened in their order,
+// the tail as stored, min and max.
+struct SketchCycles {
+  std::vector<std::uint64_t> items;
+  std::vector<std::uint64_t> tail;
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+};
+
+// False when some value of `state` has no cycle count.
+bool ToCycles(const stats::QuantileSketch::State& state, SketchCycles* out) {
+  if (!ExactCycles(state.min_ms, &out->min) || !ExactCycles(state.max_ms, &out->max)) {
+    return false;
+  }
+  for (const std::vector<double>& level : state.levels) {
+    for (const double ms : level) {
+      if (!ExactCycles(ms, &out->items.emplace_back())) {
+        return false;
+      }
+    }
+  }
+  out->tail.resize(state.tail.size());
+  for (std::size_t i = 0; i < state.tail.size(); ++i) {
+    if (!ExactCycles(state.tail[i], &out->tail[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void AppendParities(std::string& out, const stats::QuantileSketch::State& state) {
+  for (std::size_t l = 0; l < state.parities.size(); ++l) {
+    if (l != 0) out += ", ";
+    out += static_cast<char>('0' + state.parities[l]);
+  }
 }
 
 }  // namespace
@@ -140,40 +295,39 @@ void AppendHexDouble(std::string& out, double value) {
   out.append(buf, p);
 }
 
-void AppendEscaped(std::string& out, std::string_view text) {
-  const char* run = text.data();
-  const char* const end = run + text.size();
-  for (const char* p = run; p != end; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
+std::uint64_t AppendEscaped(std::string& out, std::string_view text, std::uint64_t hash) {
+  // Write straight into the string, with room for one more escape before
+  // each byte, and hash the text in the same pass: the hash's multiply
+  // chain sets the pace, and the copy runs in its shadow.
+  constexpr std::size_t kLongestEscape = 6;  // \u00xx
+  const std::size_t at = out.size();
+  out.resize(at + text.size() + text.size() / 8 + kLongestEscape);
+  char* o = out.data() + at;
+  for (const char ch : text) {
+    const auto c = static_cast<unsigned char>(ch);
+    hash = (hash ^ c) * kFnv1a64Prime;
+    if (static_cast<std::size_t>(out.data() + out.size() - o) < kLongestEscape) {
+      const std::size_t used = static_cast<std::size_t>(o - out.data());
+      out.resize(2 * out.size());
+      o = out.data() + used;
+    }
     if (c >= 0x20 && c != '"' && c != '\\') {
+      *o++ = ch;
       continue;
     }
-    out.append(run, p);
-    run = p + 1;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default: {
-        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
-        out.append(escape, sizeof(escape));
-      }
+    *o++ = '\\';
+    if (const char letter = ShortEscape(c); letter != 0) {
+      *o++ = letter;
+    } else {
+      const char escape[] = {'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+      std::memcpy(o, escape, sizeof(escape));
+      o += sizeof(escape);
     }
   }
-  out.append(run, end);
+  out.resize(static_cast<std::size_t>(o - out.data()));
+  return hash;
 }
+
 void AppendHistogram(std::string& out, const char* name,
                      const stats::LatencyHistogram& hist) {
   const stats::LatencyHistogram::State state = hist.ExportState();
@@ -203,8 +357,10 @@ void AppendHistogram(std::string& out, const char* name,
   out += "\"}";
 }
 
-void AppendSketch(std::string& out, const char* name, const stats::QuantileSketch& sketch) {
-  const stats::QuantileSketch::State state = sketch.ExportState();
+namespace {
+
+void AppendSketchState(std::string& out, const char* name,
+                       const stats::QuantileSketch::State& state) {
   out += '"';
   out += name;
   out += "\": {\"levels\": [";
@@ -220,10 +376,7 @@ void AppendSketch(std::string& out, const char* name, const stats::QuantileSketc
     out += ']';
   }
   out += "], \"parities\": [";
-  for (std::size_t l = 0; l < state.parities.size(); ++l) {
-    if (l != 0) out += ", ";
-    AppendInt(out, static_cast<int>(state.parities[l]));
-  }
+  AppendParities(out, state);
   // Tail heap order is exported verbatim so the import is bit-identical.
   out += "], \"tail\": [";
   for (std::size_t i = 0; i < state.tail.size(); ++i) {
@@ -241,6 +394,49 @@ void AppendSketch(std::string& out, const char* name, const stats::QuantileSketc
   out += "\", \"max_ms\": \"";
   AppendHexDouble(out, state.max_ms);
   out += "\"}";
+}
+
+}  // namespace
+
+void AppendSketch(std::string& out, const char* name, const stats::QuantileSketch& sketch) {
+  AppendSketchState(out, name, sketch.ExportState());
+}
+
+void AppendCompactSketch(std::string& out, const char* name,
+                         const stats::QuantileSketch& sketch) {
+  const stats::QuantileSketch::State state = sketch.ExportState();
+  SketchCycles cycles;
+  if (!ToCycles(state, &cycles)) {
+    AppendSketchState(out, name, state);
+    return;
+  }
+  // Sorted, the tail is a first value and small gaps; ascending is also a
+  // valid min-heap, and the order a merge wants.
+  SortCycles(cycles.tail);
+  out += '"';
+  out += name;
+  out += "\": {\"unit\": \"cycles\", \"levels\": [";
+  std::size_t item = 0;
+  for (std::size_t l = 0; l < state.levels.size(); ++l) {
+    if (l != 0) out += ", ";
+    out += '[';
+    AppendU64List(out, cycles.items, item, item + state.levels[l].size(), false);
+    item += state.levels[l].size();
+    out += ']';
+  }
+  out += "], \"parities\": [";
+  AppendParities(out, state);
+  out += "], \"tail\": [";
+  AppendU64List(out, cycles.tail, 0, cycles.tail.size(), true);
+  out += "], \"count\": \"";
+  AppendU64(out, state.count);
+  out += "\", \"sum_ms\": \"";
+  AppendHexDouble(out, state.sum_ms);
+  out += "\", \"min\": ";
+  AppendU64(out, cycles.min);
+  out += ", \"max\": ";
+  AppendU64(out, cycles.max);
+  out += '}';
 }
 
 bool ParseU64(std::string_view text, std::uint64_t* out) {
@@ -295,6 +491,41 @@ bool Reader::QuotedU64(std::uint64_t* out) {
   return true;
 }
 
+bool Reader::U64(std::uint64_t* out) {
+  if (!ok()) {
+    return false;
+  }
+  const char* const begin = text_.data() + pos_;
+  const char* const stop = ScanU64(begin, text_.data() + text_.size(), out);
+  if (stop == nullptr) {
+    return Fail("expected a decimal u64");
+  }
+  pos_ += static_cast<std::size_t>(stop - begin);
+  return true;
+}
+
+bool Reader::U64List(std::vector<std::uint64_t>* out) {
+  out->clear();
+  if (!Expect("[") || Consume("]")) {
+    return ok();
+  }
+  const char* const begin = text_.data();
+  const char* const end = begin + text_.size();
+  const char* p = begin + pos_;
+  for (;;) {
+    const char* const stop = ScanU64(p, end, &out->emplace_back());
+    if (stop == nullptr) {
+      pos_ = static_cast<std::size_t>(p - begin);
+      return Fail("expected a decimal u64");
+    }
+    pos_ = static_cast<std::size_t>(stop - begin);
+    if (stop == end || *stop != ',') {
+      return Expect("]");
+    }
+    p = stop + 1;
+  }
+}
+
 bool Reader::QuotedHexDouble(double* out) {
   double value = 0.0;
   if (!Expect("\"") ||
@@ -338,65 +569,61 @@ bool Reader::Bool(bool* out) {
   return Fail("expected true or false");
 }
 
-bool Reader::String(std::string* out) {
+bool Reader::String(std::string* out, std::uint64_t* hash) {
   if (!Expect("\"")) {
     return false;
   }
-  out->clear();
   const char* const begin = text_.data();
   const char* const end = begin + text_.size();
-  const char* run = begin + pos_;
-  for (const char* p = run; p != end;) {
-    const unsigned char c = static_cast<unsigned char>(*p);
+  const char* p = begin + pos_;
+  // Decode straight into the string's storage, growing it when full, and
+  // hash in the same pass, as AppendEscaped does. A caller that reserved
+  // room never grows it.
+  out->resize(std::max<std::size_t>(out->capacity(), 16));
+  char* o = out->data();
+  std::uint64_t digest = hash != nullptr ? *hash : kFnv1a64Offset;
+  while (p != end) {
+    auto c = static_cast<unsigned char>(*p);
     if (c >= 0x20 && c != '"' && c != '\\') {
       ++p;
-      continue;
-    }
-    out->append(run, p);
-    pos_ = static_cast<std::size_t>(p - begin);
-    if (c == '"') {
-      ++pos_;
-      return true;
-    }
-    if (c != '\\') {
-      return Fail("unescaped control character in string");
-    }
-    // Only the escapes AppendEscaped writes: \u00xx (lowercase) is its
-    // spelling of the control characters that have no short escape.
-    char decoded = 0;
-    std::size_t length = 2;
-    switch (end - p < 2 ? '\0' : p[1]) {
-      case '"':
-        decoded = '"';
-        break;
-      case '\\':
-        decoded = '\\';
-        break;
-      case 'n':
-        decoded = '\n';
-        break;
-      case 'r':
-        decoded = '\r';
-        break;
-      case 't':
-        decoded = '\t';
-        break;
-      case 'u': {
+    } else {
+      pos_ = static_cast<std::size_t>(p - begin);
+      if (c == '"') {
+        ++pos_;
+        out->resize(static_cast<std::size_t>(o - out->data()));
+        if (hash != nullptr) {
+          *hash = digest;
+        }
+        return true;
+      }
+      if (c != '\\' || end - p < 2) {
+        return Fail(c != '\\' ? "unescaped control character in string" : "invalid escape");
+      }
+      // Only the escapes AppendEscaped writes: \u00xx (lowercase) is its
+      // spelling of the control characters that have no short escape.
+      if (p[1] == 'u') {
         const int high = end - p < 6 || p[2] != '0' || p[3] != '0' ? -1 : HexDigit(p[4]);
         const int low = high < 0 || high > 1 ? -1 : HexDigit(p[5]);
-        decoded = static_cast<char>(high * 16 + low);
-        if (low < 0 || decoded == '\n' || decoded == '\r' || decoded == '\t') {
+        c = static_cast<unsigned char>(high * 16 + low);
+        if (low < 0 || ShortEscape(c) != 0) {
           return Fail("non-canonical \\u escape");
         }
-        length = 6;
-        break;
+        p += 6;
+      } else {
+        c = p[1] == 'n' ? '\n' : p[1] == 'r' ? '\r' : p[1] == 't' ? '\t' : p[1];
+        if (ShortEscape(c) == 0 || ShortEscape(c) != p[1]) {
+          return Fail("invalid escape");
+        }
+        p += 2;
       }
-      default:
-        return Fail("invalid escape");
     }
-    out->push_back(decoded);
-    p += length;
-    run = p;
+    if (o == out->data() + out->size()) {
+      const std::size_t used = out->size();
+      out->resize(2 * used);
+      o = out->data() + used;
+    }
+    *o++ = static_cast<char>(c);
+    digest = (digest ^ c) * kFnv1a64Prime;
   }
   pos_ = text_.size();
   return Fail("unterminated string");
@@ -430,8 +657,19 @@ bool ReadHistogram(Reader& in, std::string_view name, stats::LatencyHistogram* o
   return true;
 }
 
-bool ReadSketch(Reader& in, std::string_view name, stats::QuantileSketch* out) {
-  stats::QuantileSketch::State state;
+namespace {
+
+bool ReadParity(Reader& in, stats::QuantileSketch::State* state) {
+  std::int64_t bit = 0;
+  if (!in.Int(0, 1, &bit)) {
+    return false;
+  }
+  state->parities.push_back(static_cast<std::uint8_t>(bit));
+  return true;
+}
+
+// AppendSketchState's object, after its key.
+bool ReadSketchFields(Reader& in, stats::QuantileSketch::State* state) {
   const auto values = [&](std::vector<double>* items) {
     return in.Array([&]() {
       double value = 0.0;
@@ -442,28 +680,96 @@ bool ReadSketch(Reader& in, std::string_view name, stats::QuantileSketch* out) {
       return true;
     });
   };
-  const auto level = [&]() { return values(&state.levels.emplace_back()); };
-  const auto parity = [&]() {
-    std::int64_t bit = 0;
-    if (!in.Int(0, 1, &bit)) {
+  const auto level = [&]() { return values(&state->levels.emplace_back()); };
+  return in.Expect("{\"levels\": ") && in.Array(level) && in.Expect(", \"parities\": ") &&
+         in.Array([&]() { return ReadParity(in, state); }) && in.Expect(", \"tail\": ") &&
+         values(&state->tail) && in.Expect(", \"count\": ") && in.QuotedU64(&state->count) &&
+         in.Expect(", \"sum_ms\": ") && in.QuotedHexDouble(&state->sum_ms) &&
+         in.Expect(", \"min_ms\": ") && in.QuotedHexDouble(&state->min_ms) &&
+         in.Expect(", \"max_ms\": ") && in.QuotedHexDouble(&state->max_ms) && in.Expect("}");
+}
+
+// AppendCompactSketch's cycle spelling, after `"unit": "cycles", `.
+bool ReadCycleFields(Reader& in, stats::QuantileSketch::State* state) {
+  const auto value = [&](std::uint64_t cycles, double* ms) {
+    return CycleValue(cycles, ms) || in.Fail("cycle count that is not its value's spelling");
+  };
+  std::vector<std::uint64_t> counts;
+  const auto level = [&]() {
+    if (!in.U64List(&counts)) {
       return false;
     }
-    state.parities.push_back(static_cast<std::uint8_t>(bit));
+    std::vector<double>& items = state->levels.emplace_back(counts.size());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (!value(counts[i], &items[i])) {
+        return false;
+      }
+    }
     return true;
   };
-  if (!in.Key(name) || !in.Expect("{\"levels\": ") || !in.Array(level) ||
-      !in.Expect(", \"parities\": ") || !in.Array(parity) || !in.Expect(", \"tail\": ") ||
-      !values(&state.tail) || !in.Expect(", \"count\": ") || !in.QuotedU64(&state.count) ||
-      !in.Expect(", \"sum_ms\": ") || !in.QuotedHexDouble(&state.sum_ms) ||
-      !in.Expect(", \"min_ms\": ") || !in.QuotedHexDouble(&state.min_ms) ||
-      !in.Expect(", \"max_ms\": ") || !in.QuotedHexDouble(&state.max_ms) ||
-      !in.Expect("}")) {
-    return false;
-  }
-  if (!out->ImportState(state)) {
+  const auto tail = [&]() {
+    if (!in.U64List(&counts)) {
+      return false;
+    }
+    state->tail.resize(counts.size());
+    std::uint64_t previous = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] > kMaxSketchCycles - previous) {
+        return in.Fail("tail value past 2^53 cycles");
+      }
+      previous += counts[i];
+      if (!value(previous, &state->tail[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  return in.Expect("\"levels\": ") && in.Array(level) && in.Expect(", \"parities\": ") &&
+         in.Array([&]() { return ReadParity(in, state); }) && in.Expect(", \"tail\": ") &&
+         tail() && in.Expect(", \"count\": ") && in.QuotedU64(&state->count) &&
+         in.Expect(", \"sum_ms\": ") && in.QuotedHexDouble(&state->sum_ms) &&
+         in.Expect(", \"min\": ") && in.U64(&min) && value(min, &state->min_ms) &&
+         in.Expect(", \"max\": ") && in.U64(&max) && value(max, &state->max_ms) &&
+         in.Expect("}");
+}
+
+bool ImportSketch(Reader& in, std::string_view name, stats::QuantileSketch::State state,
+                  stats::QuantileSketch* out) {
+  if (!out->ImportState(std::move(state))) {
     return in.Fail("sketch \"" + std::string(name) + "\": state rejected (weight conservation)");
   }
   return true;
+}
+
+}  // namespace
+
+bool ReadSketch(Reader& in, std::string_view name, stats::QuantileSketch* out) {
+  stats::QuantileSketch::State state;
+  return in.Key(name) && ReadSketchFields(in, &state) &&
+         ImportSketch(in, name, std::move(state), out);
+}
+
+bool ReadCompactSketch(Reader& in, std::string_view name, stats::QuantileSketch* out) {
+  stats::QuantileSketch::State state;
+  if (!in.Key(name)) {
+    return false;
+  }
+  if (in.Consume("{\"unit\": \"cycles\", ")) {
+    return ReadCycleFields(in, &state) && ImportSketch(in, name, std::move(state), out);
+  }
+  // The writer spells a sketch in hexfloat only when some value has no
+  // cycle count.
+  SketchCycles cycles;
+  if (!ReadSketchFields(in, &state)) {
+    return false;
+  }
+  if (ToCycles(state, &cycles)) {
+    return in.Fail("sketch \"" + std::string(name) +
+                   "\": cycle-exact values in hexfloat, not \"unit\": \"cycles\"");
+  }
+  return ImportSketch(in, name, std::move(state), out);
 }
 
 }  // namespace report_json
@@ -551,8 +857,7 @@ bool ReadEpisode(Reader& in, std::vector<obs::EpisodeSummary>* episodes) {
 
 std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t hash) {
   for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
+    hash = (hash ^ static_cast<unsigned char>(c)) * kFnv1a64Prime;
   }
   return hash;
 }

@@ -12,7 +12,9 @@
 //
 // A matrix run's record log (src/lab/record_log.h) carries one such
 // document per finished cell as its record payload; ReportFromJson is the
-// read side of its resume.
+// read side of its resume. A fleet cell record spells its sketch in whole
+// cycle counts instead when it can (AppendCompactSketch): the values are
+// the same bits, in a fifth of the bytes.
 
 #ifndef SRC_LAB_REPORT_IO_H_
 #define SRC_LAB_REPORT_IO_H_
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/lab/lab.h"
 
@@ -63,11 +66,23 @@ void AppendU64(std::string& out, std::uint64_t value);
 void AppendInt(std::string& out, int value);
 void AppendHexDouble(std::string& out, double value);
 // JSON string-body escaping: \" \\ \n \r \t, and \u00xx for the other
-// control characters. Every other byte is copied as it is.
-void AppendEscaped(std::string& out, std::string_view text);
+// control characters. Every other byte is copied as it is. Returns the
+// FNV-1a digest `hash` continued over `text`, which a record line's
+// checksum needs of the payload it escapes.
+std::uint64_t AppendEscaped(std::string& out, std::string_view text,
+                            std::uint64_t hash = kFnv1a64Offset);
 void AppendHistogram(std::string& out, const char* name,
                      const stats::LatencyHistogram& hist);
 void AppendSketch(std::string& out, const char* name, const stats::QuantileSketch& sketch);
+// The fleet record's sketch spelling. When every value the sketch holds
+// (level items, tail, min and max) is sim::CyclesToMs of a cycle count of at
+// most 2^53, it is written in those counts, as bare JSON integers under
+// "unit": "cycles": levels in their internal order, the tail ascending as a
+// first value and then the gaps between neighbours. Otherwise it is
+// AppendSketch's hexfloat spelling. The rule is fixed, so a state has one
+// spelling; ReadCompactSketch rejects the other.
+void AppendCompactSketch(std::string& out, const char* name,
+                         const stats::QuantileSketch& sketch);
 
 // Decimal digits only: no sign, no whitespace, no leading zero, no overflow.
 bool ParseU64(std::string_view text, std::uint64_t* out);
@@ -102,14 +117,20 @@ class Reader {
 
   // A quoted ParseU64 value: "123".
   bool QuotedU64(std::uint64_t* out);
+  // A bare ParseU64 value: 123.
+  bool U64(std::uint64_t* out);
+  // "[" then bare ParseU64 values joined by "," (no space), then "]", into
+  // *out (cleared first).
+  bool U64List(std::vector<std::uint64_t>* out);
   // A quoted ParseHexDouble value: "0x1.8p+4".
   bool QuotedHexDouble(double* out);
   // A bare decimal integer in [lo, hi]: no leading zero, no "-0".
   bool Int(std::int64_t lo, std::int64_t hi, std::int64_t* out);
   // true or false.
   bool Bool(bool* out);
-  // A quoted string in AppendEscaped's escapes, unescaped into *out.
-  bool String(std::string* out);
+  // A quoted string in AppendEscaped's escapes, unescaped into *out. When
+  // `hash` is set, the FNV-1a digest *hash is continued over *out.
+  bool String(std::string* out, std::uint64_t* hash = nullptr);
 
   // "[" then `item()` repeated with ", " between, then "]".
   template <typename ReadItem>
@@ -170,6 +191,8 @@ class Reader {
 // State import. A failed import leaves *out reset.
 bool ReadHistogram(Reader& in, std::string_view name, stats::LatencyHistogram* out);
 bool ReadSketch(Reader& in, std::string_view name, stats::QuantileSketch* out);
+// `"name": {...}` as AppendCompactSketch writes it, in either spelling.
+bool ReadCompactSketch(Reader& in, std::string_view name, stats::QuantileSketch* out);
 
 }  // namespace report_json
 

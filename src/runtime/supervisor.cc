@@ -77,6 +77,9 @@ std::optional<CellFailure> RunSupervised(std::size_t cell, std::uint64_t seed,
                                          double cell_timeout_ms,
                                          const std::function<void(Watchdog& watchdog)>& body,
                                          const std::function<void(CellFailure&)>& diagnose) {
+  // The failure's elapsed time comes from this clock, not the watchdog's,
+  // which reads 0 when no timeout arms it.
+  const std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
   Watchdog watchdog;
   watchdog.Arm(cell_timeout_ms);
   CellFailure failure;
@@ -98,7 +101,8 @@ std::optional<CellFailure> RunSupervised(std::size_t cell, std::uint64_t seed,
     failure.kind = FailureKind::kException;
     failure.message = "non-standard exception";
   }
-  failure.elapsed_ms = watchdog.elapsed_ms();
+  failure.elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
   if (diagnose) diagnose(failure);
   return failure;
 }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 namespace wdmlat::stats {
 
@@ -33,11 +34,13 @@ void QuantileSketch::TailInsert(double ms) {
   // Min-heap of the largest samples: the root is the smallest retained value,
   // so most samples are rejected with a single compare.
   if (tail_.size() < kTailCapacity) {
+    tail_sorted_ = false;
     tail_.push_back(ms);
     std::push_heap(tail_.begin(), tail_.end(), std::greater<>());
     return;
   }
   if (ms > tail_.front()) {
+    tail_sorted_ = false;
     std::pop_heap(tail_.begin(), tail_.end(), std::greater<>());
     tail_.back() = ms;
     std::push_heap(tail_.begin(), tail_.end(), std::greater<>());
@@ -102,7 +105,11 @@ double QuantileSketch::QuantileMs(double q) const {
   const std::uint64_t above = count_ - target_rank;  // samples above the target
   if (above < tail_.size()) {
     // The reservoir holds the top min(count, kTailCapacity) samples, so this
-    // rank is answered with the exact recorded value.
+    // rank is answered with the exact recorded value: read by index from a
+    // sorted (merged or record-decoded) tail, selected from a heap-ordered one.
+    if (tail_sorted_) {
+      return tail_[tail_.size() - 1 - above];
+    }
     std::vector<double> selected(tail_);
     const auto kth = selected.end() - 1 - static_cast<std::ptrdiff_t>(above);
     std::nth_element(selected.begin(), kth, selected.end());
@@ -140,6 +147,7 @@ double QuantileSketch::QuantileMs(double q) const {
 }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
+  assert(&other != this);
   if (other.count_ == 0) {
     return;
   }
@@ -164,21 +172,58 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
   }
   CompactCascade();
   // Tail: top-K of a multiset union — exact and order-independent. An
-  // ascending array is a valid min-heap, and a merged tail is left ascending,
-  // so in a grid-order fold the accumulator is already sorted: only the
-  // incoming tail is sorted, then the two are merged linearly. A tail that
-  // Record or ImportState left in heap order is sorted first.
-  if (!std::is_sorted(tail_.begin(), tail_.end())) {
+  // ascending array is a valid min-heap, and a merged or record-decoded tail
+  // is ascending, so in a grid-order fold neither operand needs a sort. A
+  // tail that Record or ImportState left in heap order is sorted first.
+  if (!tail_sorted_ && !std::is_sorted(tail_.begin(), tail_.end())) {
     std::sort(tail_.begin(), tail_.end());
   }
-  std::vector<double> incoming(other.tail_);
-  std::sort(incoming.begin(), incoming.end());
-  std::vector<double> merged(tail_.size() + incoming.size());
-  std::merge(tail_.begin(), tail_.end(), incoming.begin(), incoming.end(), merged.begin());
-  if (merged.size() > kTailCapacity) {
-    merged.erase(merged.begin(), merged.end() - kTailCapacity);
+  tail_sorted_ = true;
+  if (other.tail_sorted_ || std::is_sorted(other.tail_.begin(), other.tail_.end())) {
+    FoldSortedTail(other.tail_);
+  } else {
+    std::vector<double> incoming(other.tail_);
+    std::sort(incoming.begin(), incoming.end());
+    FoldSortedTail(incoming);
   }
-  tail_ = std::move(merged);
+}
+
+void QuantileSketch::FoldSortedTail(const std::vector<double>& incoming) {
+  // The result is what std::merge of the two ascending arrays (the
+  // accumulator's value first among equals), cut to its top kTailCapacity,
+  // gives: the same values in the same order, so the same bits. First walk
+  // past the values that fall out of the top K, from the low end with that
+  // tie rule.
+  const double* const in = incoming.data();
+  const std::size_t n = tail_.size();
+  const std::size_t m = incoming.size();
+  std::size_t from_tail = 0;
+  std::size_t from_in = 0;
+  for (std::size_t drop = n + m > kTailCapacity ? n + m - kTailCapacity : 0; drop > 0; --drop) {
+    if (from_in < m && (from_tail == n || in[from_in] < tail_[from_tail])) {
+      ++from_in;
+    } else {
+      ++from_tail;
+    }
+  }
+  // Then move the accumulator's survivors to the front and merge from the
+  // high end in place. Every write lands at or above the next unread
+  // survivor, and once the incoming values run out the rest are in place.
+  if (from_tail > 0) {
+    std::copy(tail_.begin() + static_cast<std::ptrdiff_t>(from_tail), tail_.end(),
+              tail_.begin());
+  }
+  std::size_t i = n - from_tail;
+  std::size_t j = m;
+  std::size_t w = i + (m - from_in);
+  tail_.resize(w);
+  while (j > from_in) {
+    if (i > 0 && in[j - 1] < tail_[i - 1]) {
+      tail_[--w] = tail_[--i];
+    } else {
+      tail_[--w] = in[--j];
+    }
+  }
 }
 
 void QuantileSketch::Reset() { *this = QuantileSketch(); }
@@ -195,7 +240,7 @@ QuantileSketch::State QuantileSketch::ExportState() const {
   return state;
 }
 
-bool QuantileSketch::ImportState(const State& state) {
+bool QuantileSketch::ImportState(State state) {
   Reset();
   // 48 levels supports counts past 2^55 while keeping the weight sum safely
   // inside 64 bits below.
@@ -231,13 +276,16 @@ bool QuantileSketch::ImportState(const State& state) {
       return false;
     }
   }
-  // TailInsert's heap operations keep the right top-K only on a min-heap.
-  if (!std::is_heap(state.tail.begin(), state.tail.end(), std::greater<>())) {
+  // TailInsert's heap operations keep the right top-K only on a min-heap,
+  // which an ascending tail (as a fleet record spells it) is.
+  const bool sorted = std::is_sorted(state.tail.begin(), state.tail.end());
+  if (!sorted && !std::is_heap(state.tail.begin(), state.tail.end(), std::greater<>())) {
     return false;
   }
-  levels_ = state.levels;
-  parities_ = state.parities;
-  tail_ = state.tail;
+  levels_ = std::move(state.levels);
+  parities_ = std::move(state.parities);
+  tail_ = std::move(state.tail);
+  tail_sorted_ = sorted;
   count_ = state.count;
   sum_ms_ = state.sum_ms;
   min_ms_ = state.min_ms;

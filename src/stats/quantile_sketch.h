@@ -58,7 +58,9 @@ class QuantileSketch {
   // same order always yields the same bits (grid-order contract). The tail
   // reservoirs merge exactly (top-K of a union is order-independent), so
   // deep-tail quantiles of a merged sketch are exact and commutative even
-  // though the compactor state is sequence-dependent.
+  // though the compactor state is sequence-dependent. `other` is another
+  // sketch. An ascending incoming tail (merged or record-decoded) folds in
+  // place, with no sort and no allocation once the tail is full.
   void Merge(const QuantileSketch& other);
   void Reset();
 
@@ -80,16 +82,20 @@ class QuantileSketch {
   // malformed snapshot: weight conservation broken (sum over levels of
   // |level|*2^l != count), mismatched parity vector, oversized buffers,
   // non-finite / negative values, or a tail that is not a min-heap.
-  bool ImportState(const State& state);
+  bool ImportState(State state);
 
  private:
   void CompactLevel(std::size_t level);
   void CompactCascade();
   void TailInsert(double ms);
+  // Fold an ascending tail into this ascending one, keeping the top
+  // kTailCapacity in place. `incoming` must not be tail_ itself.
+  void FoldSortedTail(const std::vector<double>& incoming);
 
   std::vector<std::vector<double>> levels_;  // levels_[l] holds weight-2^l items
   std::vector<std::uint8_t> parities_;       // alternating compaction offsets
   std::vector<double> tail_;                 // min-heap of the largest samples
+  bool tail_sorted_ = true;                  // tail_ is ascending (Merge, ImportState)
   std::uint64_t count_ = 0;
   double sum_ms_ = 0.0;
   double min_ms_ = 0.0;

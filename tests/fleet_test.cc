@@ -9,10 +9,12 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/kernel/profile.h"
 #include "src/lab/fleet.h"
 #include "src/lab/lab.h"
+#include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
 #include "src/sim/engine.h"
 #include "src/sim/event_pool.h"
@@ -237,7 +239,67 @@ TEST(FleetRecords, RecordVolumeIsPinned) {
   EXPECT_GE(record.samples, 1000u);
   const std::string encoded = FleetRecordToLine(record);
   EXPECT_EQ(encoded, line);
-  EXPECT_EQ(encoded.size(), 51436u);
+  EXPECT_EQ(encoded.size(), 9480u);
+}
+
+// A v1 record (its sketch in hexfloat) is refused by version: a strict merge
+// stops on it with a version message, and a resumed shard re-runs its cell,
+// after which the merge gives the fleet.json of a fresh run.
+TEST(FleetRecords, OlderPayloadVersionIsRejectedAndItsCellReRuns) {
+  FleetSpec spec = TwoCohortSpec();
+  spec.cohorts[0].sketch = true;
+  const Fleet fleet(std::move(spec));
+  FleetShardOptions options;
+  options.out_path = testutil::TempFileFor("shard.jsonl");
+  ASSERT_TRUE(RunFleetShard(fleet, options).ok());
+  FleetReport fresh;
+  std::string error;
+  ASSERT_TRUE(MergeFleetShards(fleet, {options.out_path}, &fresh, &error)) << error;
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(options.out_path);
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(line);
+    }
+  }
+  ASSERT_EQ(lines.size(), fleet.cell_count());
+  // Cell 2 written as payload v1 wrote it: version 1, AppendSketch's spelling.
+  FleetCellRecord record;
+  ASSERT_TRUE(FleetRecordFromLine(lines[2], &record, &error)) << error;
+  RecordLine parsed;
+  ASSERT_TRUE(ParseRecordLine(lines[2], &parsed, &error)) << error;
+  std::string payload = parsed.payload;
+  const std::size_t version = payload.find("\"version\": 2,");
+  const std::size_t sketch = payload.find("\"thread_sketch\": ");
+  ASSERT_NE(version, std::string::npos);
+  ASSERT_NE(sketch, std::string::npos);
+  payload.resize(sketch);
+  report_json::AppendSketch(payload, "thread_sketch", record.thread_sketch);
+  payload += '}';
+  payload.replace(version, 13, "\"version\": 1,");
+  lines[2] = RecordLineText(parsed.cell, parsed.seed, parsed.spec, payload);
+  {
+    std::ofstream out(options.out_path, std::ios::trunc);
+    for (const std::string& line : lines) {
+      out << line << '\n';
+    }
+  }
+
+  FleetReport report;
+  EXPECT_FALSE(MergeFleetShards(fleet, {options.out_path}, &report, &error));
+  EXPECT_NE(error.find("cell 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("v1; this build reads v2 only"), std::string::npos) << error;
+
+  const FleetShardResult resumed = RunFleetShard(fleet, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.error;
+  EXPECT_EQ(resumed.cells_executed, 1u);
+  EXPECT_EQ(resumed.cells_restored, fleet.cell_count() - 1);
+  ASSERT_EQ(resumed.warnings.size(), 1u);
+  EXPECT_NE(resumed.warnings[0].find("cell 2: record rejected"), std::string::npos)
+      << resumed.warnings[0];
+  ASSERT_TRUE(MergeFleetShards(fleet, {options.out_path}, &report, &error)) << error;
+  EXPECT_EQ(FleetReportToJson(report), FleetReportToJson(fresh));
 }
 
 TEST(EngineReset, ResetEngineBehavesLikeFresh) {

@@ -194,6 +194,12 @@ TEST(JsonHardeningTest, FaultPlanDurationParametersAreRangeChecked) {
        "median_us exceeds the plan time ceiling"},
       {R"("duration": {"dist": "bounded_pareto", "lo_us": 1, "hi_us": 1e14})",
        "hi_us exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "exponential", "mean_us": 1e11})",
+       "duration upper bound exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "lognormal", "median_us": 100, "sigma": 30})",
+       "largest lognormal draw median_us * e^(8.58 sigma) exceeds the plan time ceiling"},
+      {R"("duration": {"dist": "lognormal", "median_us": 1e-6, "sigma": 6})",
+       "largest lognormal draw median_us * e^(8.58 sigma) exceeds the plan time ceiling"},
       {R"("at_ms": 1e14)", "at_ms exceeds the plan time ceiling"},
       {R"("trigger": "periodic", "period_ms": 1e14)", "period_ms exceeds the plan time ceiling"},
       {R"("trigger": "poisson", "rate_per_s": 1e-9)",

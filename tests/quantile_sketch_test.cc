@@ -435,6 +435,95 @@ TEST(QuantileSketchTest, ExactTailQuantileMatchesFullSort) {
   EXPECT_GT(exact_answers, 200);
 }
 
+// Merge folds a sorted incoming tail into the sorted accumulator in place.
+// The reference is the fold it replaced: std::merge of the two ascending
+// arrays into a new one, the accumulator's value first among equals, then
+// erase all but the top kTailCapacity. Tails hold many duplicates, and +0.0
+// and -0.0 (equal, with other bits) so a tie taken from the wrong side
+// shows; the union straddles the tail size on both sides.
+TEST(QuantileSketchTest, InPlaceTailFoldMatchesTheStdMergePath) {
+  const std::size_t accumulators[] = {0, 1, 700, kTail - 1, kTail};
+  DetRng rng(41);
+  const auto cell = [&rng](std::size_t count, std::uint64_t distinct) {
+    stats::QuantileSketch sketch;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t level = rng.Next() % distinct;
+      sketch.RecordMs(level == 0 ? (rng.Next() % 2 == 0 ? 0.0 : -0.0)
+                                 : 0.125 * static_cast<double>(level));
+    }
+    return sketch;
+  };
+  int folds = 0;
+  for (const std::size_t n : accumulators) {
+    // Incoming sizes that bring the union to K - 1, K and K + 1, one at
+    // random and one past K.
+    for (const std::size_t m : {kTail - 1 - n, kTail - n, kTail + 1 - n,
+                                std::size_t{1} + rng.Next() % 3000, kTail + 5}) {
+      if (m == 0 || m > kTail + 5) {
+        continue;  // no union of that size with this accumulator
+      }
+      for (const bool sorted_incoming : {true, false}) {
+        const std::uint64_t distinct = 2 + rng.Next() % 40;
+        stats::QuantileSketch acc;
+        if (n > 0) {
+          acc.Merge(cell(n, distinct));  // a merged tail is ascending
+        }
+        stats::QuantileSketch incoming;
+        if (sorted_incoming) {
+          incoming.Merge(cell(m, distinct));
+        } else {
+          incoming = cell(m, distinct);  // heap order, sorted by Merge
+        }
+        const std::vector<double> a = acc.ExportState().tail;
+        std::vector<double> b = incoming.ExportState().tail;
+        ASSERT_TRUE(std::is_sorted(a.begin(), a.end()));
+        ASSERT_TRUE(!sorted_incoming || std::is_sorted(b.begin(), b.end()));
+        if (!std::is_sorted(b.begin(), b.end())) {
+          std::sort(b.begin(), b.end());  // as Merge does: sorting moves equal values
+        }
+        std::vector<double> expected(a.size() + b.size());
+        std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin());
+        if (expected.size() > kTail) {
+          expected.erase(expected.begin(), expected.end() - kTail);
+        }
+        acc.Merge(incoming);
+        EXPECT_TRUE(Bits(acc.ExportState().tail) == Bits(expected))
+            << "n " << n << " m " << m << " sorted " << sorted_incoming;
+        ++folds;
+      }
+    }
+  }
+  EXPECT_EQ(folds, 44);
+}
+
+// A sorted tail answers a quantile by index; a heap-ordered one selects
+// with nth_element. The same values in either order give the same bits.
+TEST(QuantileSketchTest, SortedTailQuantileMatchesTheSelectionPath) {
+  DetRng rng(53);
+  for (const std::size_t size : {std::size_t{1}, std::size_t{37}, kTail - 1, kTail, 3 * kTail}) {
+    for (const std::uint64_t distinct : {std::uint64_t{0}, std::uint64_t{3}}) {
+      stats::QuantileSketch sorted;
+      sorted.Merge(MakeCell(rng, size, distinct).sketch);
+      stats::QuantileSketch::State state = sorted.ExportState();
+      ASSERT_TRUE(std::is_sorted(state.tail.begin(), state.tail.end()));
+      std::reverse(state.tail.begin(), state.tail.end());
+      std::make_heap(state.tail.begin(), state.tail.end(), std::greater<>());
+      stats::QuantileSketch heaped;
+      ASSERT_TRUE(heaped.ImportState(state));
+      const std::vector<double> tail = heaped.ExportState().tail;
+      // With three distinct values a full tail can hold one value only.
+      ASSERT_TRUE(distinct != 0 || size < 3 || !std::is_sorted(tail.begin(), tail.end()))
+          << size;
+      for (int k = 0; k <= 1000; ++k) {
+        const double q = 1.0 - static_cast<double>(k) / 1e6;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(sorted.QuantileMs(q)),
+                  std::bit_cast<std::uint64_t>(heaped.QuantileMs(q)))
+            << "size " << size << " q " << q;
+      }
+    }
+  }
+}
+
 // End-to-end: the matrix's merged sketch is bit-identical across --jobs and
 // through an interrupted, checkpointed, resumed run — the same contract the
 // histograms already keep, now for the sketch's serialized state.

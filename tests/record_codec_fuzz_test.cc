@@ -8,6 +8,10 @@
 //     and the payload reader itself meets the damage;
 //   * ReportToJson documents with episodes, anatomy and a sketch.
 //
+// The record lines include one whose sketch holds a value with no cycle
+// count, so both sketch spellings of payload v2 (cycle counts with a
+// gap-coded tail, and the hexfloat fallback) meet the mutants.
+//
 // Mutations are seeded (tests/json_mutator.h): bit flips, truncation,
 // inserted and deleted bytes, swapped and duplicated fields, over-long digit
 // runs, u64 overflow and escapes the writer never emits. Each mutant must
@@ -76,6 +80,24 @@ std::vector<std::string> RealRecordLines() {
   return lines;
 }
 
+// RealRecordLines plus one line whose sketch also holds a value that is not
+// a whole number of cycles, so it is spelled in hexfloat.
+std::vector<std::string> CodecInputLines() {
+  std::vector<std::string> lines = RealRecordLines();
+  FleetCellRecord record;
+  std::string error;
+  EXPECT_TRUE(FleetRecordFromLine(lines.back(), &record, &error)) << error;
+  record.thread_sketch.RecordMs(1e-9);
+  lines.push_back(FleetRecordToLine(record));
+  RecordLine cycles;
+  RecordLine hexfloat;
+  EXPECT_TRUE(ParseRecordLine(lines.front(), &cycles, &error)) << error;
+  EXPECT_TRUE(ParseRecordLine(lines.back(), &hexfloat, &error)) << error;
+  EXPECT_NE(cycles.payload.find("\"thread_sketch\": {\"unit\": \"cycles\""), std::string::npos);
+  EXPECT_NE(hexfloat.payload.find("\"thread_sketch\": {\"levels\": [[\""), std::string::npos);
+  return lines;
+}
+
 LabReport ReportWithEveryField() {
   LabConfig config;
   config.os = kernel::MakeWin98Profile();
@@ -110,7 +132,7 @@ std::string Departure(const std::string& reencoded, const std::string& mutant) {
 }
 
 TEST(RecordCodecFuzzTest, RecordLineMutantsAreRejectedOrReencodeExactly) {
-  const std::vector<std::string> lines = RealRecordLines();
+  const std::vector<std::string> lines = CodecInputLines();
   ASSERT_FALSE(lines.empty());
   testutil::JsonMutator mutator(0x6c696e65);
   int rejected = 0;
@@ -141,7 +163,7 @@ TEST(RecordCodecFuzzTest, RecordLineMutantsAreRejectedOrReencodeExactly) {
 }
 
 TEST(RecordCodecFuzzTest, PayloadMutantsBehindAValidChecksumAreRejectedOrReencodeExactly) {
-  const std::vector<std::string> lines = RealRecordLines();
+  const std::vector<std::string> lines = CodecInputLines();
   ASSERT_FALSE(lines.empty());
   std::vector<RecordLine> records(lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -191,6 +213,59 @@ TEST(RecordCodecFuzzTest, ReportMutantsAreRejectedOrReencodeExactly) {
     ASSERT_TRUE(DomAccepts(mutant)) << "mutant " << i;
   }
   EXPECT_GT(accepted, 0);
+}
+
+// The cycle spelling has one form per sketch state: spellings the writer
+// would not produce are rejected, each behind a valid checksum.
+TEST(RecordCodecFuzzTest, CompactSketchRejectsSpellingsTheWriterWouldNotProduce) {
+  const std::vector<std::string> lines = RealRecordLines();
+  ASSERT_FALSE(lines.empty());
+  RecordLine base;
+  FleetCellRecord record;
+  std::string error;
+  ASSERT_TRUE(ParseRecordLine(lines[0], &base, &error)) << error;
+  ASSERT_TRUE(FleetRecordFromLine(lines[0], &record, &error)) << error;
+  const std::string& payload = base.payload;
+  const std::size_t sketch = payload.find("\"thread_sketch\": ");
+  const std::size_t tail = payload.find("\"tail\": [", sketch);
+  const std::size_t second_gap = payload.find(',', tail) + 1;
+  const std::size_t min = payload.find("\"min\": ", sketch);
+  ASSERT_NE(sketch, std::string::npos);
+  ASSERT_NE(tail, std::string::npos);
+  ASSERT_NE(min, std::string::npos);
+  const auto edited = [&](std::size_t at, std::size_t length, const std::string& with) {
+    std::string text = payload;
+    text.replace(at, length, with);
+    return text;
+  };
+  std::string hexfloat = payload.substr(0, sketch);
+  report_json::AppendSketch(hexfloat, "thread_sketch", record.thread_sketch);
+  hexfloat += '}';
+  const std::size_t unit = payload.find("\"unit\": \"cycles\"", sketch);
+  ASSERT_NE(unit, std::string::npos);
+  const std::pair<std::string, std::string> cases[] = {
+      // An unsorted tail: a gap below zero.
+      {edited(second_gap, 0, "-"), "expected a decimal u64"},
+      // A cycle-exact sketch in hexfloat, or under another unit.
+      {hexfloat, "cycle-exact values in hexfloat"},
+      {edited(unit, 16, "\"unit\": \"ms\""), "expected \"{\\\"levels"},
+      {edited(unit, 16, "\"unit\": \"Cycles\""), "expected \"{\\\"levels"},
+      // Counts past 2^53, with a leading zero, or not a whole number.
+      {edited(min + 7, payload.find(',', min) - min - 7, "9007199254740993"),
+       "not its value's spelling"},
+      {edited(min + 7, 0, "0"), "expected"},
+      {edited(second_gap, 0, "1.5"), "expected"},
+  };
+  for (const auto& [text, message] : cases) {
+    FleetCellRecord decoded;
+    EXPECT_FALSE(FleetRecordFromLine(RecordLineText(base.cell, base.seed, base.spec, text),
+                                     &decoded, &error))
+        << text.substr(sketch, 200);
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+  // The writer's own spelling reads and re-encodes to itself.
+  EXPECT_TRUE(FleetRecordFromLine(lines[0], &record, &error)) << error;
+  EXPECT_EQ(FleetRecordToLine(record), lines[0]);
 }
 
 // Reordering keys keeps the document valid JSON, which the DOM readers

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "src/kernel/profile.h"
 #include "src/lab/lab.h"
 #include "src/obs/json.h"
+#include "src/stats/quantile_sketch.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
@@ -165,14 +167,65 @@ TEST(ReportIoTest, EscapedBytesReadBackThroughReaderAndDom) {
 
 TEST(ReportIoTest, ParseU64TakesDigitsOnly) {
   std::uint64_t out = 7;
-  for (const char* text : {"-1", " 7", "+7", "7 ", "", "18446744073709551616", "07", "00"}) {
+  for (const char* text : {"-1", " 7", "+7", "7 ", "", "18446744073709551616", "07", "00",
+                           "99999999999999999999", "184467440737095516150", "1.5"}) {
     EXPECT_FALSE(report_json::ParseU64(text, &out)) << '"' << text << '"';
   }
   EXPECT_EQ(out, 7u);  // a rejected parse leaves the output alone
   ASSERT_TRUE(report_json::ParseU64("18446744073709551615", &out));
   EXPECT_EQ(out, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(report_json::ParseU64("9999999999999999999", &out));
+  EXPECT_EQ(out, 9999999999999999999u);
+  ASSERT_TRUE(report_json::ParseU64("10000000000000000000", &out));
+  EXPECT_EQ(out, 10000000000000000000u);
   ASSERT_TRUE(report_json::ParseU64("0", &out));
   EXPECT_EQ(out, 0u);
+}
+
+std::string CompactSketch(const stats::QuantileSketch& sketch) {
+  std::string out;
+  report_json::AppendCompactSketch(out, "s", sketch);
+  return out;
+}
+
+// Whole cycle counts from 0 to 2^50 (tails whose radix sort takes one to
+// seven byte passes, with repeats) are spelled in cycles and read back to
+// the same values; one value that is not a cycle count moves the sketch to
+// the hexfloat spelling, which reads back verbatim.
+TEST(ReportIoTest, CompactSketchRoundTripsInEitherSpelling) {
+  std::mt19937_64 rng(1999);
+  for (const int bits : {0, 8, 20, 33, 50}) {
+    stats::QuantileSketch sketch;
+    for (int i = 0; i < 3000; ++i) {
+      sketch.Record(bits == 0 ? 0 : rng() >> (64 - bits));
+    }
+    const std::string text = CompactSketch(sketch);
+    ASSERT_EQ(text.rfind("\"s\": {\"unit\": \"cycles\", ", 0), 0u) << bits;
+    report_json::Reader in(text);
+    stats::QuantileSketch read;
+    ASSERT_TRUE(report_json::ReadCompactSketch(in, "s", &read) && in.ExpectEnd()) << in.error();
+    EXPECT_EQ(CompactSketch(read), text);
+    stats::QuantileSketch::State want = sketch.ExportState();
+    const stats::QuantileSketch::State got = read.ExportState();
+    EXPECT_TRUE(std::is_sorted(got.tail.begin(), got.tail.end()));
+    std::sort(want.tail.begin(), want.tail.end());
+    EXPECT_EQ(got.tail, want.tail);  // the same values, ascending
+    EXPECT_EQ(got.levels, want.levels);
+    EXPECT_EQ(got.parities, want.parities);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sum_ms), std::bit_cast<std::uint64_t>(want.sum_ms));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.min_ms), std::bit_cast<std::uint64_t>(want.min_ms));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_ms), std::bit_cast<std::uint64_t>(want.max_ms));
+
+    sketch.RecordMs(1e-9);
+    const std::string hexfloat = CompactSketch(sketch);
+    std::string plain;
+    report_json::AppendSketch(plain, "s", sketch);
+    EXPECT_EQ(hexfloat, plain);
+    report_json::Reader again(hexfloat);
+    ASSERT_TRUE(report_json::ReadCompactSketch(again, "s", &read)) << again.error();
+    EXPECT_EQ(CompactSketch(read), hexfloat);
+  }
 }
 
 TEST(ReportIoTest, Fnv1a64KnownVectors) {

@@ -80,6 +80,19 @@ TEST(SupervisorTest, ExceptionIsDeterministicAndNeverRetried) {
   EXPECT_EQ(failure->message, "boom");
 }
 
+// Without a timeout the watchdog is disarmed; the failure still reports how
+// long the body ran.
+TEST(SupervisorTest, FailureElapsedTimeNeedsNoTimeout) {
+  const auto failure = RunSupervised(5, 1, 0.0, [](Watchdog& dog) {
+    EXPECT_FALSE(dog.armed());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    throw std::runtime_error("boom");
+  });
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->kind, FailureKind::kException);
+  EXPECT_GE(failure->elapsed_ms, 5.0);
+}
+
 TEST(SupervisorTest, InvariantViolationMapsToItsTaxonomy) {
   const auto failure = RunSupervised(0, 1, 0.0, [](Watchdog&) {
     throw InvariantViolation("heap order broken");
