@@ -17,6 +17,7 @@
 #include "src/fault/fault.h"
 #include "src/fault/injector.h"
 #include "src/kernel/profile.h"
+#include "src/kernel/trace.h"
 #include "src/lab/test_system.h"
 #include "src/obs/anatomy.h"
 #include "src/obs/flight_recorder.h"
@@ -44,14 +45,15 @@ int main() {
   // scores the cause tool's IP-sampling attribution below.
   obs::EpisodeFlightRecorder::Config rec_config;
   rec_config.threshold_ms = tool_config.threshold_ms;
-  obs::EpisodeFlightRecorder recorder(system.kernel(), rec_config);
+  kernel::TraceRing ring;
+  obs::EpisodeFlightRecorder recorder(system.kernel(), ring, rec_config);
 
   workload::StressLoad load(system.deps(), workload::OfficeStress(), system.ForkRng());
 
   driver.Start();
   tool.Start();
   recorder.Arm(driver, &tool);
-  system.kernel().dispatcher().set_trace_sink(recorder.trace_sink());
+  system.kernel().dispatcher().set_trace_sink(&ring);
   load.Start();
   system.RunForMinutes(minutes);
   system.kernel().dispatcher().set_trace_sink(nullptr);
@@ -84,7 +86,9 @@ int main() {
   drivers::LatencyDriver injected_driver(injected_system.kernel(),
                                          drivers::LatencyDriver::Config{});
   drivers::CauseTool injected_tool(injected_system.kernel(), injected_driver, tool_config);
-  obs::EpisodeFlightRecorder injected_recorder(injected_system.kernel(), rec_config);
+  kernel::TraceRing injected_ring;
+  obs::EpisodeFlightRecorder injected_recorder(injected_system.kernel(), injected_ring,
+                                               rec_config);
 
   fault::FaultPlan plan;
   plan.name = "table4_injected";
@@ -108,7 +112,7 @@ int main() {
   injected_driver.Start();
   injected_tool.Start();
   injected_recorder.Arm(injected_driver, &injected_tool);
-  injected_system.kernel().dispatcher().set_trace_sink(injected_recorder.trace_sink());
+  injected_system.kernel().dispatcher().set_trace_sink(&injected_ring);
   injector.Start();
   injected_load.Start();
   injected_system.RunForMinutes(minutes);
@@ -171,7 +175,9 @@ int main() {
       drivers::CauseTool sweep_tool(sweep_system.kernel(), sweep_driver, sweep_config);
       obs::EpisodeFlightRecorder::Config sweep_rec_config;
       sweep_rec_config.threshold_ms = threshold_ms;
-      obs::EpisodeFlightRecorder sweep_recorder(sweep_system.kernel(), sweep_rec_config);
+      kernel::TraceRing sweep_ring;
+      obs::EpisodeFlightRecorder sweep_recorder(sweep_system.kernel(), sweep_ring,
+                                                sweep_rec_config);
       obs::LatencyAnatomy::Config anatomy_config;
       anatomy_config.max_episodes = 256;
       obs::LatencyAnatomy anatomy(anatomy_config);
@@ -189,7 +195,7 @@ int main() {
         anatomy.OnEpisode(ms, stamps.dpc_tsc, stamps.thread_tsc);
       });
       obs::TraceFanout fanout;
-      fanout.Add(sweep_recorder.trace_sink());
+      fanout.Add(&sweep_ring);
       fanout.Add(&anatomy);
       sweep_system.kernel().dispatcher().set_trace_sink(&fanout);
       sweep_load.Start();
@@ -245,7 +251,9 @@ int main() {
       drivers::CauseTool sweep_tool(sweep_system.kernel(), sweep_driver, sweep_config);
       obs::EpisodeFlightRecorder::Config sweep_rec_config;
       sweep_rec_config.threshold_ms = threshold_ms;
-      obs::EpisodeFlightRecorder sweep_recorder(sweep_system.kernel(), sweep_rec_config);
+      kernel::TraceRing sweep_ring;
+      obs::EpisodeFlightRecorder sweep_recorder(sweep_system.kernel(), sweep_ring,
+                                                sweep_rec_config);
 
       fault::InjectorTargets sweep_targets;
       sweep_targets.kernel = &sweep_system.kernel();
@@ -258,7 +266,7 @@ int main() {
       sweep_driver.Start();
       sweep_tool.Start();
       sweep_recorder.Arm(sweep_driver, &sweep_tool);
-      sweep_system.kernel().dispatcher().set_trace_sink(sweep_recorder.trace_sink());
+      sweep_system.kernel().dispatcher().set_trace_sink(&sweep_ring);
       sweep_injector.Start();
       sweep_load.Start();
       sweep_system.RunForMinutes(sweep_minutes);

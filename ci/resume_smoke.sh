@@ -12,6 +12,8 @@
 #     structured [invariant_violation] failure (exit 3) while every other
 #     cell completes, and the --throw-cell fixture does the same through
 #     the exception barrier ([exception])
+#   * a cell that keeps no latency samples fails the run (exit 3), as a
+#     single cell and as every cell of a matrix
 #
 # Registered as the `resume_smoke` ctest; also runnable standalone from the
 # repo root:
@@ -130,5 +132,24 @@ grep -q 'cell 5 ' "${OUT}/throw.err" \
   || { echo "resume_smoke: expected the other 15 cells to complete" >&2; exit 1; }
 grep -q '1 cell(s) failed out of 16' "${OUT}/throw.err" \
   || { echo "resume_smoke: missing failure summary for --throw-cell" >&2; exit 1; }
+
+# Empty cells: a run too short to keep one sample is a failure, not an
+# all-zero table. The single cell says so and exits 3; the matrix names
+# every such cell and exits 3.
+status=0
+"${RUN}" --minutes 0.00001 --seed 1 > "${OUT}/empty.log" 2> "${OUT}/empty.err" || status=$?
+[[ "${status}" -eq 3 ]] \
+  || { echo "resume_smoke: sampleless cell exited ${status}, want 3" >&2; exit 1; }
+grep -q 'the run kept no latency samples' "${OUT}/empty.err" \
+  || { echo "resume_smoke: sampleless cell lacks its diagnostic" >&2; exit 1; }
+status=0
+"${RUN}" --matrix --minutes 0.00001 --seed 1 --jobs 2 \
+  > "${OUT}/empty_matrix.log" 2> "${OUT}/empty_matrix.err" || status=$?
+[[ "${status}" -eq 3 ]] \
+  || { echo "resume_smoke: sampleless matrix exited ${status}, want 3" >&2; exit 1; }
+[[ "$(grep -c 'kept no latency samples' "${OUT}/empty_matrix.err")" -eq 16 ]] \
+  || { echo "resume_smoke: sampleless matrix should name all 16 cells" >&2; exit 1; }
+grep -q '16 cell(s) kept no samples out of 16' "${OUT}/empty_matrix.err" \
+  || { echo "resume_smoke: missing sampleless-cell summary" >&2; exit 1; }
 
 echo "resume_smoke: OK"

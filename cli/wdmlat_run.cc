@@ -481,6 +481,10 @@ int RunCell(const Flags& f) {
     std::printf("fault plan \"%s\": %llu activation(s)\n", fault_plan.name.c_str(),
                 static_cast<unsigned long long>(report.fault_activations));
   }
+  if (report.samples == 0) {
+    std::fprintf(stderr, "wdmlat_run: the run kept no latency samples\n");
+    return 3;
+  }
 
   std::printf("\n%llu samples (%.0f per hour)\n",
               static_cast<unsigned long long>(report.samples), report.samples_per_hour);
@@ -735,14 +739,35 @@ int RunMatrix(const Flags& f) {
     WriteTextFile(f.metrics_csv, result.metrics.ToCsv(), "metrics CSV");
   }
 
-  // Exit contract: 3 = cells failed (structured failures printed above),
-  // 4 = interrupted by --max-cells (record log resumable), 0 = complete.
+  // Exit contract: 3 = cells failed (structured failures printed above) or
+  // kept no samples, 4 = interrupted by --max-cells (record log resumable),
+  // 0 = complete.
   for (const std::string& violation : result.merge_violations) {
     std::fprintf(stderr, "wdmlat_run: merge audit: %s\n", violation.c_str());
   }
-  if (!result.failures.empty() || !result.merge_violations.empty()) {
+  std::size_t empty_cells = 0;
+  for (const lab::MatrixCell& cell : matrix.cells()) {
+    const lab::CellStatus status = result.statuses[cell.index];
+    if ((status == lab::CellStatus::kOk || status == lab::CellStatus::kRestored) &&
+        result.reports[cell.index].samples == 0) {
+      ++empty_cells;
+      std::fprintf(stderr,
+                   "wdmlat_run: cell %zu (%s, %s, prio %d, trial %d) kept no latency "
+                   "samples\n",
+                   cell.index, cell.config.os.name.c_str(), cell.config.stress.name.c_str(),
+                   cell.config.thread_priority, cell.trial);
+    }
+  }
+  const bool failed = !result.failures.empty() || !result.merge_violations.empty();
+  if (failed) {
     std::fprintf(stderr, "wdmlat_run: %zu cell(s) failed out of %zu\n",
                  result.failures.size(), matrix.cells().size());
+  }
+  if (empty_cells > 0) {
+    std::fprintf(stderr, "wdmlat_run: %zu cell(s) kept no samples out of %zu\n", empty_cells,
+                 matrix.cells().size());
+  }
+  if (failed || empty_cells > 0) {
     return 3;
   }
   if (result.cells_skipped > 0) {

@@ -23,7 +23,6 @@ void AudioDevice::BufferComplete() {
   if (!streaming_) {
     return;
   }
-  ++buffers_completed_;
   pic_.Assert(line_);
   next_.ArmAfter(period_);
 }

@@ -8,7 +8,6 @@
 #ifndef SRC_HW_AUDIO_DEVICE_H_
 #define SRC_HW_AUDIO_DEVICE_H_
 
-#include <cstdint>
 
 #include "src/hw/interrupt_controller.h"
 #include "src/sim/engine.h"
@@ -41,7 +40,6 @@ class AudioDevice : public AudioStreamDevice {
   void StopStream() override;
 
   bool streaming() const override { return streaming_; }
-  std::uint64_t buffers_completed() const { return buffers_completed_; }
 
  private:
   void BufferComplete();
@@ -50,7 +48,6 @@ class AudioDevice : public AudioStreamDevice {
   int line_;
   bool streaming_ = false;
   sim::Cycles period_ = sim::kCyclesPerMs * 10;
-  std::uint64_t buffers_completed_ = 0;
   sim::Timer next_;
 };
 

@@ -49,7 +49,6 @@ class Pit {
   void set_tick_delay_hook(sim::InplaceFunction<sim::Cycles()> hook) {
     tick_delay_hook_ = std::move(hook);
   }
-  bool has_tick_delay_hook() const { return static_cast<bool>(tick_delay_hook_); }
 
  private:
   void Tick();

@@ -55,7 +55,6 @@ class Kernel {
 
   // Reprogram the PIT ("We reset it to 1 KHz", Section 2.2).
   void SetClockFrequency(double hz) { pit_.SetFrequencyHz(hz); }
-  double clock_frequency() const { return pit_.frequency_hz(); }
 
   // --- Events ------------------------------------------------------------------
   void KeSetEvent(KEvent* event);

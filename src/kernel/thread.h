@@ -58,15 +58,9 @@ class KThread {
 
   std::uint64_t dispatch_count() const { return dispatch_count_; }
 
-  // Time at which the thread's current/last wait was satisfied (the instant
-  // of the KeSetEvent that readied it) — ground truth for thread latency.
-  sim::Cycles wait_signaled_at() const { return wait_signaled_at_; }
-
   // --- SMP (ignored on uniprocessor profiles) -------------------------------
   // Bit `c` set: the thread may run on core `c`. Default: any core.
   std::uint32_t affinity() const { return affinity_; }
-  // Core the thread last started executing on (-1 before its first dispatch).
-  int last_core() const { return last_core_; }
   // Core whose runqueue currently holds the thread (meaningful while kReady).
   int ready_core() const { return ready_core_; }
 
@@ -108,11 +102,12 @@ class KThread {
   Continuation seg_done_;
 
   sim::Cycles readied_at_ = 0;
+  // Instant of the KeSetEvent that satisfied the current/last wait.
   sim::Cycles wait_signaled_at_ = 0;
   std::uint64_t dispatch_count_ = 0;
 
   std::uint32_t affinity_ = ~0u;
-  int last_core_ = -1;
+  int last_core_ = -1;  // core of the last dispatch; -1 before the first
   int ready_core_ = 0;
 
   // Private plumbing for Kernel::Sleep.

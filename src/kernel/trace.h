@@ -2,18 +2,16 @@
 //
 // A TraceSink receives structured callbacks for every dispatcher transition:
 // ISR enter/exit, DPC start/end, context switches, kernel sections and
-// dispatch lockouts. TraceRing is the bare sink: a fixed ring of the most
-// recent events. TraceSession adds per-type counters and per-label time
-// accounting on top of a ring, with a text renderer — the "who is stealing
-// my CPU at raised IRQL" view that the paper's cause tool approximates from
-// the outside with IP sampling.
+// dispatch lockouts. TraceRing is the one raw-event store of a run: a fixed
+// ring of the most recent events, the paper's circular buffer (Section 2.3).
+// TopBlame reads it as the "who is stealing my CPU at raised IRQL" view that
+// the paper's cause tool approximates from the outside with IP sampling.
 
 #ifndef SRC_KERNEL_TRACE_H_
 #define SRC_KERNEL_TRACE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/kernel/label.h"
@@ -43,9 +41,9 @@ enum class TraceEventType : std::uint8_t {
   // whose duration is the wait they report, so UP traces never contain them.
   kSpinlockWait,  // spinlock granted; duration = cycles spent spinning
   kIpi,           // inter-processor interrupt delivered; duration = flight time
-  // Sentinel — keep last. Sizes every per-type array (TraceSession's
-  // counters, exporter tables), so adding an event type above cannot
-  // silently under-count.
+  // Sentinel — keep last. Sizes every per-type array (the metrics
+  // collector's series, exporter tables), so adding an event type above
+  // cannot silently under-count.
   kTraceEventTypeCount,
 };
 
@@ -119,7 +117,7 @@ class TraceSink {
 // event.
 class TraceRing : public TraceSink {
  public:
-  explicit TraceRing(std::size_t capacity) : events_(capacity) {}
+  explicit TraceRing(std::size_t capacity = 4096) : events_(capacity) {}
 
   void OnTraceEvent(const TraceEvent& event) override {
     events_[next_] = event;
@@ -144,48 +142,26 @@ class TraceRing : public TraceSink {
     }
   }
 
-  // Oldest-first copy of the retained events.
-  std::vector<TraceEvent> Snapshot() const;
-
  private:
   std::vector<TraceEvent> events_;
   std::size_t next_ = 0;
   bool wrapped_ = false;
 };
 
-// A TraceRing plus per-type counts and per-label time accounting.
-class TraceSession : public TraceSink {
- public:
-  explicit TraceSession(std::size_t capacity = 4096) : ring_(capacity) {}
-
-  void OnTraceEvent(const TraceEvent& event) override;
-
-  std::uint64_t count(TraceEventType type) const {
-    return counts_[static_cast<std::size_t>(type)];
-  }
-  std::uint64_t total_events() const { return total_; }
-
-  // Oldest-first snapshot of the retained ring.
-  std::vector<TraceEvent> Snapshot() const { return ring_.Snapshot(); }
-
-  struct LabelTime {
-    Label label;
-    sim::Cycles total = 0;
-    std::uint64_t occurrences = 0;
-  };
-  // Raised-IRQL time (ISRs + sections + DPCs) aggregated per label, sorted
-  // by total time descending.
-  std::vector<LabelTime> TopTimeConsumers(std::size_t max_entries = 10) const;
-
-  // Human-readable summary (counts, top consumers, recent events).
-  std::string Summary(std::size_t recent_events = 0) const;
-
- private:
-  TraceRing ring_;
-  std::uint64_t total_ = 0;
-  std::uint64_t counts_[kNumTraceEventTypes] = {};
-  std::vector<LabelTime> label_times_;
+struct LabelTime {
+  Label label;
+  sim::Cycles total = 0;
+  std::uint64_t occurrences = 0;
 };
+
+// The blame rule of the flight recorder and the supervision black box: the
+// wall time of every ISR, section and DPC exit and every dispatch lockout
+// with a nonzero duration at or after `since`, summed per label (labels
+// compare by text, and an entry keeps the first address seen). Returns at
+// most `max_entries` labels, largest total first; ties keep first-appearance
+// order, so the first entry is the first label to reach the maximum.
+std::vector<LabelTime> TopBlame(const TraceRing& ring, sim::Cycles since,
+                                std::size_t max_entries);
 
 }  // namespace wdmlat::kernel
 

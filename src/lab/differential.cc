@@ -77,15 +77,6 @@ void AppendRunJson(std::ostringstream& out, const char* key, const LabReport& re
 
 }  // namespace
 
-const DistributionShift* DifferentialReport::thread_shift() const {
-  for (const DistributionShift& shift : shifts) {
-    if (shift.metric == "thread") {
-      return &shift;
-    }
-  }
-  return nullptr;
-}
-
 std::vector<double> DefaultShiftQuantiles() { return {0.5, 0.9, 0.99, 0.999, 0.9999}; }
 
 std::vector<double> DefaultTailThresholdsMs() { return {1.0, 10.0, 100.0}; }

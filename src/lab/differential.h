@@ -57,10 +57,6 @@ struct DifferentialReport {
   LabReport baseline;
   LabReport perturbed;
   std::vector<DistributionShift> shifts;
-
-  // Convenience: the thread-latency shift (the paper's headline metric), or
-  // nullptr if absent.
-  const DistributionShift* thread_shift() const;
 };
 
 // Quantiles / tail thresholds used when the caller does not override them.

@@ -1118,8 +1118,35 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
   return true;
 }
 
+namespace {
+
+// An upper bound on FleetReportToJson's length, so the document is written
+// into one allocation: a histogram bucket takes at most 32 bytes, a sketch
+// value 28 (a quoted hexfloat and its separator), an escaped name byte 6, and
+// the rest of a cohort (at most 48 sketch levels) or quarantine entry fits in
+// its fixed allowance.
+std::size_t FleetReportJsonBound(const FleetReport& report) {
+  constexpr std::size_t kBucketBytes = 32;
+  constexpr std::size_t kValueBytes = 28;
+  constexpr std::size_t kEscapedByte = 6;
+  std::size_t bytes = 1024 + kEscapedByte * report.name.size();
+  for (const FleetQuarantineEntry& entry : report.quarantine) {
+    bytes += 256 + kEscapedByte * entry.taxonomy.size();
+  }
+  for (const FleetCohortReport& cohort : report.cohorts) {
+    bytes += 4096 + kEscapedByte * (cohort.name.size() + cohort.os.size()) +
+             kBucketBytes *
+                 (cohort.thread.occupied_buckets() + cohort.dpc_interrupt.occupied_buckets()) +
+             kValueBytes * cohort.thread_sketch.retained();
+  }
+  return bytes;
+}
+
+}  // namespace
+
 std::string FleetReportToJson(const FleetReport& report) {
   std::string out;
+  out.reserve(FleetReportJsonBound(report));
   out += "{\"format\": \"";
   out += kReportFormat;
   out += "\", \"version\": ";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "src/drivers/cause_tool.h"
 #include "src/fault/injector.h"
@@ -111,9 +112,15 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
   const ObsOptions& obs = config.obs;
   obs::TraceFanout fanout;
   fanout.Add(obs.trace_sink);
-  // Supervision black box: a plain ring-buffer sink, so arming it cannot
-  // perturb the run it may later have to explain.
-  fanout.Add(config.supervision.black_box);
+  // One trailing ring per run: the supervision black box, or one of our own
+  // when only the flight recorder needs it. A ring is a plain sink, so
+  // arming it cannot perturb the run it may later have to explain.
+  kernel::TraceRing* ring = config.supervision.black_box;
+  std::optional<kernel::TraceRing> own_ring;
+  if (ring == nullptr && obs.episode_threshold_us > 0.0) {
+    ring = &own_ring.emplace();
+  }
+  fanout.Add(ring);
   std::unique_ptr<obs::KernelMetricsCollector> collector;
   if (obs.metrics != nullptr) {
     collector = std::make_unique<obs::KernelMetricsCollector>(*obs.metrics);
@@ -134,9 +141,8 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
     obs::EpisodeFlightRecorder::Config rec_config;
     rec_config.threshold_ms = obs.episode_threshold_us / 1000.0;
     rec_config.max_episodes = obs.max_episodes;
-    recorder = std::make_unique<obs::EpisodeFlightRecorder>(system.kernel(), rec_config);
+    recorder = std::make_unique<obs::EpisodeFlightRecorder>(system.kernel(), *ring, rec_config);
     recorder->Arm(driver, cause_tool.get());
-    fanout.Add(recorder->trace_sink());
 
     if (obs.anatomy) {
       obs::LatencyAnatomy::Config an_config;

@@ -95,8 +95,9 @@ struct RunSupervision {
   bool force_audit_violation = false;
   // Black-box ring (borrowed): attached to the trace fanout for the whole
   // run so a failure's diagnostic bundle can include the recent-event tail.
-  // Trace sinks are pure observers, so the run stays bit-identical.
-  kernel::TraceSession* black_box = nullptr;
+  // It is the run's only ring: the flight recorder reads it too. Trace sinks
+  // are pure observers, so the run stays bit-identical.
+  kernel::TraceRing* black_box = nullptr;
 
   bool enabled() const {
     return watchdog != nullptr || audit_every_s > 0.0 || audit_at_end ||

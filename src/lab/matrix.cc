@@ -24,7 +24,47 @@ namespace {
 // Supervision black box of the cell running on this thread. It outlives the
 // cell body (the escaping exception tears down the TestSystem), so the diagnose
 // hook, which runs next on the same thread, can still read it.
-thread_local std::optional<kernel::TraceSession> t_black_box;
+thread_local std::optional<kernel::TraceRing> t_black_box;
+
+// A failed cell's diagnostic: the black box's top raised-IRQL labels by the
+// flight recorder's blame rule, then its newest events.
+void DescribeBlackBox(const kernel::TraceRing& ring, std::vector<std::string>* lines) {
+  constexpr std::size_t kTopLabels = 10;
+  constexpr std::size_t kRecentEvents = 12;
+  std::ostringstream line;
+  auto flush = [&] {
+    lines->push_back(line.str());
+    line.str("");
+  };
+  line << "Black box: the last " << ring.size() << " trace events";
+  flush();
+  const std::vector<kernel::LabelTime> top = kernel::TopBlame(ring, 0, kTopLabels);
+  if (!top.empty()) {
+    lines->push_back("Top raised-IRQL time consumers:");
+    for (const kernel::LabelTime& entry : top) {
+      line << "  " << kernel::ToString(entry.label) << ": " << sim::CyclesToMs(entry.total)
+           << " ms over " << entry.occurrences << " occurrences";
+      flush();
+    }
+  }
+  if (ring.size() == 0) {
+    return;
+  }
+  lines->push_back("Most recent events:");
+  std::size_t skip = ring.size() > kRecentEvents ? ring.size() - kRecentEvents : 0;
+  ring.ForEach([&](const kernel::TraceEvent& event) {
+    if (skip > 0) {
+      --skip;
+      return;
+    }
+    line << "  [" << sim::CyclesToMs(event.tsc) << " ms] " << kernel::TraceEventName(event.type)
+         << " " << kernel::ToString(event.label);
+    if (event.duration > 0) {
+      line << " (" << sim::CyclesToUs(event.duration) << " us)";
+    }
+    flush();
+  });
+}
 
 }  // namespace
 
@@ -173,7 +213,13 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   log.jobs = options.jobs;
   log.cell_timeout_ms = options.cell_timeout_ms;
   log.cell_seed = [this](std::uint64_t i) { return cells_[i].seed; };
-  log.restore = [&result](std::uint64_t i, std::string_view payload, std::string* error) {
+  log.restore = [this, &result](std::uint64_t i, std::string_view payload, std::string* error) {
+    // A record holds the report, not the cell's metrics registry: restoring
+    // it would leave the cell out of the merged metrics export.
+    if (spec_.collect_metrics) {
+      *error = "per-cell metrics are not checkpointed";
+      return false;
+    }
     if (!ReportFromJson(payload, &result.reports[i], error)) {
       return false;
     }
@@ -188,7 +234,7 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
       result.timings[i].worker = worker;
     }
     cell_start[i] = Clock::now();
-    kernel::TraceSession* black_box = black_box_on ? &t_black_box.emplace() : nullptr;
+    kernel::TraceRing* black_box = black_box_on ? &t_black_box.emplace() : nullptr;
     if (options.throw_cell >= 0 && i == static_cast<std::uint64_t>(options.throw_cell)) {
       throw std::runtime_error("injected cell failure (fixture)");
     }
@@ -217,13 +263,7 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   };
   if (black_box_on) {
     log.diagnose = [](std::uint64_t, runtime::CellFailure& failure) {
-      std::istringstream summary(t_black_box->Summary(/*recent_events=*/12));
-      std::string line;
-      while (std::getline(summary, line)) {
-        if (!line.empty()) {
-          failure.diagnostics.push_back(line);
-        }
-      }
+      DescribeBlackBox(*t_black_box, &failure.diagnostics);
     };
   }
   log.on_cell_done = [&](std::uint64_t i, const runtime::CellFailure* failure) {

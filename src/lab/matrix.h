@@ -57,6 +57,7 @@ struct MatrixSpec {
   // --- Observability (expanded into each cell's ObsOptions) -----------------
   // Collect per-cell MetricsRegistries and merge them — grid order, so the
   // merged registry is jobs-independent — into MatrixResult::metrics.
+  // Records do not hold registries, so a resume re-runs every cell.
   bool collect_metrics = false;
   // >0 (and collect_metrics): per-cell queue-depth sampling period.
   double queue_sample_ms = 0.0;
@@ -226,8 +227,7 @@ struct MatrixResult {
   }
 
   // --- Supervision outcome (populated by Run(MatrixRunOptions)) -------------
-  // Per-cell dispositions, parallel to ExperimentMatrix::cells(). The legacy
-  // Run(jobs) fills every slot with kOk.
+  // Per-cell dispositions, parallel to ExperimentMatrix::cells().
   std::vector<CellStatus> statuses;
   // Structured failures of every kFailed cell (completion order).
   std::vector<runtime::CellFailure> failures;

@@ -58,7 +58,6 @@ class TestSystem {
     return usb_audio_ ? static_cast<hw::AudioStreamDevice&>(*usb_audio_)
                       : static_cast<hw::AudioStreamDevice&>(*audio_);
   }
-  hw::AudioDevice* pci_audio() { return audio_.get(); }
   hw::UhciController* usb_controller() { return usb_audio_.get(); }
   drivers::DiskDriver& disk_driver() { return *disk_driver_; }
   drivers::NicDriver& nic_driver() { return *nic_driver_; }

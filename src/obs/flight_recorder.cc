@@ -6,25 +6,6 @@
 
 namespace wdmlat::obs {
 
-namespace {
-
-// Which trace events carry blame: the "exit" events whose duration is the
-// wall time an activity held the CPU above PASSIVE, plus dispatch lockouts
-// (labelled with the code path that took the lockout). kContextSwitch and
-// kThreadReady are scheduler bookkeeping, not culprits.
-bool CarriesBlame(kernel::TraceEventType type) {
-  using kernel::TraceEventType;
-  return type == TraceEventType::kIsrExit || type == TraceEventType::kSectionEnd ||
-         type == TraceEventType::kDpcEnd || type == TraceEventType::kDispatchLockout;
-}
-
-struct LabelCycles {
-  kernel::Label label;
-  sim::Cycles total = 0;
-};
-
-}  // namespace
-
 AttributionScore ScoreAttribution(const std::vector<EpisodeSummary>& episodes) {
   AttributionScore score;
   score.episodes = episodes.size();
@@ -88,8 +69,9 @@ std::string RenderAttributionReport(const std::vector<EpisodeSummary>& episodes)
   return out.str();
 }
 
-EpisodeFlightRecorder::EpisodeFlightRecorder(kernel::Kernel& kernel, Config config)
-    : kernel_(kernel), cfg_(config), ring_(config.ring_capacity) {}
+EpisodeFlightRecorder::EpisodeFlightRecorder(kernel::Kernel& kernel,
+                                             const kernel::TraceRing& ring, Config config)
+    : kernel_(kernel), ring_(ring), cfg_(config) {}
 
 void EpisodeFlightRecorder::Arm(drivers::LatencyDriver& driver,
                                 drivers::CauseTool* cause_tool) {
@@ -99,93 +81,56 @@ void EpisodeFlightRecorder::Arm(drivers::LatencyDriver& driver,
 }
 
 void EpisodeFlightRecorder::OnLongLatency(double latency_ms) {
-  if (episodes_.size() >= cfg_.max_episodes) {
+  if (summaries_.size() >= cfg_.max_episodes) {
     return;
   }
-  Episode episode;
-  episode.latency_ms = latency_ms;
-  episode.reported_at = kernel_.GetCycleCount();
+  const sim::Cycles reported_at = kernel_.GetCycleCount();
+  EpisodeSummary& summary = summaries_.emplace_back();
+  summary.latency_ms = latency_ms;
+  summary.reported_at_ms = sim::CyclesToMs(reported_at);
 
-  // The latency window, with one PIT period of slack on each side (the same
+  // Ground truth: the label whose blame-carrying wall time dominates the
+  // latency window, with one PIT period of slack on each side (the same
   // slack the cause tool uses for its ring dump).
   const sim::Cycles slack = kernel_.pit().period();
   const sim::Cycles window = sim::MsToCycles(latency_ms) + 2 * slack;
-  const sim::Cycles window_start =
-      episode.reported_at > window ? episode.reported_at - window : 0;
-  ring_.ForEach([&](const kernel::TraceEvent& event) {
-    if (event.tsc >= window_start) {
-      episode.trace.push_back(event);
-    }
-  });
-
-  // Ground truth: per-label wall time of blame-carrying activities in the
-  // window; the top label is what actually consumed the episode.
-  std::vector<LabelCycles> blame;
-  for (const kernel::TraceEvent& event : episode.trace) {
-    if (!CarriesBlame(event.type) || event.duration == 0) {
-      continue;
-    }
-    auto it = std::find_if(blame.begin(), blame.end(),
-                           [&](const LabelCycles& entry) { return entry.label == event.label; });
-    if (it == blame.end()) {
-      blame.push_back(LabelCycles{event.label, event.duration});
-    } else {
-      it->total += event.duration;
-    }
-  }
-  EpisodeSummary& summary = episode.summary;
-  summary.latency_ms = latency_ms;
-  summary.reported_at_ms = sim::CyclesToMs(episode.reported_at);
-  if (!blame.empty()) {
-    const auto top = std::max_element(
-        blame.begin(), blame.end(),
-        [](const LabelCycles& a, const LabelCycles& b) { return a.total < b.total; });
-    summary.true_module = top->label.module;
-    summary.true_function = top->label.function;
-    summary.true_ms = sim::CyclesToMs(top->total);
+  const sim::Cycles window_start = reported_at > window ? reported_at - window : 0;
+  const std::vector<kernel::LabelTime> top = kernel::TopBlame(ring_, window_start, 1);
+  if (!top.empty()) {
+    summary.true_module = top.front().label.module;
+    summary.true_function = top.front().label.function;
+    summary.true_ms = sim::CyclesToMs(top.front().total);
   }
 
   // The cause tool's callback ran before ours (it registered first), so its
   // episode dump for this same latency report — if its cap was not hit — is
   // the newest entry.
-  if (cause_tool_ != nullptr && cause_tool_->episodes().size() > cause_episodes_seen_) {
-    cause_episodes_seen_ = cause_tool_->episodes().size();
-    episode.cause_samples = cause_tool_->episodes().back().samples;
+  if (cause_tool_ == nullptr || cause_tool_->episodes().size() == cause_episodes_seen_) {
+    return;
   }
-  if (!episode.cause_samples.empty()) {
-    std::vector<std::pair<kernel::Label, std::uint64_t>> counts;
-    for (const drivers::CauseTool::Sample& sample : episode.cause_samples) {
-      auto it = std::find_if(counts.begin(), counts.end(), [&](const auto& entry) {
-        return entry.first == sample.label;
-      });
-      if (it == counts.end()) {
-        counts.emplace_back(sample.label, 1);
-      } else {
-        ++it->second;
-      }
+  cause_episodes_seen_ = cause_tool_->episodes().size();
+  const std::vector<drivers::CauseTool::Sample>& samples = cause_tool_->episodes().back().samples;
+  if (samples.empty()) {
+    return;
+  }
+  std::vector<std::pair<kernel::Label, std::uint64_t>> counts;
+  for (const drivers::CauseTool::Sample& sample : samples) {
+    auto it = std::find_if(counts.begin(), counts.end(),
+                           [&](const auto& entry) { return entry.first == sample.label; });
+    if (it == counts.end()) {
+      counts.emplace_back(sample.label, 1);
+    } else {
+      ++it->second;
     }
-    const auto top = std::max_element(
-        counts.begin(), counts.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    summary.cause_module = top->first.module;
-    summary.cause_function = top->first.function;
-    summary.cause_samples = top->second;
-    summary.attributed = true;
-    summary.module_match = !summary.true_module.empty() &&
-                           summary.cause_module == summary.true_module;
   }
-  episodes_.push_back(std::move(episode));
+  const auto top_sample = std::max_element(
+      counts.begin(), counts.end(), [](const auto& a, const auto& b) { return a.second < b.second; });
+  summary.cause_module = top_sample->first.module;
+  summary.cause_function = top_sample->first.function;
+  summary.cause_samples = top_sample->second;
+  summary.attributed = true;
+  summary.module_match =
+      !summary.true_module.empty() && summary.cause_module == summary.true_module;
 }
-
-std::vector<EpisodeSummary> EpisodeFlightRecorder::Summaries() const {
-  std::vector<EpisodeSummary> out;
-  out.reserve(episodes_.size());
-  for (const Episode& episode : episodes_) {
-    out.push_back(episode.summary);
-  }
-  return out;
-}
-
-AttributionScore EpisodeFlightRecorder::Score() const { return ScoreAttribution(Summaries()); }
 
 }  // namespace wdmlat::obs

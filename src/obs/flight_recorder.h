@@ -5,12 +5,12 @@
 // *outside* view that can only see what the clock interrupt happened to
 // land on. The simulator also has the *inside* view: the dispatcher's trace
 // stream says exactly which ISRs, raised-IRQL sections, DPCs and dispatch
-// lockouts ran. This recorder keeps a trailing kernel::TraceRing and, when
-// the latency tool reports a sample over the threshold, snapshots the ring
-// together with the cause tool's sample buffer into a structured episode
-// record carrying ground-truth blame — which makes the Table-4 methodology
-// *scorable*: did IP sampling finger the module that actually consumed the
-// episode's raised-IRQL time?
+// lockouts ran. This recorder reads the run's trailing kernel::TraceRing
+// and, when the latency tool reports a sample over the threshold, sums the
+// window's blame in place (kernel::TopBlame) and tallies the cause tool's
+// sample buffer, into an episode summary carrying ground-truth blame — which
+// makes the Table-4 methodology *scorable*: did IP sampling finger the module
+// that actually consumed the episode's raised-IRQL time?
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -94,29 +94,15 @@ std::string RenderAttributionReport(const std::vector<EpisodeSummary>& episodes)
 class EpisodeFlightRecorder {
  public:
   struct Config {
-    // Thread latencies at or above this threshold trigger a snapshot.
+    // Thread latencies at or above this threshold summarize an episode.
     double threshold_ms = 8.0;
-    // Capacity of the trailing trace ring (events, not bytes).
-    std::size_t ring_capacity = 4096;
     std::size_t max_episodes = 64;
   };
 
-  struct Episode {
-    double latency_ms = 0.0;
-    sim::Cycles reported_at = 0;
-    // Trailing trace events inside the latency window.
-    std::vector<kernel::TraceEvent> trace;
-    // The cause tool's dumped ring for the same episode (empty when no tool
-    // is attached or its episode cap was hit).
-    std::vector<drivers::CauseTool::Sample> cause_samples;
-    EpisodeSummary summary;
-  };
-
-  EpisodeFlightRecorder(kernel::Kernel& kernel, Config config);
-
-  // The trailing trace ring; attach (typically via TraceFanout) to the
-  // dispatcher so the recorder sees every transition.
-  kernel::TraceSink* trace_sink() { return &ring_; }
+  // `ring` (borrowed) is the run's trailing trace ring: the caller attaches
+  // it (typically via TraceFanout) to the dispatcher so it sees every
+  // transition, and keeps it alive as long as the recorder.
+  EpisodeFlightRecorder(kernel::Kernel& kernel, const kernel::TraceRing& ring, Config config);
 
   // Register the snapshot callback on the driver (appended, so an earlier
   // CauseTool registration keeps firing first and its episode dump is
@@ -124,19 +110,17 @@ class EpisodeFlightRecorder {
   // null: episodes then carry ground truth only.
   void Arm(drivers::LatencyDriver& driver, drivers::CauseTool* cause_tool);
 
-  const std::vector<Episode>& episodes() const { return episodes_; }
-  std::vector<EpisodeSummary> Summaries() const;
-  AttributionScore Score() const;
+  const std::vector<EpisodeSummary>& Summaries() const { return summaries_; }
 
  private:
   void OnLongLatency(double latency_ms);
 
   kernel::Kernel& kernel_;
+  const kernel::TraceRing& ring_;
   Config cfg_;
-  kernel::TraceRing ring_;
   drivers::CauseTool* cause_tool_ = nullptr;
   std::size_t cause_episodes_seen_ = 0;
-  std::vector<Episode> episodes_;
+  std::vector<EpisodeSummary> summaries_;
 };
 
 }  // namespace wdmlat::obs

@@ -52,7 +52,6 @@ class JsonValue {
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }

@@ -1,6 +1,6 @@
 // TraceFanout: dispatches each kernel::TraceEvent to several sinks, so a
 // single run can feed a Chrome trace writer, the metrics collector and the
-// flight recorder's ring at once. The dispatcher still sees exactly one
+// run's trace ring at once. The dispatcher still sees exactly one
 // TraceSink pointer (null when no sink is registered, keeping the hot path
 // zero-cost).
 

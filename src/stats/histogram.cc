@@ -245,6 +245,11 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
 
 void LatencyHistogram::Reset() { *this = LatencyHistogram(); }
 
+std::size_t LatencyHistogram::occupied_buckets() const {
+  return static_cast<std::size_t>(
+      std::count_if(buckets_.begin(), buckets_.end(), [](std::uint64_t n) { return n > 0; }));
+}
+
 LatencyHistogram::State LatencyHistogram::ExportState() const {
   State state;
   for (int i = 0; i < kBucketCount; ++i) {

@@ -43,6 +43,8 @@ class LatencyHistogram {
   void RecordMs(double ms) { RecordUs(ms * 1000.0); }
 
   std::uint64_t count() const { return count_; }
+  // Non-empty buckets: the entries ExportState() holds.
+  std::size_t occupied_buckets() const;
   double min_ms() const;
   double max_ms() const;
   double mean_ms() const { return count_ == 0 ? 0.0 : sum_us_ / static_cast<double>(count_) / 1e3; }

@@ -228,6 +228,14 @@ void QuantileSketch::FoldSortedTail(const std::vector<double>& incoming) {
 
 void QuantileSketch::Reset() { *this = QuantileSketch(); }
 
+std::size_t QuantileSketch::retained() const {
+  std::size_t items = tail_.size();
+  for (const std::vector<double>& level : levels_) {
+    items += level.size();
+  }
+  return items;
+}
+
 QuantileSketch::State QuantileSketch::ExportState() const {
   State state;
   state.levels = levels_;

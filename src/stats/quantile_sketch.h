@@ -43,6 +43,8 @@ class QuantileSketch {
   void RecordMs(double ms);
 
   std::uint64_t count() const { return count_; }
+  // Values held: the compactor items of every level plus the tail.
+  std::size_t retained() const;
   double min_ms() const { return min_ms_; }
   double max_ms() const { return max_ms_; }
   double mean_ms() const {

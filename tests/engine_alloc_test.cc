@@ -339,11 +339,11 @@ struct ObservedStack {
       : collector(metrics),
         sampler(system.kernel(), &metrics, nullptr, 1.0),
         cause_tool(system.kernel(), driver, CauseToolConfig()),
-        recorder(system.kernel(), RecorderConfig()) {
+        recorder(system.kernel(), ring, RecorderConfig()) {
     cause_tool.Start();
     recorder.Arm(driver, &cause_tool);
     fanout.Add(&collector);
-    fanout.Add(recorder.trace_sink());
+    fanout.Add(&ring);
     fanout.Add(&anatomy);
     driver.AddLongLatencyCallback(kThresholdMs, [this, &driver](double ms) {
       anatomy.OnEpisode(ms, driver.last_stamps().dpc_tsc, driver.last_stamps().thread_tsc);
@@ -365,6 +365,7 @@ struct ObservedStack {
   obs::KernelMetricsCollector collector;
   obs::QueueDepthSampler sampler;
   drivers::CauseTool cause_tool;
+  kernel::TraceRing ring;
   obs::EpisodeFlightRecorder recorder;
   obs::LatencyAnatomy anatomy;
   obs::TraceFanout fanout;
@@ -374,8 +375,8 @@ struct ObservedStack {
 // time, so the trace stream is Win98Games's exactly; the engine runs only the
 // sampler's 10,000 samples more. What the obs stack adds is its storage's
 // growth to its high-water marks (the anatomy's span blocks, the recorder's
-// episodes, each copied straight from its bare ring with no snapshot in
-// between) and each metric series' one-time creation.
+// episode summaries, tallied in place over the ring it borrows, with no copy
+// of events or cause-tool samples) and each metric series' one-time creation.
 TEST(HotPathBudget, Win98GamesObserved) {
   std::unique_ptr<ObservedStack> stack;
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(),
@@ -383,7 +384,7 @@ TEST(HotPathBudget, Win98GamesObserved) {
                                    stack = std::make_unique<ObservedStack>(system, driver);
                                    return &stack->fanout;
                                  }),
-               131066, 167119, 0xcbff71160d2b76ebull, 1001);
+               131066, 167119, 0xcbff71160d2b76ebull, 947);
   EXPECT_GT(stack->metrics.counter("kernel.isr.count"), 0.0);
   EXPECT_GT(stack->metrics.counter("kernel.queue_samples"), 0.0);
 }

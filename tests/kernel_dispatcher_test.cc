@@ -368,8 +368,13 @@ TEST(DispatcherTest, SectionsNestAtEveryLevelFromApcToHigh) {
   constexpr double kStartUs = 100.0;
   constexpr double kLengthUs = 10.0;
   MiniSystem sys;
-  TraceSession trace(256);
+  TraceRing trace(256);
   sys.kernel().SetTraceSink(&trace);
+  auto count = [&trace](TraceEventType type) {
+    std::uint64_t n = 0;
+    trace.ForEach([&](const TraceEvent& event) { n += event.type == type ? 1 : 0; });
+    return n;
+  };
   std::vector<std::string> names;
   for (int level = 0; level <= kLevels; ++level) {
     names.push_back("_level" + std::to_string(level));
@@ -383,8 +388,9 @@ TEST(DispatcherTest, SectionsNestAtEveryLevelFromApcToHigh) {
   // Half a microsecond after the HIGH section arrives, every frame is live.
   sys.RunForUs(kStartUs + kLevels - 0.5);
   EXPECT_EQ(sys.kernel().dispatcher().EffectiveIrql(), Irql::kHigh);
-  EXPECT_EQ(trace.count(TraceEventType::kSectionStart), static_cast<std::uint64_t>(kLevels));
-  EXPECT_EQ(trace.count(TraceEventType::kSectionEnd), 0u);
+  ASSERT_LT(trace.size(), 256u);  // nothing overwritten yet
+  EXPECT_EQ(count(TraceEventType::kSectionStart), static_cast<std::uint64_t>(kLevels));
+  EXPECT_EQ(count(TraceEventType::kSectionEnd), 0u);
   std::vector<std::string> violations;
   sys.kernel().dispatcher().AuditDiscipline(&violations);
   EXPECT_TRUE(violations.empty()) << violations.front();
@@ -393,11 +399,11 @@ TEST(DispatcherTest, SectionsNestAtEveryLevelFromApcToHigh) {
   // LIFO: HIGH ends first after its full length; each level below it ran
   // 1 us before being preempted, so level k's wall time is (32 - k) lengths.
   std::vector<TraceEvent> ends;
-  for (const TraceEvent& event : trace.Snapshot()) {
+  trace.ForEach([&ends](const TraceEvent& event) {
     if (event.type == TraceEventType::kSectionEnd) {
       ends.push_back(event);
     }
-  }
+  });
   ASSERT_EQ(ends.size(), static_cast<std::size_t>(kLevels));
   for (int i = 0; i < kLevels; ++i) {
     const int level = kLevels - i;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -293,7 +294,8 @@ TEST(ThreadTest, ManyThreadsAllRunToCompletion) {
   MiniSystem sys;
   int completed = 0;
   for (int i = 0; i < 50; ++i) {
-    sys.kernel().PsCreateSystemThread("t" + std::to_string(i), 1 + (i % 15), [&] {
+    const std::string name = std::string("t").append(std::to_string(i));
+    sys.kernel().PsCreateSystemThread(name, 1 + (i % 15), [&] {
       sys.kernel().Compute(100.0, [&] {
         ++completed;
         sys.kernel().ExitThread();

@@ -196,9 +196,10 @@ TEST(MetricsRegistryTest, SeriesReferencesSurviveInsertsAndMerge) {
   // Many later inserts around the resolved names, then a merge that both
   // adds to them and inserts new series.
   for (int i = 0; i < 200; ++i) {
-    reg.Add("a" + std::to_string(i));
-    reg.Observe("z" + std::to_string(i), 1.0);
-    reg.SketchSeries("s" + std::to_string(i)).RecordMs(1.0);
+    const std::string suffix = std::to_string(i);
+    reg.Add(std::string("a").append(suffix));
+    reg.Observe(std::string("z").append(suffix), 1.0);
+    reg.SketchSeries(std::string("s").append(suffix)).RecordMs(1.0);
   }
   MetricsRegistry other = SampleRegistry(3, 50);
   other.Add("hits", 10.0);

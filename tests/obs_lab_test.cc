@@ -6,17 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/kernel/profile.h"
+#include "src/kernel/trace.h"
 #include "src/lab/lab.h"
+#include "src/lab/matrix.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/json.h"
 #include "src/obs/kernel_metrics.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/supervisor.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_path.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -104,6 +109,64 @@ TEST(ObsLabTest, EpisodeThresholdDoesNotPerturbEither) {
   const LabReport a = RunLatencyExperiment(BaseConfig());
   const LabReport b = RunLatencyExperiment(with_episodes);
   ExpectReportsIdentical(a, b);
+}
+
+// A run keeps one trace ring. Lent the supervision black box, the flight
+// recorder summarizes exactly the episodes it finds in a ring of its own;
+// and when a journaled matrix cell with episodes fails, the failure's
+// diagnostic prints that ring's top labels and newest events.
+TEST(ObsLabTest, BlackBoxRingServesTheRecorderAndTheFailureDiagnostic) {
+  LabConfig config = BaseConfig();
+  config.obs.episode_threshold_us = 4000.0;
+  const LabReport plain = RunLatencyExperiment(config);
+  ASSERT_FALSE(plain.episodes.empty());
+
+  kernel::TraceRing black_box;
+  config.supervision.black_box = &black_box;
+  config.supervision.audit_at_end = true;
+  const LabReport supervised = RunLatencyExperiment(config);
+  EXPECT_EQ(black_box.size(), 4096u);
+  ExpectReportsIdentical(plain, supervised);
+  ASSERT_EQ(supervised.episodes.size(), plain.episodes.size());
+  for (std::size_t i = 0; i < plain.episodes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const obs::EpisodeSummary& a = plain.episodes[i];
+    const obs::EpisodeSummary& b = supervised.episodes[i];
+    EXPECT_EQ(a.latency_ms, b.latency_ms);
+    EXPECT_EQ(a.reported_at_ms, b.reported_at_ms);
+    EXPECT_EQ(a.true_module, b.true_module);
+    EXPECT_EQ(a.true_function, b.true_function);
+    EXPECT_EQ(a.true_ms, b.true_ms);
+    EXPECT_EQ(a.cause_module, b.cause_module);
+    EXPECT_EQ(a.cause_function, b.cause_function);
+    EXPECT_EQ(a.cause_samples, b.cause_samples);
+    EXPECT_EQ(a.attributed, b.attributed);
+    EXPECT_EQ(a.module_match, b.module_match);
+  }
+
+  MatrixSpec spec;
+  spec.oses = {kernel::MakeWin98Profile()};
+  spec.workloads = {workload::GamesStress()};
+  spec.priorities = {28};
+  spec.trials = 2;
+  spec.stress_minutes = 0.05;
+  spec.warmup_seconds = 1.0;
+  spec.episode_threshold_us = 4000.0;
+  MatrixRunOptions options;
+  options.journal_path = testutil::TempFileFor("black_box.jsonl");
+  options.audit_fail_cell = 1;
+  const MatrixResult result = ExperimentMatrix(spec).Run(options);
+  ASSERT_EQ(result.failures.size(), 1u);
+  const runtime::CellFailure& failure = result.failures[0];
+  EXPECT_EQ(failure.kind, runtime::FailureKind::kInvariantViolation);
+  const std::vector<std::string>& lines = failure.diagnostics;
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.front(), "Black box: the last 4096 trace events");
+  EXPECT_NE(std::find(lines.begin(), lines.end(), "Top raised-IRQL time consumers:"),
+            lines.end());
+  const auto recent = std::find(lines.begin(), lines.end(), "Most recent events:");
+  ASSERT_NE(recent, lines.end());
+  EXPECT_EQ(lines.end() - recent, 13);  // the header and the 12 newest events
 }
 
 // A measurement run leaves callbacks into its own, by then dead, locals

@@ -117,7 +117,7 @@ TEST_P(ReadyQueueStormTest, EveryOpAgreesWithABruteForceScan) {
   std::vector<std::unique_ptr<KThread>> threads;
   for (int i = 0; i < 48; ++i) {
     const int prio = static_cast<int>(rng.UniformInt(kMinPriority, kMaxPriority));
-    threads.push_back(std::make_unique<KThread>("t" + std::to_string(i), prio));
+    threads.push_back(std::make_unique<KThread>(std::string("t").append(std::to_string(i)), prio));
   }
   std::vector<bool> queued(threads.size(), false);
   ReadyQueue queue;

@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "src/lab/matrix.h"
 #include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
+#include "src/obs/metrics.h"
 #include "src/workload/stress_profile.h"
 #include "tests/temp_path.h"
 
@@ -129,6 +131,56 @@ TEST(ResumeDeterminismTest, InterruptThenResumeIsBitIdenticalAtAnyJobCount) {
       EXPECT_EQ(ReportToJson(fresh.reports[i]), ReportToJson(resumed.reports[i]))
           << "cell " << i;
     }
+  }
+}
+
+// The merged metrics export without the host-side matrix.* series (wall
+// clock, so outside the determinism contract): one "kind,name,field,value"
+// row per line.
+std::string SimulatedMetricsCsv(const obs::MetricsRegistry& metrics) {
+  std::istringstream csv(metrics.ToCsv());
+  std::string kept;
+  std::string row;
+  while (std::getline(csv, row)) {
+    const std::size_t name = row.find(',') + 1;
+    if (row.compare(name, 7, "matrix.") != 0) {
+      kept += row + '\n';
+    }
+  }
+  return kept;
+}
+
+// A record holds a cell's report, not its metrics registry. With metrics
+// collected, a resume rejects every record and re-runs its cell, so the
+// merged export matches an uninterrupted run's.
+TEST(ResumeDeterminismTest, MetricsRunReRunsRecordedCellsAndExportsEveryCell) {
+  MatrixSpec spec = SmallSpec();
+  spec.collect_metrics = true;
+  const ExperimentMatrix matrix(spec);
+  const std::string fresh = SimulatedMetricsCsv(RunPlain(matrix, 1).metrics);
+  ASSERT_NE(fresh.find("driver.samples"), std::string::npos);
+
+  for (int resume_jobs : {1, 4}) {
+    SCOPED_TRACE(resume_jobs);
+    MatrixRunOptions options;
+    options.jobs = resume_jobs;
+    options.journal_path = TempFileFor("metrics_run_" + std::to_string(resume_jobs) + ".jsonl");
+    options.max_cells = 2;
+    ASSERT_EQ(matrix.Run(options).cells_executed, 2u);
+    ASSERT_EQ(ReadLines(options.journal_path).size(), 2u);
+
+    options.max_cells = 0;
+    const MatrixResult resumed = matrix.Run(options);
+    EXPECT_TRUE(resumed.complete()) << resumed.error;
+    EXPECT_EQ(resumed.cells_restored, 0u);
+    EXPECT_EQ(resumed.cells_executed, 4u);
+    ASSERT_EQ(resumed.warnings.size(), 2u);
+    for (const std::string& warning : resumed.warnings) {
+      EXPECT_NE(warning.find("per-cell metrics are not checkpointed"), std::string::npos)
+          << warning;
+    }
+    EXPECT_EQ(SimulatedMetricsCsv(resumed.metrics), fresh);
+    EXPECT_EQ(ReadLines(options.journal_path).size(), 4u);
   }
 }
 

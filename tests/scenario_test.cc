@@ -5,8 +5,9 @@
 #include "src/drivers/latency_driver.h"
 #include "src/drivers/periodic_load_tool.h"
 #include "src/kernel/profile.h"
-#include "src/kernel/trace.h"
 #include "src/lab/test_system.h"
+#include "src/obs/kernel_metrics.h"
+#include "src/obs/metrics.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
 #include "src/workload/winstone.h"
@@ -76,16 +77,16 @@ TEST(ScenarioTest, TraceAccountsForTheMeasurementCycle) {
   lab::TestSystemOptions quiet;
   quiet.kernel_self_noise = false;
   lab::TestSystem system(kernel::MakeNt4Profile(), 64, quiet);
-  kernel::TraceSession session(16384);
-  system.kernel().dispatcher().set_trace_sink(&session);
+  obs::MetricsRegistry metrics;
+  obs::KernelMetricsCollector collector(metrics);
+  system.kernel().dispatcher().set_trace_sink(&collector);
   drivers::LatencyDriver driver(system.kernel(), drivers::LatencyDriver::Config{});
   driver.Start();
   system.RunFor(10.0);
   const double samples = static_cast<double>(driver.sample_count());
   ASSERT_GT(samples, 1000.0);
-  const double dpcs = static_cast<double>(session.count(kernel::TraceEventType::kDpcStart));
-  const double switches =
-      static_cast<double>(session.count(kernel::TraceEventType::kContextSwitch));
+  const double dpcs = metrics.counter("kernel.dpc.count");
+  const double switches = metrics.counter("kernel.context_switch.count");
   EXPECT_GE(dpcs, samples * 0.95);
   EXPECT_GE(switches, samples * 1.9);
 }

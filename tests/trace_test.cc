@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -15,18 +16,30 @@ namespace {
 
 using testutil::MiniSystem;
 
+std::uint64_t Count(const TraceRing& ring, TraceEventType type) {
+  std::uint64_t n = 0;
+  ring.ForEach([&](const TraceEvent& event) { n += event.type == type ? 1 : 0; });
+  return n;
+}
+
+std::vector<TraceEvent> Events(const TraceRing& ring) {
+  std::vector<TraceEvent> events;
+  ring.ForEach([&](const TraceEvent& event) { events.push_back(event); });
+  return events;
+}
+
 TEST(TraceTest, RecordsIsrEnterExitPairsWithDurations) {
   MiniSystem sys;
-  TraceSession session;
-  sys.kernel().dispatcher().set_trace_sink(&session);
+  TraceRing ring;
+  sys.kernel().dispatcher().set_trace_sink(&ring);
   sys.kernel().IoConnectInterrupt(sys.line_a(), static_cast<Irql>(12), Label{"T", "_isr"},
                                   [] { return sim::UsToCycles(40.0); });
   sys.engine().ScheduleAt(sim::UsToCycles(100.0), [&] { sys.pic().Assert(sys.line_a()); });
   sys.RunForUs(900.0);
-  EXPECT_EQ(session.count(TraceEventType::kIsrEnter), 1u);
-  EXPECT_EQ(session.count(TraceEventType::kIsrExit), 1u);
+  EXPECT_EQ(Count(ring, TraceEventType::kIsrEnter), 1u);
+  EXPECT_EQ(Count(ring, TraceEventType::kIsrExit), 1u);
   bool found = false;
-  for (const TraceEvent& event : session.Snapshot()) {
+  for (const TraceEvent& event : Events(ring)) {
     if (event.type == TraceEventType::kIsrExit && event.label == Label{"T", "_isr"}) {
       found = true;
       EXPECT_EQ(event.arg, sys.line_a());
@@ -38,29 +51,34 @@ TEST(TraceTest, RecordsIsrEnterExitPairsWithDurations) {
 
 TEST(TraceTest, RecordsSectionsAndLockouts) {
   MiniSystem sys;
-  TraceSession session;
-  sys.kernel().dispatcher().set_trace_sink(&session);
+  TraceRing ring;
+  sys.kernel().dispatcher().set_trace_sink(&ring);
   sys.engine().ScheduleAt(sim::UsToCycles(100.0), [&] {
     sys.kernel().InjectKernelSection(Irql::kDispatch, 200.0, Label{"VMM", "_mmFindContig"});
     sys.kernel().LockDispatch(500.0);
   });
   sys.RunForUs(900.0);
-  EXPECT_EQ(session.count(TraceEventType::kSectionStart), 1u);
-  EXPECT_EQ(session.count(TraceEventType::kSectionEnd), 1u);
-  EXPECT_EQ(session.count(TraceEventType::kDispatchLockout), 1u);
-  const std::string summary = session.Summary();
-  EXPECT_NE(summary.find("VMM!_mmFindContig"), std::string::npos);
+  EXPECT_EQ(Count(ring, TraceEventType::kSectionStart), 1u);
+  EXPECT_EQ(Count(ring, TraceEventType::kSectionEnd), 1u);
+  EXPECT_EQ(Count(ring, TraceEventType::kDispatchLockout), 1u);
+  // The section and the lockout it took both carry blame, under the
+  // section's label.
+  const std::vector<LabelTime> top = TopBlame(ring, 0, 10);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].label, (Label{"VMM", "_mmFindContig"}));
+  EXPECT_EQ(top[0].occurrences, 2u);
+  EXPECT_GE(top[0].total, sim::UsToCycles(700.0));
 }
 
 TEST(TraceTest, SectionEndDurationIncludesIsrPauses) {
   MiniSystem sys;  // 1 kHz clock: the PIT interrupts DISPATCH-level sections
-  TraceSession session;
-  sys.kernel().dispatcher().set_trace_sink(&session);
+  TraceRing ring;
+  sys.kernel().dispatcher().set_trace_sink(&ring);
   sys.engine().ScheduleAt(sim::MsToCycles(1.5), [&] {
     sys.kernel().InjectKernelSection(Irql::kDispatch, 3000.0, Label{"T", "_long"});
   });
   sys.RunForMs(8.0);
-  for (const TraceEvent& event : session.Snapshot()) {
+  for (const TraceEvent& event : Events(ring)) {
     if (event.type == TraceEventType::kSectionEnd && event.label == Label{"T", "_long"}) {
       // Wall duration exceeds the 3000 us CPU time: clock ISRs paused it.
       EXPECT_GT(event.duration, sim::UsToCycles(3000.0));
@@ -73,8 +91,8 @@ TEST(TraceTest, SectionEndDurationIncludesIsrPauses) {
 
 TEST(TraceTest, CountsDpcsAndContextSwitches) {
   MiniSystem sys;
-  TraceSession session;
-  sys.kernel().dispatcher().set_trace_sink(&session);
+  TraceRing ring;
+  sys.kernel().dispatcher().set_trace_sink(&ring);
   KDpc dpc([] {}, sim::DurationDist::Constant(10.0), Label{"T", "_d"});
   sys.engine().ScheduleAt(sim::UsToCycles(100.0), [&] { sys.kernel().KeInsertQueueDpc(&dpc); });
   bool ran = false;
@@ -84,25 +102,26 @@ TEST(TraceTest, CountsDpcsAndContextSwitches) {
   });
   sys.RunForMs(2.0);
   EXPECT_TRUE(ran);
-  EXPECT_EQ(session.count(TraceEventType::kDpcStart), session.count(TraceEventType::kDpcEnd));
-  EXPECT_GE(session.count(TraceEventType::kDpcStart), 1u);
-  EXPECT_GE(session.count(TraceEventType::kContextSwitch), 1u);
-  EXPECT_GE(session.count(TraceEventType::kThreadReady), 1u);
+  // 2 ms of a quiet system fits in the ring: nothing has been overwritten.
+  ASSERT_LT(ring.size(), 4096u);
+  EXPECT_EQ(Count(ring, TraceEventType::kDpcStart), Count(ring, TraceEventType::kDpcEnd));
+  EXPECT_GE(Count(ring, TraceEventType::kDpcStart), 1u);
+  EXPECT_GE(Count(ring, TraceEventType::kContextSwitch), 1u);
+  EXPECT_GE(Count(ring, TraceEventType::kThreadReady), 1u);
 }
 
 TEST(TraceTest, RingWrapsKeepingNewestEvents) {
-  TraceSession session(8);
+  TraceRing ring(8);
   for (int i = 0; i < 20; ++i) {
     TraceEvent event;
     event.type = TraceEventType::kThreadReady;
     event.tsc = static_cast<sim::Cycles>(i);
-    session.OnTraceEvent(event);
+    ring.OnTraceEvent(event);
   }
-  const auto events = session.Snapshot();
+  const auto events = Events(ring);
   ASSERT_EQ(events.size(), 8u);
   EXPECT_EQ(events.front().tsc, 12u);
   EXPECT_EQ(events.back().tsc, 19u);
-  EXPECT_EQ(session.total_events(), 20u);
 }
 
 // The bare ring the flight recorder reads: ForEach visits oldest first
@@ -124,30 +143,42 @@ TEST(TraceTest, BareRingVisitsOldestFirst) {
     for (std::size_t i = 0; i < visited.size(); ++i) {
       EXPECT_EQ(visited[i], total - visited.size() + i);
     }
-    const std::vector<TraceEvent> snapshot = ring.Snapshot();
-    ASSERT_EQ(snapshot.size(), visited.size());
-    EXPECT_EQ(snapshot.front().tsc, visited.front());
-    EXPECT_EQ(snapshot.back().tsc, visited.back());
   }
 }
 
+// TopBlame: exits and lockouts with a duration carry blame, bookkeeping
+// events and zero durations do not; ties go to the label seen first.
 TEST(TraceTest, TopTimeConsumersAggregatesAndSorts) {
-  TraceSession session;
-  auto add = [&](const Label& label, double us) {
+  TraceRing ring;
+  auto add = [&](TraceEventType type, const Label& label, double us, sim::Cycles tsc = 0) {
     TraceEvent event;
-    event.type = TraceEventType::kSectionEnd;
+    event.type = type;
+    event.tsc = tsc;
     event.label = label;
     event.duration = sim::UsToCycles(us);
-    session.OnTraceEvent(event);
+    ring.OnTraceEvent(event);
   };
-  add(Label{"A", "_a"}, 100.0);
-  add(Label{"B", "_b"}, 500.0);
-  add(Label{"A", "_a"}, 150.0);
-  const auto top = session.TopTimeConsumers();
-  ASSERT_EQ(top.size(), 2u);
+  add(TraceEventType::kSectionEnd, Label{"A", "_a"}, 100.0);
+  add(TraceEventType::kDpcEnd, Label{"B", "_b"}, 500.0);
+  add(TraceEventType::kSectionEnd, Label{"A", "_a"}, 150.0);
+  add(TraceEventType::kContextSwitch, Label{"X", "_x"}, 900.0);
+  add(TraceEventType::kIsrExit, Label{"Z", "_z"}, 0.0);
+  add(TraceEventType::kDispatchLockout, Label{"L", "_l"}, 250.0);
+  const auto top = TopBlame(ring, 0, 10);
+  ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].label, (Label{"B", "_b"}));
+  // A and L tie at 250 us; A appeared first.
+  EXPECT_EQ(top[1].label, (Label{"A", "_a"}));
   EXPECT_EQ(top[1].occurrences, 2u);
   EXPECT_EQ(top[1].total, sim::UsToCycles(250.0));
+  EXPECT_EQ(top[2].label, (Label{"L", "_l"}));
+  ASSERT_EQ(TopBlame(ring, 0, 1).size(), 1u);
+  EXPECT_EQ(TopBlame(ring, 0, 1)[0].label, (Label{"B", "_b"}));
+  // `since` drops events stamped before it.
+  add(TraceEventType::kIsrExit, Label{"N", "_n"}, 10.0, 5);
+  const auto late = TopBlame(ring, 5, 10);
+  ASSERT_EQ(late.size(), 1u);
+  EXPECT_EQ(late[0].label, (Label{"N", "_n"}));
 }
 
 // Same text at different addresses, as when two translation units spell the
@@ -169,19 +200,19 @@ TEST(TraceTest, LabelsCompareByContentAcrossAddresses) {
 }
 
 TEST(TraceTest, TopTimeConsumersFoldsSameTextAtDifferentAddresses) {
-  TraceSession session;
+  TraceRing ring;
   auto add = [&](const Label& label, double us) {
     TraceEvent event;
     event.type = TraceEventType::kIsrExit;
     event.label = label;
     event.duration = sim::UsToCycles(us);
-    session.OnTraceEvent(event);
+    ring.OnTraceEvent(event);
   };
   add(Label{kModuleA, kFunctionA}, 100.0);
   add(Label{"C", "_c"}, 500.0);
   add(Label{kModuleB, kFunctionB}, 150.0);
   add(Label{kModuleA, kFunctionA}, 50.0);
-  const auto top = session.TopTimeConsumers();
+  const auto top = TopBlame(ring, 0, 10);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].label, (Label{"C", "_c"}));
   // One entry for "MOD!_f", labelled with the first address seen.
