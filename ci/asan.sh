@@ -21,13 +21,15 @@
 # obs sinks' suites: the metrics registry (series references held across
 # inserts and merges), the anatomy (its span blocks retired whole, reused
 # and split by SMP relabels, against an eager-trim reference), the flight
-# recorder and its attribution scores, and the trace ring and session (the
-# ring's wrap and the per-label accounting) — plus the record codec: the
+# recorder and its attribution scores, and the trace ring and TopBlame
+# (the ring's wrap and the per-label accounting) — plus the record codec: the
 # report_io writers and their strict direct reader, the deterministic mutation fuzz of record lines,
 # record payloads and cell reports, and the fleet chaos merge that decodes
 # damaged shard files on its decode-ahead pool — plus the same mutation fuzz
 # of the hand-written-input parsers: obs::ParseJson, the fault-plan reader
-# and the fleet-spec reader.
+# and the fleet-spec reader — plus the supervised matrix path: resume from a
+# record log, the failure fixtures thrown inside a cell's run and the
+# failed-cell exclusions from the merged reports and metrics.
 #
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
@@ -55,9 +57,10 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   sim_engine_test event_pool_test timer_test calendar_differential_test \
   batch_dispatch_fuzz_test ready_queue_test \
   metrics_registry_test anatomy_test flight_recorder_test trace_test \
-  report_io_test fleet_chaos_test record_codec_fuzz_test json_fuzz_test
+  report_io_test fleet_chaos_test record_codec_fuzz_test json_fuzz_test \
+  resume_determinism_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest|ResumeDeterminismTest'

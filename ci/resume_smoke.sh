@@ -11,7 +11,8 @@
 #   * the --audit-fail-cell fixture degrades exactly one cell to a
 #     structured [invariant_violation] failure (exit 3) while every other
 #     cell completes, and the --throw-cell fixture does the same through
-#     the exception barrier ([exception])
+#     the exception barrier ([exception]); both throw inside the cell's
+#     run, so each diagnostic lists the black box's most recent events
 #   * a cell that keeps no latency samples fails the run (exit 3), as a
 #     single cell and as every cell of a matrix
 #
@@ -116,9 +117,12 @@ grep -q 'cell 2 ' "${OUT}/fixture.err" \
   || { echo "resume_smoke: expected the other 15 cells to complete" >&2; exit 1; }
 grep -q '1 cell(s) failed out of 16' "${OUT}/fixture.err" \
   || { echo "resume_smoke: missing failure summary" >&2; exit 1; }
+grep -q 'Most recent events:' "${OUT}/fixture.err" \
+  || { echo "resume_smoke: audit failure diagnostic lists no events" >&2; exit 1; }
 
 # Exception barrier: a cell that throws (cell 5) fails with the [exception]
-# taxonomy, is never retried, and the other 15 cells complete (exit 3).
+# taxonomy, is never retried, and the other 15 cells complete (exit 3). It
+# throws after its first virtual second, so its black box holds events.
 status=0
 "${RUN}" "${GRID[@]}" --jobs 2 --throw-cell 5 \
   > "${OUT}/throw.log" 2> "${OUT}/throw.err" || status=$?
@@ -132,6 +136,8 @@ grep -q 'cell 5 ' "${OUT}/throw.err" \
   || { echo "resume_smoke: expected the other 15 cells to complete" >&2; exit 1; }
 grep -q '1 cell(s) failed out of 16' "${OUT}/throw.err" \
   || { echo "resume_smoke: missing failure summary for --throw-cell" >&2; exit 1; }
+grep -q 'Most recent events:' "${OUT}/throw.err" \
+  || { echo "resume_smoke: --throw-cell diagnostic lists no events" >&2; exit 1; }
 
 # Empty cells: a run too short to keep one sample is a failure, not an
 # all-zero table. The single cell says so and exits 3; the matrix names

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "src/drivers/cause_tool.h"
 #include "src/fault/injector.h"
@@ -37,7 +38,8 @@ void RunSupervisedPhase(TestSystem& system, const RunSupervision& sup, double se
   if (kernel::Smp* smp = system.kernel().smp()) {
     auditor.AddCheck("smp", [smp](std::vector<std::string>* v) { smp->Audit(v); });
   }
-  if (sup.force_audit_violation) {
+  const bool inject_violation = sup.fixture == RunSupervision::Fixture::kAuditViolation;
+  if (inject_violation) {
     bool fired = false;
     auditor.AddCheck("fixture", [fired](std::vector<std::string>* v) mutable {
       if (!fired) {
@@ -46,7 +48,7 @@ void RunSupervisedPhase(TestSystem& system, const RunSupervision& sup, double se
       }
     });
   }
-  const bool auditing = sup.audit_every_s > 0.0 || sup.force_audit_violation;
+  const bool auditing = sup.audit_every_s > 0.0 || inject_violation;
   const double slice_s =
       sup.audit_every_s > 0.0 ? sup.audit_every_s : kSupervisedSliceS;
 
@@ -56,6 +58,9 @@ void RunSupervisedPhase(TestSystem& system, const RunSupervision& sup, double se
     const sim::Cycles next =
         std::min(deadline, engine.now() + sim::SecToCycles(slice_s));
     engine.RunUntil(next);
+    if (sup.fixture == RunSupervision::Fixture::kThrow) {
+      throw std::runtime_error("injected cell failure (fixture)");
+    }
     if (sup.watchdog != nullptr) {
       sup.watchdog->Check();
     }

@@ -90,9 +90,12 @@ struct RunSupervision {
   // Run one audit pass after the measurement phase (cheap; catches
   // corruption that accumulated after the last periodic pass).
   bool audit_at_end = false;
-  // Fixture for tests/CI: the first audit pass reports one injected
-  // violation, proving the auditor fails the cell rather than the process.
-  bool force_audit_violation = false;
+  // Fixture for tests/CI, acted on at the first slice boundary, after the
+  // run's first events: kAuditViolation makes the first audit pass report
+  // one injected violation, kThrow throws a plain exception. Either proves a
+  // failure fails the cell rather than the process.
+  enum class Fixture : std::uint8_t { kNone, kAuditViolation, kThrow };
+  Fixture fixture = Fixture::kNone;
   // Black-box ring (borrowed): attached to the trace fanout for the whole
   // run so a failure's diagnostic bundle can include the recent-event tail.
   // It is the run's only ring: the flight recorder reads it too. Trace sinks
@@ -101,7 +104,7 @@ struct RunSupervision {
 
   bool enabled() const {
     return watchdog != nullptr || audit_every_s > 0.0 || audit_at_end ||
-           force_audit_violation || black_box != nullptr;
+           fixture != Fixture::kNone || black_box != nullptr;
   }
 };
 

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include "src/kernel/profile.h"
@@ -235,9 +234,6 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
     }
     cell_start[i] = Clock::now();
     kernel::TraceRing* black_box = black_box_on ? &t_black_box.emplace() : nullptr;
-    if (options.throw_cell >= 0 && i == static_cast<std::uint64_t>(options.throw_cell)) {
-      throw std::runtime_error("injected cell failure (fixture)");
-    }
     LabConfig config = cells_[i].config;
     if (spec_.collect_metrics) {
       config.obs.metrics = &cell_metrics[i];
@@ -254,8 +250,11 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
       config.supervision.watchdog = &watchdog;
     }
     config.supervision.audit_every_s = options.audit_every_s;
-    config.supervision.force_audit_violation =
-        options.audit_fail_cell >= 0 && i == static_cast<std::uint64_t>(options.audit_fail_cell);
+    if (static_cast<std::ptrdiff_t>(i) == options.audit_fail_cell) {
+      config.supervision.fixture = RunSupervision::Fixture::kAuditViolation;
+    } else if (static_cast<std::ptrdiff_t>(i) == options.throw_cell) {
+      config.supervision.fixture = RunSupervision::Fixture::kThrow;
+    }
     config.supervision.audit_at_end = audits_on;
     config.supervision.black_box = black_box;
     result.reports[i] = RunLatencyExperiment(config);
@@ -374,9 +373,13 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
 
   if (spec_.collect_metrics) {
     // Grid order again, so counter sums and histogram buckets accumulate in
-    // a jobs-independent sequence.
+    // a jobs-independent sequence. Like the reports, only completed cells
+    // merge: a failed cell's registry holds a partial run.
     for (const MatrixCell& cell : cells_) {
-      result.metrics.Merge(cell_metrics[cell.index]);
+      const CellStatus status = result.statuses[cell.index];
+      if (status == CellStatus::kOk || status == CellStatus::kRestored) {
+        result.metrics.Merge(cell_metrics[cell.index]);
+      }
     }
     // Host-side view of the run itself (wall clock, so not part of the
     // determinism contract — these describe the runner, not the simulation).

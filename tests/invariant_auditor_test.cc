@@ -226,7 +226,7 @@ TEST(InvariantAuditorTest, ForcedViolationThrowsInvariantViolation) {
   config.stress_minutes = 0.05;
   config.warmup_seconds = 1.0;
   config.seed = 1999;
-  config.supervision.force_audit_violation = true;
+  config.supervision.fixture = lab::RunSupervision::Fixture::kAuditViolation;
 
   EXPECT_THROW(lab::RunLatencyExperiment(config), runtime::InvariantViolation);
 }

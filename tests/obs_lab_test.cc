@@ -201,7 +201,7 @@ TEST(ObsLabTest, RunLeavesSystemSpentUntilReset) {
 TEST(ObsLabTest, FailedRunLeavesSystemSpent) {
   LabConfig config = BaseConfig();
   config.stress_minutes = 0.02;
-  config.supervision.force_audit_violation = true;
+  config.supervision.fixture = RunSupervision::Fixture::kAuditViolation;
   TestSystem system(config.os, config.seed, config.options);
   EXPECT_THROW(RunLatencyExperimentOn(system, config), runtime::InvariantViolation);
   EXPECT_TRUE(system.spent());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -265,6 +266,14 @@ TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   EXPECT_EQ(result.failures[0].seed, matrix.cells()[1].seed);
   EXPECT_EQ(result.failures[0].kind, runtime::FailureKind::kException);
   EXPECT_NE(result.failures[0].message.find("injected cell failure"), std::string::npos);
+  // The fixture throws inside the cell's run, after its first virtual
+  // second, so the diagnostic shows the black box's most recent events.
+  const std::vector<std::string>& lines = result.failures[0].diagnostics;
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.front(), "Black box: the last 4096 trace events");
+  const auto recent = std::find(lines.begin(), lines.end(), "Most recent events:");
+  ASSERT_NE(recent, lines.end());
+  EXPECT_EQ(lines.end() - recent, 13);  // the header and the 12 newest events
   ASSERT_EQ(result.statuses.size(), 4u);
   EXPECT_EQ(result.statuses[1], CellStatus::kFailed);
   for (std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
@@ -277,6 +286,28 @@ TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   EXPECT_EQ(result.merged[0].trials, 1);
   EXPECT_EQ(result.merged[1].trials, 2);
   EXPECT_TRUE(result.merge_violations.empty());
+}
+
+// A failed cell contributes nothing to the metrics export, as it contributes
+// nothing to the merged reports. Cell seeds depend only on coordinates, so a
+// two-trial matrix whose second trial fails exports exactly the simulated
+// series of the one-trial matrix.
+TEST(ResumeDeterminismTest, FailedCellLeavesNoMetricsInTheExport) {
+  MatrixSpec spec = SmallSpec();
+  spec.workloads = {workload::GamesStress()};
+  spec.collect_metrics = true;
+  spec.trials = 1;
+  const std::string one_trial = SimulatedMetricsCsv(RunPlain(ExperimentMatrix(spec), 1).metrics);
+  ASSERT_NE(one_trial.find("kernel.context_switch.count"), std::string::npos);
+
+  spec.trials = 2;
+  MatrixRunOptions options;
+  options.jobs = 2;
+  options.audit_fail_cell = 1;
+  const MatrixResult failed = ExperimentMatrix(spec).Run(options);
+  ASSERT_EQ(failed.failures.size(), 1u);
+  EXPECT_EQ(failed.statuses[1], CellStatus::kFailed);
+  EXPECT_EQ(SimulatedMetricsCsv(failed.metrics), one_trial);
 }
 
 TEST(ResumeDeterminismTest, ExpiredWatchdogFailsEveryCellAsTimeoutWithoutRecords) {
