@@ -40,7 +40,7 @@ int main() {
   // The paper's full grid: {NT, 98} x {office, workstation, games, web} x
   // {priority 28, 24}, with per-cell seeds derived from the master seed.
   lab::MatrixSpec spec = lab::PaperMatrix();
-  spec.stress_minutes = minutes;
+  spec.cell.stress_minutes = minutes;
   spec.master_seed = seed;
   const lab::ExperimentMatrix matrix(spec);
   const char kMarks[] = {'B', 'W', 'G', 'w'};

@@ -100,7 +100,7 @@ int main() {
   spec.workloads = {workload::OfficeStress(), workload::WorkstationStress(),
                     workload::GamesStress(), workload::WebStress()};
   spec.priorities = {28, 24};
-  spec.stress_minutes = minutes;
+  spec.cell.stress_minutes = minutes;
   spec.master_seed = seed;
   const lab::ExperimentMatrix matrix(spec);
 

@@ -29,7 +29,10 @@
 # of the hand-written-input parsers: obs::ParseJson, the fault-plan reader
 # and the fleet-spec reader — plus the supervised matrix path: resume from a
 # record log, the failure fixtures thrown inside a cell's run and the
-# failed-cell exclusions from the merged reports and metrics.
+# failed-cell exclusions from the merged reports and metrics — plus the two
+# runners that fold cells into pools through lab::CellPool: the fleet's
+# record, spec and merge suites (fleet_test, fleet_determinism_test) and the
+# matrix's grid and jobs-determinism suite (matrix_determinism_test).
 #
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
@@ -58,9 +61,9 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   batch_dispatch_fuzz_test ready_queue_test \
   metrics_registry_test anatomy_test flight_recorder_test trace_test \
   report_io_test fleet_chaos_test record_codec_fuzz_test json_fuzz_test \
-  resume_determinism_test
+  resume_determinism_test fleet_test fleet_determinism_test matrix_determinism_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest|ResumeDeterminismTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest|ResumeDeterminismTest|EngineReset|FleetCells|FleetDeterminism|FleetRecords|FleetSpec|WarmCellRunner|MatrixDeterminismTest'

@@ -7,7 +7,8 @@
 #     and re-runs the rest: the merged table is byte-identical to an
 #     uninterrupted run, at --jobs=1 and --jobs=4 alike
 #   * a re-run under a different --minutes (another spec) exits 2 and
-#     leaves the record log untouched
+#     leaves the record log untouched, and so does a re-run under a fault
+#     plan that differs from the log's in one duration
 #   * the --audit-fail-cell fixture degrades exactly one cell to a
 #     structured [invariant_violation] failure (exit 3) while every other
 #     cell completes, and the --throw-cell fixture does the same through
@@ -100,6 +101,31 @@ grep -q 'refusing to resume' "${OUT}/edited.err" \
   || { echo "resume_smoke: edited-spec run executed cells" >&2; exit 1; }
 cmp -s "${OUT}/before.jsonl" "${OUT}/run.jsonl" \
   || { echo "resume_smoke: refused resume modified the record log" >&2; exit 1; }
+
+# The fault plan binds the spec to its last field: a log written under one
+# plan is refused (exit 2, log untouched) under a plan that differs only in
+# its lockout's duration.
+for us in 200 20000; do
+  cat > "${OUT}/plan${us}.json" <<EOF
+{"name": "agg", "seed": 7, "faults": [
+  {"kind": "lockout_hold", "trigger": "poisson", "rate_per_s": 5.0, "duration_us": ${us}}]}
+EOF
+done
+status=0
+"${RUN}" "${GRID[@]}" --jobs 2 --faults "${OUT}/plan200.json" --journal "${OUT}/plan.jsonl" \
+  --max-cells 2 > /dev/null || status=$?
+[[ "${status}" -eq 4 ]] \
+  || { echo "resume_smoke: fault-plan run exited ${status}, want 4" >&2; exit 1; }
+cp "${OUT}/plan.jsonl" "${OUT}/plan_before.jsonl"
+status=0
+"${RUN}" "${GRID[@]}" --jobs 2 --faults "${OUT}/plan20000.json" --journal "${OUT}/plan.jsonl" \
+  > "${OUT}/plan_edited.log" 2> "${OUT}/plan_edited.err" || status=$?
+[[ "${status}" -eq 2 ]] \
+  || { echo "resume_smoke: edited-plan resume exited ${status}, want 2" >&2; exit 1; }
+grep -q 'refusing to resume' "${OUT}/plan_edited.err" \
+  || { echo "resume_smoke: missing edited-plan diagnostic" >&2; exit 1; }
+cmp -s "${OUT}/plan_before.jsonl" "${OUT}/plan.jsonl" \
+  || { echo "resume_smoke: refused edited-plan resume modified the record log" >&2; exit 1; }
 
 # Crash isolation: a forced invariant violation in cell 2 fails exactly that
 # cell with its taxonomy and a diagnostic bundle; the other 15 complete and

@@ -413,13 +413,30 @@ void WriteTrace(const obs::ChromeTraceWriter& trace_writer, const std::string& p
   }
 }
 
+// The cell both modes run, from the flags they share: duration, seed,
+// machine options and the obs knobs. The matrix takes each cell's os,
+// workload, priority and seed from its grid instead.
+lab::LabConfig CellConfigFromFlags(const Flags& f) {
+  lab::LabConfig config;
+  config.stress_minutes = f.minutes;
+  config.seed = f.seed;
+  config.options.virus_scanner = f.scanner;
+  config.options.sound_scheme =
+      f.sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
+  config.obs.queue_sample_ms = f.queue_sample_ms;
+  config.obs.episode_threshold_us = f.episode_threshold_us;
+  config.obs.anatomy = !f.anatomy_out.empty();
+  config.obs.sketch = f.sketch;
+  return config;
+}
+
 int RunCell(const Flags& f) {
   const bool differential = f.differential || !f.diff_out.empty() || !f.diff_csv.empty();
   if (differential && f.faults.empty()) {
     Die("--differential requires --faults");
   }
   const fault::FaultPlan fault_plan = LoadFaultPlan(f.faults);
-  lab::LabConfig config;
+  lab::LabConfig config = CellConfigFromFlags(f);
   if (!lab::OsProfileByName(f.os, &config.os)) {
     Die("--os=" + f.os + " is not an OS personality (" + lab::kOsNames + ")");
   }
@@ -435,11 +452,6 @@ int RunCell(const Flags& f) {
     Die("--workload=" + f.workload + " is not a workload (" + lab::kWorkloadNames + ")");
   }
   config.thread_priority = f.priority;
-  config.stress_minutes = f.minutes;
-  config.seed = f.seed;
-  config.options.virus_scanner = f.scanner;
-  config.options.sound_scheme =
-      f.sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
   obs::ChromeTraceWriter trace_writer;
   if (!f.trace_out.empty()) {
     config.obs.trace_sink = &trace_writer;
@@ -448,10 +460,6 @@ int RunCell(const Flags& f) {
   if (!f.metrics_out.empty() || !f.metrics_csv.empty()) {
     config.obs.metrics = &metrics;
   }
-  config.obs.queue_sample_ms = f.queue_sample_ms;
-  config.obs.episode_threshold_us = f.episode_threshold_us;
-  config.obs.anatomy = !f.anatomy_out.empty();
-  config.obs.sketch = f.sketch;
 
   if (differential) {
     std::printf("wdmlat_run: %s, %s, priority %d, %.1f virtual minutes, seed %llu\n",
@@ -575,18 +583,11 @@ int RunMatrix(const Flags& f) {
         kernel::MakeNt4SmpProfile(f.cores, f.dpc_affinity == "migrating"));
   }
   spec.trials = f.trials;
-  spec.stress_minutes = f.minutes;
   spec.master_seed = f.seed;
-  spec.options.virus_scanner = f.scanner;
-  spec.options.sound_scheme =
-      f.sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
+  spec.cell = CellConfigFromFlags(f);
   spec.collect_metrics = !f.metrics_out.empty() || !f.metrics_csv.empty();
-  spec.queue_sample_ms = f.queue_sample_ms;
-  spec.episode_threshold_us = f.episode_threshold_us;
-  spec.anatomy = !f.anatomy_out.empty();
-  spec.sketch = f.sketch;
   if (!f.faults.empty()) {
-    spec.faults = &fault_plan;
+    spec.cell.faults = &fault_plan;
   }
   if (!f.trace_out.empty()) {
     spec.trace_sink = &trace_writer;
@@ -619,16 +620,18 @@ int RunMatrix(const Flags& f) {
   };
 
   const lab::MatrixResult result = matrix.Run(run_options);
-  if (!result.error.empty()) {
-    std::fprintf(stderr, "wdmlat_run: %s\n", result.error.c_str());
+  const lab::CellLogResult& run = result.run;
+  if (!run.error.empty()) {
+    std::fprintf(stderr, "wdmlat_run: %s\n", run.error.c_str());
     return 2;
   }
-  for (const std::string& warning : result.warnings) {
+  for (const std::string& warning : run.warnings) {
     std::fprintf(stderr, "wdmlat_run: warning: %s\n", warning.c_str());
   }
-  if (result.cells_restored > 0) {
-    std::printf("resumed: %zu cell(s) restored from %s, %zu executed\n",
-                result.cells_restored, f.journal.c_str(), result.cells_executed);
+  if (run.cells_restored > 0) {
+    std::printf("resumed: %llu cell(s) restored from %s, %llu executed\n",
+                static_cast<unsigned long long>(run.cells_restored), f.journal.c_str(),
+                static_cast<unsigned long long>(run.cells_executed));
   }
 
   std::printf("\nMerged distributions (per OS x workload x priority group):\n");
@@ -637,7 +640,7 @@ int RunMatrix(const Flags& f) {
   for (const lab::MergedCell& group : result.merged) {
     std::printf("  %-16s %-18s %-4d %-7d %-9llu %9.3f %9.3f %9.3f\n",
                 group.os_name.c_str(), group.workload_name.c_str(),
-                group.thread_priority, group.trials,
+                group.thread_priority, static_cast<int>(group.cells),
                 static_cast<unsigned long long>(group.samples()),
                 group.thread.QuantileMs(0.5), group.thread.QuantileMs(0.99),
                 group.thread.max_ms());
@@ -758,10 +761,10 @@ int RunMatrix(const Flags& f) {
                    cell.config.thread_priority, cell.trial);
     }
   }
-  const bool failed = !result.failures.empty() || !result.merge_violations.empty();
+  const bool failed = !run.failures.empty() || !result.merge_violations.empty();
   if (failed) {
-    std::fprintf(stderr, "wdmlat_run: %zu cell(s) failed out of %zu\n",
-                 result.failures.size(), matrix.cells().size());
+    std::fprintf(stderr, "wdmlat_run: %zu cell(s) failed out of %zu\n", run.failures.size(),
+                 matrix.cells().size());
   }
   if (empty_cells > 0) {
     std::fprintf(stderr, "wdmlat_run: %zu cell(s) kept no samples out of %zu\n", empty_cells,
@@ -771,8 +774,8 @@ int RunMatrix(const Flags& f) {
     return 3;
   }
   if (result.cells_skipped > 0) {
-    std::printf("interrupted after %zu cell(s) (--max-cells); %zu skipped%s\n",
-                result.cells_executed, result.cells_skipped,
+    std::printf("interrupted after %llu cell(s) (--max-cells); %zu skipped%s\n",
+                static_cast<unsigned long long>(run.cells_executed), result.cells_skipped,
                 f.journal.empty() ? "" : "; re-run without --max-cells to resume");
     return 4;
   }

@@ -535,13 +535,17 @@ std::string FleetRecordToLine(const FleetCellRecord& record) {
 }
 
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
-                         std::string* error) {
+                         std::string* error, RecordDamage* damage) {
   // Decoded in place: the payload sets every field but the coordinates, and
   // a record is two 8 KiB histograms, too big to build aside and copy.
   RecordLine parsed;
-  if (!ParseRecordLine(line, &parsed, error) ||
+  RecordDamage line_damage = RecordDamage::kCorrupt;
+  if (!ParseRecordLine(line, &parsed, error, &line_damage) ||
       !RecordFromPayload(parsed.payload, record, error)) {
     *record = FleetCellRecord{};
+    if (damage != nullptr) {
+      *damage = line_damage;
+    }
     return false;
   }
   record->index = parsed.cell;
@@ -573,22 +577,12 @@ std::string FleetShardPath(const std::string& dir, std::size_t shard, std::size_
          ".jsonl";
 }
 
-namespace {
-
-FleetCellRecord MakeRecord(const FleetCell& cell, const LabConfig& config,
-                           const LabReport& report) {
+FleetCellRecord MakeCellRecord(const LabReport& report, const LabConfig& config) {
   FleetCellRecord record;
-  record.index = cell.index;
-  record.cohort = cell.cohort;
-  record.seed = cell.seed;
   record.samples = report.samples;
-  // Same recovery the matrix merge uses: total samples over the measured
-  // rate gives the driver's true stress-hours, falling back to the nominal
-  // duration for sample-free cells.
   record.stress_hours = report.samples_per_hour > 0.0
                             ? static_cast<double>(report.samples) / report.samples_per_hour
                             : config.stress_minutes / 60.0;
-  record.speed_mhz = cell.speed_mhz;
   record.fault_activations = report.fault_activations;
   record.anatomy_episodes = report.anatomy.size();
   for (const obs::AnatomyEpisode& episode : report.anatomy) {
@@ -602,7 +596,18 @@ FleetCellRecord MakeRecord(const FleetCell& cell, const LabConfig& config,
   return record;
 }
 
-}  // namespace
+void CellPool::Add(const FleetCellRecord& record) {
+  ++cells;
+  counters.Merge(stats::SampleCounters{record.samples, record.stress_hours});
+  thread.Merge(record.thread);
+  dpc_interrupt.Merge(record.dpc_interrupt);
+  thread_sketch.Merge(record.thread_sketch);
+  fault_activations += record.fault_activations;
+  anatomy_episodes += record.anatomy_episodes;
+  for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
+    anatomy_stage_cycles[s] += record.anatomy_stage_cycles[s];
+  }
+}
 
 FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& options) {
   FleetShardResult result;
@@ -653,8 +658,10 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
     // One warmed machine per pool worker, reused across every cell the
     // worker runs.
     thread_local WarmCellRunner runner;
-    const LabReport report = runner.Run(config);
-    return RecordPayload(MakeRecord(cell, config, report));
+    FleetCellRecord record = MakeCellRecord(runner.Run(config), config);
+    record.cohort = cell.cohort;
+    record.speed_mhz = cell.speed_mhz;
+    return RecordPayload(record);
   };
   std::uint64_t executed = 0;
   log.on_cell_done = [&](std::uint64_t index, const runtime::CellFailure* failure) {
@@ -799,13 +806,15 @@ namespace {
 // fold sees the same sequence of parse results and the merged bits do not
 // change. Lines are read ahead in the order the fold expects to need them
 // (cell i from stream i % shards), and at most two per worker are held at
-// once, whatever the shard count.
+// once, whatever the shard count. The fold reads each decoded record where
+// it lies, at the front of its stream's queue.
 class RecordDecoder {
  public:
   struct Decoded {
     bool ok = false;
     FleetCellRecord record;
     std::string error;
+    RecordDamage damage = RecordDamage::kNone;
   };
 
   explicit RecordDecoder(std::vector<std::ifstream> streams)
@@ -815,30 +824,36 @@ class RecordDecoder {
         pool_(runtime::ThreadPool::HardwareThreads()),
         window_(2 * static_cast<std::size_t>(pool_.thread_count())) {}
 
-  // The next non-empty line of stream k, decoded; false once k is exhausted.
-  bool Next(std::size_t k, Decoded* out) {
+  // The next non-empty line of stream k, decoded, until Pop(k); null once k
+  // is exhausted.
+  const Decoded* Front(std::size_t k) {
     if (queues_[k].empty()) {
       ReadAhead(k);  // the fold ran ahead of the plan (dropped or stale lines)
     }
     if (queues_[k].empty()) {
-      return false;
+      return nullptr;
     }
-    // The slot leaves its queue only once its decode is done: on an
-    // exception the pool, which is destroyed first, still writes into it.
     Slot& slot = *queues_[k].front();
-    --pending_;
-    TopUp();  // queue the next decodes before waiting on this one
-    slot.done.get();
-    *out = std::move(slot.decoded);
-    queues_[k].pop_front();
-    return true;
+    if (!slot.taken) {
+      slot.taken = true;
+      --pending_;
+      TopUp();  // queue the next decodes before waiting on this one
+      slot.done.get();
+    }
+    return &slot.decoded;
   }
+
+  // Drop stream k's front. The slot leaves its queue only once Front has
+  // waited for its decode: on an exception the pool, which is destroyed
+  // first, still writes into the slots it holds.
+  void Pop(std::size_t k) { queues_[k].pop_front(); }
 
  private:
   struct Slot {
     std::string line;
     Decoded decoded;
     std::future<void> done;
+    bool taken = false;  // handed to the fold (its decode is done)
   };
 
   // Read stream k's next non-empty line and queue its decode.
@@ -860,7 +875,8 @@ class RecordDecoder {
     Slot& slot = *queues_[k].emplace_back(std::make_unique<Slot>());
     slot.line = std::move(line);
     slot.done = pool_.Submit([&slot] {
-      slot.decoded.ok = FleetRecordFromLine(slot.line, &slot.decoded.record, &slot.decoded.error);
+      slot.decoded.ok = FleetRecordFromLine(slot.line, &slot.decoded.record, &slot.decoded.error,
+                                            &slot.decoded.damage);
     });
     ++pending_;
   }
@@ -946,17 +962,18 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
   const auto warn = [&result](std::string what) {
     result.merge_warnings.push_back(std::move(what));
   };
-
-  // One buffered (parsed, checksummed) record per stream: the lookahead that
-  // lets the degraded merge distinguish a duplicate/stale record from a
-  // missing one without losing round-robin alignment.
-  struct BufferedRecord {
-    bool has = false;
-    FleetCellRecord record;
+  // Degraded mode: quarantine cell `index` of shard k for `taxonomy`.
+  const auto degrade = [&](std::uint64_t index, std::size_t k, const std::string& taxonomy) {
+    const FleetCell cell = fleet.CellAt(index);
+    warn("cell " + std::to_string(index) + " (shard " + std::to_string(k) +
+         ") quarantined by degraded merge: " + taxonomy);
+    add_quarantine({index, cell.seed, cell.cohort, taxonomy, 1});
   };
-  std::vector<BufferedRecord> buffered(shards);
+
+  // Each stream's front record is the lookahead that lets the degraded
+  // merge distinguish a duplicate/stale record from a missing one without
+  // losing round-robin alignment.
   RecordDecoder decoder(std::move(streams));
-  RecordDecoder::Decoded decoded;
 
   // Global grid order: cell i lives at the front of stream i % shards, so
   // the k-way merge is a round-robin walk. Folding in this one fixed order —
@@ -974,24 +991,18 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     // The reason the last dropped line would explain this cell's gap.
     std::string drop_reason;
     std::string fatal;
+    // Stream k's next intact record, or null once it is exhausted.
+    const RecordDecoder::Decoded* front = nullptr;
     const auto fill = [&]() -> bool {  // false = strict-mode parse failure
-      while (!buffered[k].has) {
-        if (!decoder.Next(k, &decoded)) {
-          return true;  // stream exhausted
+      while ((front = decoder.Front(k)) != nullptr && !front->ok) {
+        if (!degraded) {
+          fatal = front->error;
+          return false;
         }
-        if (!decoded.ok) {
-          if (!degraded) {
-            fatal = decoded.error;
-            return false;
-          }
-          drop_reason = decoded.error.find("checksum mismatch") != std::string::npos
-                            ? "checksum_mismatch"
-                            : "corrupt_record";
-          warn("shard " + std::to_string(k) + ": dropped line (" + decoded.error + ")");
-          continue;
-        }
-        buffered[k].has = true;
-        buffered[k].record = std::move(decoded.record);
+        drop_reason = front->damage == RecordDamage::kChecksumMismatch ? "checksum_mismatch"
+                                                                       : "corrupt_record";
+        warn("shard " + std::to_string(k) + ": dropped line (" + front->error + ")");
+        decoder.Pop(k);
       }
       return true;
     };
@@ -1000,11 +1011,10 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     }
     if (degraded) {
       // Duplicate or out-of-order records sort behind the cursor: stale.
-      while (buffered[k].has && buffered[k].record.index < index) {
+      while (front != nullptr && front->record.index < index) {
         warn("shard " + std::to_string(k) + ": stale record for cell " +
-             std::to_string(buffered[k].record.index) +
-             " (duplicate or out of order); dropped");
-        buffered[k].has = false;
+             std::to_string(front->record.index) + " (duplicate or out of order); dropped");
+        decoder.Pop(k);
         if (!fill()) {
           return fail(fatal);
         }
@@ -1012,8 +1022,7 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     }
 
     const auto it_expected = expected_quarantine.find(index);
-    const bool have = buffered[k].has && buffered[k].record.index == index;
-    if (!have) {
+    if (front == nullptr || front->record.index != index) {
       if (it_expected != expected_quarantine.end()) {
         // A cell the supervisor already isolated: an expected gap in both
         // strict and degraded mode, reported with its manifest taxonomy.
@@ -1023,27 +1032,17 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
         continue;
       }
       if (!degraded) {
-        if (!buffered[k].has) {
+        if (front == nullptr) {
           return fail("missing record — incomplete shard, re-run it");
         }
-        return fail("record is for cell " + std::to_string(buffered[k].record.index) +
+        return fail("record is for cell " + std::to_string(front->record.index) +
                     " — shard file out of order");
       }
-      const FleetCell cell = fleet.CellAt(index);
-      FleetQuarantineEntry entry;
-      entry.cell = index;
-      entry.seed = cell.seed;
-      entry.cohort = cell.cohort;
-      entry.taxonomy = drop_reason.empty() ? "missing_record" : drop_reason;
-      entry.attempts = 1;
-      warn("cell " + std::to_string(index) + " (shard " + std::to_string(k) +
-           ") quarantined by degraded merge: " + entry.taxonomy);
-      add_quarantine(std::move(entry));
+      degrade(index, k, drop_reason.empty() ? "missing_record" : drop_reason);
       continue;
     }
 
-    FleetCellRecord record = std::move(buffered[k].record);
-    buffered[k].has = false;
+    const FleetCellRecord& record = front->record;
     const FleetCell cell = fleet.CellAt(index);
     // The same binding the resume pass enforces: a record of another spec
     // must never fold, even when its coordinate-derived seed matches.
@@ -1055,15 +1054,8 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
                                        std::to_string(fleet.fingerprint())
                                  : "record seed/cohort does not match this spec");
       }
-      FleetQuarantineEntry entry;
-      entry.cell = index;
-      entry.seed = cell.seed;
-      entry.cohort = cell.cohort;
-      entry.taxonomy = foreign_spec ? "spec_mismatch" : "seed_mismatch";
-      entry.attempts = 1;
-      warn("cell " + std::to_string(index) + " (shard " + std::to_string(k) +
-           ") quarantined by degraded merge: " + entry.taxonomy);
-      add_quarantine(std::move(entry));
+      degrade(index, k, foreign_spec ? "spec_mismatch" : "seed_mismatch");
+      decoder.Pop(k);
       continue;
     }
     if (it_expected != expected_quarantine.end()) {
@@ -1081,18 +1073,10 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
       cohort.speed_mhz_min = std::min(cohort.speed_mhz_min, record.speed_mhz);
       cohort.speed_mhz_max = std::max(cohort.speed_mhz_max, record.speed_mhz);
     }
-    ++cohort.cells;
-    cohort.counters.Merge(stats::SampleCounters{record.samples, record.stress_hours});
-    cohort.thread.Merge(record.thread);
-    cohort.dpc_interrupt.Merge(record.dpc_interrupt);
-    cohort.thread_sketch.Merge(record.thread_sketch);
+    cohort.Add(record);
     cohort.fault_cells += record.fault_activations > 0 ? 1 : 0;
-    cohort.fault_activations += record.fault_activations;
-    cohort.anatomy_episodes += record.anatomy_episodes;
-    for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      cohort.anatomy_stage_cycles[s] += record.anatomy_stage_cycles[s];
-    }
     cohort.speed_mhz_sum += record.speed_mhz;
+    decoder.Pop(k);
     ++result.cells_completed;
   }
   // Conservation audit, matrix-style: completed + quarantined must cover the

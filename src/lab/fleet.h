@@ -186,6 +186,32 @@ struct FleetCellRecord {
   stats::QuantileSketch thread_sketch;
 };
 
+// A finished cell's record, less its coordinates (index, cohort, seed, spec,
+// speed): the one conversion from a LabReport. Its stress hours are the
+// driver's measured ones (samples over the measured rate), so a pooled rate
+// is total samples over total hours; a sample-free cell counts its nominal
+// config.stress_minutes.
+FleetCellRecord MakeCellRecord(const LabReport& report, const LabConfig& config);
+
+// What a matrix group pools from its trials and a fleet cohort from its
+// members. Add is the one fold; each runner calls it once per completed
+// cell in grid order, so floating-point sums and sketch states are the same
+// whatever the job or shard count.
+struct CellPool {
+  std::uint64_t cells = 0;  // cells folded
+  stats::SampleCounters counters;
+  stats::LatencyHistogram thread;
+  stats::LatencyHistogram dpc_interrupt;
+  stats::QuantileSketch thread_sketch;
+  std::uint64_t fault_activations = 0;
+  std::uint64_t anatomy_episodes = 0;
+  std::array<sim::Cycles, obs::kAnatomyStageCount> anatomy_stage_cycles{};
+
+  void Add(const FleetCellRecord& record);
+  std::uint64_t samples() const { return counters.samples; }
+  double samples_per_hour() const { return counters.SamplesPerHour(); }
+};
+
 // One record-log line (src/lab/record_log.h): {"cell", "seed", "spec",
 // "checksum", "payload"} where payload is the record body (report_io
 // dialect: hexfloats + decimal u64s, the sketch in cycle counts when it
@@ -193,7 +219,8 @@ struct FleetCellRecord {
 // resume and on merge. A payload of another version is rejected: resume
 // re-runs its cell, a strict merge stops on it.
 std::string FleetRecordToLine(const FleetCellRecord& record);
-bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record, std::string* error);
+bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record, std::string* error,
+                         RecordDamage* damage = nullptr);
 
 // Reuses one warmed TestSystem across cells: the first Run constructs it,
 // later Runs TestSystem::Reset() it (keeping the engine's bucket/slab
@@ -279,22 +306,15 @@ bool SaveFleetQuarantine(const std::string& path,
                          const std::vector<FleetQuarantineEntry>& entries,
                          std::string* error);
 
-// Per-cohort accumulators — the O(cohorts) working set of the merge.
-struct FleetCohortReport {
+// Per-cohort accumulators — the O(cohorts) working set of the merge. The
+// pool's `cells` are the cells actually folded (completed).
+struct FleetCohortReport : CellPool {
   std::string name;
   std::string os;
   int priority = 0;
   std::uint64_t planned = 0;      // cells the spec promised this cohort
-  std::uint64_t cells = 0;        // cells actually folded (completed)
   std::uint64_t quarantined = 0;  // planned - cells, by taxonomy in the report
-  stats::SampleCounters counters;
-  stats::LatencyHistogram thread;
-  stats::LatencyHistogram dpc_interrupt;
-  stats::QuantileSketch thread_sketch;
   std::uint64_t fault_cells = 0;  // cells whose fault plan activated >= once
-  std::uint64_t fault_activations = 0;
-  std::uint64_t anatomy_episodes = 0;
-  std::array<sim::Cycles, obs::kAnatomyStageCount> anatomy_stage_cycles{};
   double speed_mhz_sum = 0.0;
   double speed_mhz_min = 0.0;
   double speed_mhz_max = 0.0;

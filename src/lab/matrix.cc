@@ -1,6 +1,7 @@
 #include "src/lab/matrix.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -84,7 +85,7 @@ const char* CellStatusName(CellStatus status) {
 }
 
 bool MatrixResult::complete() const {
-  if (!error.empty() || statuses.empty()) {
+  if (!run.error.empty() || statuses.empty()) {
     return false;
   }
   for (const CellStatus status : statuses) {
@@ -108,10 +109,11 @@ std::uint64_t MatrixFingerprint(const MatrixSpec& spec) {
   // Fingerprint input: a canonical textual description of the spec. Text is
   // deliberate — it keeps the hash independent of struct layout, and a
   // mismatch can be debugged by printing the two descriptions side by side.
+  const LabConfig& cell = spec.cell;
   std::ostringstream out;
   out << "master_seed=" << spec.master_seed << ";trials=" << spec.trials
-      << ";stress_minutes=" << HexDouble(spec.stress_minutes)
-      << ";warmup_seconds=" << HexDouble(spec.warmup_seconds) << ";oses=";
+      << ";stress_minutes=" << HexDouble(cell.stress_minutes)
+      << ";warmup_seconds=" << HexDouble(cell.warmup_seconds) << ";oses=";
   for (const auto& os : spec.oses) {
     out << os.name << ",";
   }
@@ -123,13 +125,23 @@ std::uint64_t MatrixFingerprint(const MatrixSpec& spec) {
   for (const int priority : spec.priorities) {
     out << priority << ",";
   }
-  out << ";episode_threshold_us=" << HexDouble(spec.episode_threshold_us)
-      << ";max_episodes=" << spec.max_episodes << ";anatomy=" << spec.anatomy
-      << ";sketch=" << spec.sketch << ";scanner=" << spec.options.virus_scanner
-      << ";sounds=" << static_cast<int>(spec.options.sound_scheme);
-  if (spec.faults != nullptr && !spec.faults->empty()) {
-    out << ";faults=" << spec.faults->name << ":" << spec.faults->seed << ":"
-        << spec.faults->specs.size();
+  out << ";episode_threshold_us=" << HexDouble(cell.obs.episode_threshold_us)
+      << ";max_episodes=" << cell.obs.max_episodes << ";anatomy=" << cell.obs.anatomy
+      << ";sketch=" << cell.obs.sketch << ";scanner=" << cell.options.virus_scanner
+      << ";sounds=" << static_cast<int>(cell.options.sound_scheme);
+  if (cell.faults != nullptr && !cell.faults->empty()) {
+    out << ";faults=" << cell.faults->name << ":" << cell.faults->seed << ":"
+        << cell.faults->specs.size();
+    for (const fault::FaultSpec& fault : cell.faults->specs) {
+      const std::array<double, 3> duration = fault.duration_us.params();
+      out << ";fault=" << fault::FaultKindName(fault.kind) << ","
+          << fault::TriggerKindName(fault.trigger) << "," << HexDouble(fault.at_ms) << ","
+          << HexDouble(fault.period_ms) << "," << HexDouble(fault.rate_per_s) << ","
+          << fault.max_activations << "," << static_cast<int>(fault.duration_us.kind())
+          << ":" << HexDouble(duration[0]) << ":" << HexDouble(duration[1]) << ":"
+          << HexDouble(duration[2]) << "," << fault.burst << "," << HexDouble(fault.spacing_us)
+          << "," << fault.disk_bytes << "," << fault.lock << "," << fault.function;
+    }
   }
   return Fnv1a64(out.str());
 }
@@ -159,15 +171,11 @@ ExperimentMatrix::ExperimentMatrix(MatrixSpec spec) : spec_(std::move(spec)) {
           cell.priority_index = pr_i;
           cell.trial = trial;
           cell.seed = CellSeed(spec_.master_seed, os_i, wl_i, spec_.priorities[pr_i], trial);
+          cell.config = spec_.cell;
           cell.config.os = spec_.oses[os_i];
           cell.config.stress = spec_.workloads[wl_i];
           cell.config.thread_priority = spec_.priorities[pr_i];
-          cell.config.stress_minutes = spec_.stress_minutes;
-          cell.config.warmup_seconds = spec_.warmup_seconds;
           cell.config.seed = cell.seed;
-          cell.config.options = spec_.options;
-          cell.config.driver = spec_.driver;
-          cell.config.faults = spec_.faults;
           cells_.push_back(std::move(cell));
         }
       }
@@ -184,6 +192,13 @@ std::size_t ExperimentMatrix::GroupIndex(std::size_t os_index, std::size_t workl
 MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   using Clock = std::chrono::steady_clock;
   MatrixResult result;
+  if (spec_.cell.obs.metrics != nullptr || spec_.cell.obs.trace_sink != nullptr ||
+      spec_.cell.supervision.enabled()) {
+    result.run.error =
+        "matrix cell template sets obs.metrics, obs.trace_sink or supervision; "
+        "collect_metrics, trace_sink and the run options set those";
+    return result;
+  }
   result.reports.resize(cells_.size());
   result.timings.resize(cells_.size());
   result.statuses.assign(cells_.size(), CellStatus::kPending);
@@ -195,6 +210,10 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   std::vector<obs::MetricsRegistry> cell_metrics(spec_.collect_metrics ? cells_.size() : 0);
   std::mutex worker_mutex;
   std::map<std::thread::id, int> worker_ids;
+  // The cell that gets the trace sink: the lowest-index one that runs. It is
+  // fixed by the first cell to start, after the resume pass and before any
+  // cell finishes, so it is the lowest cell still pending.
+  std::optional<std::size_t> traced_cell;
   const bool audits_on = options.audit_every_s > 0.0 || options.audit_fail_cell >= 0;
   // Supervision black box: a ring of the cell's recent dispatcher events,
   // read only if the cell fails. It is a trace sink on every event, so it is
@@ -231,19 +250,21 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
       const int worker = static_cast<int>(
           worker_ids.emplace(std::this_thread::get_id(), worker_ids.size()).first->second);
       result.timings[i].worker = worker;
+      if (!traced_cell) {
+        traced_cell = static_cast<std::size_t>(
+            std::find(result.statuses.begin(), result.statuses.end(), CellStatus::kPending) -
+            result.statuses.begin());
+      }
     }
     cell_start[i] = Clock::now();
     kernel::TraceRing* black_box = black_box_on ? &t_black_box.emplace() : nullptr;
     LabConfig config = cells_[i].config;
     if (spec_.collect_metrics) {
       config.obs.metrics = &cell_metrics[i];
-      config.obs.queue_sample_ms = spec_.queue_sample_ms;
+    } else {
+      config.obs.queue_sample_ms = 0.0;
     }
-    config.obs.episode_threshold_us = spec_.episode_threshold_us;
-    config.obs.max_episodes = spec_.max_episodes;
-    config.obs.anatomy = spec_.anatomy;
-    config.obs.sketch = spec_.sketch;
-    if (i == 0) {
+    if (i == *traced_cell) {
       config.obs.trace_sink = spec_.trace_sink;
     }
     if (watchdog.armed()) {
@@ -279,17 +300,12 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
     }
   };
 
-  CellLogResult run = RunCellLog(log);
-  if (!run.error.empty()) {
-    result.error = std::move(run.error);
+  result.run = RunCellLog(log);
+  if (!result.run.error.empty()) {
     return result;
   }
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - run_start).count();
   result.workers_observed = static_cast<int>(worker_ids.size());
-  result.cells_executed = run.cells_executed;
-  result.cells_restored = run.cells_restored;
-  result.failures = std::move(run.failures);
-  result.warnings = std::move(run.warnings);
   for (CellStatus& status : result.statuses) {
     if (status == CellStatus::kPending) {
       status = CellStatus::kSkipped;
@@ -318,7 +334,7 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
     const std::size_t group_index =
         GroupIndex(cell.os_index, cell.workload_index, cell.priority_index);
     MergedCell& group = result.merged[group_index];
-    if (group.trials == 0) {
+    if (group.cells == 0) {
       group.os_name = report.os_name;
       group.workload_name = report.workload_name;
       group.thread_priority = report.thread_priority;
@@ -327,35 +343,18 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
     } else {
       assert(stats::MergeableUsage(group.usage, report.usage));
     }
-    group.dpc_interrupt.Merge(report.dpc_interrupt);
-    group.thread.Merge(report.thread);
+    group.Add(MakeCellRecord(report, cell.config));
     group.thread_interrupt.Merge(report.thread_interrupt);
     group.interrupt.Merge(report.interrupt);
     group.isr_to_dpc.Merge(report.isr_to_dpc);
     group.true_pit_interrupt_latency.Merge(report.true_pit_interrupt_latency);
     expected_thread_counts[group_index] += report.thread.count();
     expected_dpc_counts[group_index] += report.dpc_interrupt.count();
-    // Recover the driver's measured stress-hours so the pooled rate stays
-    // total-samples / total-hours, not an average of per-trial rates.
-    const double stress_hours = report.samples_per_hour > 0.0
-                                    ? static_cast<double>(report.samples) /
-                                          report.samples_per_hour
-                                    : cell.config.stress_minutes / 60.0;
-    group.counters.Merge(stats::SampleCounters{report.samples, stress_hours});
-    group.fault_activations += report.fault_activations;
     group.episodes += report.episodes.size();
     for (const obs::EpisodeSummary& episode : report.episodes) {
       group.episodes_attributed += episode.attributed ? 1 : 0;
       group.episode_module_matches += episode.module_match ? 1 : 0;
     }
-    group.thread_sketch.Merge(report.thread_sketch);
-    group.anatomy_episodes += report.anatomy.size();
-    for (const obs::AnatomyEpisode& episode : report.anatomy) {
-      for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-        group.anatomy_stage_cycles[s] += episode.stage_cycles[s];
-      }
-    }
-    ++group.trials;
   }
   for (std::size_t g = 0; g < result.merged.size(); ++g) {
     const MergedCell& group = result.merged[g];
@@ -402,6 +401,9 @@ void AppendHostTrace(obs::ChromeTraceWriter& writer, const ExperimentMatrix& mat
   const std::size_t n = std::min(matrix.cells().size(), result.timings.size());
   std::vector<bool> worker_named;
   for (std::size_t i = 0; i < n; ++i) {
+    if (result.statuses[i] != CellStatus::kOk && result.statuses[i] != CellStatus::kFailed) {
+      continue;
+    }
     const MatrixCell& cell = matrix.cells()[i];
     const MatrixResult::CellTiming& timing = result.timings[i];
     // Host worker tracks are numbered from 1; tid 0 reads as "unknown".

@@ -20,14 +20,15 @@
 #ifndef SRC_LAB_MATRIX_H_
 #define SRC_LAB_MATRIX_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "src/lab/fleet.h"
 #include "src/lab/lab.h"
+#include "src/lab/record_log.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/supervisor.h"
@@ -44,39 +45,23 @@ struct MatrixSpec {
   // Independent trials per (os, workload, priority) group, each with its own
   // derived seed; trial histograms merge into the group's pooled result.
   int trials = 1;
-  double stress_minutes = 10.0;
-  double warmup_seconds = 5.0;
   std::uint64_t master_seed = 1999;
-  TestSystemOptions options;
-  drivers::LatencyDriver::Config driver;  // thread_priority is overridden
-  // Optional fault plan (borrowed), expanded into every cell's LabConfig;
-  // each cell's injector derives its streams from (plan.seed, cell seed), so
-  // cells stay independent and jobs-invariant.
-  const fault::FaultPlan* faults = nullptr;
-
-  // --- Observability (expanded into each cell's ObsOptions) -----------------
+  // Every cell's LabConfig: durations, machine options, driver, the fault
+  // plan (borrowed; each cell's injector derives its streams from the plan
+  // seed and the cell seed) and the obs knobs (episode threshold, anatomy,
+  // sketch; queue sampling only with collect_metrics). A cell takes its os,
+  // stress, thread_priority and seed from the axes. obs.metrics,
+  // obs.trace_sink and supervision must stay unset, since collect_metrics,
+  // trace_sink and MatrixRunOptions set them: Run refuses such a template.
+  LabConfig cell;
   // Collect per-cell MetricsRegistries and merge them — grid order, so the
   // merged registry is jobs-independent — into MatrixResult::metrics.
   // Records do not hold registries, so a resume re-runs every cell.
   bool collect_metrics = false;
-  // >0 (and collect_metrics): per-cell queue-depth sampling period.
-  double queue_sample_ms = 0.0;
-  // >0: arm every cell's episode flight recorder at this threshold; episode
-  // tallies land in the merged groups.
-  double episode_threshold_us = 0.0;
-  std::size_t max_episodes = 64;
-  // Attach a per-cell obs::LatencyAnatomy (needs episode_threshold_us > 0):
-  // per-episode stage decompositions stay in the per-cell LabReports, and
-  // stage-cycle totals pool into MergedCell::anatomy_stage_cycles.
-  bool anatomy = false;
-  // Stream every cell's thread-latency samples into a per-cell
-  // stats::QuantileSketch; per-trial sketches merge — grid order, so the
-  // merged sketch is jobs-independent — into MergedCell::thread_sketch.
-  bool sketch = false;
-  // Receives the dispatcher trace of the FIRST cell only: a sink shared by
-  // concurrently-running cells would interleave their tracks meaninglessly,
-  // so the sim-side tracks show one representative cell while the host-side
-  // tracks (lab::AppendHostTrace) cover the whole run.
+  // Receives the dispatcher trace of the lowest-index cell that runs: a sink
+  // shared by concurrently-running cells would interleave their tracks
+  // meaninglessly, so the sim-side tracks show one representative cell
+  // while the host-side tracks (lab::AppendHostTrace) cover the whole run.
   kernel::TraceSink* trace_sink = nullptr;
 
   std::size_t cell_count() const {
@@ -94,8 +79,9 @@ MatrixSpec PaperMatrix();
 
 // Stable hash of everything that determines a matrix's cells and their
 // bits: master seed, grid axes (profile/workload names, priorities),
-// trials, durations, machine options, fault plan and the episode, anatomy
-// and sketch knobs. The `spec` of every matrix record.
+// trials, durations, machine options, every field of every fault-plan spec
+// and the episode, anatomy and sketch knobs. The `spec` of every matrix
+// record.
 std::uint64_t MatrixFingerprint(const MatrixSpec& spec);
 
 // One expanded cell, in grid-enumeration order (os-major, then workload,
@@ -112,43 +98,26 @@ struct MatrixCell {
 
 // A merged (os, workload, priority) group: the per-trial LabReports combined
 // bucket-for-bucket via LatencyHistogram::Merge, sampling counters pooled.
-struct MergedCell {
+// The pool's `cells` are the trials merged; its sketch and anatomy and fault
+// tallies are zero unless the cell template asked for them.
+struct MergedCell : CellPool {
   std::string os_name;
   std::string workload_name;
   int thread_priority = 0;
-  int trials = 0;
 
-  stats::LatencyHistogram dpc_interrupt;
-  stats::LatencyHistogram thread;
   stats::LatencyHistogram thread_interrupt;
   stats::LatencyHistogram interrupt;
   stats::LatencyHistogram isr_to_dpc;
   stats::LatencyHistogram true_pit_interrupt_latency;
   bool has_interrupt_latency = false;
 
-  stats::SampleCounters counters;
   stats::UsageModel usage;
 
-  // Flight-recorder tallies pooled across trials (zero unless
-  // MatrixSpec::episode_threshold_us was set).
+  // Flight-recorder tallies pooled across trials (zero unless the cell
+  // template set obs.episode_threshold_us).
   std::uint64_t episodes = 0;
   std::uint64_t episodes_attributed = 0;
   std::uint64_t episode_module_matches = 0;
-
-  // Streaming thread-latency sketch pooled across trials in grid order
-  // (zero count unless MatrixSpec::sketch was set).
-  stats::QuantileSketch thread_sketch;
-
-  // Anatomy tallies pooled across trials (zero unless MatrixSpec::anatomy):
-  // exact critical-path cycles by stage, summed over decomposed episodes.
-  std::uint64_t anatomy_episodes = 0;
-  std::array<sim::Cycles, obs::kAnatomyStageCount> anatomy_stage_cycles{};
-
-  // Injected-fault activations pooled across trials (zero without a plan).
-  std::uint64_t fault_activations = 0;
-
-  std::uint64_t samples() const { return counters.samples; }
-  double samples_per_hour() const { return counters.SamplesPerHour(); }
 };
 
 // Final disposition of one cell after a (possibly supervised, possibly
@@ -229,21 +198,18 @@ struct MatrixResult {
   // --- Supervision outcome (populated by Run(MatrixRunOptions)) -------------
   // Per-cell dispositions, parallel to ExperimentMatrix::cells().
   std::vector<CellStatus> statuses;
-  // Structured failures of every kFailed cell (completion order).
-  std::vector<runtime::CellFailure> failures;
-  std::size_t cells_executed = 0;  // ran this run (kOk + kFailed)
-  std::size_t cells_restored = 0;  // restored from the record log
-  std::size_t cells_skipped = 0;   // unlaunched due to max_cells
-  // Non-fatal resume diagnostics: torn lines, checksum or seed mismatches —
-  // each one names a cell that was re-run instead of restored.
-  std::vector<std::string> warnings;
+  // The record-log executor's account: cells executed (kOk + kFailed) and
+  // restored, the structured failures of every kFailed cell (completion
+  // order), resume warnings (each names a cell re-run instead of restored)
+  // and the error that aborted the run, if any: a cell template Run
+  // refuses, a record log written under another spec (before any cell
+  // runs), or a record-log I/O failure.
+  CellLogResult run;
+  std::size_t cells_skipped = 0;  // unlaunched due to max_cells
   // Post-merge conservation audit: any group whose merged histogram counts
   // differ from the sum of its merged trials' counts. Always empty unless
   // the merge arithmetic itself is broken.
   std::vector<std::string> merge_violations;
-  // Set when the run aborted: a record log written under another spec
-  // (before any cell runs), or a record-log I/O failure.
-  std::string error;
 
   // Every cell is kOk or kRestored (the merged exhibits cover the full grid).
   bool complete() const;
@@ -251,7 +217,8 @@ struct MatrixResult {
 
 // Append the host-side view of a finished matrix run to `writer`: one track
 // per pool worker under ChromeTraceWriter::kHostPid, one complete slice per
-// cell named "os/workload/prio" with its seed and wall time as args.
+// cell that ran in this run (restored and skipped cells have no wall time)
+// named "os/workload/prio" with its seed and wall time as args.
 void AppendHostTrace(obs::ChromeTraceWriter& writer, const ExperimentMatrix& matrix,
                      const MatrixResult& result);
 

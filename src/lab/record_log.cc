@@ -152,7 +152,8 @@ std::string RecordLineText(std::uint64_t cell, std::uint64_t seed, std::uint64_t
   return out;
 }
 
-bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* error) {
+bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* error,
+                     RecordDamage* damage) {
   // The inverse of RecordLineText; the payload is unescaped and
   // checksummed in one pass, into storage sized once.
   report_json::Reader in(line);
@@ -164,19 +165,19 @@ bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* err
                     in.Expect(", \"checksum\": ") && in.QuotedU64(&checksum) &&
                     in.Expect(", \"payload\": ");
   std::uint64_t digest = SpecDigest(record->spec);
-  if (!head || !in.String(&record->payload, &digest) || !in.Expect("}") || !in.ExpectEnd()) {
-    if (error != nullptr) {
-      *error = "malformed record line: " + in.error();
-    }
-    return false;
+  const bool framed =
+      head && in.String(&record->payload, &digest) && in.Expect("}") && in.ExpectEnd();
+  if (framed && digest == checksum) {
+    return true;
   }
-  if (digest != checksum) {
-    if (error != nullptr) {
-      *error = "record payload checksum mismatch (torn or corrupt line)";
-    }
-    return false;
+  if (error != nullptr) {
+    *error = framed ? "record payload checksum mismatch (torn or corrupt line)"
+                    : "malformed record line: " + in.error();
   }
-  return true;
+  if (damage != nullptr) {
+    *damage = framed ? RecordDamage::kChecksumMismatch : RecordDamage::kCorrupt;
+  }
+  return false;
 }
 
 bool CheckRecordLogSpec(const std::string& path, std::uint64_t spec, std::string* error) {

@@ -40,11 +40,17 @@ struct RecordLine {
   std::string payload;
 };
 
+// Why a record line was refused: it does not decode (kCorrupt), or its
+// payload does not match its checksum, as a torn or bit-rotted line does
+// (kChecksumMismatch).
+enum class RecordDamage : std::uint8_t { kNone, kCorrupt, kChecksumMismatch };
+
 std::string RecordLineText(std::uint64_t cell, std::uint64_t seed, std::uint64_t spec,
                            std::string_view payload);
-// Parse one line and verify its checksum; false (+ error) on a malformed,
-// torn or corrupt line.
-bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* error);
+// Parse one line and verify its checksum; false (+ error, + damage) on a
+// malformed, torn or corrupt line.
+bool ParseRecordLine(std::string_view line, RecordLine* record, std::string* error,
+                     RecordDamage* damage = nullptr);
 
 // Scan an existing record log for an intact record written under a spec
 // other than `spec`. Returns false (+ error) if it finds one; a missing

@@ -7,6 +7,7 @@
 #ifndef SRC_SIM_RNG_H_
 #define SRC_SIM_RNG_H_
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 
@@ -95,6 +96,8 @@ class DurationDist {
 
   Kind kind() const { return kind_; }
   bool is_zero() const { return kind_ == Kind::kZero; }
+  // The kind's parameters in factory-argument order, unused ones 0.
+  std::array<double, 3> params() const { return {a_, b_, c_}; }
 
   // A copy with every duration parameter multiplied by `factor` (> 0): the
   // constant's value, uniform bounds, exponential mean, lognormal median

@@ -108,10 +108,10 @@ TEST(FaultPassivityTest, MatrixWithPlanIsJobCountInvariant) {
   spec.workloads = {workload::GamesStress(), workload::OfficeStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.1;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.1;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 1999;
-  spec.faults = &plan;
+  spec.cell.faults = &plan;
   const lab::ExperimentMatrix matrix(spec);
 
   lab::MatrixRunOptions options;

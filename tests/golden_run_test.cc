@@ -145,8 +145,8 @@ std::uint64_t SupervisedResumedMatrixChecksum() {
   spec.workloads = {workload::GamesStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.05;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.05;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 1999;
   const lab::ExperimentMatrix matrix(spec);
 
@@ -162,8 +162,8 @@ std::uint64_t SupervisedResumedMatrixChecksum() {
   lab::MatrixRunOptions second = first;
   second.max_cells = 0;
   const lab::MatrixResult resumed = matrix.Run(second);
-  EXPECT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 2u);
+  EXPECT_TRUE(resumed.complete()) << resumed.run.error;
+  EXPECT_EQ(resumed.run.cells_restored, 2u);
 
   std::uint64_t hash = kFnvOffset;
   for (const lab::MergedCell& cell : resumed.merged) {

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "src/kernel/profile.h"
+#include "src/obs/metrics.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
@@ -22,8 +23,8 @@ MatrixSpec SmallSpec() {
   spec.workloads = {workload::GamesStress(), workload::WebStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.2;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.2;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 42;
   return spec;
 }
@@ -32,7 +33,7 @@ void ExpectMergedIdentical(const MergedCell& a, const MergedCell& b) {
   EXPECT_EQ(a.os_name, b.os_name);
   EXPECT_EQ(a.workload_name, b.workload_name);
   EXPECT_EQ(a.thread_priority, b.thread_priority);
-  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.cells, b.cells);
   EXPECT_EQ(a.samples(), b.samples());
   EXPECT_EQ(a.counters.stress_hours, b.counters.stress_hours);
   // Bucket-for-bucket identity via the CSV dump (every non-empty bucket and
@@ -68,7 +69,7 @@ TEST(MatrixDeterminismTest, MergedHistogramsIdenticalAcrossJobCounts) {
     SCOPED_TRACE(serial.merged[i].workload_name);
     ExpectMergedIdentical(serial.merged[i], parallel.merged[i]);
     EXPECT_GT(serial.merged[i].samples(), 0u);
-    EXPECT_EQ(serial.merged[i].trials, 2);
+    EXPECT_EQ(serial.merged[i].cells, 2u);
   }
   // Per-cell reports are slot-addressed, so they must agree too.
   ASSERT_EQ(serial.reports.size(), 4u);
@@ -127,6 +128,24 @@ TEST(MatrixDeterminismTest, GridExpansionEnumeratesInGridOrder) {
     }
   }
   EXPECT_EQ(matrix.GroupIndex(0, 1, 1), 3u);
+}
+
+// The run owns every cell's metrics registry, trace sink and supervision
+// hooks; a template that sets one is refused before any cell runs.
+TEST(MatrixDeterminismTest, TemplateSettingRunOwnedHooksIsRefused) {
+  obs::MetricsRegistry metrics;
+  MatrixSpec spec = SmallSpec();
+  spec.cell.obs.metrics = &metrics;
+  const MatrixResult with_metrics = ExperimentMatrix(spec).Run(MatrixRunOptions{});
+  EXPECT_NE(with_metrics.run.error.find("template"), std::string::npos);
+  EXPECT_EQ(with_metrics.run.cells_executed, 0u);
+  EXPECT_FALSE(with_metrics.complete());
+
+  spec.cell.obs.metrics = nullptr;
+  spec.cell.supervision.audit_at_end = true;
+  const MatrixResult with_audit = ExperimentMatrix(spec).Run(MatrixRunOptions{});
+  EXPECT_NE(with_audit.run.error.find("template"), std::string::npos);
+  EXPECT_EQ(with_audit.run.cells_executed, 0u);
 }
 
 TEST(MatrixDeterminismTest, PaperMatrixMatchesFigure4Grid) {

@@ -149,15 +149,15 @@ TEST(ObsLabTest, BlackBoxRingServesTheRecorderAndTheFailureDiagnostic) {
   spec.workloads = {workload::GamesStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.05;
-  spec.warmup_seconds = 1.0;
-  spec.episode_threshold_us = 4000.0;
+  spec.cell.stress_minutes = 0.05;
+  spec.cell.warmup_seconds = 1.0;
+  spec.cell.obs.episode_threshold_us = 4000.0;
   MatrixRunOptions options;
   options.journal_path = testutil::TempFileFor("black_box.jsonl");
   options.audit_fail_cell = 1;
   const MatrixResult result = ExperimentMatrix(spec).Run(options);
-  ASSERT_EQ(result.failures.size(), 1u);
-  const runtime::CellFailure& failure = result.failures[0];
+  ASSERT_EQ(result.run.failures.size(), 1u);
+  const runtime::CellFailure& failure = result.run.failures[0];
   EXPECT_EQ(failure.kind, runtime::FailureKind::kInvariantViolation);
   const std::vector<std::string>& lines = failure.diagnostics;
   ASSERT_FALSE(lines.empty());

@@ -533,21 +533,21 @@ TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
   spec.workloads = {workload::GamesStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.05;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.05;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 1999;
-  spec.sketch = true;
+  spec.cell.obs.sketch = true;
   const lab::ExperimentMatrix matrix(spec);
 
   lab::MatrixRunOptions jobs1;
   jobs1.jobs = 1;
   const lab::MatrixResult r1 = matrix.Run(jobs1);
-  ASSERT_TRUE(r1.complete()) << r1.error;
+  ASSERT_TRUE(r1.complete()) << r1.run.error;
 
   lab::MatrixRunOptions jobs4;
   jobs4.jobs = 4;
   const lab::MatrixResult r4 = matrix.Run(jobs4);
-  ASSERT_TRUE(r4.complete()) << r4.error;
+  ASSERT_TRUE(r4.complete()) << r4.run.error;
 
   ASSERT_EQ(r1.merged.size(), r4.merged.size());
   for (std::size_t i = 0; i < r1.merged.size(); ++i) {
@@ -566,8 +566,8 @@ TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
   second.jobs = 4;
   second.journal_path = first.journal_path;
   const lab::MatrixResult resumed = matrix.Run(second);
-  ASSERT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 2u);
+  ASSERT_TRUE(resumed.complete()) << resumed.run.error;
+  EXPECT_EQ(resumed.run.cells_restored, 2u);
 
   ASSERT_EQ(resumed.merged.size(), r1.merged.size());
   for (std::size_t i = 0; i < r1.merged.size(); ++i) {

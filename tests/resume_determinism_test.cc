@@ -13,10 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "src/fault/fault.h"
 #include "src/kernel/profile.h"
 #include "src/lab/matrix.h"
 #include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
+#include "src/obs/chrome_trace.h"
 #include "src/obs/metrics.h"
 #include "src/workload/stress_profile.h"
 #include "tests/temp_path.h"
@@ -34,8 +36,8 @@ MatrixSpec SmallSpec() {
   spec.workloads = {workload::GamesStress(), workload::WebStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.2;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.2;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 42;
   return spec;
 }
@@ -67,7 +69,7 @@ void ExpectMergedIdentical(const MatrixResult& a, const MatrixResult& b) {
     const MergedCell& x = a.merged[i];
     const MergedCell& y = b.merged[i];
     SCOPED_TRACE(x.workload_name);
-    EXPECT_EQ(x.trials, y.trials);
+    EXPECT_EQ(x.cells, y.cells);
     EXPECT_EQ(x.samples(), y.samples());
     EXPECT_EQ(x.counters.stress_hours, y.counters.stress_hours);
     EXPECT_EQ(x.thread.ToCsv(), y.thread.ToCsv());
@@ -90,7 +92,7 @@ TEST(ResumeDeterminismTest, SupervisedJournaledRunMatchesLegacyRun) {
   const MatrixResult supervised = matrix.Run(options);
 
   EXPECT_TRUE(supervised.complete());
-  EXPECT_TRUE(supervised.failures.empty());
+  EXPECT_TRUE(supervised.run.failures.empty());
   EXPECT_TRUE(supervised.merge_violations.empty());
   ExpectMergedIdentical(plain, supervised);
 }
@@ -110,7 +112,7 @@ TEST(ResumeDeterminismTest, InterruptThenResumeIsBitIdenticalAtAnyJobCount) {
     first.max_cells = 2;
     const MatrixResult interrupted = matrix.Run(first);
     EXPECT_FALSE(interrupted.complete());
-    EXPECT_EQ(interrupted.cells_executed, 2u);
+    EXPECT_EQ(interrupted.run.cells_executed, 2u);
     EXPECT_EQ(interrupted.cells_skipped, 2u);
     EXPECT_EQ(ReadLines(log).size(), 2u);
 
@@ -120,10 +122,10 @@ TEST(ResumeDeterminismTest, InterruptThenResumeIsBitIdenticalAtAnyJobCount) {
     second.jobs = resume_jobs;
     second.journal_path = log;
     const MatrixResult resumed = matrix.Run(second);
-    EXPECT_TRUE(resumed.complete()) << resumed.error;
-    EXPECT_EQ(resumed.cells_restored, 2u);
-    EXPECT_EQ(resumed.cells_executed, 2u);
-    EXPECT_TRUE(resumed.warnings.empty());
+    EXPECT_TRUE(resumed.complete()) << resumed.run.error;
+    EXPECT_EQ(resumed.run.cells_restored, 2u);
+    EXPECT_EQ(resumed.run.cells_executed, 2u);
+    EXPECT_TRUE(resumed.run.warnings.empty());
     ExpectMergedIdentical(fresh, resumed);
     EXPECT_EQ(ReadLines(log).size(), 4u);
 
@@ -167,16 +169,16 @@ TEST(ResumeDeterminismTest, MetricsRunReRunsRecordedCellsAndExportsEveryCell) {
     options.jobs = resume_jobs;
     options.journal_path = TempFileFor("metrics_run_" + std::to_string(resume_jobs) + ".jsonl");
     options.max_cells = 2;
-    ASSERT_EQ(matrix.Run(options).cells_executed, 2u);
+    ASSERT_EQ(matrix.Run(options).run.cells_executed, 2u);
     ASSERT_EQ(ReadLines(options.journal_path).size(), 2u);
 
     options.max_cells = 0;
     const MatrixResult resumed = matrix.Run(options);
-    EXPECT_TRUE(resumed.complete()) << resumed.error;
-    EXPECT_EQ(resumed.cells_restored, 0u);
-    EXPECT_EQ(resumed.cells_executed, 4u);
-    ASSERT_EQ(resumed.warnings.size(), 2u);
-    for (const std::string& warning : resumed.warnings) {
+    EXPECT_TRUE(resumed.complete()) << resumed.run.error;
+    EXPECT_EQ(resumed.run.cells_restored, 0u);
+    EXPECT_EQ(resumed.run.cells_executed, 4u);
+    ASSERT_EQ(resumed.run.warnings.size(), 2u);
+    for (const std::string& warning : resumed.run.warnings) {
       EXPECT_NE(warning.find("per-cell metrics are not checkpointed"), std::string::npos)
           << warning;
     }
@@ -211,11 +213,11 @@ TEST(ResumeDeterminismTest, CorruptArtifactIsReRunNotTrusted) {
   }
 
   const MatrixResult resumed = matrix.Run(options);
-  EXPECT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 3u);
-  EXPECT_EQ(resumed.cells_executed, 1u);  // the tampered cell re-ran
-  ASSERT_EQ(resumed.warnings.size(), 1u);
-  EXPECT_NE(resumed.warnings[0].find("checksum mismatch"), std::string::npos);
+  EXPECT_TRUE(resumed.complete()) << resumed.run.error;
+  EXPECT_EQ(resumed.run.cells_restored, 3u);
+  EXPECT_EQ(resumed.run.cells_executed, 1u);  // the tampered cell re-ran
+  ASSERT_EQ(resumed.run.warnings.size(), 1u);
+  EXPECT_NE(resumed.run.warnings[0].find("checksum mismatch"), std::string::npos);
   ExpectMergedIdentical(fresh, resumed);
   // The rewritten log holds a verified record for every cell again.
   for (const std::string& l : ReadLines(log)) {
@@ -241,16 +243,98 @@ TEST(ResumeDeterminismTest, MismatchedSpecRefusesToResume) {
   // An edited spec derives the same coordinates but different cell bits:
   // its run must neither restore the old record nor touch the log.
   MatrixSpec other = SmallSpec();
-  other.stress_minutes = 2.0;
+  other.cell.stress_minutes = 2.0;
   const ExperimentMatrix matrix(other);
   MatrixRunOptions options;
   options.jobs = 1;
   options.journal_path = log;
   const MatrixResult result = matrix.Run(options);
-  EXPECT_NE(result.error.find("spec"), std::string::npos) << result.error;
-  EXPECT_EQ(result.cells_executed, 0u);
-  EXPECT_EQ(result.cells_restored, 0u);
+  EXPECT_NE(result.run.error.find("spec"), std::string::npos) << result.run.error;
+  EXPECT_EQ(result.run.cells_executed, 0u);
+  EXPECT_EQ(result.run.cells_restored, 0u);
   EXPECT_EQ(ReadBytes(log), before);
+}
+
+// A plan-free fingerprint is pinned: it hashes the same text as it did
+// before the spec took its cell as one LabConfig template, so plan-free
+// logs written by earlier builds still resume.
+TEST(ResumeDeterminismTest, PlanFreeFingerprintIsPinned) {
+  MatrixSpec spec = SmallSpec();
+  EXPECT_EQ(MatrixFingerprint(spec), 13047475491553896665ull);
+  spec.cell.obs.sketch = true;
+  spec.cell.obs.episode_threshold_us = 4000.0;
+  spec.cell.obs.anatomy = true;
+  spec.cell.options.virus_scanner = true;
+  EXPECT_EQ(MatrixFingerprint(spec), 62485387075878339ull);
+  EXPECT_EQ(MatrixFingerprint(PaperMatrix()), 9220270406623839465ull);
+}
+
+// A fault plan binds the spec down to its last field: a log written under
+// one plan must not resume under a plan whose one spec holds the lockout
+// 100x longer, though both share a name, a seed and a spec count.
+TEST(ResumeDeterminismTest, EditedFaultPlanRefusesToResume) {
+  fault::FaultPlan plan;
+  plan.name = "agg";
+  plan.seed = 7;
+  fault::FaultSpec hold;
+  hold.kind = fault::FaultKind::kLockoutHold;
+  hold.trigger = fault::TriggerKind::kPoisson;
+  hold.rate_per_s = 5.0;
+  hold.duration_us = sim::DurationDist::Constant(200.0);
+  plan.specs = {hold};
+  fault::FaultPlan edited = plan;
+  edited.specs[0].duration_us = sim::DurationDist::Constant(20000.0);
+  MatrixSpec spec = SmallSpec();
+  spec.cell.faults = &plan;
+  MatrixSpec other = SmallSpec();
+  other.cell.faults = &edited;
+  EXPECT_NE(MatrixFingerprint(spec), MatrixFingerprint(other));
+
+  MatrixRunOptions options;
+  options.jobs = 1;
+  options.journal_path = TempFileFor("edited_plan.jsonl");
+  options.max_cells = 1;
+  ExperimentMatrix(spec).Run(options);
+  const std::string before = ReadBytes(options.journal_path);
+  ASSERT_FALSE(before.empty());
+  options.max_cells = 0;
+  const MatrixResult result = ExperimentMatrix(other).Run(options);
+  EXPECT_NE(result.run.error.find("refusing to resume"), std::string::npos) << result.run.error;
+  EXPECT_EQ(result.run.cells_restored, 0u);
+  EXPECT_EQ(result.run.cells_executed, 0u);
+  EXPECT_EQ(ReadBytes(options.journal_path), before);
+}
+
+// A resumed run traces only what it ran: one host slice per executed cell
+// (restored cells have no wall time to draw), and the simulated tracks of
+// the lowest-index cell that ran, since the restored cell 0 never runs.
+TEST(ResumeDeterminismTest, ResumedTraceDrawsOnlyCellsThatRan) {
+  MatrixRunOptions options;
+  options.jobs = 2;
+  options.journal_path = TempFileFor("traced_resume.jsonl");
+  options.max_cells = 2;
+  ExperimentMatrix(SmallSpec()).Run(options);
+
+  obs::ChromeTraceWriter writer;
+  MatrixSpec spec = SmallSpec();
+  spec.trace_sink = &writer;
+  const ExperimentMatrix matrix(spec);
+  options.max_cells = 0;
+  const MatrixResult result = matrix.Run(options);
+  ASSERT_TRUE(result.complete()) << result.run.error;
+  ASSERT_EQ(result.run.cells_restored, 2u);
+  std::size_t sim_events = 0;
+  writer.ForEachEvent([&](const obs::ChromeTraceWriter::Event& event) {
+    sim_events += event.pid == obs::ChromeTraceWriter::kSimPid && event.phase != 'M' ? 1 : 0;
+  });
+  EXPECT_GT(sim_events, 0u);
+
+  AppendHostTrace(writer, matrix, result);
+  std::size_t host_slices = 0;
+  writer.ForEachEvent([&](const obs::ChromeTraceWriter::Event& event) {
+    host_slices += event.pid == obs::ChromeTraceWriter::kHostPid && event.phase == 'X' ? 1 : 0;
+  });
+  EXPECT_EQ(host_slices, 2u);
 }
 
 TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
@@ -261,14 +345,14 @@ TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   const MatrixResult result = matrix.Run(options);
 
   EXPECT_FALSE(result.complete());
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_EQ(result.failures[0].cell, 1u);
-  EXPECT_EQ(result.failures[0].seed, matrix.cells()[1].seed);
-  EXPECT_EQ(result.failures[0].kind, runtime::FailureKind::kException);
-  EXPECT_NE(result.failures[0].message.find("injected cell failure"), std::string::npos);
+  ASSERT_EQ(result.run.failures.size(), 1u);
+  EXPECT_EQ(result.run.failures[0].cell, 1u);
+  EXPECT_EQ(result.run.failures[0].seed, matrix.cells()[1].seed);
+  EXPECT_EQ(result.run.failures[0].kind, runtime::FailureKind::kException);
+  EXPECT_NE(result.run.failures[0].message.find("injected cell failure"), std::string::npos);
   // The fixture throws inside the cell's run, after its first virtual
   // second, so the diagnostic shows the black box's most recent events.
-  const std::vector<std::string>& lines = result.failures[0].diagnostics;
+  const std::vector<std::string>& lines = result.run.failures[0].diagnostics;
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines.front(), "Black box: the last 4096 trace events");
   const auto recent = std::find(lines.begin(), lines.end(), "Most recent events:");
@@ -283,8 +367,8 @@ TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
   // The failed trial is excluded from its group's merge, not zero-filled:
   // games (group 0) pooled one trial, web (group 1) pooled both.
   ASSERT_EQ(result.merged.size(), 2u);
-  EXPECT_EQ(result.merged[0].trials, 1);
-  EXPECT_EQ(result.merged[1].trials, 2);
+  EXPECT_EQ(result.merged[0].cells, 1u);
+  EXPECT_EQ(result.merged[1].cells, 2u);
   EXPECT_TRUE(result.merge_violations.empty());
 }
 
@@ -305,7 +389,7 @@ TEST(ResumeDeterminismTest, FailedCellLeavesNoMetricsInTheExport) {
   options.jobs = 2;
   options.audit_fail_cell = 1;
   const MatrixResult failed = ExperimentMatrix(spec).Run(options);
-  ASSERT_EQ(failed.failures.size(), 1u);
+  ASSERT_EQ(failed.run.failures.size(), 1u);
   EXPECT_EQ(failed.statuses[1], CellStatus::kFailed);
   EXPECT_EQ(SimulatedMetricsCsv(failed.metrics), one_trial);
 }
@@ -318,11 +402,11 @@ TEST(ResumeDeterminismTest, ExpiredWatchdogFailsEveryCellAsTimeoutWithoutRecords
   options.journal_path = TempFileFor("timeout_run.jsonl");
   const MatrixResult result = matrix.Run(options);
 
-  ASSERT_TRUE(result.error.empty()) << result.error;
+  ASSERT_TRUE(result.run.error.empty()) << result.run.error;
   EXPECT_FALSE(result.complete());
-  EXPECT_EQ(result.cells_executed, 4u);
-  ASSERT_EQ(result.failures.size(), 4u);
-  for (const runtime::CellFailure& failure : result.failures) {
+  EXPECT_EQ(result.run.cells_executed, 4u);
+  ASSERT_EQ(result.run.failures.size(), 4u);
+  for (const runtime::CellFailure& failure : result.run.failures) {
     EXPECT_EQ(failure.kind, runtime::FailureKind::kTimeout) << failure.Render();
     EXPECT_EQ(failure.seed, matrix.cells()[failure.cell].seed);
     EXPECT_NE(failure.message.find("host deadline budget"), std::string::npos)
@@ -343,7 +427,7 @@ TEST(ResumeDeterminismTest, RecordLogHoldsOneVerifiedRecordPerCompletedCell) {
   options.journal_path = TempFileFor("record_log.jsonl");
   options.throw_cell = 3;
   const MatrixResult result = matrix.Run(options);
-  ASSERT_EQ(result.failures.size(), 1u);
+  ASSERT_EQ(result.run.failures.size(), 1u);
 
   // Cells 0-2 each left one record, in cell order, bound to this spec; the
   // failed cell 3 left none (it re-runs on resume).

@@ -109,8 +109,8 @@ TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
   spec.workloads = {workload::GamesStress()};
   spec.priorities = {28};
   spec.trials = 2;
-  spec.stress_minutes = 0.05;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.05;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 1999;
   const lab::ExperimentMatrix matrix(spec);
 
@@ -122,8 +122,8 @@ TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
   };
   const lab::MatrixResult serial = run(1);
   const lab::MatrixResult parallel = run(4);
-  ASSERT_TRUE(serial.complete()) << serial.error;
-  ASSERT_TRUE(parallel.complete()) << parallel.error;
+  ASSERT_TRUE(serial.complete()) << serial.run.error;
+  ASSERT_TRUE(parallel.complete()) << parallel.run.error;
   ASSERT_EQ(serial.merged.size(), 2u);
   for (std::size_t i = 0; i < serial.merged.size(); ++i) {
     SCOPED_TRACE(serial.merged[i].os_name);
@@ -147,8 +147,8 @@ TEST(SmpDeterminismTest, SmpMatrixBitIdenticalAcrossResume) {
   spec.workloads = {workload::GamesStress()};
   spec.priorities = {28};
   spec.trials = 4;
-  spec.stress_minutes = 0.05;
-  spec.warmup_seconds = 1.0;
+  spec.cell.stress_minutes = 0.05;
+  spec.cell.warmup_seconds = 1.0;
   spec.master_seed = 1999;
   const lab::ExperimentMatrix matrix(spec);
 
@@ -177,8 +177,8 @@ TEST(SmpDeterminismTest, SmpMatrixBitIdenticalAcrossResume) {
   lab::MatrixRunOptions second = first;
   second.max_cells = 0;
   const lab::MatrixResult resumed = matrix.Run(second);
-  EXPECT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 2u);
+  EXPECT_TRUE(resumed.complete()) << resumed.run.error;
+  EXPECT_EQ(resumed.run.cells_restored, 2u);
   EXPECT_EQ(digest(resumed), want);
 }
 
