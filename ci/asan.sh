@@ -14,9 +14,13 @@
 # the engine calendar's own suites: the engine, event-pool and timer units,
 # the differential check against a reference calendar (timers armed,
 # re-armed and disarmed among one-shots), and the reentrant dispatch fuzz,
-# which drive the sorted calendar vector's inserts, lazy drops and
-# compaction and a timer's persistent slot, which its owner may destroy
-# before or after the engine or from inside its own callable — plus the
+# which drive the sorted calendar vector's inserts and erases and a timer's
+# persistent slot, which its owner may destroy before the engine or from
+# inside its own callable (the engine asserts that no timer outlives it) —
+# plus the fault injector's suites (fault_test, fault_passivity_test,
+# timer_jitter_test, memory_pressure_test), whose trigger timers die with
+# the injector before the machine and whose pending burst events outlive
+# Stop() — plus the
 # ready queue's summary-mask storm against a brute-force scan — plus the
 # obs sinks' suites: the metrics registry (series references held across
 # inserts and merges), the anatomy (its span blocks retired whole, reused
@@ -61,9 +65,10 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   batch_dispatch_fuzz_test ready_queue_test \
   metrics_registry_test anatomy_test flight_recorder_test trace_test \
   report_io_test fleet_chaos_test record_codec_fuzz_test json_fuzz_test \
-  resume_determinism_test fleet_test fleet_determinism_test matrix_determinism_test
+  resume_determinism_test fleet_test fleet_determinism_test matrix_determinism_test \
+  fault_test fault_passivity_test timer_jitter_test memory_pressure_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest|ResumeDeterminismTest|EngineReset|FleetCells|FleetDeterminism|FleetRecords|FleetSpec|WarmCellRunner|MatrixDeterminismTest'
+  -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest|ResumeDeterminismTest|EngineReset|FleetCells|FleetDeterminism|FleetRecords|FleetSpec|WarmCellRunner|MatrixDeterminismTest|FaultPlanTest|FaultPlanJsonTest|FaultInjectorTest|KsStatisticTest|MttfSweepTest|FaultPassivityTest|TimerJitterTest|MemoryPressure'

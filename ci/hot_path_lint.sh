@@ -7,10 +7,11 @@
 #  - std::deque or <deque> appears anywhere under src/obs: the sinks run once
 #    per trace event and keep their trailing storage in reused buffers (the
 #    anatomy's span blocks), which a deque's per-block allocation would undo;
-#  - EventHandle appears anywhere under src/kernel or src/hw: their recurring
-#    completions (the dispatcher's thread and frame completions, the PIT,
-#    UHCI and audio device periods) re-arm a sim::Timer, whose callable is
-#    built once, instead of scheduling a new one-shot event each time.
+#  - EventHandle appears anywhere under src: the type is gone. The engine's
+#    calendar holds live entries only, and the one cancellable event is a
+#    sim::Timer, whose callable is built once and whose disarm erases its
+#    entry; recurring completions (the dispatcher's thread and frame
+#    completions, the PIT, UHCI and audio device periods) re-arm one.
 #  - snprintf with a "%.6f" format appears on one line under src/obs: the
 #    sinks print fixed six-decimal numbers through obs::AppendFixed6
 #    (src/obs/chrome_trace.h), one formatter that matches printf("%.6f")
@@ -50,8 +51,8 @@ check 'std::function|<functional>' "use sim::InplaceFunction in the per-event la
   src/sim src/kernel src/hw src/drivers src/workload || failed=1
 check 'std::deque|<deque>' "keep obs sink storage in reused buffers, not std::deque" \
   src/obs || failed=1
-check 'EventHandle' "re-arm a sim::Timer for recurring completions, not an EventHandle" \
-  src/kernel src/hw || failed=1
+check 'EventHandle' "arm and disarm a sim::Timer; EventHandle no longer exists" \
+  src || failed=1
 check 'snprintf.*%\.6f' "format %.6f numbers with obs::AppendFixed6, not snprintf" \
   src/obs || failed=1
 if [ "$failed" -ne 0 ]; then

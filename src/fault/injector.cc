@@ -62,15 +62,12 @@ void Injector::Start() {
 }
 
 void Injector::Stop() {
+  stopped_ = true;
   for (auto& state : specs_) {
-    state->next.Cancel();
+    state->next.Disarm();
     if (state->poisson) {
       state->poisson->Stop();
     }
-    for (sim::EventHandle& handle : state->burst_events) {
-      handle.Cancel();
-    }
-    state->burst_events.clear();
     state->jitter_ticks_left = 0;
   }
   if (pit_hook_installed_) {
@@ -144,15 +141,15 @@ void Injector::Arm(SpecState& state) {
   switch (spec.trigger) {
     case TriggerKind::kOneShot:
     case TriggerKind::kPeriodic:
-      state.next =
-          engine.ScheduleAfter(sim::MsToCycles(spec.at_ms), [this, sp] { Fire(*sp); });
+      state.next = sim::Timer(engine, [this, sp] { Fire(*sp); });
+      state.next.ArmAfter(sim::MsToCycles(spec.at_ms));
       break;
     case TriggerKind::kPoisson: {
       state.poisson = std::make_unique<sim::PoissonProcess>(
           engine, state.trigger_rng.Fork(), spec.rate_per_s, [this, sp] { Fire(*sp); });
       if (spec.at_ms > 0.0) {
-        state.next = engine.ScheduleAfter(sim::MsToCycles(spec.at_ms),
-                                          [sp] { sp->poisson->Start(); });
+        state.next = sim::Timer(engine, [sp] { sp->poisson->Start(); });
+        state.next.ArmAfter(sim::MsToCycles(spec.at_ms));
       } else {
         state.poisson->Start();
       }
@@ -173,10 +170,8 @@ void Injector::Fire(SpecState& state) {
   }
   ++state.fired;
   Activate(state);
-  SpecState* sp = &state;
   if (spec.trigger == TriggerKind::kPeriodic && (cap == 0 || state.fired < cap)) {
-    state.next = targets_.kernel->engine().ScheduleAfter(sim::MsToCycles(spec.period_ms),
-                                                         [this, sp] { Fire(*sp); });
+    state.next.ArmAfter(sim::MsToCycles(spec.period_ms));
   } else if (spec.trigger == TriggerKind::kPoisson && cap != 0 && state.fired >= cap &&
              state.poisson) {
     state.poisson->Stop();
@@ -192,13 +187,6 @@ void Injector::Activate(SpecState& state) {
   record.at = engine.now();
   record.events = spec.burst;
 
-  // Retire burst handles from earlier activations (they have fired by now if
-  // the spacing is shorter than the trigger period; cancelled handles are
-  // inert either way).
-  if (state.burst_events.size() > 4096) {
-    state.burst_events.clear();
-  }
-
   switch (spec.kind) {
     case FaultKind::kIrqStorm:
     case FaultKind::kDpcStorm:
@@ -208,14 +196,20 @@ void Injector::Activate(SpecState& state) {
         ++skipped_no_disk_;
         return;
       }
+      // The whole burst is scheduled up front; events still pending at
+      // Stop() return without acting.
       SpecState* sp = &state;
       for (int i = 0; i < spec.burst; ++i) {
         const sim::Cycles delay = sim::UsToCycles(spec.spacing_us * i);
-        auto run = [this, sp, i] { RunBurst(*sp, i); };
+        auto run = [this, sp] {
+          if (!stopped_) {
+            RunBurst(*sp);
+          }
+        };
         if (delay == 0) {
           run();
         } else {
-          state.burst_events.push_back(engine.ScheduleAfter(delay, run));
+          engine.ScheduleAfter(delay, run);
         }
       }
       break;
@@ -247,9 +241,11 @@ void Injector::Activate(SpecState& state) {
       // same-instant release would let the higher-priority victim win the
       // mutex and dissolve the inversion.
       const double victim_delay_us = spec.spacing_us > 0.0 ? spec.spacing_us : 50.0;
-      state.burst_events.push_back(engine.ScheduleAfter(
-          sim::UsToCycles(victim_delay_us),
-          [this] { targets_.kernel->KeReleaseSemaphore(&rig_->victim_sem); }));
+      engine.ScheduleAfter(sim::UsToCycles(victim_delay_us), [this] {
+        if (!stopped_) {
+          targets_.kernel->KeReleaseSemaphore(&rig_->victim_sem);
+        }
+      });
       break;
     }
     case FaultKind::kTimerJitter:
@@ -275,8 +271,7 @@ void Injector::Activate(SpecState& state) {
   log_.push_back(record);
 }
 
-void Injector::RunBurst(SpecState& state, int index) {
-  (void)index;
+void Injector::RunBurst(SpecState& state) {
   kernel::Kernel& k = *targets_.kernel;
   switch (state.spec->kind) {
     case FaultKind::kIrqStorm:

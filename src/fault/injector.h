@@ -68,8 +68,9 @@ class Injector {
   // Arm every spec's trigger. Must be called at most once, before the run.
   // No-op for an empty plan.
   void Start();
-  // Disarm all triggers (pending activations are cancelled; in-flight
-  // injected sections run to completion).
+  // Disarm all triggers. Nothing is injected after it: burst events and
+  // victim releases still pending return without acting, and in-flight
+  // injected sections run to completion.
   void Stop();
 
   const FaultPlan& plan() const { return plan_; }
@@ -89,11 +90,12 @@ class Injector {
     // the injector outlives the run).
     std::string function;
     std::uint64_t fired = 0;
-    sim::EventHandle next;                          // one-shot / periodic
+    // The one-shot or periodic trigger, or the delayed start of a poisson
+    // trigger.
+    sim::Timer next;
     std::unique_ptr<sim::PoissonProcess> poisson;   // poisson
     int irq_line = -1;                              // irq_storm
     std::vector<std::unique_ptr<kernel::KDpc>> dpc_pool;  // dpc_storm
-    std::vector<sim::EventHandle> burst_events;
     // timer_jitter: PIT ticks still owed a drift sample from this spec's
     // payload stream (each activation adds `burst`).
     std::uint64_t jitter_ticks_left = 0;
@@ -114,7 +116,7 @@ class Injector {
   void Arm(SpecState& state);
   void Fire(SpecState& state);
   void Activate(SpecState& state);
-  void RunBurst(SpecState& state, int index);
+  void RunBurst(SpecState& state);
   kernel::Label LabelFor(const SpecState& state) const;
   void EnsureInversionRig();
   void HolderLoop();
@@ -124,6 +126,7 @@ class Injector {
   FaultPlan plan_;
   std::uint64_t cell_seed_;
   bool started_ = false;
+  bool stopped_ = false;
 
   std::vector<std::unique_ptr<SpecState>> specs_;
   std::unique_ptr<InversionRig> rig_;

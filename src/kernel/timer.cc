@@ -4,26 +4,14 @@
 
 namespace wdmlat::kernel {
 
-namespace {
-// Same floor as the engine calendar: below this, lazy purge at due time is
-// cheaper than a rebuild.
-constexpr std::size_t kCompactMinEntries = 64;
-}  // namespace
-
 void TimerQueue::Set(KTimer* timer, sim::Cycles due, sim::Cycles period, KDpc* dpc) {
   assert(timer != nullptr);
-  if (timer->active_) {
-    // Implicit cancel of the previous arming.
-    --active_count_;
-  }
-  ++timer->generation_;
+  Cancel(timer);  // implicit cancel of the previous arming (KeSetTimer)
   timer->due_ = due;
   timer->period_ = period;
   timer->dpc_ = dpc;
   timer->active_ = true;
-  ++active_count_;
-  Push(HeapEntry{due, next_seq_++, timer, timer->generation_});
-  MaybeCompact();
+  Insert(timer);
 }
 
 bool TimerQueue::Cancel(KTimer* timer) {
@@ -31,27 +19,9 @@ bool TimerQueue::Cancel(KTimer* timer) {
   if (!timer->active_) {
     return false;
   }
-  ++timer->generation_;  // invalidate the heap entry lazily
+  sim::CalendarErase(calendar_, timer->due_, timer->seq_);
   timer->active_ = false;
-  --active_count_;
-  MaybeCompact();
   return true;
-}
-
-void TimerQueue::MaybeCompact() {
-  // Each active timer owns exactly one current heap entry; everything beyond
-  // that is a stale arming. The latency driver re-Sets its timer on every
-  // sample, so without compaction a long-due stale entry per sample would
-  // ride the heap until its due time.
-  if (heap_.size() < kCompactMinEntries || heap_.size() - active_count_ <= heap_.size() / 2) {
-    return;
-  }
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [](const HeapEntry& e) {
-                               return !e.timer->active_ || e.generation != e.timer->generation_;
-                             }),
-              heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), FiresLater{});
 }
 
 }  // namespace wdmlat::kernel

@@ -8,23 +8,22 @@
 // original; NT 4.0 added periodic timers (paper Section 2.2), which we also
 // support.
 //
-// The queue shares the engine calendar's allocation-free design — POD
-// entries, generation-tagged so Cancel/re-Set invalidate lazily, with bulk
-// compaction once stale entries outnumber active timers — but keeps them in
-// a binary heap where the calendar keeps a sorted vector.
-// ExpireDue is templated on the fire functor so the per-tick call from the
-// clock ISR wraps it in no callable object, and dispatches in collect-then-fire
-// batches so a tick with many due timers does one heap drain, not an
-// interleaved pop-fire-pop walk.
+// The queue keeps its entries in the engine calendar's fire-order vector
+// (src/sim/calendar.h): POD entries sorted in reverse (due, seq) order, live
+// ones only, so Cancel and a re-Set erase the timer's entry at once, as
+// KeCancelTimer unlinks it. ExpireDue is templated on the fire functor so the
+// per-tick call from the clock ISR wraps it in no callable object, and
+// dispatches in collect-then-fire batches so a tick with many due timers
+// does one drain, not an interleaved pop-fire-pop walk.
 
 #ifndef SRC_KERNEL_TIMER_H_
 #define SRC_KERNEL_TIMER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/kernel/dpc.h"
+#include "src/sim/calendar.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::kernel {
@@ -45,7 +44,7 @@ class KTimer {
   sim::Cycles period_ = 0;  // 0 = single shot
   KDpc* dpc_ = nullptr;
   bool active_ = false;
-  std::uint64_t generation_ = 0;  // invalidates stale heap entries
+  std::uint64_t seq_ = 0;  // while active: the seq of its queue entry
 };
 
 class TimerQueue {
@@ -63,9 +62,9 @@ class TimerQueue {
   // DPCs simply complete). Returns the number of timers expired.
   //
   // Dispatch is batched: one collection pass pops every due entry in
-  // (due, seq) order — re-arming periodic timers and popping them again in
-  // the same pass if their next due is still within `now`, exactly as the
-  // per-pop loop did — then the fire functor runs over the whole batch.
+  // (due, seq) order — re-arming periodic timers at their sorted place and
+  // popping them again in the same pass if their next due is still within
+  // `now` — then the fire functor runs over the whole batch.
   // The outer loop re-collects afterwards so a timer Set from inside `fire`
   // with an already-elapsed due still expires on this tick. Not reentrant
   // (single scratch buffer); only the clock ISR calls it.
@@ -74,23 +73,16 @@ class TimerQueue {
     int expired = 0;
     for (;;) {
       scratch_.clear();
-      while (!heap_.empty() && heap_.front().due <= now) {
-        const HeapEntry entry = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
-        heap_.pop_back();
-        KTimer* timer = entry.timer;
-        if (!timer->active_ || entry.generation != timer->generation_) {
-          continue;  // stale: cancelled or superseded by a re-Set
-        }
+      while (!calendar_.empty() && calendar_.back().when <= now) {
+        KTimer* timer = calendar_.back().timer;
+        calendar_.pop_back();
         if (timer->period_ > 0) {
           // Periodic: re-arm relative to the due time, not the tick, so the
           // period does not drift.
           timer->due_ += timer->period_;
-          ++timer->generation_;
-          Push(HeapEntry{timer->due_, next_seq_++, timer, timer->generation_});
+          Insert(timer);
         } else {
           timer->active_ = false;
-          --active_count_;
         }
         // The DPC is latched at expiry: a re-Set from inside `fire` must not
         // retarget this batch's dispatch.
@@ -106,43 +98,30 @@ class TimerQueue {
     }
   }
 
-  std::size_t pending() const { return active_count_; }
-
-  // Observability: stale (cancelled / superseded) entries still in the heap.
-  std::size_t stale_entries() const {
-    return heap_.size() > active_count_ ? heap_.size() - active_count_ : 0;
-  }
+  // Active timers: the queue holds exactly one entry for each.
+  std::size_t pending() const { return calendar_.size(); }
 
  private:
-  struct HeapEntry {
-    sim::Cycles due;
+  struct Entry {
+    sim::Cycles when;
     std::uint64_t seq;
     KTimer* timer;
-    std::uint64_t generation;
   };
   struct ExpiredTimer {
     KTimer* timer;
     KDpc* dpc;
   };
-  struct FiresLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.due != b.due) {
-        return a.due > b.due;
-      }
-      return a.seq > b.seq;
-    }
-  };
 
-  void Push(HeapEntry entry) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
+  // Queue `timer` at its due time with the next sequence number.
+  void Insert(KTimer* timer) {
+    timer->seq_ = next_seq_++;
+    sim::CalendarInsert(calendar_, Entry{timer->due_, timer->seq_, timer});
   }
-  void MaybeCompact();
 
-  std::vector<HeapEntry> heap_;
+  // Active timers sorted in reverse fire order: the back expires next.
+  std::vector<Entry> calendar_;
   std::vector<ExpiredTimer> scratch_;  // batched-dispatch buffer, reused per tick
   std::uint64_t next_seq_ = 0;
-  std::size_t active_count_ = 0;
 };
 
 }  // namespace wdmlat::kernel

@@ -21,6 +21,13 @@ namespace {
 // one.
 constexpr double kSupervisedSliceS = 1.0;
 
+// The episode cause tool samples the instruction pointer from the PIT hook,
+// as the paper's tool does (Section 2.3); the NMI period applies only to
+// the Section 6.1 NMI mode, which table4 drives through drivers::CauseTool
+// directly.
+constexpr drivers::CauseTool::Sampling kEpisodeSampling = drivers::CauseTool::Sampling::kPitHook;
+constexpr double kEpisodeNmiPeriodMs = 0.2;
+
 // The supervised measurement phase: the same cycle-space span as a single
 // RunUntil call, cut into slices so the watchdog and auditor get control
 // between events without perturbing them. RunUntil fires exactly the events
@@ -138,8 +145,8 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
     drivers::CauseTool::Config tool_config;
     tool_config.threshold_ms = obs.episode_threshold_us / 1000.0;
     tool_config.max_episodes = obs.max_episodes;
-    tool_config.sampling = obs.sampling;
-    tool_config.nmi_period_ms = obs.nmi_period_ms;
+    tool_config.sampling = kEpisodeSampling;
+    tool_config.nmi_period_ms = kEpisodeNmiPeriodMs;
     cause_tool = std::make_unique<drivers::CauseTool>(system.kernel(), driver, tool_config);
     cause_tool->Start();  // registers its long-latency callback first
 
@@ -176,9 +183,10 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
   if (!fanout.empty()) {
     system.kernel().SetTraceSink(&fanout);
   }
-  // The writer sees counter samples only when both a trace and metrics are
-  // requested for the same run (single-cell mode; matrix cells sample into
-  // their per-cell registries without a shared writer).
+  // The sampler runs only when it has somewhere to write: the run's
+  // registry, the trace's counter track (when the sink is a
+  // ChromeTraceWriter), or both. A matrix attaches the trace to one cell
+  // only, so only that cell samples onto it.
   obs::QueueDepthSampler sampler(
       system.kernel(), obs.metrics,
       dynamic_cast<obs::ChromeTraceWriter*>(obs.trace_sink), obs.queue_sample_ms);

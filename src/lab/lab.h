@@ -21,7 +21,6 @@
 
 #include <vector>
 
-#include "src/drivers/cause_tool.h"
 #include "src/drivers/latency_driver.h"
 #include "src/fault/fault.h"
 #include "src/kernel/profile.h"
@@ -56,10 +55,6 @@ struct ObsOptions {
   // thread-latency threshold; episode summaries land in LabReport::episodes.
   double episode_threshold_us = 0.0;
   std::size_t max_episodes = 64;
-  // Cause-tool IP-sampling mode + NMI period (paper 2.3 vs 6.1) for the
-  // episode tool armed by episode_threshold_us.
-  drivers::CauseTool::Sampling sampling = drivers::CauseTool::Sampling::kPitHook;
-  double nmi_period_ms = 0.2;
   // Attach an obs::LatencyAnatomy sink (needs episode_threshold_us > 0):
   // exact per-episode stage decomposition into LabReport::anatomy. A passive
   // trace sink — measured distributions stay bit-identical.

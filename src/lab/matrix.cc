@@ -261,8 +261,6 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
     LabConfig config = cells_[i].config;
     if (spec_.collect_metrics) {
       config.obs.metrics = &cell_metrics[i];
-    } else {
-      config.obs.queue_sample_ms = 0.0;
     }
     if (i == *traced_cell) {
       config.obs.trace_sink = spec_.trace_sink;

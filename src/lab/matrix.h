@@ -49,8 +49,9 @@ struct MatrixSpec {
   // Every cell's LabConfig: durations, machine options, driver, the fault
   // plan (borrowed; each cell's injector derives its streams from the plan
   // seed and the cell seed) and the obs knobs (episode threshold, anatomy,
-  // sketch; queue sampling only with collect_metrics). A cell takes its os,
-  // stress, thread_priority and seed from the axes. obs.metrics,
+  // sketch; queue sampling feeds each cell's registry under collect_metrics
+  // and the traced cell's counter track under trace_sink). A cell takes its
+  // os, stress, thread_priority and seed from the axes. obs.metrics,
   // obs.trace_sink and supervision must stay unset, since collect_metrics,
   // trace_sink and MatrixRunOptions set them: Run refuses such a template.
   LabConfig cell;

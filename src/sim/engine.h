@@ -15,105 +15,42 @@
 // allocation-free in steady state: event records live in a slab/free-list
 // EventPool, callbacks are small-buffer-optimized InplaceCallbacks, and the
 // calendar stores plain POD entries in a vector that keeps its capacity.
-// Cancelled events leave stale entries behind that are dropped when they
-// reach the back and compacted when they outnumber the live ones (see
-// DESIGN.md §7 for the invariants).
+// The calendar holds live entries only: disarming a timer erases its entry
+// at once (see DESIGN.md §7 for the invariants).
 //
 // Two kinds of event share the calendar. A one-shot event (ScheduleAt /
 // ScheduleAfter) builds its callable into a pool slot that is freed when it
-// fires or is cancelled; an EventHandle cancels it. A Timer owns one pool
-// slot for its whole life and builds its callable there once: each arming
-// inserts one calendar entry, and firing runs the callable in place. Both
-// take the next insertion sequence number per calendar entry, so a client
-// that moves from re-scheduling one callable to re-arming a Timer fires in
-// exactly the same order.
+// fires; it cannot be cancelled. A Timer owns one pool slot for its whole
+// life and builds its callable there once: each arming inserts one calendar
+// entry, disarming or re-arming erases it, and firing runs the callable in
+// place. Both take the next insertion sequence number per calendar entry,
+// so a client that moves from re-scheduling one callable to re-arming a
+// Timer fires in exactly the same order.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/sim/calendar.h"
 #include "src/sim/event_pool.h"
 #include "src/sim/inplace_callback.h"
 #include "src/sim/time.h"
 
 namespace wdmlat::sim {
 
-class Engine;
-
-// Cancellable reference to a scheduled event: {pool, slot, generation}.
-// Default-constructed handles are inert; cancelling an already-fired or
-// already-cancelled event is a no-op, as is cancelling through a handle whose
-// slot has been recycled for a newer event or whose engine has been
-// destroyed (the handle's pool reference keeps the slot memory valid).
-class EventHandle {
- public:
-  EventHandle() = default;
-  EventHandle(const EventHandle& other)
-      : pool_(other.pool_), generation_(other.generation_), slot_(other.slot_) {
-    if (pool_ != nullptr) {
-      pool_->AddRef();
-    }
-  }
-  EventHandle(EventHandle&& other) noexcept
-      : pool_(other.pool_), generation_(other.generation_), slot_(other.slot_) {
-    other.pool_ = nullptr;
-  }
-  EventHandle& operator=(const EventHandle& other) {
-    EventHandle copy(other);
-    swap(copy);
-    return *this;
-  }
-  EventHandle& operator=(EventHandle&& other) noexcept {
-    swap(other);
-    return *this;
-  }
-  ~EventHandle() {
-    if (pool_ != nullptr) {
-      pool_->Release();
-    }
-  }
-
-  // True if the event is still pending (not fired, not cancelled).
-  bool pending() const { return pool_ != nullptr && pool_->generation(slot_) == generation_; }
-
-  // Prevent the event from firing. Safe to call in any state.
-  void Cancel() {
-    if (pool_ != nullptr) {
-      pool_->CancelIfCurrent(slot_, generation_);
-    }
-  }
-
- private:
-  friend class Engine;
-  EventHandle(EventPool* pool, std::uint32_t slot, std::uint64_t generation)
-      : pool_(pool), generation_(generation), slot_(slot) {
-    pool_->AddRef();
-  }
-  void swap(EventHandle& other) noexcept {
-    std::swap(pool_, other.pool_);
-    std::swap(generation_, other.generation_);
-    std::swap(slot_, other.slot_);
-  }
-
-  EventPool* pool_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::uint32_t slot_ = EventPool::kInvalidSlot;
-};
-
 class Engine {
  public:
   using Callback = InplaceCallback;
 
-  Engine() : pool_(new EventPool) {}
-  ~Engine() {
-    pool_->Shutdown();
-    pool_->Release();
-  }
+  Engine() = default;
+  // Every Timer on this engine must be destroyed before it.
+  ~Engine() { assert(pool_.timers() == 0 && "a sim::Timer outlived its engine"); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -125,27 +62,25 @@ class Engine {
   // The callable is constructed directly into its pool slot, so for captures
   // within InplaceCallback::kInlineSize this performs no heap allocation.
   template <typename F>
-  EventHandle ScheduleAt(Cycles when, F&& cb) {
+  void ScheduleAt(Cycles when, F&& cb) {
     if (when < now_) {
       when = now_;
     }
-    const std::uint32_t slot = pool_->Allocate(std::forward<F>(cb));
-    const std::uint64_t generation = pool_->generation(slot);
-    Insert(QueueEntry{when, next_seq_++, generation, slot});
-    return EventHandle(pool_, slot, generation);
+    const std::uint32_t slot = pool_.Allocate(std::forward<F>(cb));
+    CalendarInsert(calendar_, QueueEntry{when, next_seq_++, slot});
   }
 
   // Schedule `cb` `delay` cycles from now.
   template <typename F>
-  EventHandle ScheduleAfter(Cycles delay, F&& cb) {
-    return ScheduleAt(now_ + delay, std::forward<F>(cb));
+  void ScheduleAfter(Cycles delay, F&& cb) {
+    ScheduleAt(now_ + delay, std::forward<F>(cb));
   }
 
   // Execute the next pending event, if any. Returns false when the calendar
   // is empty.
   bool Step() {
     QueueEntry entry;
-    if (!PopNextLive(kNoDeadline, &entry)) {
+    if (!PopNext(kNoDeadline, &entry)) {
       return false;
     }
     Fire(entry);
@@ -164,102 +99,74 @@ class Engine {
 
   // Warm reuse: return the engine to its freshly constructed state — time 0,
   // sequence 0, empty calendar — while keeping the calendar vector's and the
-  // pool's grown capacity. Outstanding events are cancelled wholesale (their
-  // captured state is released and stale handles read "not pending") and
-  // live timers are disarmed, keeping their slots and callables, so
-  // callers must have torn down anything that expects its callbacks to still
-  // fire. A run on a reset engine is bit-identical to one on a new engine:
-  // fire order is (when, seq) and both restart from zero (guarded by the
-  // fleet golden-checksum test). Defined in engine.cc.
+  // pool's grown capacity. Outstanding one-shots are dropped (their captured
+  // state is released) and live timers are disarmed, keeping their slots
+  // and callables, so callers must have torn down anything that expects its
+  // callbacks to still fire. A run on a reset engine is bit-identical to one
+  // on a new engine: fire order is (when, seq) and both restart from zero
+  // (guarded by the fleet golden-checksum test). Defined in engine.cc.
   void Reset();
 
   std::uint64_t events_processed() const { return events_processed_; }
 
-  // Number of scheduled-and-not-yet-fired events and armed timers, excluding
-  // cancelled ones (their calendar entries linger until they reach the back
-  // of the calendar or are compacted away, but they no longer count). Tests
-  // can therefore assert on calendar size.
-  std::size_t events_pending() const { return pool_->live(); }
+  // Scheduled-and-not-yet-fired one-shots plus armed timers: the calendar
+  // holds exactly one entry for each.
+  std::size_t events_pending() const { return calendar_.size(); }
 
-  // Observability: stale (cancelled) entries still occupying the calendar,
-  // and how many times the calendar has been compacted.
-  std::size_t stale_entries() const { return calendar_.size() - pool_->live(); }
-  std::uint64_t compactions() const { return compactions_; }
+  // Always 0: the calendar holds live entries only, so there is nothing to
+  // compact. Kept only because perfbench/workloads.cc reads it for its
+  // sim.compactions_per_vsec metric.
+  std::uint64_t compactions() const { return 0; }
 
   // Invariant audit for sim::InvariantAuditor: validates that the calendar
-  // is sorted in fire order, that no live entry is scheduled in the past,
-  // that sequence numbers were issued before next_seq_, that every live pool
-  // slot owns exactly one calendar entry, and the pool's
-  // slab/free-list/generation consistency. Appends one line per violation;
+  // is sorted in fire order, that its sequence numbers were issued before
+  // next_seq_, that no entry is scheduled in the past, that each entry's
+  // slot is a scheduled one-shot or the armed timer whose (when, seq) the
+  // entry carries, that the pending slots number exactly the entries, and
+  // the pool's slab/free-list consistency. Appends one line per violation;
   // appends nothing when healthy.
   void AuditCalendar(std::vector<std::string>* violations) const;
 
  private:
-  // POD calendar entry: no refcounts, no indirection on insert. `generation`
-  // pins the entry to one pool-slot incarnation; a mismatch means the event
-  // was cancelled and the entry is dead.
   struct QueueEntry {
     Cycles when;
     std::uint64_t seq;
-    std::uint64_t generation;
     std::uint32_t slot;
   };
-  // The engine's total fire order is ascending (when, seq); the calendar is
-  // kept sorted under "fires later", so the next event sits at the back.
-  static bool FiresLater(const QueueEntry& a, const QueueEntry& b) {
-    if (a.when != b.when) {
-      return a.when > b.when;
-    }
-    return a.seq > b.seq;
-  }
 
   static constexpr Cycles kNoDeadline = std::numeric_limits<Cycles>::max();
-  // Below this calendar size, compaction is never worth the sweep; dead
-  // entries are dropped for free when they reach the back.
-  static constexpr std::size_t kCompactMinEntries = 64;
 
-  // Insert in fire order. The new entry carries the largest seq issued, so
-  // it goes in front of (fires after) every entry with the same `when`. Most
-  // events are scheduled a short way ahead, so the scan from the back is
-  // short and the insert moves few entries.
-  void Insert(const QueueEntry& entry) {
-    auto pos = calendar_.end();
-    while (pos != calendar_.begin() && FiresLater(entry, *(pos - 1))) {
-      --pos;
+  // Pop the next entry into `out` if its time is <= `deadline`. Shared by
+  // Step and RunUntil.
+  bool PopNext(Cycles deadline, QueueEntry* out) {
+    if (calendar_.empty() || calendar_.back().when > deadline) {
+      return false;
     }
-    calendar_.insert(pos, entry);
-    MaybeCompact();
-  }
-
-  // Drop dead entries (generation mismatch = cancelled) from the back, even
-  // beyond the deadline, then pop the next live entry into `out` if its
-  // time is <= `deadline`. Shared by Step and RunUntil.
-  bool PopNextLive(Cycles deadline, QueueEntry* out) {
-    while (!calendar_.empty()) {
-      const QueueEntry& entry = calendar_.back();
-      if (pool_->generation(entry.slot) != entry.generation) {
-        calendar_.pop_back();
-        continue;
-      }
-      if (entry.when > deadline) {
-        return false;
-      }
-      *out = entry;
-      calendar_.pop_back();
-      return true;
-    }
-    return false;
+    *out = calendar_.back();
+    calendar_.pop_back();
+    return true;
   }
 
   friend class Timer;
 
-  // Timer support: one calendar entry per arming, with the next sequence
-  // number, exactly as ScheduleAt would insert it.
+  // Timer support: erase the timer's pending entry, if any, then insert one
+  // calendar entry with the next sequence number, exactly as ScheduleAt
+  // would insert it.
   void ArmTimer(std::uint32_t slot, Cycles when) {
     if (when < now_) {
       when = now_;
     }
-    Insert(QueueEntry{when, next_seq_++, pool_->ArmTimer(slot), slot});
+    DisarmTimer(slot);
+    const std::uint64_t seq = next_seq_++;
+    pool_.ArmTimer(slot, when, seq);
+    CalendarInsert(calendar_, QueueEntry{when, seq, slot});
+  }
+
+  void DisarmTimer(std::uint32_t slot) {
+    if (pool_.armed(slot)) {
+      CalendarErase(calendar_, pool_.when(slot), pool_.seq(slot));
+      pool_.DisarmTimer(slot);
+    }
   }
 
   // Fire a popped entry: advance time, run the callback. A timer's callable
@@ -267,95 +174,75 @@ class Engine {
   void Fire(const QueueEntry& entry) {
     now_ = entry.when;
     ++events_processed_;
-    if (pool_->is_timer(entry.slot)) {
-      pool_->FireTimer(entry.slot);
+    if (pool_.is_timer(entry.slot)) {
+      pool_.FireTimer(entry.slot);
       return;
     }
-    // Move the callback out of the pool (freeing the slot for reuse) so
-    // captured state dies with this scope even if a handle outlives the
-    // event, and so the callback may itself schedule into the freed slot.
-    InplaceCallback cb = pool_->Take(entry.slot);
+    // Move the callback out of the pool (freeing the slot for reuse) so the
+    // callback may itself schedule into the freed slot.
+    InplaceCallback cb = pool_.Take(entry.slot);
     cb();
   }
-
-  // Sweep dead entries out once they outnumber live ones. Every live event
-  // owns exactly one calendar entry, so the dead-entry count is the stored
-  // excess over the pool's live count.
-  void MaybeCompact() {
-    const std::size_t stored = calendar_.size();
-    if (stored >= kCompactMinEntries && stored - pool_->live() > stored / 2) {
-      Compact();
-    }
-  }
-  void Compact();
 
   Cycles now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::uint64_t compactions_ = 0;
   bool stop_requested_ = false;
-  EventPool* pool_;
-  // Every scheduled entry, live or dead, sorted under FiresLater: the back
-  // is the next to fire.
+  EventPool pool_;
+  // One entry per scheduled one-shot and armed timer, sorted under
+  // FiresLater: the back is the next to fire.
   std::vector<QueueEntry> calendar_;
 };
 
 // Re-armable event: a callable built once into a persistent pool slot,
-// fired each time the timer is armed. For a recurring completion this
-// replaces ScheduleAfter + EventHandle::Cancel, without a per-arming
-// callable, pool claim or handle refcount. Arming an armed timer disarms it
-// first; disarming leaves a stale calendar entry, as Cancel does. When the
-// timer fires it is disarmed before its callable runs, so the callable may
-// re-arm it. Destroying a timer disarms it and frees its slot; the timer
-// holds a pool reference, so it may outlive its engine (it is then inert).
+// fired each time the timer is armed. Arming an armed timer disarms it
+// first; disarming erases its calendar entry. When the timer fires it is
+// disarmed before its callable runs, so the callable may re-arm it.
+// Destroying a timer disarms it and frees its slot. A timer must not outlive
+// its engine; the engine's destructor asserts that none does.
 class Timer {
  public:
   Timer() = default;
   template <typename F>
   Timer(Engine& engine, F&& cb)
-      : engine_(&engine),
-        pool_(engine.pool_),
-        slot_(engine.pool_->AllocateTimer(std::forward<F>(cb))) {
+      : engine_(&engine), slot_(engine.pool_.AllocateTimer(std::forward<F>(cb))) {
     static_assert(InplaceCallback::kFitsInline<F>,
                   "timers re-fire one callable for the life of their owner and "
                   "must never take the callback heap-fallback path");
-    pool_->AddRef();
   }
   Timer(Timer&& other) noexcept
-      : engine_(other.engine_), pool_(std::exchange(other.pool_, nullptr)), slot_(other.slot_) {}
+      : engine_(std::exchange(other.engine_, nullptr)), slot_(other.slot_) {}
   Timer& operator=(Timer&& other) noexcept {
     Timer moved(std::move(other));
     std::swap(engine_, moved.engine_);
-    std::swap(pool_, moved.pool_);
     std::swap(slot_, moved.slot_);
     return *this;
   }
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
   ~Timer() {
-    if (pool_ != nullptr) {
-      pool_->FreeTimer(slot_);
-      pool_->Release();
+    if (engine_ != nullptr) {
+      engine_->DisarmTimer(slot_);
+      engine_->pool_.FreeTimer(slot_);
     }
   }
 
   // Fire at absolute time `when` (clamped to now()), replacing any pending
-  // arming. The engine must still be alive.
+  // arming.
   void ArmAt(Cycles when) { engine_->ArmTimer(slot_, when); }
   void ArmAfter(Cycles delay) { ArmAt(engine_->now() + delay); }
 
   // Cancel the pending arming, if any. Safe to call in any state.
   void Disarm() {
-    if (pool_ != nullptr) {
-      pool_->DisarmTimer(slot_);
+    if (engine_ != nullptr) {
+      engine_->DisarmTimer(slot_);
     }
   }
 
-  bool armed() const { return pool_ != nullptr && (pool_->generation(slot_) & 1) != 0; }
+  bool armed() const { return engine_ != nullptr && engine_->pool_.armed(slot_); }
 
  private:
   Engine* engine_ = nullptr;
-  EventPool* pool_ = nullptr;
   std::uint32_t slot_ = EventPool::kInvalidSlot;
 };
 

@@ -4,12 +4,12 @@
 // A corrupted calendar or pool does not necessarily crash: it silently skews
 // the latency distributions the whole experiment exists to measure. The
 // auditor makes corruption loud instead. It owns the built-in engine checks
-// (calendar consistency — fire-order sort, no live event in the past, issued
-// sequence numbers, one entry per live event — plus pool
-// generation/refcount/free-list consistency and time monotonicity across
-// audits) and accepts named external checks from the
-// layers the sim library cannot see (the kernel dispatcher's IRQL/lock
-// discipline, the lab layer's histogram count conservation). The lab run
+// (calendar consistency — fire-order sort, no entry in the past, issued
+// sequence numbers, each entry owned by a scheduled one-shot or its timer's
+// arming and one entry per pending slot — plus pool free-list consistency
+// and time monotonicity across audits) and accepts named external checks
+// from the layers the sim library cannot see (the kernel dispatcher's
+// IRQL/lock discipline, the lab layer's histogram count conservation). The lab run
 // loop audits between simulation slices and once more after the run; a
 // non-empty report degrades the cell to `failed` (runtime::FailureKind::
 // kInvariantViolation) so the merged matrix result never absorbs data from

@@ -1,19 +1,20 @@
 // Differential model check of the event calendar.
 //
 // sim::Engine keeps its calendar as one vector sorted in reverse fire order
-// with lazily dropped cancelled entries and bulk compaction; this test pins
-// its observable behavior to a reference model so trivially simple it is
-// obviously correct: a flat vector scanned for the minimum (when, seq) on
-// every pop. Both sides are driven through ~1M randomized schedule / cancel
-// / timer arm / timer disarm / fire / advance ops per seed and must agree on
-// the complete fire order (including equal-tick FIFO ties), on now(), and on
-// the pending count after every op. The op mix covers same-instant ties,
-// zero delays, cancel-then-reschedule of the same pool slot, short and long
-// delays, delays astride a fixed boundary, and multi-boundary delays that
-// stay pending while many nearer events fire past them. A few sim::Timers
-// are armed, re-armed and disarmed among the one-shots; in the reference a
-// timer is plain cancel + schedule of its id, which is the fire order a
-// timer must reproduce.
+// that holds live entries only: disarming or re-arming a timer erases its
+// entry wherever it sits. This test pins its observable behavior to a
+// reference model so trivially simple it is obviously correct: a flat vector
+// scanned for the minimum (when, seq) on every pop. Both sides are driven
+// through ~1M randomized schedule / timer arm / timer disarm / fire /
+// advance ops per seed and must agree on the complete fire order (including
+// equal-tick FIFO ties), on now(), and on the pending count after every op.
+// The op mix covers same-instant ties, zero delays, disarm-then-re-arm of
+// the same timer, short and long delays, delays astride a fixed boundary,
+// and multi-boundary delays that stay pending while many nearer events fire
+// past them. Hundreds of sim::Timers are armed, re-armed and disarmed among
+// the one-shots, so erases hit every depth of the calendar; in the
+// reference a timer is plain cancel + schedule of its id, which is the fire
+// order a timer must reproduce.
 //
 // On divergence the failing op sequence is shrunk (ddmin-style chunk
 // removal) before reporting, so a regression presents as a few ops, not a
@@ -34,22 +35,20 @@ namespace wdmlat::sim {
 namespace {
 
 struct Op {
-  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil, kArm, kDisarm };
+  enum Kind : std::uint8_t { kSchedule, kStep, kRunUntil, kArm, kDisarm };
   Kind kind;
   bool tie;             // kSchedule / kArm: reuse the previous op's absolute time
   std::uint64_t delay;  // kSchedule / kArm / kRunUntil: cycles from now()
-  // kCancel: reduced modulo the ids issued so far; kArm / kDisarm: reduced
-  // modulo kTimers.
-  std::uint32_t victim;
+  std::uint32_t victim;  // kArm / kDisarm: reduced modulo kTimers
 };
 
 // Timers in play. A timer's log id is -(index + 1), apart from the
 // one-shots' ids 0, 1, 2, ...
-constexpr std::uint32_t kTimers = 8;
+constexpr std::uint32_t kTimers = 256;
 int TimerId(std::uint32_t index) { return -static_cast<int>(index) - 1; }
 
-// The reference calendar: minimum-scan over a flat vector. No ordering, no
-// lazy purge — cancel erases immediately.
+// The reference calendar: minimum-scan over a flat vector, kept in no
+// order; cancel erases immediately.
 class ReferenceCalendar {
  public:
   Cycles now = 0;
@@ -136,8 +135,6 @@ std::string DescribeOp(const Op& op) {
     case Op::kSchedule:
       return op.tie ? "schedule{tie with previous when}"
                     : "schedule{delay=" + std::to_string(op.delay) + "}";
-    case Op::kCancel:
-      return "cancel{victim#" + std::to_string(op.victim) + "}";
     case Op::kStep:
       return "step{}";
     case Op::kRunUntil:
@@ -157,7 +154,7 @@ std::string DescribeOp(const Op& op) {
 std::optional<std::string> RunOps(const std::vector<Op>& ops) {
   Engine engine;
   ReferenceCalendar reference;
-  std::vector<EventHandle> handles;
+  int next_id = 0;
   std::vector<int> engine_log;
   std::vector<Timer> timers;
   for (std::uint32_t t = 0; t < kTimers; ++t) {
@@ -198,8 +195,8 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
         const Cycles when = op.tie ? std::max(last_when, engine.now())
                                    : engine.now() + static_cast<Cycles>(op.delay);
         last_when = when;
-        const int id = static_cast<int>(handles.size());
-        handles.push_back(engine.ScheduleAt(when, [id, &engine_log] { engine_log.push_back(id); }));
+        const int id = next_id++;
+        engine.ScheduleAt(when, [id, &engine_log] { engine_log.push_back(id); });
         reference.Schedule(when, id);
         break;
       }
@@ -217,15 +214,6 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
         const std::uint32_t t = op.victim % kTimers;
         timers[t].Disarm();
         reference.Cancel(TimerId(t));
-        break;
-      }
-      case Op::kCancel: {
-        if (handles.empty()) {
-          break;
-        }
-        const int id = static_cast<int>(op.victim % handles.size());
-        handles[static_cast<std::size_t>(id)].Cancel();
-        reference.Cancel(id);
         break;
       }
       case Op::kStep: {
@@ -316,8 +304,8 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
     Op op{};
     const std::uint64_t kind = rng.UniformInt(0, 99);
     if (kind < 45) {
-      // One in four timed ops arms a timer (re-arming it if it is armed).
-      op.kind = rng.UniformInt(0, 3) == 0 ? Op::kArm : Op::kSchedule;
+      // Half the timed ops arm a timer (re-arming it if it is armed).
+      op.kind = rng.UniformInt(0, 1) == 0 ? Op::kArm : Op::kSchedule;
       op.victim = static_cast<std::uint32_t>(rng.NextU64());
       const std::uint64_t shape = rng.UniformInt(0, 9);
       if (shape == 0) {
@@ -336,8 +324,7 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
         op.delay = rng.UniformInt(kLong, 4 * kLong);
       }
     } else if (kind < 60) {
-      // One in five cancels disarms a timer instead.
-      op.kind = rng.UniformInt(0, 4) == 0 ? Op::kDisarm : Op::kCancel;
+      op.kind = Op::kDisarm;
       op.victim = static_cast<std::uint32_t>(rng.NextU64());
     } else if (kind < 90) {
       op.kind = Op::kStep;
@@ -374,16 +361,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CalendarDifferentialTest,
                          ::testing::Values(0xC0FFEEull, 1999ull, 42ull));
 
 // A directed (non-random) probe of the exact seams the random mix may take
-// millions of ops to align: cancel-then-reschedule into the same pool slot
-// at the same instant, and a far-future event overtaken by later near events.
+// millions of ops to align: disarm-then-re-arm of one timer at the same
+// instant, and a far-future event overtaken by later near events.
 TEST(CalendarDifferentialTest, DirectedSlotReuseAndMigrationEdges) {
   std::vector<Op> ops;
-  // Two ties at one instant, cancel the first, reschedule (reuses its pool
-  // slot via the LIFO free list), then fire everything.
-  ops.push_back(Op{Op::kSchedule, false, 100, 0});
+  // A timer and a one-shot tied at one instant; disarm the timer and re-arm
+  // it at that instant, so it now fires after the one-shot.
+  ops.push_back(Op{Op::kArm, false, 100, 0});
   ops.push_back(Op{Op::kSchedule, true, 0, 0});
-  ops.push_back(Op{Op::kCancel, false, 0, 0});
-  ops.push_back(Op{Op::kSchedule, true, 0, 0});
+  ops.push_back(Op{Op::kDisarm, false, 0, 0});
+  ops.push_back(Op{Op::kArm, true, 0, 0});
   ops.push_back(Op{Op::kStep, false, 0, 0});
   ops.push_back(Op{Op::kStep, false, 0, 0});
   // A far event, then a pile of near ties, then advance in two steps so the
@@ -401,10 +388,9 @@ TEST(CalendarDifferentialTest, DirectedSlotReuseAndMigrationEdges) {
 
 // Timers at the seams: a timer re-armed at the instant it already holds ties
 // after the one-shot scheduled between the two armings; a disarm of an
-// unarmed timer is a no-op; a timer armed, disarmed and re-armed leaves two
-// stale entries and fires once, in order; and re-arming every timer many
-// times over leaves more stale entries than live ones, so armings compact
-// the calendar.
+// unarmed timer is a no-op; a timer armed, disarmed and re-armed fires
+// once, in order; and 160 armings over eight timers re-arm each twenty
+// times, each arming erasing the last among same-instant ties.
 TEST(CalendarDifferentialTest, DirectedTimerReArmTiesAndStaleEntries) {
   std::vector<Op> ops;
   ops.push_back(Op{Op::kArm, false, 100, 0});
@@ -419,26 +405,24 @@ TEST(CalendarDifferentialTest, DirectedTimerReArmTiesAndStaleEntries) {
     ops.push_back(Op{Op::kStep, false, 0, 0});
   }
   for (std::uint32_t i = 0; i < 160; ++i) {
-    ops.push_back(Op{Op::kArm, false, 200 + (i * 13) % 7, i});
+    ops.push_back(Op{Op::kArm, false, 200 + (i * 13) % 7, i % 8});
   }
   ops.push_back(Op{Op::kRunUntil, false, 300, 0});
   const std::optional<std::string> failure = RunOps(ops);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }
 
-// The random mix cancels mostly ids that have already fired, so with these
-// seeds it never leaves more dead entries than live ones and never compacts.
-// This probe does: it cancels three quarters of 256 pending events spread
-// over shared instants, so the next schedule compacts the calendar, and then
-// fires the survivors against the reference.
+// Mass disarm: three quarters of 256 armed timers spread over shared
+// instants are disarmed, each erased from wherever it sits, and the
+// survivors fire against the reference.
 TEST(CalendarDifferentialTest, DirectedMassCancelCompactsInFireOrder) {
   std::vector<Op> ops;
   for (std::uint32_t i = 0; i < 256; ++i) {
-    ops.push_back(Op{Op::kSchedule, false, 100 + (i * 37) % 11, 0});
+    ops.push_back(Op{Op::kArm, false, 100 + (i * 37) % 11, i});
   }
   for (std::uint32_t i = 0; i < 256; ++i) {
     if (i % 4 != 3) {
-      ops.push_back(Op{Op::kCancel, false, 0, i});
+      ops.push_back(Op{Op::kDisarm, false, 0, i});
     }
   }
   ops.push_back(Op{Op::kSchedule, false, 105, 0});
@@ -448,6 +432,24 @@ TEST(CalendarDifferentialTest, DirectedMassCancelCompactsInFireOrder) {
   }
   const std::optional<std::string> failure = RunOps(ops);
   EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+// Disarm the timer at each position of a 64-entry calendar in turn, from
+// the back (next to fire) to the front, with same-instant pairs among them:
+// the other 63 must fire in exact order.
+TEST(CalendarDifferentialTest, DirectedDisarmAtEveryDepthOfA64EntryCalendar) {
+  for (std::uint32_t victim = 0; victim < 64; ++victim) {
+    std::vector<Op> ops;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      ops.push_back(Op{Op::kArm, false, 100 + i / 2, i});
+    }
+    ops.push_back(Op{Op::kDisarm, false, 0, victim});
+    for (int i = 0; i < 64; ++i) {
+      ops.push_back(Op{Op::kStep, false, 0, 0});
+    }
+    const std::optional<std::string> failure = RunOps(ops);
+    EXPECT_FALSE(failure.has_value()) << "victim " << victim << ": " << *failure;
+  }
 }
 
 }  // namespace

@@ -130,12 +130,11 @@ TEST(EngineAllocTest, SteadyStateScheduleFireIsAllocationFree) {
 TEST(EngineAllocTest, SteadyStateCancelChurnIsAllocationFree) {
   Engine engine;
   std::uint64_t fired = 0;
-  EventHandle completion;
+  Timer completion(engine, [&fired] { ++fired; });
   WarmEngine(engine, 256);
   AllocationScope scope;
   for (int i = 0; i < 100000; ++i) {
-    completion.Cancel();
-    completion = engine.ScheduleAfter(100, [&fired] { ++fired; });
+    completion.ArmAfter(100);
     if (i % 3 == 0) {
       engine.Step();
     }
@@ -262,10 +261,13 @@ using AttachSinks = std::function<kernel::TraceSink*(lab::TestSystem&, drivers::
 
 // Ten virtual seconds of a loaded measurement cell after a 2 s warm-up:
 // the unit of the Figure 4 grid, with every count taken over the measured
-// window only. `attach`, if set, runs after the warm-up.
+// window only. `attach`, if set, runs after the warm-up; `detach`, if set,
+// runs after the measured window, while the system is still alive, so
+// observers holding engine timers can be torn down before their engine.
 HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
                                 const workload::StressProfile& stress,
-                                const AttachSinks& attach = nullptr) {
+                                const AttachSinks& attach = nullptr,
+                                const std::function<void()>& detach = nullptr) {
   lab::TestSystem system(std::move(profile), 42);
   workload::StressLoad load(system.deps(), stress, system.ForkRng());
   drivers::LatencyDriver driver(system.kernel(), drivers::LatencyDriver::Config{});
@@ -284,6 +286,9 @@ HotPathCounts MeasureLoadedCell(kernel::KernelProfile profile,
   counts.trace_events = sink.events();
   counts.trace_hash = sink.hash();
   system.kernel().SetTraceSink(nullptr);
+  if (detach) {
+    detach();
+  }
   return counts;
 }
 
@@ -379,14 +384,21 @@ struct ObservedStack {
 // of events or cause-tool samples) and each metric series' one-time creation.
 TEST(HotPathBudget, Win98GamesObserved) {
   std::unique_ptr<ObservedStack> stack;
+  double isr_count = 0.0;
+  double queue_samples = 0.0;
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(),
                                  [&stack](lab::TestSystem& system, drivers::LatencyDriver& driver) {
                                    stack = std::make_unique<ObservedStack>(system, driver);
                                    return &stack->fanout;
+                                 },
+                                 [&] {
+                                   isr_count = stack->metrics.counter("kernel.isr.count");
+                                   queue_samples = stack->metrics.counter("kernel.queue_samples");
+                                   stack.reset();
                                  }),
                131066, 167119, 0xcbff71160d2b76ebull, 947);
-  EXPECT_GT(stack->metrics.counter("kernel.isr.count"), 0.0);
-  EXPECT_GT(stack->metrics.counter("kernel.queue_samples"), 0.0);
+  EXPECT_GT(isr_count, 0.0);
+  EXPECT_GT(queue_samples, 0.0);
 }
 
 TEST(HotPathBudget, Nt4Games) {

@@ -213,6 +213,45 @@ TEST(FaultInjectorTest, DiskStormWithoutDiskIsSkippedAndCounted) {
   EXPECT_EQ(injector.skipped_no_disk(), 1u);
 }
 
+// Stop() in the middle of an irq_storm burst: the burst's remaining events
+// stay on the calendar but assert nothing, and the periodic trigger, due
+// again within the 10 ms that follow, is disarmed.
+TEST(FaultInjectorTest, StopMidBurstInjectsNothingAfterwards) {
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kIrqStorm;
+  spec.trigger = fault::TriggerKind::kPeriodic;
+  spec.at_ms = 1.0;
+  spec.period_ms = 5.0;
+  spec.burst = 8;
+  spec.spacing_us = 200.0;
+  spec.duration_us = sim::DurationDist::Constant(5.0);
+  plan.specs.push_back(spec);
+
+  lab::TestSystem system(kernel::MakeNt4Profile(), 7);
+  fault::InjectorTargets targets;
+  targets.kernel = &system.kernel();
+  fault::Injector injector(targets, plan, 7);
+  injector.Start();
+  const hw::InterruptController& pic = system.kernel().pic();
+  int storm_line = -1;
+  for (int line = 0; line < pic.line_count(); ++line) {
+    storm_line = pic.line_name(line) == "FAULT0" ? line : storm_line;
+  }
+  ASSERT_GE(storm_line, 0);
+
+  // The burst asserts at 1.0, 1.2, 1.4, ... 2.4 ms; stop it after three.
+  system.RunFor(0.0015);
+  const std::uint64_t asserts = pic.asserts(storm_line);
+  EXPECT_EQ(asserts, 3u);
+  ASSERT_EQ(injector.activation_count(), 1u);
+  injector.Stop();
+  system.RunFor(0.010);
+  EXPECT_EQ(pic.asserts(storm_line), asserts);
+  EXPECT_EQ(injector.activation_count(), 1u);
+}
+
 TEST(KsStatisticTest, IdenticalDistributionsScoreZero) {
   stats::LatencyHistogram a, b;
   for (int i = 0; i < 100; ++i) {

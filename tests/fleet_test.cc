@@ -303,17 +303,17 @@ TEST(FleetRecords, OlderPayloadVersionIsRejectedAndItsCellReRuns) {
 }
 
 TEST(EngineReset, ResetEngineBehavesLikeFresh) {
-  // Schedule + cancel a pile of events (growing the pool and the calendar),
+  // Arm + disarm a pile of timers (growing the pool and the calendar),
   // reset, then verify the calendar audits clean and a scripted run fires in
   // the same order as a fresh engine.
   sim::Engine engine;
-  std::vector<sim::EventHandle> handles;
+  std::vector<sim::Timer> timers;
   for (int i = 0; i < 2000; ++i) {
-    handles.push_back(engine.ScheduleAt(
-        static_cast<sim::Cycles>(1000 + 77777ull * i), [] {}));
+    timers.emplace_back(engine, [] {});
+    timers.back().ArmAt(static_cast<sim::Cycles>(1000 + 77777ull * i));
   }
-  for (std::size_t i = 0; i < handles.size(); i += 2) {
-    handles[i].Cancel();
+  for (std::size_t i = 0; i < timers.size(); i += 2) {
+    timers[i].Disarm();
   }
   engine.RunUntil(50'000'000);
   engine.Reset();
@@ -323,8 +323,8 @@ TEST(EngineReset, ResetEngineBehavesLikeFresh) {
   std::vector<std::string> violations;
   engine.AuditCalendar(&violations);
   EXPECT_TRUE(violations.empty());
-  for (const sim::EventHandle& handle : handles) {
-    EXPECT_FALSE(handle.pending());  // stale generations read as dead
+  for (const sim::Timer& timer : timers) {
+    EXPECT_FALSE(timer.armed());  // the reset disarmed every timer
   }
 
   // Same script on the reset engine and on a brand-new one: identical order.

@@ -23,12 +23,13 @@ namespace {
 
 TEST(InvariantAuditorTest, FreshEngineAuditsClean) {
   sim::Engine engine;
-  // Some live calendar state: scheduled, fired, and cancelled events.
+  // Some live calendar state: scheduled, fired, and disarmed events.
   int fired = 0;
   engine.ScheduleAt(sim::MsToCycles(1.0), [&] { ++fired; });
   engine.ScheduleAt(sim::MsToCycles(50.0), [&] { ++fired; });
-  sim::EventHandle cancelled = engine.ScheduleAt(sim::MsToCycles(60.0), [&] { ++fired; });
-  cancelled.Cancel();
+  sim::Timer cancelled(engine, [&] { ++fired; });
+  cancelled.ArmAt(sim::MsToCycles(60.0));
+  cancelled.Disarm();
   engine.RunUntil(sim::MsToCycles(10.0));
   EXPECT_EQ(fired, 1);
 
@@ -84,12 +85,13 @@ TEST(InvariantAuditorTest, DispatcherDisciplineCleanAtIdle) {
 
 TEST(InvariantAuditorTest, EngineAuditCalendarDirectly) {
   sim::Engine engine;
-  std::vector<sim::EventHandle> ids;
+  std::vector<sim::Timer> ids;
   for (int i = 0; i < 100; ++i) {
-    ids.push_back(engine.ScheduleAt(sim::UsToCycles(10.0 * (i + 1)), [] {}));
+    ids.emplace_back(engine, [] {});
+    ids.back().ArmAt(sim::UsToCycles(10.0 * (i + 1)));
   }
   for (std::size_t i = 0; i < ids.size(); i += 3) {
-    ids[i].Cancel();  // lazy-dead entries stay in the calendar
+    ids[i].Disarm();  // erased from the middle of the calendar
   }
   engine.RunUntil(sim::UsToCycles(500.0));
   std::vector<std::string> violations;
@@ -98,9 +100,9 @@ TEST(InvariantAuditorTest, EngineAuditCalendarDirectly) {
 }
 
 // The calendar under audit with every kind of entry at once — far-future
-// events, nearer events with lazy-dead entries among them, and (via
-// callbacks) a same-instant burst audited mid-dispatch while its unfired
-// peers die.
+// events, nearer timers with disarmed ones among them, and (via callbacks)
+// a same-instant burst audited mid-dispatch while its unfired peers are
+// disarmed.
 TEST(InvariantAuditorTest, CalendarAuditCleanIncludingMidDispatch) {
   constexpr sim::Cycles kStep = sim::Cycles{1} << 16;  // ~218 us at 300 MHz
   sim::Engine engine;
@@ -110,38 +112,40 @@ TEST(InvariantAuditorTest, CalendarAuditCleanIncludingMidDispatch) {
   for (int i = 0; i < 16; ++i) {
     engine.ScheduleAfter((512 + static_cast<sim::Cycles>(i)) * kStep, [] {});
   }
-  // Nearer events, one per step, every fourth cancelled so the calendar
-  // holds lazy-dead entries.
-  std::vector<sim::EventHandle> near;
+  // Nearer timers, one per step, every fourth disarmed so erases hit the
+  // middle of the calendar.
+  std::vector<sim::Timer> near;
   for (sim::Cycles i = 1; i <= 64; ++i) {
-    near.push_back(engine.ScheduleAfter(i * kStep, [] {}));
+    near.emplace_back(engine, [] {});
+    near.back().ArmAfter(i * kStep);
   }
   for (std::size_t i = 0; i < near.size(); i += 4) {
-    near[i].Cancel();
+    near[i].Disarm();
   }
 
   // Same-instant burst: each fire audits from inside the dispatch loop and
-  // cancels an unfired peer, so the audit sees fired, live and freshly dead
-  // entries of the same instant.
+  // destroys the newest unfired peer, so the audit sees fired, live and
+  // freshly erased entries of one instant.
   const sim::Cycles tick = engine.now() + 100;
   int mid_batch_audits = 0;
-  std::vector<sim::EventHandle> burst;
+  std::vector<sim::Timer> burst;
+  burst.reserve(32);
   for (int i = 0; i < 32; ++i) {
-    burst.push_back(engine.ScheduleAt(tick, [&] {
+    burst.emplace_back(engine, [&] {
       const sim::AuditReport report = auditor.Audit();
       ASSERT_TRUE(report.ok()) << report.Render();
       ++mid_batch_audits;
       if (!burst.empty()) {
-        burst.back().Cancel();
         burst.pop_back();
       }
-    }));
+    });
+    burst.back().ArmAt(tick);
   }
   engine.RunUntil(tick);
   EXPECT_GT(mid_batch_audits, 8);
 
   // Post-burst: the far-future events are still pending, the nearer ones
-  // partly dead.
+  // partly disarmed.
   const sim::AuditReport after = auditor.Audit();
   EXPECT_TRUE(after.ok()) << after.Render();
   engine.RunUntilIdle();
@@ -188,9 +192,9 @@ TEST(InvariantAuditorTest, SupervisedRunIsBitIdenticalToUnsupervised) {
 
 // The fixture path the CI smoke test drives: a forced audit violation fails
 // the cell with kInvariantViolation instead of crashing the process.
-// A timer's slot is persistent: disarmed it is even and off the free list,
-// armed it is odd and counted live. Neither state is a violation; a timer
-// slot threaded onto the free list is.
+// A timer's slot is persistent: disarmed it stays off the free list, armed
+// it is counted pending. Neither state is a violation; a timer slot
+// threaded onto the free list is.
 TEST(InvariantAuditorTest, PoolAuditAccountsForTimerSlots) {
   sim::Engine engine;
   sim::Timer timer(engine, [] {});
@@ -202,20 +206,19 @@ TEST(InvariantAuditorTest, PoolAuditAccountsForTimerSlots) {
   const sim::AuditReport disarmed = auditor.Audit();
   EXPECT_TRUE(disarmed.ok()) << disarmed.Render();
 
-  auto* pool = new sim::EventPool;
-  const std::uint32_t slot = pool->AllocateTimer([] {});
-  pool->ArmTimer(slot);
-  pool->DisarmTimer(slot);
+  sim::EventPool pool;
+  const std::uint32_t slot = pool.AllocateTimer([] {});
+  pool.ArmTimer(slot, 10, 0);
+  pool.DisarmTimer(slot);
   std::vector<std::string> healthy;
-  pool->AuditConsistency(&healthy);
+  pool.AuditConsistency(&healthy);
   EXPECT_TRUE(healthy.empty()) << healthy.front();
-  pool->ThreadOntoFreeListForTesting(slot);
+  pool.ThreadOntoFreeListForTesting(slot);
   std::vector<std::string> violations;
-  pool->AuditConsistency(&violations);
+  pool.AuditConsistency(&violations);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("free list contains timer slot"), std::string::npos)
       << violations.front();
-  pool->Release();
 }
 
 TEST(InvariantAuditorTest, ForcedViolationThrowsInvariantViolation) {

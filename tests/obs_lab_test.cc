@@ -169,6 +169,45 @@ TEST(ObsLabTest, BlackBoxRingServesTheRecorderAndTheFailureDiagnostic) {
   EXPECT_EQ(lines.end() - recent, 13);  // the header and the 12 newest events
 }
 
+// In matrix mode the queue-depth sampler feeds the traced cell's counter
+// track even with no metrics registry, as it does for a single cell, and it
+// stays passive: the merged histograms match those of the untraced matrix.
+TEST(ObsLabTest, MatrixQueueSamplingFeedsTheTracedCellsCounterTrack) {
+  MatrixSpec spec;
+  spec.oses = {kernel::MakeWin98Profile()};
+  spec.workloads = {workload::GamesStress()};
+  spec.priorities = {28};
+  spec.trials = 2;
+  spec.cell.stress_minutes = 0.02;
+  spec.cell.warmup_seconds = 0.5;
+  spec.cell.obs.queue_sample_ms = 1.0;
+  const MatrixResult plain = ExperimentMatrix(spec).Run(MatrixRunOptions{});
+
+  obs::ChromeTraceWriter trace;
+  spec.trace_sink = &trace;
+  const MatrixResult traced = ExperimentMatrix(spec).Run(MatrixRunOptions{});
+  const std::string json = trace.ToJson();
+  std::size_t counters = 0;
+  for (std::size_t at = json.find("\"ph\": \"C\""); at != std::string::npos;
+       at = json.find("\"ph\": \"C\"", at + 1)) {
+    ++counters;
+  }
+  // Three depths per 1 ms sample over the traced cell's warm-up and 1.2 s
+  // of measurement.
+  EXPECT_GE(counters, 3u * 1000u);
+
+  ASSERT_EQ(plain.merged.size(), traced.merged.size());
+  for (std::size_t i = 0; i < plain.merged.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(plain.merged[i].samples(), traced.merged[i].samples());
+    EXPECT_EQ(plain.merged[i].thread.ToCsv(), traced.merged[i].thread.ToCsv());
+    EXPECT_EQ(plain.merged[i].dpc_interrupt.ToCsv(), traced.merged[i].dpc_interrupt.ToCsv());
+    EXPECT_EQ(plain.merged[i].interrupt.ToCsv(), traced.merged[i].interrupt.ToCsv());
+    EXPECT_EQ(plain.merged[i].true_pit_interrupt_latency.ToCsv(),
+              traced.merged[i].true_pit_interrupt_latency.ToCsv());
+  }
+}
+
 // A measurement run leaves callbacks into its own, by then dead, locals
 // registered on the machine: the driver's PIT pre-hook and threads, among
 // others. The run marks the system spent, so running it again without a

@@ -61,10 +61,11 @@ TEST(EngineTest, PastTimesClampToNow) {
 TEST(EngineTest, CancelPreventsExecution) {
   Engine engine;
   bool fired = false;
-  EventHandle handle = engine.ScheduleAt(100, [&] { fired = true; });
-  EXPECT_TRUE(handle.pending());
-  handle.Cancel();
-  EXPECT_FALSE(handle.pending());
+  Timer timer(engine, [&] { fired = true; });
+  timer.ArmAt(100);
+  EXPECT_TRUE(timer.armed());
+  timer.Disarm();
+  EXPECT_FALSE(timer.armed());
   engine.RunUntilIdle();
   EXPECT_FALSE(fired);
 }
@@ -72,24 +73,27 @@ TEST(EngineTest, CancelPreventsExecution) {
 TEST(EngineTest, CancelAfterFireIsNoOp) {
   Engine engine;
   bool fired = false;
-  EventHandle handle = engine.ScheduleAt(100, [&] { fired = true; });
+  Timer timer(engine, [&] { fired = true; });
+  timer.ArmAt(100);
   engine.RunUntilIdle();
   EXPECT_TRUE(fired);
-  EXPECT_FALSE(handle.pending());
-  handle.Cancel();  // must not crash or change anything
+  EXPECT_FALSE(timer.armed());
+  timer.Disarm();  // must not crash or change anything
+  EXPECT_EQ(engine.events_pending(), 0u);
 }
 
 TEST(EngineTest, DefaultHandleIsInert) {
-  EventHandle handle;
-  EXPECT_FALSE(handle.pending());
-  handle.Cancel();
+  Timer timer;
+  EXPECT_FALSE(timer.armed());
+  timer.Disarm();
 }
 
 TEST(EngineTest, CancelInsideEarlierEvent) {
   Engine engine;
   bool fired = false;
-  EventHandle later = engine.ScheduleAt(200, [&] { fired = true; });
-  engine.ScheduleAt(100, [&] { later.Cancel(); });
+  Timer later(engine, [&] { fired = true; });
+  later.ArmAt(200);
+  engine.ScheduleAt(100, [&] { later.Disarm(); });
   engine.RunUntilIdle();
   EXPECT_FALSE(fired);
 }
@@ -142,8 +146,9 @@ TEST(EngineTest, RequestStopAbortsRun) {
 TEST(EngineTest, EventsProcessedCountsOnlyFired) {
   Engine engine;
   engine.ScheduleAt(1, [] {});
-  EventHandle cancelled = engine.ScheduleAt(2, [] {});
-  cancelled.Cancel();
+  Timer cancelled(engine, [] {});
+  cancelled.ArmAt(2);
+  cancelled.Disarm();
   engine.ScheduleAt(3, [] {});
   engine.RunUntilIdle();
   EXPECT_EQ(engine.events_processed(), 2u);
@@ -151,17 +156,19 @@ TEST(EngineTest, EventsProcessedCountsOnlyFired) {
 
 TEST(EngineTest, EventsPendingExcludesCancelled) {
   Engine engine;
-  EventHandle first = engine.ScheduleAt(10, [] {});
-  EventHandle second = engine.ScheduleAt(20, [] {});
+  Timer first(engine, [] {});
+  Timer second(engine, [] {});
+  first.ArmAt(10);
+  second.ArmAt(20);
   engine.ScheduleAt(30, [] {});
   EXPECT_EQ(engine.events_pending(), 3u);
-  first.Cancel();
+  first.Disarm();
   EXPECT_EQ(engine.events_pending(), 2u);
-  first.Cancel();  // double cancel must not decrement twice
+  first.Disarm();  // double disarm must not erase twice
   EXPECT_EQ(engine.events_pending(), 2u);
   engine.RunUntilIdle();
   EXPECT_EQ(engine.events_pending(), 0u);
-  second.Cancel();  // cancel after fire must not underflow the count
+  second.Disarm();  // disarm after fire must not underflow the count
   EXPECT_EQ(engine.events_pending(), 0u);
 }
 
@@ -177,37 +184,28 @@ TEST(EngineTest, EventsPendingTracksFiringStepByStep) {
 }
 
 TEST(EngineTest, CancelledRecordsArePurgedOnPop) {
-  // A sea of cancelled events ahead of one live event: the calendar must
-  // report only the live one, skip the cancelled records without firing
-  // them, and end up empty.
+  // A sea of disarmed timers ahead of one live event: the calendar must
+  // hold only the live one, never fire the disarmed timers, and end up
+  // empty.
   Engine engine;
-  std::vector<EventHandle> handles;
+  std::vector<Timer> timers;
   for (int i = 0; i < 100; ++i) {
-    handles.push_back(engine.ScheduleAt(static_cast<Cycles>(i), [] { FAIL(); }));
+    timers.emplace_back(engine, [] { FAIL(); });
+    timers.back().ArmAt(static_cast<Cycles>(i));
   }
   bool fired = false;
   engine.ScheduleAt(1000, [&] { fired = true; });
-  for (EventHandle& handle : handles) {
-    handle.Cancel();
+  for (Timer& timer : timers) {
+    timer.Disarm();
   }
   EXPECT_EQ(engine.events_pending(), 1u);
-  engine.RunUntil(500);  // pops cancelled records without reaching the live event
+  engine.RunUntil(500);  // nothing is due before the live event
   EXPECT_FALSE(fired);
   EXPECT_EQ(engine.events_pending(), 1u);
   engine.RunUntilIdle();
   EXPECT_TRUE(fired);
   EXPECT_EQ(engine.events_pending(), 0u);
   EXPECT_EQ(engine.events_processed(), 1u);
-}
-
-TEST(EngineTest, CancelViaHandleOutlivingEngineIsSafe) {
-  EventHandle handle;
-  {
-    Engine engine;
-    handle = engine.ScheduleAt(10, [] {});
-  }
-  handle.Cancel();  // engine gone; must not crash or touch freed memory
-  EXPECT_FALSE(handle.pending());
 }
 
 TEST(EngineTest, NestedSchedulingFromCallbacks) {
