@@ -38,6 +38,11 @@
 # record, spec and merge suites (fleet_test, fleet_determinism_test) and the
 # matrix's grid and jobs-determinism suite (matrix_determinism_test).
 #
+# Last, every bench/ and examples/ program runs through ci/paper_artifacts.sh
+# with leak detection on: the 23 artifacts must keep their pinned bytes
+# with no sanitizer report, so a program that leaks (say, a continuation
+# that owns itself) fails the job.
+#
 # The build keeps assert() live: RelWithDebInfo's flags are overridden so
 # NDEBUG is not defined, unlike the default build, where the dispatcher's
 # asserts are compiled out. -D_GLIBCXX_ASSERTIONS bounds-checks std::array
@@ -66,9 +71,18 @@ cmake --build "$BUILD_DIR" -j"${JOBS:-$(nproc)}" \
   metrics_registry_test anatomy_test flight_recorder_test trace_test \
   report_io_test fleet_chaos_test record_codec_fuzz_test json_fuzz_test \
   resume_determinism_test fleet_test fleet_determinism_test matrix_determinism_test \
-  fault_test fault_passivity_test timer_jitter_test memory_pressure_test
+  fault_test fault_passivity_test timer_jitter_test memory_pressure_test \
+  table1_tolerances table3_worst_case table4_cause_analysis figure4_latency_distributions \
+  figure5_virus_scanner figure6_mttf_dpc figure7_mttf_thread winstone_throughput \
+  section52_schedulability validation_periodic_tool win2000_preview microbench_comparison \
+  quickstart softmodem_qos latency_cause_analysis custom_workload driver_schedulability \
+  audio_glitch_predictor trace_inspector what_if_no_win16mutex soft_dvd_future filter_driver
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'DpcQueueTest|ReadyQueueTest|TimerQueueTest|EventTest|IrpTest|ThreadTest|TimerTest|WorkItemTest|DispatcherTest|DispatcherFuzzTest|InvariantAuditorTest|EngineAllocTest|HotPathBudget|GoldenRunTest|SmpDeterminismTest|SmpFuzzTest|ChromeTraceTest|ObsLabTest|InplaceCallbackTest|InplaceFunctionTest|ApcTest|IoManagerTest|EngineTest|EventPoolTest|EngineTimerTest|CalendarDifferentialTest|ReadyQueueStormTest|BatchDispatchFuzzTest|MetricsRegistryTest|AnatomyTest|FlightRecorderTest|AttributionScoreTest|TraceTest|ReportIoTest|FleetChaosMerge|RecordCodecFuzzTest|JsonFuzzTest|ResumeDeterminismTest|EngineReset|FleetCells|FleetDeterminism|FleetRecords|FleetSpec|WarmCellRunner|MatrixDeterminismTest|FaultPlanTest|FaultPlanJsonTest|FaultInjectorTest|KsStatisticTest|MttfSweepTest|FaultPassivityTest|TimerJitterTest|MemoryPressure'
+
+ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}" \
+UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+BUILD_DIR="$BUILD_DIR" ci/paper_artifacts.sh

@@ -12,7 +12,6 @@
 // scanner's VMM critical sections bite every thread in the system).
 
 #include <cstdio>
-#include <functional>
 
 #include "src/kernel/io_manager.h"
 #include "src/kernel/kernel.h"
@@ -65,30 +64,38 @@ FileSystemStack BuildStack(lab::TestSystem& system, vmm98::VirusScanner* scanner
   return stack;
 }
 
-stats::LatencyHistogram MeasureReads(lab::TestSystem& system, int reads) {
-  kernel::Kernel& k = system.kernel();
+// One reader thread's loop: reads \Device\Fat0 `remaining` times, one IRP
+// at a time, and records each read's completion latency. The IRP's
+// completion routine and the thread's continuations point at the loop, so
+// it must outlive the machine it runs on.
+struct ReadLoop {
+  kernel::Kernel* k = nullptr;
+  kernel::Irp irp;
+  kernel::KEvent done;
+  int remaining = 0;
   stats::LatencyHistogram latency;
-  auto irp = std::make_shared<kernel::Irp>();
-  auto done = std::make_shared<kernel::KEvent>();
-  irp->on_complete = [&k, done](kernel::Irp*) { k.KeSetEvent(done.get()); };
-  auto remaining = std::make_shared<int>(reads);
-  auto loop = std::make_shared<std::function<void()>>();
-  *loop = [&, irp, done, remaining, loop] {
-    if (--*remaining < 0) {
-      k.ExitThread();
+
+  void Next() {
+    if (--remaining < 0) {
+      k->ExitThread();
       return;
     }
-    const sim::Cycles start = k.GetCycleCount();
-    k.io().IoCallDriver(k.io().TopOfStack("\\Device\\Fat0"), irp.get(),
-                        kernel::IrpMajor::kRead);
-    k.Wait(done.get(), [&, start, loop] {
-      latency.Record(k.GetCycleCount() - start);
-      (*loop)();
+    const sim::Cycles start = k->GetCycleCount();
+    k->io().IoCallDriver(k->io().TopOfStack("\\Device\\Fat0"), &irp, kernel::IrpMajor::kRead);
+    k->Wait(&done, [this, start] {
+      latency.Record(k->GetCycleCount() - start);
+      Next();
     });
-  };
-  k.PsCreateSystemThread("reader", 9, [loop] { (*loop)(); });
+  }
+};
+
+const stats::LatencyHistogram& MeasureReads(lab::TestSystem& system, int reads, ReadLoop& loop) {
+  loop.k = &system.kernel();
+  loop.remaining = reads;
+  loop.irp.on_complete = [&loop](kernel::Irp*) { loop.k->KeSetEvent(&loop.done); };
+  loop.k->PsCreateSystemThread("reader", 9, [&loop] { loop.Next(); });
   system.RunFor(60.0 * 5);
-  return latency;
+  return loop.latency;
 }
 
 }  // namespace
@@ -96,17 +103,19 @@ stats::LatencyHistogram MeasureReads(lab::TestSystem& system, int reads) {
 int main() {
   std::printf("A virus scanner as a WDM file-system filter driver (Windows 98)\n\n");
 
+  ReadLoop bare_reads;
+  ReadLoop filtered_reads;
   lab::TestSystemOptions options;
   options.virus_scanner = true;
   lab::TestSystem system(kernel::MakeWin98Profile(), 77, options);
   FileSystemStack stack = BuildStack(system, system.virus_scanner());
 
   std::printf("Reading 1000 files through the bare FASTFAT stack...\n");
-  const stats::LatencyHistogram bare = MeasureReads(system, 1000);
+  const stats::LatencyHistogram& bare = MeasureReads(system, 1000, bare_reads);
 
   std::printf("Attaching VSCAN above FASTFAT and reading 1000 more...\n");
   system.kernel().io().IoAttachDeviceToStack(stack.vscan_device, stack.fat_device);
-  const stats::LatencyHistogram filtered = MeasureReads(system, 1000);
+  const stats::LatencyHistogram& filtered = MeasureReads(system, 1000, filtered_reads);
 
   std::printf("\nPer-read completion latency (ms):\n");
   std::printf("  %-18s median %7.2f   p99 %7.2f   max %7.2f\n", "bare FASTFAT",

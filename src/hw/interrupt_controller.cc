@@ -30,21 +30,7 @@ void InterruptController::Assert(int line) {
   }
 }
 
-int InterruptController::HighestPending(kernel::Irql ceiling) const {
-  int best = kNoLine;
-  for (int i = 0; i < line_count(); ++i) {
-    const Line& l = lines_[i];
-    if (!l.pending || l.irql <= ceiling) {
-      continue;
-    }
-    if (best == kNoLine || l.irql > lines_[best].irql) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-int InterruptController::HighestPendingFor(kernel::Irql ceiling, int core) const {
+int InterruptController::HighestPending(kernel::Irql ceiling, int core) const {
   int best = kNoLine;
   for (int i = 0; i < line_count(); ++i) {
     const Line& l = lines_[i];

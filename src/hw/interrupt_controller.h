@@ -42,15 +42,11 @@ class InterruptController {
   // lost (counted in dropped_edges()), as on real hardware.
   void Assert(int line);
 
-  // CPU side: index of the highest-IRQL pending line whose IRQL is strictly
-  // above `ceiling`, or kNoLine.
-  int HighestPending(kernel::Irql ceiling) const;
-
-  // SMP variant: like HighestPending, but only considers lines routed to
-  // `core`. Routing is decided at Assert time (see set_irq_router); lines
-  // that were never routed belong to core 0, so a uniprocessor kernel using
-  // HighestPending never sees a difference.
-  int HighestPendingFor(kernel::Irql ceiling, int core) const;
+  // CPU side: index of the highest-IRQL pending line routed to `core` whose
+  // IRQL is strictly above `ceiling`, or kNoLine. Routing is decided at
+  // Assert time (see set_irq_router); with no router every line goes to
+  // core 0, the one core of a uniprocessor.
+  int HighestPending(kernel::Irql ceiling, int core) const;
 
   // SMP routing hook: called once per latched Assert with the line index;
   // returns the core the pending interrupt is delivered to. Unset => core 0.

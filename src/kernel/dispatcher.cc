@@ -219,11 +219,10 @@ void Dispatcher::RequeueReadyThread(KThread* thread) {
 // --- Core reevaluation -------------------------------------------------------
 
 void Dispatcher::ReevaluateOnce() {
-  // 1. Accept pending interrupts, most privileged first. SMP cores only see
-  // the lines the interrupt controller routed to them.
+  // 1. Accept pending interrupts, most privileged first. A core only sees
+  // the lines the interrupt controller routed to it.
   while (true) {
-    const int line = smp_ == nullptr ? pic_.HighestPending(EffectiveIrql())
-                                     : pic_.HighestPendingFor(EffectiveIrql(), core_);
+    const int line = pic_.HighestPending(EffectiveIrql(), core_);
     if (line == hw::InterruptController::kNoLine) {
       break;
     }

@@ -56,7 +56,7 @@ Smp::Smp(sim::Engine& engine, sim::Rng& parent_rng, hw::InterruptController& pic
     return line % cores_;
   });
   // Every core reevaluates on a new pending line; only the routed core's
-  // HighestPendingFor sees it (the others' gates are no-ops). This replaces
+  // HighestPending sees it (the others' gates are no-ops). This replaces
   // the single-core notifier the last Dispatcher ctor installed.
   pic_.set_pending_notifier([this] { PokeAll(); });
 

@@ -27,6 +27,8 @@ constexpr double kSupervisedSliceS = 1.0;
 // directly.
 constexpr drivers::CauseTool::Sampling kEpisodeSampling = drivers::CauseTool::Sampling::kPitHook;
 constexpr double kEpisodeNmiPeriodMs = 0.2;
+// Episodes the cause tool, the flight recorder and the anatomy keep per run.
+constexpr std::size_t kMaxEpisodes = 64;
 
 // The supervised measurement phase: the same cycle-space span as a single
 // RunUntil call, cut into slices so the watchdog and auditor get control
@@ -144,7 +146,7 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
   if (obs.episode_threshold_us > 0.0) {
     drivers::CauseTool::Config tool_config;
     tool_config.threshold_ms = obs.episode_threshold_us / 1000.0;
-    tool_config.max_episodes = obs.max_episodes;
+    tool_config.max_episodes = kMaxEpisodes;
     tool_config.sampling = kEpisodeSampling;
     tool_config.nmi_period_ms = kEpisodeNmiPeriodMs;
     cause_tool = std::make_unique<drivers::CauseTool>(system.kernel(), driver, tool_config);
@@ -152,13 +154,13 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
 
     obs::EpisodeFlightRecorder::Config rec_config;
     rec_config.threshold_ms = obs.episode_threshold_us / 1000.0;
-    rec_config.max_episodes = obs.max_episodes;
+    rec_config.max_episodes = kMaxEpisodes;
     recorder = std::make_unique<obs::EpisodeFlightRecorder>(system.kernel(), *ring, rec_config);
     recorder->Arm(driver, cause_tool.get());
 
     if (obs.anatomy) {
       obs::LatencyAnatomy::Config an_config;
-      an_config.max_episodes = obs.max_episodes;
+      an_config.max_episodes = kMaxEpisodes;
       anatomy = std::make_unique<obs::LatencyAnatomy>(an_config);
       fanout.Add(anatomy.get());
       // Registered third (after the cause tool and recorder) so anatomy

@@ -52,9 +52,9 @@ struct ObsOptions {
   // `metrics` (and onto the trace's counter track when both are attached).
   double queue_sample_ms = 0.0;
   // >0: arm an episode flight recorder (plus a cause tool) at this
-  // thread-latency threshold; episode summaries land in LabReport::episodes.
+  // thread-latency threshold; episode summaries (the first 64) land in
+  // LabReport::episodes.
   double episode_threshold_us = 0.0;
-  std::size_t max_episodes = 64;
   // Attach an obs::LatencyAnatomy sink (needs episode_threshold_us > 0):
   // exact per-episode stage decomposition into LabReport::anatomy. A passive
   // trace sink — measured distributions stay bit-identical.

@@ -125,8 +125,10 @@ std::uint64_t MatrixFingerprint(const MatrixSpec& spec) {
   for (const int priority : spec.priorities) {
     out << priority << ",";
   }
+  // The lab caps episodes at 64; the field stays so that existing record
+  // logs still resume.
   out << ";episode_threshold_us=" << HexDouble(cell.obs.episode_threshold_us)
-      << ";max_episodes=" << cell.obs.max_episodes << ";anatomy=" << cell.obs.anatomy
+      << ";max_episodes=64;anatomy=" << cell.obs.anatomy
       << ";sketch=" << cell.obs.sketch << ";scanner=" << cell.options.virus_scanner
       << ";sounds=" << static_cast<int>(cell.options.sound_scheme);
   if (cell.faults != nullptr && !cell.faults->empty()) {

@@ -19,9 +19,8 @@ constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 // Longest AppendFixed6 output: DBL_MAX has 309 integer digits; add sign,
 // point and six decimals.
 constexpr std::size_t kMaxFixed6Chars = 320;
-// Longest rendering of an event apart from its name and its args: ph, pid,
-// tid, ts, dur and the flow keys.
-constexpr std::size_t kHeadRoom = 192 + 2 * kMaxFixed6Chars;
+// Longest record head: ph, pid, tid, ts and an instant's scope.
+constexpr std::size_t kHeadRoom = 128 + kMaxFixed6Chars;
 // A byte escapes to at most six ("\u00XX").
 constexpr std::size_t kMaxEscape = 6;
 
@@ -135,51 +134,177 @@ char* PutEscaped(char* p, std::string_view text) {
   return p;
 }
 
-const char* ArgKeyName(ChromeTraceWriter::ArgKey key) {
-  switch (key) {
-    case ChromeTraceWriter::ArgKey::kLine:
-      return "line";
-    case ChromeTraceWriter::ArgKey::kRequestedUs:
-      return "requested_us";
-    case ChromeTraceWriter::ArgKey::kQueueDelayUs:
-      return "queue_delay_us";
-    case ChromeTraceWriter::ArgKey::kNone:
-      break;
-  }
-  return "";
-}
+using StringArgs = std::vector<std::pair<std::string, std::string>>;
+using NumberArgs = std::vector<std::pair<std::string, double>>;
 
-const char* FlowCatName(ChromeTraceWriter::FlowCat cat) {
-  switch (cat) {
-    case ChromeTraceWriter::FlowCat::kDpcQueue:
-      return "dpc-queue";
-    case ChromeTraceWriter::FlowCat::kThreadWake:
-      return "thread-wake";
-    case ChromeTraceWriter::FlowCat::kNone:
-      break;
-  }
-  return "";
-}
+// The render pass hands each Chrome record to a sink as a chain of calls:
+// Record, then the pieces its phase and form carry, in key order (Dur,
+// Flow, one name, args), then Close. The slices still open at the end are
+// closed through Closer.
 
-}  // namespace
-
-void AppendFixed6(std::string& out, double value) {
-  char buf[kMaxFixed6Chars];
-  out.append(buf, PutFixed6(buf, value));
-}
-
-// Writes into a std::string through a raw pointer. The string is kept sized
-// past the text written so far, so a piece of an event is a store or a
-// memcpy with no size bookkeeping: Room(n) returns the write position with
-// at least n bytes free behind it, and Advance(p) moves that position to p.
-class ChromeTraceWriter::Cursor {
+// Counts the records, writes nothing.
+class CountSink {
  public:
-  // Appends to `buf`; with `out` set, Flush hands every block of at least
-  // kBlockBytes to the stream.
-  Cursor(std::string& buf, std::ostream* out) : buf_(buf), out_(out), used_(buf.size()) {
+  CountSink& Record(char, int, int, double) {
+    ++records_;
+    return *this;
+  }
+  CountSink& Dur(double) { return *this; }
+  CountSink& Flow(std::uint64_t, std::string_view, bool) { return *this; }
+  CountSink& Name(std::string_view) { return *this; }
+  CountSink& LabelName(const kernel::Label&, std::string_view = "") { return *this; }
+  CountSink& NumberName(std::string_view, int, std::string_view) { return *this; }
+  CountSink& Arg(std::string_view, double) { return *this; }
+  CountSink& Args(const StringArgs&, const NumberArgs&) { return *this; }
+  void Close() {}
+  void Closer(int, double) {}
+
+  std::size_t records() const { return records_; }
+
+ private:
+  std::size_t records_ = 0;
+};
+
+// Writes the JSON document into a std::string through a raw pointer. The
+// string is kept sized past the text written so far, so a piece of a record
+// is a store or a memcpy with no size bookkeeping: Room(n) returns the
+// write position with at least n bytes free behind it, and Advance(p) moves
+// that position to p. With a stream set, every block of at least
+// kBlockBytes is handed to it at the end of a record.
+class JsonSink {
+ public:
+  JsonSink(std::string& buf, std::ostream* out) : buf_(buf), out_(out), used_(buf.size()) {
     buf_.resize(used_ + kBlockBytes + kHeadRoom);
+    Advance(Put(Room(32), "{\"traceEvents\": ["));
   }
 
+  // ph, pid, tid and ts; an instant also gets its thread scope.
+  JsonSink& Record(char phase, int pid, int tid, double ts_us) {
+    char* p = Room(kHeadRoom);
+    p = first_ ? Put(p, "\n {\"ph\": \"") : Put(p, ",\n {\"ph\": \"");
+    first_ = false;
+    *p++ = phase;
+    p = Put(p, "\", \"pid\": ");
+    p = PutInt(p, pid);
+    p = Put(p, ", \"tid\": ");
+    p = PutInt(p, tid);
+    p = Put(p, ", \"ts\": ");
+    p = PutFixed6(p, ts_us);
+    if (phase == 'i') {
+      p = Put(p, ", \"s\": \"t\"");
+    }
+    Advance(p);
+    return *this;
+  }
+  JsonSink& Dur(double dur_us) {
+    char* p = Put(Room(16 + kMaxFixed6Chars), ", \"dur\": ");
+    Advance(PutFixed6(p, dur_us));
+    return *this;
+  }
+  // A flow end: its id binds the start ('s') to the finish ('f'), which
+  // binds to the enclosing slice.
+  JsonSink& Flow(std::uint64_t id, std::string_view category, bool finish) {
+    char* p = Put(Room(64 + category.size()), ", \"id\": ");
+    p = PutInt(p, id);
+    p = Put(p, ", \"cat\": \"");
+    p = Put(p, category);
+    *p++ = '"';
+    if (finish) {
+      p = Put(p, ", \"bp\": \"e\"");
+    }
+    Advance(p);
+    return *this;
+  }
+  JsonSink& Name(std::string_view text) {
+    char* p = Put(Room(16 + kMaxEscape * text.size()), ", \"name\": \"");
+    p = PutEscaped(p, text);
+    *p++ = '"';
+    Advance(p);
+    return *this;
+  }
+  // prefix + "MODULE!_function"
+  JsonSink& LabelName(const kernel::Label& label, std::string_view prefix = "") {
+    const std::string_view module = label.module;
+    const std::string_view function = label.function;
+    char* p = Room(64 + prefix.size() + kMaxEscape * (module.size() + function.size()));
+    p = Put(p, ", \"name\": \"");
+    p = Put(p, prefix);
+    p = PutEscaped(p, module);
+    *p++ = '!';
+    p = PutEscaped(p, function);
+    *p++ = '"';
+    Advance(p);
+    return *this;
+  }
+  // prefix + N + suffix
+  JsonSink& NumberName(std::string_view prefix, int n, std::string_view suffix) {
+    char* p = Room(64 + prefix.size() + suffix.size());
+    p = Put(p, ", \"name\": \"");
+    p = Put(p, prefix);
+    p = PutInt(p, n);
+    p = Put(p, suffix);
+    *p++ = '"';
+    Advance(p);
+    return *this;
+  }
+  JsonSink& Arg(std::string_view key, double value) {
+    char* p = Room(64 + key.size() + kMaxFixed6Chars);
+    p = Put(p, ", \"args\": {\"");
+    p = Put(p, key);
+    p = Put(p, "\": ");
+    p = PutFixed6(p, value);
+    *p++ = '}';
+    Advance(p);
+    return *this;
+  }
+  // Writes no "args" key when both lists are empty.
+  JsonSink& Args(const StringArgs& string_args, const NumberArgs& number_args) {
+    if (string_args.empty() && number_args.empty()) {
+      return *this;
+    }
+    char* p = Put(Room(16), ", \"args\": {");
+    bool first_arg = true;
+    for (const auto& [key, value] : string_args) {
+      Advance(p);
+      p = Room(16 + kMaxEscape * (key.size() + value.size()));
+      p = first_arg ? Put(p, "\"") : Put(p, ", \"");
+      p = PutEscaped(p, key);
+      p = Put(p, "\": \"");
+      p = PutEscaped(p, value);
+      *p++ = '"';
+      first_arg = false;
+    }
+    for (const auto& [key, value] : number_args) {
+      Advance(p);
+      p = Room(16 + kMaxEscape * key.size() + kMaxFixed6Chars);
+      p = first_arg ? Put(p, "\"") : Put(p, ", \"");
+      p = PutEscaped(p, key);
+      p = Put(p, "\": ");
+      p = PutFixed6(p, value);
+      first_arg = false;
+    }
+    *p++ = '}';
+    Advance(p);
+    return *this;
+  }
+  void Close() {
+    Advance(Put(Room(2), "}"));
+    if (out_ != nullptr && used_ >= kBlockBytes) {
+      out_->write(buf_.data(), static_cast<std::streamsize>(used_));
+      used_ = 0;
+    }
+  }
+  void Closer(int tid, double ts_us) {
+    Record('E', ChromeTraceWriter::kSimPid, tid, ts_us).Close();
+  }
+
+  // Ends the document and trims the string to the text written.
+  void Finish() {
+    Advance(Put(Room(64), "\n], \"displayTimeUnit\": \"ms\"}\n"));
+    buf_.resize(used_);
+  }
+
+ private:
   char* Room(std::size_t n) {
     if (buf_.size() - used_ < n) {
       buf_.resize(std::max(2 * buf_.size(), used_ + n));
@@ -188,23 +313,21 @@ class ChromeTraceWriter::Cursor {
   }
   void Advance(char* p) { used_ = static_cast<std::size_t>(p - buf_.data()); }
 
-  void Flush() {
-    if (out_ != nullptr && used_ >= kBlockBytes) {
-      out_->write(buf_.data(), static_cast<std::streamsize>(used_));
-      used_ = 0;
-    }
-  }
-  // Trims the string to the text written.
-  void Finish() { buf_.resize(used_); }
-
- private:
   std::string& buf_;
   std::ostream* out_;
   std::size_t used_;
+  bool first_ = true;
 };
 
-ChromeTraceWriter::ChromeTraceWriter() : cores_(1) {
-  cores_[0].named = true;
+}  // namespace
+
+void AppendFixed6(std::string& out, double value) {
+  char buf[kMaxFixed6Chars];
+  out.append(buf, PutFixed6(buf, value));
+}
+
+ChromeTraceWriter::ChromeTraceWriter() {
+  AddSegment();
   SetProcessName(kSimPid, "wdmlat sim");
   SetThreadName(kSimPid, kInterruptTid, "cpu: interrupt stack (ISR + sections)");
   SetThreadName(kSimPid, kDpcTid, "cpu: dpc");
@@ -212,373 +335,245 @@ ChromeTraceWriter::ChromeTraceWriter() : cores_(1) {
   SetThreadName(kSimPid, kLockoutTid, "cpu: dispatch lockout");
 }
 
-ChromeTraceWriter::CoreTracks& ChromeTraceWriter::Core(int core) {
-  if (static_cast<std::size_t>(core) >= cores_.size()) {
-    cores_.resize(core + 1);
-  }
-  if (!cores_[core].named) {
-    cores_[core].named = true;
-    const std::string prefix = "cpu" + std::to_string(core) + ": ";
-    const int base = kCoreTidStride * core;
-    SetThreadName(kSimPid, base + kInterruptTid, prefix + "interrupt stack (ISR + sections)");
-    SetThreadName(kSimPid, base + kDpcTid, prefix + "dpc");
-    SetThreadName(kSimPid, base + kThreadTid, prefix + "thread");
-    SetThreadName(kSimPid, base + kLockoutTid, prefix + "dispatch lockout");
-  }
-  return cores_[core];
-}
-
-ChromeTraceWriter::Event& ChromeTraceWriter::NewEvent() {
-  if (next_ == segment_end_) {
-    const std::size_t capacity = SegmentCapacity(segment_count_);
-    auto& segment = segments_.at(segment_count_++);
-    segment.reset(static_cast<Event*>(::operator new(capacity * sizeof(Event))));
-    next_ = segment.get();
-    segment_end_ = next_ + capacity;
-  }
-  ++size_;
-  return *new (next_++) Event();
-}
-
-ChromeTraceWriter::Event& ChromeTraceWriter::PushSim(char phase, const kernel::TraceEvent& source,
-                                                     int track, double ts_us, NameForm name) {
-  CoreTracks& core = cores_[source.core];
-  if (phase == 'B') {
-    ++core.open_depth[track];
-  } else if (phase == 'E') {
-    --core.open_depth[track];
-  }
-  last_ts_us_ = std::max(last_ts_us_, ts_us);
-  Event& event = NewEvent();
-  event.phase = phase;
-  event.name = name;
-  event.tid = kCoreTidStride * source.core + track;
-  event.arg = source.arg;
-  event.ts_us = ts_us;
-  event.label = source.label;
-  return event;
+void ChromeTraceWriter::AddSegment() {
+  const std::size_t capacity = SegmentCapacity(segment_count_);
+  auto& segment = segments_.at(segment_count_++);
+  segment.reset(
+      static_cast<kernel::TraceEvent*>(::operator new(capacity * sizeof(kernel::TraceEvent))));
+  next_ = segment.get();
+  segment_end_ = next_ + capacity;
 }
 
 void ChromeTraceWriter::OnTraceEvent(const kernel::TraceEvent& event) {
-  using kernel::TraceEventType;
-  const double ts = sim::CyclesToUs(event.tsc);
-  const double dur = sim::CyclesToUs(event.duration);
-  CoreTracks& core = Core(event.core);
-  switch (event.type) {
-    case TraceEventType::kIsrEnter: {
-      Event& isr = PushSim('B', event, kInterruptTid, ts, NameForm::kLabel);
-      isr.arg_key = ArgKey::kLine;
-      isr.arg_value = event.arg;
-      break;
-    }
-    case TraceEventType::kIsrExit:
-      PushSim('E', event, kInterruptTid, ts);
-      break;
-    case TraceEventType::kSectionStart: {
-      Event& section = PushSim('B', event, kInterruptTid, ts, NameForm::kLabel);
-      section.arg_key = ArgKey::kRequestedUs;
-      section.arg_value = dur;
-      break;
-    }
-    case TraceEventType::kSectionEnd:
-      PushSim('E', event, kInterruptTid, ts);
-      break;
-    case TraceEventType::kDpcStart: {
-      // Flow arrow from the enqueue instant (the start's duration is the
-      // queueing delay) to the moment the DPC body begins.
-      Flow(FlowCat::kDpcQueue, NameForm::kLabel, event, kInterruptTid, ts - dur, kDpcTid, ts);
-      Event& dpc = PushSim('B', event, kDpcTid, ts, NameForm::kLabel);
-      dpc.arg_key = ArgKey::kQueueDelayUs;
-      dpc.arg_value = dur;
-      break;
-    }
-    case TraceEventType::kDpcEnd:
-      PushSim('E', event, kDpcTid, ts);
-      break;
-    case TraceEventType::kContextSwitch:
-      if (core.thread_slice_open) {
-        PushSim('E', event, kThreadTid, ts);
-      }
-      PushSim('B', event, kThreadTid, ts, NameForm::kThreadPrio);
-      core.thread_slice_open = true;
-      break;
-    case TraceEventType::kThreadReady:
-      PushSim('i', event, kThreadTid, ts, NameForm::kReady);
-      break;
-    case TraceEventType::kDispatchLockout:
-      PushSim('X', event, kLockoutTid, ts, NameForm::kLockout).dur_us = dur;
-      break;
-    case TraceEventType::kIsrAccept:
-      PushSim('i', event, kInterruptTid, ts, NameForm::kIrqAccept);
-      break;
-    case TraceEventType::kDpcFetch:
-      PushSim('i', event, kDpcTid, ts, NameForm::kDpcFetch);
-      break;
-    case TraceEventType::kThreadRun:
-      // Fresh dispatches carry the wake-to-run latency; draw the flow from
-      // the signalling instant (typically inside the completing DPC) to the
-      // point the thread body starts executing.
-      if (event.duration > 0) {
-        Flow(FlowCat::kThreadWake, NameForm::kWake, event, kDpcTid, ts - dur, kThreadTid, ts);
-      }
-      break;
-    case TraceEventType::kThreadStop:
-      if (core.thread_slice_open) {
-        PushSim('E', event, kThreadTid, ts);
-        core.thread_slice_open = false;
-      }
-      break;
-    case TraceEventType::kSpinlockWait:
-      // Retrospective: the event fires at grant time and covers the spin.
-      PushSim('X', event, kLockoutTid, ts - dur, NameForm::kSpin).dur_us = dur;
-      break;
-    case TraceEventType::kIpi:
-      // Retrospective: delivery instant, duration is the flight time.
-      PushSim('X', event, kLockoutTid, ts - dur, NameForm::kIpi).dur_us = dur;
-      break;
-    case TraceEventType::kTraceEventTypeCount:
-      break;
+  if (next_ == segment_end_) {
+    AddSegment();
   }
+  std::memcpy(static_cast<void*>(next_++), &event, sizeof(event));
+  ++size_;
 }
-
-void ChromeTraceWriter::Flow(FlowCat cat, NameForm name, const kernel::TraceEvent& source,
-                             int from_track, double from_ts_us, int to_track, double to_ts_us) {
-  const std::uint64_t id = next_flow_id_++;
-  Event& start = PushSim('s', source, from_track, from_ts_us, name);
-  start.flow_id = id;
-  start.flow_cat = cat;
-  Event& finish = PushSim('f', source, to_track, to_ts_us, name);
-  finish.flow_id = id;
-  finish.flow_cat = cat;
-}
-
-ChromeTraceWriter::Event& ChromeTraceWriter::Push(char phase, int pid, int tid, double ts_us) {
-  if (phase != 'M') {
-    last_ts_us_ = std::max(last_ts_us_, ts_us);
-  }
-  if (phase == 'B') {
-    ++open_slices_[{pid, tid}];
-  } else if (phase == 'E') {
-    --open_slices_[{pid, tid}];
-  }
-  Event& event = NewEvent();
-  event.phase = phase;
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_us;
-  return event;
-}
-
-void ChromeTraceWriter::SetText(Event& event, Text text) {
-  event.name = NameForm::kText;
-  event.text = static_cast<std::uint32_t>(texts_.size());
-  texts_.push_back(std::move(text));
-}
-
-void ChromeTraceWriter::BeginSlice(int pid, int tid, double ts_us, std::string name) {
-  SetText(Push('B', pid, tid, ts_us), {std::move(name), {}, {}});
-}
-
-void ChromeTraceWriter::EndSlice(int pid, int tid, double ts_us) { Push('E', pid, tid, ts_us); }
 
 void ChromeTraceWriter::CompleteSlice(int pid, int tid, double ts_us, double dur_us,
-                                      std::string name,
-                                      std::vector<std::pair<std::string, std::string>> string_args,
-                                      std::vector<std::pair<std::string, double>> number_args) {
-  Event& event = Push('X', pid, tid, ts_us);
-  event.dur_us = dur_us;
-  SetText(event, {std::move(name), std::move(string_args), std::move(number_args)});
-}
-
-void ChromeTraceWriter::Instant(int pid, int tid, double ts_us, std::string name) {
-  SetText(Push('i', pid, tid, ts_us), {std::move(name), {}, {}});
+                                      std::string name, StringArgs string_args,
+                                      NumberArgs number_args) {
+  texts_.push_back(
+      {size_, 'X', pid, tid, ts_us, dur_us, std::move(name), std::move(string_args),
+       std::move(number_args)});
 }
 
 void ChromeTraceWriter::Counter(int pid, double ts_us, std::string name, double value) {
-  SetText(Push('C', pid, 0, ts_us), {std::move(name), {}, {{"value", value}}});
+  texts_.push_back({size_, 'C', pid, 0, ts_us, 0.0, std::move(name), {}, {{"value", value}}});
 }
 
 void ChromeTraceWriter::SetProcessName(int pid, const std::string& name) {
-  SetText(Push('M', pid, 0, 0.0), {"process_name", {{"name", name}}, {}});
+  texts_.push_back({size_, 'M', pid, 0, 0.0, 0.0, "process_name", {{"name", name}}, {}});
 }
 
 void ChromeTraceWriter::SetThreadName(int pid, int tid, const std::string& name) {
-  SetText(Push('M', pid, tid, 0.0), {"thread_name", {{"name", name}}, {}});
+  texts_.push_back({size_, 'M', pid, tid, 0.0, 0.0, "thread_name", {{"name", name}}, {}});
 }
 
-void ChromeTraceWriter::AppendEvent(Cursor& out, const Event& event) const {
-  char* p = out.Room(kHeadRoom);
-  p = Put(p, " {\"ph\": \"");
-  *p++ = event.phase;
-  p = Put(p, "\", \"pid\": ");
-  p = PutInt(p, event.pid);
-  p = Put(p, ", \"tid\": ");
-  p = PutInt(p, event.tid);
-  p = Put(p, ", \"ts\": ");
-  p = PutFixed6(p, event.ts_us);
-  if (event.phase == 'X') {
-    p = Put(p, ", \"dur\": ");
-    p = PutFixed6(p, event.dur_us);
-  }
-  if (event.phase == 'i') {
-    p = Put(p, ", \"s\": \"t\"");
-  }
-  if (event.phase == 's' || event.phase == 'f') {
-    p = Put(p, ", \"id\": ");
-    p = PutInt(p, event.flow_id);
-    p = Put(p, ", \"cat\": \"");
-    p = Put(p, FlowCatName(event.flow_cat));
-    *p++ = '"';
-    if (event.phase == 'f') {
-      p = Put(p, ", \"bp\": \"e\"");  // bind to the enclosing slice
-    }
-  }
-  const Text* text = event.name == NameForm::kText ? &texts_[event.text] : nullptr;
-  if (event.name != NameForm::kNone && (text == nullptr || !text->name.empty())) {
-    // A generic-API name takes the place of the label's module.
-    std::string_view module;
-    std::string_view function;
-    if (text != nullptr) {
-      module = text->name;
-    } else {
-      module = event.label.module;
-      function = event.label.function;
-    }
-    out.Advance(p);
-    p = out.Room(64 + kMaxEscape * (module.size() + function.size()));
-    p = Put(p, ", \"name\": \"");
-    const auto put_label = [&] {
-      p = PutEscaped(p, module);
-      *p++ = '!';
-      p = PutEscaped(p, function);
-    };
-    switch (event.name) {
-      case NameForm::kText:
-        p = PutEscaped(p, module);
-        break;
-      case NameForm::kLabel:
-        put_label();
-        break;
-      case NameForm::kLockout:
-        p = Put(p, "lockout: ");
-        put_label();
-        break;
-      case NameForm::kSpin:
-        p = Put(p, "spin: ");
-        put_label();
-        break;
-      case NameForm::kIpi:
-        p = Put(p, "ipi: ");
-        put_label();
-        break;
-      case NameForm::kThreadPrio:
-        p = Put(p, "thread prio ");
-        p = PutInt(p, event.arg);
-        break;
-      case NameForm::kReady:
-        p = Put(p, "ready (prio ");
-        p = PutInt(p, event.arg);
-        *p++ = ')';
-        break;
-      case NameForm::kIrqAccept:
-        p = Put(p, "irq accept (line ");
-        p = PutInt(p, event.arg);
-        *p++ = ')';
-        break;
-      case NameForm::kDpcFetch:
-        p = Put(p, "dpc fetch");
-        break;
-      case NameForm::kWake:
-        p = Put(p, "wake prio ");
-        p = PutInt(p, event.arg);
-        break;
-      case NameForm::kNone:
-        break;
-    }
-    *p++ = '"';
-  }
-  if (event.arg_key != ArgKey::kNone) {
-    out.Advance(p);
-    p = out.Room(64 + kMaxFixed6Chars);
-    p = Put(p, ", \"args\": {\"");
-    p = Put(p, ArgKeyName(event.arg_key));
-    p = Put(p, "\": ");
-    p = PutFixed6(p, event.arg_value);
-    *p++ = '}';
-  } else if (text != nullptr && (!text->string_args.empty() || !text->number_args.empty())) {
-    out.Advance(p);
-    p = Put(out.Room(16), ", \"args\": {");
-    bool first_arg = true;
-    for (const auto& [key, value] : text->string_args) {
-      out.Advance(p);
-      p = out.Room(16 + kMaxEscape * (key.size() + value.size()));
-      p = first_arg ? Put(p, "\"") : Put(p, ", \"");
-      p = PutEscaped(p, key);
-      p = Put(p, "\": \"");
-      p = PutEscaped(p, value);
-      *p++ = '"';
-      first_arg = false;
-    }
-    for (const auto& [key, value] : text->number_args) {
-      out.Advance(p);
-      p = out.Room(16 + kMaxEscape * key.size() + kMaxFixed6Chars);
-      p = first_arg ? Put(p, "\"") : Put(p, ", \"");
-      p = PutEscaped(p, key);
-      p = Put(p, "\": ");
-      p = PutFixed6(p, value);
-      first_arg = false;
-    }
-    *p++ = '}';
-  }
-  *p++ = '}';
-  out.Advance(p);
-}
-
-void ChromeTraceWriter::Render(std::string& buf, std::ostream* out) const {
-  Cursor cursor(buf, out);
-  cursor.Advance(Put(cursor.Room(32), "{\"traceEvents\": ["));
-  bool first = true;
-  const auto write_event = [&](const Event& event) {
-    cursor.Advance(first ? Put(cursor.Room(2), "\n") : Put(cursor.Room(2), ",\n"));
-    first = false;
-    AppendEvent(cursor, event);
-    cursor.Flush();
+template <typename Out>
+void ChromeTraceWriter::Render(Out& out) const {
+  using kernel::TraceEventType;
+  // Per simulated core: whether its tracks are named, whether its thread
+  // slice is open, and the open B-slice depth of each of its tracks. Core
+  // 0's tracks are named in the constructor; core c's are named at its
+  // first event.
+  struct CoreTracks {
+    bool named = false;
+    bool thread_slice_open = false;
+    std::array<int, kLockoutTid + 1> open_depth{};
   };
-  ForEachEvent(write_event);
+  std::vector<CoreTracks> cores(1);
+  cores[0].named = true;
+  // The latest timestamp of any record but track names: the open slices
+  // close there.
+  double last_ts_us = 0.0;
+  std::uint64_t next_flow_id = 1;
+
+  const auto put_text = [&](const Text& text) {
+    if (text.phase != 'M') {
+      last_ts_us = std::max(last_ts_us, text.ts_us);
+    }
+    out.Record(text.phase, text.pid, text.tid, text.ts_us);
+    if (text.phase == 'X') {
+      out.Dur(text.dur_us);
+    }
+    if (!text.name.empty()) {
+      out.Name(text.name);
+    }
+    out.Args(text.string_args, text.number_args).Close();
+  };
+  const auto name_tracks = [&](int core) {
+    const std::string prefix = "cpu" + std::to_string(core) + ": ";
+    const int base = kCoreTidStride * core;
+    const std::pair<int, const char*> tracks[] = {
+        {kInterruptTid, "interrupt stack (ISR + sections)"},
+        {kDpcTid, "dpc"},
+        {kThreadTid, "thread"},
+        {kLockoutTid, "dispatch lockout"}};
+    for (const auto& [track, name] : tracks) {
+      put_text(
+          {0, 'M', kSimPid, base + track, 0.0, 0.0, "thread_name", {{"name", prefix + name}}, {}});
+    }
+  };
+  // Opens a record on track `track` of `event`'s core.
+  const auto open = [&](char phase, const kernel::TraceEvent& event, int track,
+                        double ts_us) -> Out& {
+    CoreTracks& core = cores[event.core];
+    if (phase == 'B') {
+      ++core.open_depth[track];
+    } else if (phase == 'E') {
+      --core.open_depth[track];
+    }
+    last_ts_us = std::max(last_ts_us, ts_us);
+    return out.Record(phase, kSimPid, kCoreTidStride * event.core + track, ts_us);
+  };
+  const auto map = [&](const kernel::TraceEvent& event) {
+    if (static_cast<std::size_t>(event.core) >= cores.size()) {
+      cores.resize(event.core + 1);
+    }
+    if (!cores[event.core].named) {
+      cores[event.core].named = true;
+      name_tracks(event.core);
+    }
+    bool& thread_slice_open = cores[event.core].thread_slice_open;
+    const double ts = sim::CyclesToUs(event.tsc);
+    const double dur = sim::CyclesToUs(event.duration);
+    switch (event.type) {
+      case TraceEventType::kIsrEnter:
+        open('B', event, kInterruptTid, ts).LabelName(event.label).Arg("line", event.arg).Close();
+        break;
+      case TraceEventType::kIsrExit:
+        open('E', event, kInterruptTid, ts).Close();
+        break;
+      case TraceEventType::kSectionStart:
+        open('B', event, kInterruptTid, ts).LabelName(event.label).Arg("requested_us", dur).Close();
+        break;
+      case TraceEventType::kSectionEnd:
+        open('E', event, kInterruptTid, ts).Close();
+        break;
+      case TraceEventType::kDpcStart: {
+        // Flow arrow from the enqueue instant (the start's duration is the
+        // queueing delay) to the moment the DPC body begins.
+        const std::uint64_t id = next_flow_id++;
+        open('s', event, kInterruptTid, ts - dur)
+            .Flow(id, "dpc-queue", false)
+            .LabelName(event.label)
+            .Close();
+        open('f', event, kDpcTid, ts).Flow(id, "dpc-queue", true).LabelName(event.label).Close();
+        open('B', event, kDpcTid, ts).LabelName(event.label).Arg("queue_delay_us", dur).Close();
+        break;
+      }
+      case TraceEventType::kDpcEnd:
+        open('E', event, kDpcTid, ts).Close();
+        break;
+      case TraceEventType::kContextSwitch:
+        if (thread_slice_open) {
+          open('E', event, kThreadTid, ts).Close();
+        }
+        open('B', event, kThreadTid, ts).NumberName("thread prio ", event.arg, "").Close();
+        thread_slice_open = true;
+        break;
+      case TraceEventType::kThreadReady:
+        open('i', event, kThreadTid, ts).NumberName("ready (prio ", event.arg, ")").Close();
+        break;
+      case TraceEventType::kDispatchLockout:
+        open('X', event, kLockoutTid, ts).Dur(dur).LabelName(event.label, "lockout: ").Close();
+        break;
+      case TraceEventType::kIsrAccept:
+        open('i', event, kInterruptTid, ts)
+            .NumberName("irq accept (line ", event.arg, ")")
+            .Close();
+        break;
+      case TraceEventType::kDpcFetch:
+        open('i', event, kDpcTid, ts).Name("dpc fetch").Close();
+        break;
+      case TraceEventType::kThreadRun:
+        // Fresh dispatches carry the wake-to-run latency; draw the flow from
+        // the signalling instant (typically inside the completing DPC) to the
+        // point the thread body starts executing.
+        if (event.duration > 0) {
+          const std::uint64_t id = next_flow_id++;
+          open('s', event, kDpcTid, ts - dur)
+              .Flow(id, "thread-wake", false)
+              .NumberName("wake prio ", event.arg, "")
+              .Close();
+          open('f', event, kThreadTid, ts)
+              .Flow(id, "thread-wake", true)
+              .NumberName("wake prio ", event.arg, "")
+              .Close();
+        }
+        break;
+      case TraceEventType::kThreadStop:
+        if (thread_slice_open) {
+          open('E', event, kThreadTid, ts).Close();
+          thread_slice_open = false;
+        }
+        break;
+      case TraceEventType::kSpinlockWait:
+        // Retrospective: the event fires at grant time and covers the spin.
+        open('X', event, kLockoutTid, ts - dur).Dur(dur).LabelName(event.label, "spin: ").Close();
+        break;
+      case TraceEventType::kIpi:
+        // Retrospective: delivery instant, duration is the flight time.
+        open('X', event, kLockoutTid, ts - dur).Dur(dur).LabelName(event.label, "ipi: ").Close();
+        break;
+      case TraceEventType::kTraceEventTypeCount:
+        break;
+    }
+  };
+
+  // Each text goes after the events stored before its call.
+  std::size_t next_text = 0;
+  const auto texts_before = [&](std::size_t index) {
+    for (; next_text < texts_.size() && texts_[next_text].at <= index; ++next_text) {
+      put_text(texts_[next_text]);
+    }
+  };
+  std::size_t index = 0;
+  std::size_t left = size_;
+  for (std::size_t s = 0; left > 0; ++s) {
+    const std::size_t n = std::min(left, SegmentCapacity(s));
+    const kernel::TraceEvent* event = segments_[s].get();
+    for (const kernel::TraceEvent* end = event + n; event != end; ++event) {
+      texts_before(index++);
+      map(*event);
+    }
+    left -= n;
+  }
+  texts_before(size_);
   // Close still-open slices so B/E nesting in the serialized trace always
   // matches (e.g. the thread slice running when the experiment ended), in
-  // (pid, tid) order.
-  std::map<std::pair<int, int>, int> open = open_slices_;
-  for (std::size_t core = 0; core < cores_.size(); ++core) {
+  // tid order.
+  for (std::size_t core = 0; core < cores.size(); ++core) {
     for (int track = kInterruptTid; track <= kLockoutTid; ++track) {
-      if (const int depth = cores_[core].open_depth[track]; depth != 0) {
-        open[{kSimPid, kCoreTidStride * static_cast<int>(core) + track}] += depth;
+      for (int i = 0; i < cores[core].open_depth[track]; ++i) {
+        out.Closer(kCoreTidStride * static_cast<int>(core) + track, last_ts_us);
       }
     }
   }
-  for (const auto& [track, depth] : open) {
-    for (int i = 0; i < depth; ++i) {
-      Event closer;
-      closer.phase = 'E';
-      closer.pid = track.first;
-      closer.tid = track.second;
-      closer.ts_us = last_ts_us_;
-      write_event(closer);
-    }
-  }
-  cursor.Advance(Put(cursor.Room(64), "\n], \"displayTimeUnit\": \"ms\"}\n"));
-  cursor.Finish();
+}
+
+std::size_t ChromeTraceWriter::event_count() const {
+  CountSink count;
+  Render(count);
+  return count.records();
 }
 
 void ChromeTraceWriter::WriteJson(std::ostream& out) const {
   std::string buf;
-  Render(buf, &out);
+  JsonSink sink(buf, &out);
+  Render(sink);
+  sink.Finish();
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 std::string ChromeTraceWriter::ToJson() const {
   std::string buf;
-  Render(buf, nullptr);
+  JsonSink sink(buf, nullptr);
+  Render(sink);
+  sink.Finish();
   return buf;
 }
 

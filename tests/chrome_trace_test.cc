@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -49,6 +50,20 @@ TraceEvent Ev(TraceEventType type, double ts_us, kernel::Label label = {}, int a
   event.arg = arg;
   event.duration = sim::UsToCycles(duration_us);
   return event;
+}
+
+// The records of `writer`'s trace before its closing E events.
+std::vector<JsonValue> Records(const ChromeTraceWriter& writer) {
+  const JsonParseResult parsed = ParseJson(writer.ToJson());
+  EXPECT_TRUE(parsed.valid) << parsed.error;
+  const JsonValue* events = parsed.value.Find("traceEvents");
+  if (events == nullptr) {
+    ADD_FAILURE() << "no traceEvents";
+    return {};
+  }
+  std::vector<JsonValue> records = events->items();
+  records.resize(std::min(records.size(), writer.event_count()));
+  return records;
 }
 
 std::string ReadFile(const std::string& path) {
@@ -107,59 +122,77 @@ TEST(ChromeTraceTest, NestingNeverGoesNegativeAndTimestampsAreMonotonic) {
   FeedScenario(writer);
   std::map<std::pair<int, int>, int> depth;
   std::map<std::pair<int, int>, double> last_ts;
-  writer.ForEachEvent([&](const ChromeTraceWriter::Event& event) {
-    if (event.phase == 'M') {
-      return;
+  for (const JsonValue& record : Records(writer)) {
+    const std::string phase = record.StringOr("ph", "");
+    if (phase == "M") {
+      continue;
     }
-    const std::pair<int, int> track{event.pid, event.tid};
+    const int pid = static_cast<int>(record.NumberOr("pid", -1));
+    const int tid = static_cast<int>(record.NumberOr("tid", -1));
+    const double ts = record.NumberOr("ts", -1);
+    const std::pair<int, int> track{pid, tid};
     if (last_ts.count(track) != 0) {
-      EXPECT_GE(event.ts_us, last_ts[track]) << "track " << event.pid << "/" << event.tid;
+      EXPECT_GE(ts, last_ts[track]) << "track " << pid << "/" << tid;
     }
-    last_ts[track] = event.ts_us;
-    if (event.phase == 'B') {
+    last_ts[track] = ts;
+    if (phase == "B") {
       ++depth[track];
-    } else if (event.phase == 'E') {
-      EXPECT_GT(depth[track], 0) << "E with no open B on track " << event.tid;
+    } else if (phase == "E") {
+      EXPECT_GT(depth[track], 0) << "E with no open B on track " << tid;
       --depth[track];
     }
-  });
+  }
   // The ISR nested inside the VMM section on the interrupt track.
   EXPECT_EQ((depth[{ChromeTraceWriter::kSimPid, ChromeTraceWriter::kInterruptTid}]), 0);
 }
 
-// Records live in segments of 256, 512, 1024, ... records. Thousands of ISR
-// slices spread over six of them while a VMM section and a host slice, opened in
-// the first segment, stay open across every boundary; the run ends inside
-// a thread slice. Each record must come back once and in order, the trace
-// (past the 1 MiB stream block) must reach the file intact, and the three
-// open slices must be closed at the last timestamp.
+// Events live in segments of 256, 512, 1024, ... events. Thousands of ISR
+// slices spread over six of them while a VMM section, opened in the first
+// segment, stays open across every boundary; a host slice is recorded
+// before the section and a counter sample among the ISRs, and the run ends
+// inside a thread slice. Each record must come back once and in order, the
+// texts where they were recorded, the trace (past the 1 MiB stream block)
+// must reach the file intact, and the two open slices must be closed at the
+// last timestamp.
 TEST(ChromeTraceTest, SegmentedStoreKeepsRecordsAcrossSegments) {
   ChromeTraceWriter writer;
   const std::size_t metadata = writer.event_count();
   const kernel::Label vmm{"VMM", "_mmFindContig"};
   const kernel::Label isr{"LATDRV", "_PitIsr"};
-  writer.BeginSlice(ChromeTraceWriter::kHostPid, 1, 0.0, "host slice");
+  writer.CompleteSlice(ChromeTraceWriter::kHostPid, 1, 0.0, 1.0, "host slice");
   writer.OnTraceEvent(Ev(TraceEventType::kSectionStart, 1.0, vmm, -1, 5.0));
   constexpr int kIsrs = 8000;
+  constexpr int kCounterAfter = 5000;
   for (int i = 0; i < kIsrs; ++i) {
+    if (i == kCounterAfter) {
+      writer.Counter(ChromeTraceWriter::kSimPid, 2.0 + i, "depth", 1.0);
+    }
     writer.OnTraceEvent(Ev(TraceEventType::kIsrEnter, 2.0 + i, isr, 0));
     writer.OnTraceEvent(Ev(TraceEventType::kIsrExit, 2.5 + i, isr, 0, 0.5));
   }
   writer.OnTraceEvent(Ev(TraceEventType::kContextSwitch, kIsrs + 3.0, {}, 28));
-  const std::size_t stored = metadata + 2 + 2 * kIsrs + 1;
+  const std::size_t stored = metadata + 3 + 2 * kIsrs + 1;
   EXPECT_EQ(writer.event_count(), stored);
   EXPECT_GT(stored, std::size_t{256 + 512 + 1024 + 2048 + 4096});
 
-  std::size_t visited = 0;
+  const std::vector<JsonValue> records = Records(writer);
+  EXPECT_EQ(records.size(), stored);
   std::vector<double> isr_starts;
-  writer.ForEachEvent([&](const ChromeTraceWriter::Event& event) {
-    ++visited;
-    if (event.phase == 'B' && event.name == ChromeTraceWriter::NameForm::kLabel &&
-        event.arg_key == ChromeTraceWriter::ArgKey::kLine) {
-      isr_starts.push_back(event.ts_us);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const JsonValue& record = records[i];
+    const std::string phase = record.StringOr("ph", "");
+    const JsonValue* args = record.Find("args");
+    if (phase == "B" && args != nullptr && args->Find("line") != nullptr) {
+      isr_starts.push_back(record.NumberOr("ts", -1));
     }
-  });
-  EXPECT_EQ(visited, stored);
+    if (phase == "X") {
+      EXPECT_EQ(i, metadata) << "the host slice comes right after the track names";
+    }
+    if (phase == "C") {
+      EXPECT_EQ(isr_starts.size(), static_cast<std::size_t>(kCounterAfter))
+          << "the counter sample comes after the ISRs recorded before it";
+    }
+  }
   ASSERT_EQ(isr_starts.size(), static_cast<std::size_t>(kIsrs));
   for (int i = 0; i < kIsrs; ++i) {
     if (isr_starts[i] != 2.0 + i) {
@@ -179,16 +212,76 @@ TEST(ChromeTraceTest, SegmentedStoreKeepsRecordsAcrossSegments) {
     pos += 7;
     ++phases[json[pos]];
   }
-  EXPECT_EQ(phases['B'], kIsrs + 3);
+  EXPECT_EQ(phases['B'], kIsrs + 2);
   EXPECT_EQ(phases['E'], phases['B']);
   const std::string closers =
       ",\n {\"ph\": \"E\", \"pid\": 1, \"tid\": 1, \"ts\": 8003.000000}"
       ",\n {\"ph\": \"E\", \"pid\": 1, \"tid\": 3, \"ts\": 8003.000000}"
-      ",\n {\"ph\": \"E\", \"pid\": 2, \"tid\": 1, \"ts\": 8003.000000}"
       "\n], \"displayTimeUnit\": \"ms\"}\n";
   ASSERT_GE(json.size(), closers.size());
   EXPECT_EQ(json.substr(json.size() - closers.size()), closers);
   EXPECT_TRUE(LintJson(json).valid);
+}
+
+// The output is a function of what was recorded: rendering twice, or to a
+// file and to a string, gives the same bytes, and events recorded after a
+// render show up in the next one with the track state of the events before
+// them. Core 1's tracks are named at its first event, before the render,
+// and not again; its thread slice, open at the first render (a closer ends
+// it there), is closed by the stop recorded after it.
+TEST(ChromeTraceTest, OutputDependsOnlyOnWhatWasRecorded) {
+  const kernel::Label isr{"LATDRV", "_PitIsr"};
+  std::vector<TraceEvent> before = {Ev(TraceEventType::kContextSwitch, 5.0, {}, 24),
+                                    Ev(TraceEventType::kIsrEnter, 6.0, isr, 0)};
+  std::vector<TraceEvent> after = {Ev(TraceEventType::kIsrExit, 7.0, isr, 0, 1.0),
+                                   Ev(TraceEventType::kThreadStop, 8.0, {}, 24),
+                                   Ev(TraceEventType::kContextSwitch, 9.0, {}, 28)};
+  for (TraceEvent& event : before) {
+    event.core = 1;
+  }
+  for (TraceEvent& event : after) {
+    event.core = 1;
+  }
+  ChromeTraceWriter writer;
+  ChromeTraceWriter at_once;
+  for (const TraceEvent& event : before) {
+    writer.OnTraceEvent(event);
+    at_once.OnTraceEvent(event);
+  }
+  const std::string first = writer.ToJson();
+  EXPECT_EQ(writer.ToJson(), first);
+  const std::string path = testutil::TempFileFor("rerender.trace.json");
+  ASSERT_TRUE(writer.WriteFile(path));
+  EXPECT_TRUE(ReadFile(path) == first) << "WriteFile differs from ToJson";
+  std::filesystem::remove(path);
+  EXPECT_EQ(at_once.ToJson(), first);
+  EXPECT_NE(first.find("{\"ph\": \"E\", \"pid\": 1, \"tid\": 13, \"ts\": 6.000000}"),
+            std::string::npos)
+      << "the open thread slice is closed at the first render";
+
+  writer.Counter(ChromeTraceWriter::kSimPid, 6.5, "depth", 1.0);
+  at_once.Counter(ChromeTraceWriter::kSimPid, 6.5, "depth", 1.0);
+  for (const TraceEvent& event : after) {
+    writer.OnTraceEvent(event);
+    at_once.OnTraceEvent(event);
+  }
+  const std::string second = writer.ToJson();
+  EXPECT_EQ(second, at_once.ToJson());
+  EXPECT_EQ(writer.event_count(), at_once.event_count());
+  const auto count = [&second](std::string_view needle) {
+    std::size_t n = 0;
+    for (std::size_t pos = 0; (pos = second.find(needle, pos)) != std::string::npos; ++pos) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"cpu1: thread\""), 1u);
+  EXPECT_EQ(count("\"ph\": \"E\", \"pid\": 1, \"tid\": 13, \"ts\": 8.000000}"), 1u)
+      << "the stop closes the slice the first render saw open";
+  EXPECT_EQ(count("\"ph\": \"E\", \"pid\": 1, \"tid\": 13, \"ts\": 9.000000}"), 1u)
+      << "the second switch's slice is closed at the end";
+  EXPECT_EQ(count("\"ph\": \"B\""), count("\"ph\": \"E\""));
+  EXPECT_NE(second.find("\"name\": \"depth\""), std::string::npos);
 }
 
 TEST(ChromeTraceTest, TrackMetadataAndHostSlices) {
@@ -208,9 +301,8 @@ TEST(ChromeTraceTest, TrackMetadataAndHostSlices) {
 
 TEST(ChromeTraceTest, EscapesNamesAndSentinelIsIgnored) {
   ChromeTraceWriter writer;
-  writer.BeginSlice(ChromeTraceWriter::kSimPid, ChromeTraceWriter::kThreadTid, 1.0,
-                    "quote \" backslash \\ newline \n");
-  writer.EndSlice(ChromeTraceWriter::kSimPid, ChromeTraceWriter::kThreadTid, 2.0);
+  writer.CompleteSlice(ChromeTraceWriter::kSimPid, ChromeTraceWriter::kThreadTid, 1.0, 1.0,
+                       "quote \" backslash \\ newline \n");
   const std::size_t before = writer.event_count();
   writer.OnTraceEvent(Ev(TraceEventType::kTraceEventTypeCount, 3.0));
   EXPECT_EQ(writer.event_count(), before);  // sentinel maps to nothing

@@ -322,9 +322,10 @@ TEST(HotPathBudget, Win98Games) {
 }
 
 // The same cell with a ChromeTraceWriter behind the counting sink. The
-// writer stores compact records and renders names only when writing, so
-// tracing adds only its record segments to the plain cell's count: nine
-// allocations, doubling from 256 records.
+// writer stores the events as emitted and maps them only when writing, so
+// tracing adds only its segments to the plain cell's count: nine
+// allocations, doubling from 512 events (the constructor allocates the
+// first segment of 256).
 TEST(HotPathBudget, Win98GamesTraced) {
   obs::ChromeTraceWriter writer;
   ExpectBudget(MeasureLoadedCell(kernel::MakeWin98Profile(), workload::GamesStress(),

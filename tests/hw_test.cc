@@ -54,12 +54,29 @@ TEST(InterruptControllerTest, HighestPendingRespectsIrqlOrderAndCeiling) {
   const int high = pic.ConnectLine("high", static_cast<Irql>(20));
   pic.Assert(low);
   pic.Assert(high);
-  EXPECT_EQ(pic.HighestPending(Irql::kPassive), high);
+  EXPECT_EQ(pic.HighestPending(Irql::kPassive, 0), high);
   pic.Acknowledge(high);
-  EXPECT_EQ(pic.HighestPending(Irql::kPassive), low);
+  EXPECT_EQ(pic.HighestPending(Irql::kPassive, 0), low);
   // A ceiling at or above the line's IRQL masks it.
-  EXPECT_EQ(pic.HighestPending(static_cast<Irql>(5)), InterruptController::kNoLine);
-  EXPECT_EQ(pic.HighestPending(static_cast<Irql>(4)), low);
+  EXPECT_EQ(pic.HighestPending(static_cast<Irql>(5), 0), InterruptController::kNoLine);
+  EXPECT_EQ(pic.HighestPending(static_cast<Irql>(4), 0), low);
+}
+
+// With no router every latched line goes to core 0; with one, a core sees
+// only the lines routed to it.
+TEST(InterruptControllerTest, HighestPendingSeesOnlyTheCoresLines) {
+  sim::Engine engine;
+  InterruptController pic(engine);
+  const int low = pic.ConnectLine("low", static_cast<Irql>(5));
+  const int high = pic.ConnectLine("high", static_cast<Irql>(20));
+  pic.Assert(low);
+  EXPECT_EQ(pic.target_core(low), 0);
+  EXPECT_EQ(pic.HighestPending(Irql::kPassive, 1), InterruptController::kNoLine);
+  pic.set_irq_router([high](int line) { return line == high ? 1 : 0; });
+  pic.Assert(high);
+  EXPECT_EQ(pic.target_core(high), 1);
+  EXPECT_EQ(pic.HighestPending(Irql::kPassive, 0), low);
+  EXPECT_EQ(pic.HighestPending(Irql::kPassive, 1), high);
 }
 
 TEST(PitTest, TicksAtProgrammedFrequency) {

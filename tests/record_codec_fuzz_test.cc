@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -107,10 +108,13 @@ LabReport ReportWithEveryField() {
   config.warmup_seconds = 1.0;
   config.seed = 1999;
   config.obs.episode_threshold_us = 200.0;
-  config.obs.max_episodes = 3;
   config.obs.anatomy = true;
   config.obs.sketch = true;
-  return RunLatencyExperiment(config);
+  LabReport report = RunLatencyExperiment(config);
+  // Three episodes exercise every field; more only slow the fuzz down.
+  report.episodes.resize(std::min<std::size_t>(report.episodes.size(), 3));
+  report.anatomy.resize(std::min<std::size_t>(report.anatomy.size(), 3));
+  return report;
 }
 
 // What ParseJson says of text the reader accepted.

@@ -19,6 +19,7 @@
 #include "src/lab/record_log.h"
 #include "src/lab/report_io.h"
 #include "src/obs/chrome_trace.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/workload/stress_profile.h"
 #include "tests/temp_path.h"
@@ -323,17 +324,35 @@ TEST(ResumeDeterminismTest, ResumedTraceDrawsOnlyCellsThatRan) {
   const MatrixResult result = matrix.Run(options);
   ASSERT_TRUE(result.complete()) << result.run.error;
   ASSERT_EQ(result.run.cells_restored, 2u);
+  // The trace's records before its closing E events.
+  const auto records = [&writer] {
+    const obs::JsonParseResult parsed = obs::ParseJson(writer.ToJson());
+    EXPECT_TRUE(parsed.valid) << parsed.error;
+    const obs::JsonValue* events = parsed.value.Find("traceEvents");
+    std::vector<obs::JsonValue> items;
+    if (events != nullptr) {
+      items = events->items();
+    }
+    items.resize(std::min(items.size(), writer.event_count()));
+    return items;
+  };
   std::size_t sim_events = 0;
-  writer.ForEachEvent([&](const obs::ChromeTraceWriter::Event& event) {
-    sim_events += event.pid == obs::ChromeTraceWriter::kSimPid && event.phase != 'M' ? 1 : 0;
-  });
+  for (const obs::JsonValue& record : records()) {
+    sim_events += record.NumberOr("pid", 0) == obs::ChromeTraceWriter::kSimPid &&
+                          record.StringOr("ph", "") != "M"
+                      ? 1
+                      : 0;
+  }
   EXPECT_GT(sim_events, 0u);
 
   AppendHostTrace(writer, matrix, result);
   std::size_t host_slices = 0;
-  writer.ForEachEvent([&](const obs::ChromeTraceWriter::Event& event) {
-    host_slices += event.pid == obs::ChromeTraceWriter::kHostPid && event.phase == 'X' ? 1 : 0;
-  });
+  for (const obs::JsonValue& record : records()) {
+    host_slices += record.NumberOr("pid", 0) == obs::ChromeTraceWriter::kHostPid &&
+                           record.StringOr("ph", "") == "X"
+                       ? 1
+                       : 0;
+  }
   EXPECT_EQ(host_slices, 2u);
 }
 
